@@ -6,13 +6,15 @@
 //     with timebase extension).
 //   - PerThread: one padded counter per thread, bumped on each commit by
 //     its owner. Logically incrementing the "shared counter" is a cheap
-//     local add; reading it means summing all slots (paper §2.4).
+//     local add; reading it means summing one slot per registered
+//     thread (paper §2.4).
 //
 // We follow the paper's 64-bit assumption and ignore overflow (§4.1).
 package clock
 
 import (
 	"runtime"
+	"sync/atomic"
 
 	"spectm/internal/pad"
 )
@@ -37,31 +39,68 @@ func (g *Global) Tick() uint64 { return g.c.Add(1) }
 // is mid-phase. Two equal StableSums with a successful value validation
 // in between certify a consistent snapshot (Dalessandro et al., as cited
 // in §2.4 of the paper).
+//
+// The clock covers only the published prefix of slots: Register hands
+// out slot n and publishes n+1 in one atomic step, and StableSum loads
+// that count once per pass and walks [0, n). Reading costs O(registered
+// threads); the capacity passed to NewPerThread costs memory only.
+// Covering a slot nobody owns yet is harmless (it reads 0 and even).
+// Missing one is the only hazard, and it cannot hide a writer:
+//
+//   - A pass whose count load precedes slot k's publication leaves k out,
+//     which equals reading it at that instant: k's owner bumps only after
+//     Register returned, so the slot still held 0.
+//   - A writer whose store phase overlaps a reader's validation window
+//     went odd before the window's closing pass began. It registered
+//     before that, and sync/atomic operations are sequentially
+//     consistent, so the closing pass loads a count that covers its slot
+//     and sees it odd (and waits) or advanced by at least 2. Slots are
+//     monotone, so the closing sum exceeds the opening one whether or not
+//     the opening pass covered the slot.
 type PerThread struct {
-	slots *pad.Slots
+	slots []pad.U64
+	n     atomic.Int32 // published prefix: slots [0, n) have owners
 }
 
-// NewPerThread returns counters for n threads.
-func NewPerThread(n int) *PerThread { return &PerThread{slots: pad.NewSlots(n)} }
+// NewPerThread returns counters with room for max registered threads.
+func NewPerThread(max int) *PerThread { return &PerThread{slots: make([]pad.U64, max)} }
+
+// Register allocates the next slot and publishes it to StableSum before
+// returning, hence before its owner's first Bump. ok is false once every
+// slot is taken.
+func (p *PerThread) Register() (tid int, ok bool) {
+	for {
+		n := p.n.Load()
+		if int(n) >= len(p.slots) {
+			return 0, false
+		}
+		if p.n.CompareAndSwap(n, n+1) {
+			return int(n), true
+		}
+	}
+}
+
+// Registered returns the published prefix: how many slots have owners,
+// and so how many loads one StableSum pass costs.
+func (p *PerThread) Registered() int { return int(p.n.Load()) }
 
 // Bump advances thread tid's slot by one, toggling its parity. Writers
 // call it in pairs bracketing their store phase.
-func (p *PerThread) Bump(tid int) { p.slots.At(tid).Add(1) }
+func (p *PerThread) Bump(tid int) { p.slots[tid].Add(1) }
 
-// Sum reads the raw sum of all per-thread counters without the parity
-// check. It is a monotone activity indicator, not a snapshot.
-func (p *PerThread) Sum() uint64 { return p.slots.Sum() }
-
-// StableSum reads the logical clock: the sum of all per-thread counters,
-// sampled only when every slot is even (no writer inside a store phase).
-// The composite is still not atomic; callers bracket validations with two
-// StableSums and retry on inequality.
+// StableSum reads the logical clock: the sum of the registered threads'
+// counters, sampled only when every one is even (no writer inside a
+// store phase). The composite is still not atomic; callers bracket
+// validations with two StableSums and retry on inequality.
+//
+//spectm:noalloc
 func (p *PerThread) StableSum() uint64 {
 	for spins := 0; ; spins++ {
 		var t uint64
 		odd := false
-		for i := 0; i < p.slots.Len(); i++ {
-			v := p.slots.At(i).Load()
+		s := p.slots[:p.n.Load()]
+		for i := range s {
+			v := s[i].Load()
 			if v&1 == 1 {
 				odd = true
 				break
@@ -76,6 +115,3 @@ func (p *PerThread) StableSum() uint64 {
 		}
 	}
 }
-
-// Threads returns the slot count.
-func (p *PerThread) Threads() int { return p.slots.Len() }

@@ -48,37 +48,84 @@ func TestGlobalTickConcurrent(t *testing.T) {
 	}
 }
 
-func TestPerThreadSum(t *testing.T) {
+func TestPerThreadStableSum(t *testing.T) {
 	p := NewPerThread(4)
-	if p.Sum() != 0 {
+	if p.StableSum() != 0 {
 		t.Fatal("fresh per-thread clock must sum to 0")
 	}
-	p.Bump(0)
-	p.Bump(3)
-	p.Bump(3)
-	if got := p.Sum(); got != 3 {
-		t.Fatalf("Sum = %d, want 3", got)
+	a, _ := p.Register()
+	b, _ := p.Register()
+	p.Bump(a)
+	p.Bump(a)
+	for i := 0; i < 4; i++ {
+		p.Bump(b)
 	}
-	if p.Threads() != 4 {
-		t.Fatal("Threads mismatch")
+	if got := p.StableSum(); got != 6 {
+		t.Fatalf("StableSum = %d, want 6", got)
 	}
 }
 
+// TestPerThreadPrefix pins the cost model: StableSum covers exactly the
+// registered prefix, whatever the capacity. A bump on a slot nobody
+// registered stays invisible; after Register it counts.
+func TestPerThreadPrefix(t *testing.T) {
+	p := NewPerThread(4096)
+	for i := 0; i < 3; i++ {
+		if tid, ok := p.Register(); !ok || tid != i {
+			t.Fatalf("Register #%d = (%d, %v)", i, tid, ok)
+		}
+	}
+	p.Bump(3)
+	p.Bump(3)
+	if got := p.StableSum(); got != 0 {
+		t.Fatalf("StableSum = %d: read past the published prefix", got)
+	}
+	p.Register()
+	if got := p.StableSum(); got != 2 {
+		t.Fatalf("StableSum = %d after publishing slot 3, want 2", got)
+	}
+}
+
+func TestPerThreadRegisterFull(t *testing.T) {
+	p := NewPerThread(2)
+	p.Register()
+	p.Register()
+	if _, ok := p.Register(); ok {
+		t.Fatal("Register beyond capacity must fail")
+	}
+	if p.Registered() != 2 {
+		t.Fatalf("a refused Register moved the prefix to %d", p.Registered())
+	}
+	p.StableSum() // must not walk past the slots
+}
+
+// TestPerThreadConcurrent registers and bumps from many goroutines at
+// once: ids are unique, and the final sum counts every bump.
 func TestPerThreadConcurrent(t *testing.T) {
 	const workers, per = 8, 10000
 	p := NewPerThread(workers)
 	var wg sync.WaitGroup
+	tids := make([]int, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
+			tid, _ := p.Register()
+			tids[w] = tid
 			for i := 0; i < per; i++ {
 				p.Bump(tid)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := p.Sum(); got != workers*per {
-		t.Fatalf("Sum = %d, want %d", got, workers*per)
+	seen := make(map[int]bool, workers)
+	for _, tid := range tids {
+		if seen[tid] {
+			t.Fatalf("slot %d handed out twice", tid)
+		}
+		seen[tid] = true
+	}
+	if got := p.StableSum(); got != workers*per {
+		t.Fatalf("StableSum = %d, want %d", got, workers*per)
 	}
 }

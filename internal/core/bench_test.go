@@ -149,6 +149,35 @@ func BenchmarkShortRO2(b *testing.B) {
 	}
 }
 
+// BenchmarkShortRO2ByMaxThreads is the commit-counter cost model: a
+// ShortRO2 on the val layout sums one counter per registered thread,
+// twice, so ns/op must track reg and stay flat across cap.
+func BenchmarkShortRO2ByMaxThreads(b *testing.B) {
+	for _, capacity := range []int{8, 128, 1024} {
+		for _, reg := range []int{1, 8, 64} {
+			if reg > capacity {
+				continue
+			}
+			b.Run(fmt.Sprintf("cap=%d/reg=%d", capacity, reg), func(b *testing.B) {
+				e := New(Config{Layout: LayoutVal, MaxThreads: capacity})
+				t := e.Register()
+				for i := 1; i < reg; i++ {
+					e.Register()
+				}
+				vars := benchVars(e, 1024)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d, _, _ := t.ShortRO2(vars[i&1023], vars[(i+1)&1023])
+					if !d.Valid() {
+						b.Fatal("conflict single-threaded")
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkShortRO2Typed is the read-only snapshot through the typed
 // descriptor API.
 func BenchmarkShortRO2Typed(b *testing.B) {

@@ -25,7 +25,7 @@ func TestCCNormalization(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := New(c.in)
+			e := newTestEngine(c.in)
 			got := e.Config()
 			if got.CC != c.cc || got.Clock != c.clk || got.ValNoCounter != c.vnc {
 				t.Fatalf("normalized to CC=%v Clock=%v ValNoCounter=%v, want %v/%v/%v",
@@ -61,7 +61,7 @@ func TestCCValidate(t *testing.T) {
 // earlier reads still hold.
 func TestLazyAbortsInsteadOfExtending(t *testing.T) {
 	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := New(Config{Layout: layout, CC: CCLazy})
+		e := newTestEngine(Config{Layout: layout, CC: CCLazy})
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -109,7 +109,7 @@ func eagerConfigs() map[string]Config {
 func TestEagerWriteWriteConflict(t *testing.T) {
 	for name, cfg := range eagerConfigs() {
 		t.Run(name, func(t *testing.T) {
-			e := New(cfg)
+			e := newTestEngine(cfg)
 			t1, t2 := e.Register(), e.Register()
 			a := e.NewVar(iv(1))
 
@@ -144,7 +144,7 @@ func TestEagerWriteWriteConflict(t *testing.T) {
 func TestEagerAbortReleasesLocks(t *testing.T) {
 	for name, cfg := range eagerConfigs() {
 		t.Run(name, func(t *testing.T) {
-			e := New(cfg)
+			e := newTestEngine(cfg)
 			t1, t2 := e.Register(), e.Register()
 			a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -190,7 +190,7 @@ func TestEagerAbortReleasesLocks(t *testing.T) {
 func TestEagerReadsOwnWrites(t *testing.T) {
 	for name, cfg := range eagerConfigs() {
 		t.Run(name, func(t *testing.T) {
-			e := New(cfg)
+			e := newTestEngine(cfg)
 			thr := e.Register()
 			a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -221,7 +221,7 @@ func TestEagerReadsOwnWrites(t *testing.T) {
 // own lock (the data word is untouched — updates are deferred), and the
 // commit must still publish exactly the written words.
 func TestEagerOrecAliasing(t *testing.T) {
-	e := New(Config{Layout: LayoutOrec, CC: CCEager, OrecBits: 2})
+	e := newTestEngine(Config{Layout: LayoutOrec, CC: CCEager, OrecBits: 2})
 	thr := e.Register()
 	const n = 8
 	w := make([]Var, n)

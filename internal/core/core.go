@@ -158,7 +158,9 @@ type Config struct {
 	OrecBits int
 
 	// MaxThreads bounds Register calls (sizes per-thread counter arrays
-	// and the epoch domain). Defaults to 128.
+	// and the epoch domain). Defaults to 128. It is capacity, not cost:
+	// validation walks the registered threads' counters only (see
+	// clock.PerThread), so spare capacity costs 256 bytes a slot.
 	MaxThreads int
 
 	// Debug enables the paper's §2.2 runtime misuse checks (read/write
@@ -284,9 +286,8 @@ type Engine struct {
 	orecs    []uint64   // LayoutOrec only
 	orecMask uint64
 	global   clock.Global
-	local    *clock.PerThread
-	nextThr  atomic.Int32
-	nextID   atomic.Uint64 // identity source for standalone vars
+	local    *clock.PerThread // commit counters; also the thread-id allocator
+	nextID   atomic.Uint64    // identity source for standalone vars
 	epochDom *epoch.Domain
 }
 
@@ -470,10 +471,12 @@ type Thr struct {
 	txn   txnRec
 }
 
-// Register allocates a thread slot on the engine.
+// Register allocates a thread slot on the engine. The commit clock is
+// the one registration point: it hands out the id and covers the slot
+// before the Thr exists, so before the thread's first store phase.
 func (e *Engine) Register() *Thr {
-	id := int(e.nextThr.Add(1)) - 1
-	if id >= e.cfg.MaxThreads {
+	id, ok := e.local.Register()
+	if !ok {
 		panic(fmt.Sprintf("core: more than MaxThreads=%d registered threads", e.cfg.MaxThreads))
 	}
 	return &Thr{
@@ -487,30 +490,28 @@ func (e *Engine) Register() *Thr {
 	}
 }
 
+// Threads returns the number of registered threads: the width of one
+// commit-counter validation pass.
+func (e *Engine) Threads() int { return e.local.Registered() }
+
 // ID returns the thread's index.
 func (t *Thr) ID() int { return t.id }
 
 // Engine returns the engine this thread is registered with.
 func (t *Thr) Engine() *Engine { return t.e }
 
-// valCounters reports whether the val layout's commit counters are in
-// effect for this engine.
-func (t *Thr) valCounters() bool {
-	return t.e.cfg.Layout == LayoutVal && !t.e.cfg.ValNoCounter
-}
-
 // storeBegin marks the start of a store phase: the thread's commit
 // counter goes odd, which makes concurrent StableSum samplers wait. The
 // bracketed store phase must be short and panic-free.
 func (t *Thr) storeBegin() {
-	if t.valCounters() {
+	if t.rp == rpValCnt {
 		t.e.local.Bump(t.id)
 	}
 }
 
 // storeEnd marks the end of a store phase (counter back to even).
 func (t *Thr) storeEnd() {
-	if t.valCounters() {
+	if t.rp == rpValCnt {
 		t.e.local.Bump(t.id)
 	}
 }

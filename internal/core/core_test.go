@@ -34,8 +34,20 @@ func configs() map[string]Config {
 func forAllConfigs(t *testing.T, fn func(t *testing.T, e *Engine)) {
 	t.Helper()
 	for name, cfg := range configs() {
-		t.Run(name, func(t *testing.T) { fn(t, New(cfg)) })
+		t.Run(name, func(t *testing.T) { fn(t, newTestEngine(cfg)) })
 	}
+}
+
+// suiteMaxThreads is the capacity newTestEngine gives engines that do not
+// ask for one; 0 selects the default. TestSuitesAtCapacity1024 raises it
+// to re-run whole suites on a mostly empty engine.
+var suiteMaxThreads int
+
+func newTestEngine(cfg Config) *Engine {
+	if cfg.MaxThreads == 0 {
+		cfg.MaxThreads = suiteMaxThreads
+	}
+	return New(cfg)
 }
 
 func iv(u uint64) Value { return word.FromUint(u) }

@@ -11,7 +11,7 @@ import (
 // must extend rather than abort when its earlier reads still hold.
 func TestTimebaseExtension(t *testing.T) {
 	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := New(Config{Layout: layout, Clock: ClockGlobal})
+		e := newTestEngine(Config{Layout: layout, Clock: ClockGlobal})
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -40,7 +40,7 @@ func TestTimebaseExtension(t *testing.T) {
 // extension must abort the transaction.
 func TestExtensionDetectsStaleRead(t *testing.T) {
 	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := New(Config{Layout: layout, Clock: ClockGlobal})
+		e := newTestEngine(Config{Layout: layout, Clock: ClockGlobal})
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -101,7 +101,7 @@ func TestLargeWriteSet(t *testing.T) {
 	for name, cfg := range configs() {
 		t.Run(name, func(t *testing.T) {
 			cfg.OrecBits = 4 // force many duplicate orecs under LayoutOrec
-			e := New(cfg)
+			e := newTestEngine(cfg)
 			thr := e.Register()
 			const n = 200
 			vars := make([]Var, n)

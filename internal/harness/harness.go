@@ -69,10 +69,9 @@ func Run(w Workload) (Result, error) {
 		return Result{}, fmt.Errorf("harness: sequential variant requires exactly 1 thread")
 	}
 	set, err := intset.New(intset.Config{
-		Structure:  w.Structure,
-		Variant:    w.Variant,
-		Buckets:    w.Buckets,
-		MaxThreads: w.Threads + 2,
+		Structure: w.Structure,
+		Variant:   w.Variant,
+		Buckets:   w.Buckets,
 	})
 	if err != nil {
 		return Result{}, err

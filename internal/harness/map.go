@@ -117,12 +117,12 @@ func parseCC(name string) (core.CC, error) {
 }
 
 // mapEngine builds the engine for a layout, concurrency-control policy
-// and contention-management policy. +3 leaves room for the init thread
-// and the persistence thread. Versioned layouts under a global clock
+// and contention-management policy, at the default capacity: the figures
+// measure the engine as shipped. Versioned layouts under a global clock
 // also get snapshot history, routing wide batches through multi-version
 // reads — the configuration FigCC compares.
-func mapEngine(layout, cc, cm string, threads int) (*core.Engine, error) {
-	cfg := core.Config{MaxThreads: threads + 3}
+func mapEngine(layout, cc, cm string) (*core.Engine, error) {
+	var cfg core.Config
 	switch layout {
 	case "val":
 		cfg.Layout = core.LayoutVal
@@ -176,7 +176,7 @@ func RunMap(w MapWorkload) (MapResult, error) {
 		return MapResult{}, fmt.Errorf("harness: op mix %d/%d/%d/%d/%d does not sum to 100",
 			w.GetPct, w.PutPct, w.DeletePct, w.BatchPct, w.ScanPct)
 	}
-	e, err := mapEngine(w.Layout, w.CC, w.CM, w.Threads)
+	e, err := mapEngine(w.Layout, w.CC, w.CM)
 	if err != nil {
 		return MapResult{}, err
 	}

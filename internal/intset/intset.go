@@ -46,7 +46,7 @@ type Config struct {
 	Structure  string // "hash" or "skip"
 	Variant    string // one of Variants()
 	Buckets    int    // hash only; default 16384 (the paper's default)
-	MaxThreads int    // default 64
+	MaxThreads int    // default 128, the engine's; capacity, not cost
 }
 
 // Variants returns every variant name, in the paper's presentation order.
@@ -98,7 +98,7 @@ func New(c Config) (Set, error) {
 		c.Buckets = 16384
 	}
 	if c.MaxThreads == 0 {
-		c.MaxThreads = 64
+		c.MaxThreads = 128
 	}
 	switch c.Structure {
 	case "hash":

@@ -27,28 +27,3 @@ func (p *U64) Add(d uint64) uint64 { return p.v.Add(d) }
 
 // CompareAndSwap executes the CAS on the counter.
 func (p *U64) CompareAndSwap(old, new uint64) bool { return p.v.CompareAndSwap(old, new) }
-
-// Slots is a fixed array of padded counters, one per thread.
-type Slots struct {
-	s []U64
-}
-
-// NewSlots returns n padded counters.
-func NewSlots(n int) *Slots { return &Slots{s: make([]U64, n)} }
-
-// Len returns the number of slots.
-func (s *Slots) Len() int { return len(s.s) }
-
-// At returns slot i.
-func (s *Slots) At(i int) *U64 { return &s.s[i] }
-
-// Sum returns the sum of all slots. The sum is not a consistent snapshot;
-// callers use it as a "has anything changed" ticket and re-validate, exactly
-// as the paper prescribes for per-thread version numbers (§2.4).
-func (s *Slots) Sum() uint64 {
-	var t uint64
-	for i := range s.s {
-		t += s.s[i].Load()
-	}
-	return t
-}

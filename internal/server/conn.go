@@ -85,10 +85,12 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc.Write([]byte("-ERR max connections reached\r\n"))
 		return
 	}
-	defer s.putThread(th)
+	c := &conn{s: s, nc: nc, rd: proto.NewReader(nc), wr: proto.NewWriter(nc), th: th}
+	// Park whichever descriptor the connection holds when it ends:
+	// maybeRelease may have traded th away, and parked it, long ago.
+	defer func() { s.putThread(c.th) }()
 	s.accepted.Add(1)
 
-	c := &conn{s: s, nc: nc, rd: proto.NewReader(nc), wr: proto.NewWriter(nc), th: th}
 	if !s.track(c) {
 		// Raced a Shutdown; don't serve a connection Shutdown can't see.
 		return
@@ -430,6 +432,7 @@ func (c *conn) statsReply() {
 	appendStat("conns", uint64(live))
 	appendStat("accepted", s.accepted.Load())
 	appendStat("refused", s.refused.Load())
+	appendStat("engine_threads", uint64(s.e.Threads()))
 	appendStat("ops", st.Ops())
 	appendStat("gets", st.Gets)
 	appendStat("get_hits", st.GetHits)

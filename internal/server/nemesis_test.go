@@ -238,6 +238,14 @@ func runNemesisFailover(t *testing.T, seed int64) {
 		}
 	}
 	final := [][]uint64{writers[0].snapshot(), writers[1].snapshot()}
+	// The election below expects B ahead of C. Replication is
+	// asynchronous, so let the tail reach B before the primary dies.
+	if pos, err = ca.ReplPos(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.WaitOff(pos, 20*time.Second); err != nil {
+		t.Fatalf("B never received the tail: %v", err)
+	}
 	aAddr, aReplAddr := a.s.Addr().String(), a.s.ReplAddr().String()
 	a.shutdown()
 	pc.Heal()

@@ -130,10 +130,12 @@ func New(opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	// +4: accept slop, the persistence thread (recovery + snapshots) and
-	// the replication applier. Versioned layouts get snapshot history,
-	// which routes wide MGET (and Range) through multi-version reads —
-	// on replicas this is what keeps read serving abort-free while the
-	// applier streams the primary's writes.
+	// the replication applier. This is capacity only: validation walks
+	// the descriptors actually registered (STATS engine_threads), so a
+	// generous maxConns costs idle memory, not read latency. Versioned
+	// layouts get snapshot history, which routes wide MGET (and Range)
+	// through multi-version reads — on replicas this is what keeps read
+	// serving abort-free while the applier streams the primary's writes.
 	e, err := core.NewChecked(core.Config{
 		Layout:     cfg.layout,
 		MaxThreads: cfg.maxConns + 4,

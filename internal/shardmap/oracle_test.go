@@ -212,6 +212,22 @@ func finalCheckGlobal(t *testing.T, m *Map, th *Thread, ref *model) {
 
 const oracleSeed = 0x5EED
 
+// oracleMaxThreads is the engine capacity of every oracle suite; 0 selects
+// the default. TestOraclesAtCapacity1024 raises it: with validation cost
+// set by registered threads, the suites must not notice.
+var oracleMaxThreads int
+
+func TestOraclesAtCapacity1024(t *testing.T) {
+	oracleMaxThreads = 1024
+	defer func() { oracleMaxThreads = 0 }()
+	t.Run("Sequential", TestOracleSequential)
+	t.Run("Concurrent", TestOracleConcurrent)
+	t.Run("ConcurrentCC", TestOracleConcurrentCC)
+	t.Run("SnapshotMGET", TestOracleSnapshotMGET)
+	t.Run("Recovery", TestOracleRecovery)
+	t.Run("Scan", TestScanOracle)
+}
+
 func TestOracleSequential(t *testing.T) {
 	steps := 60000
 	if testing.Short() {
@@ -261,7 +277,7 @@ func runOracleConcurrent(t *testing.T, cfg core.Config) {
 	if testing.Short() {
 		steps = 2000
 	}
-	cfg.MaxThreads = goroutines + 4
+	cfg.MaxThreads = oracleMaxThreads
 	e, err := core.NewChecked(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +381,7 @@ func TestOracleSnapshotMGET(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const pairs = 4
 			const readers = 3
-			cfg.MaxThreads = readers + 8
+			cfg.MaxThreads = oracleMaxThreads
 			e, err := core.NewChecked(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 
 func valEngine(t *testing.T) *core.Engine {
 	t.Helper()
-	e, err := core.NewChecked(core.Config{Layout: core.LayoutVal})
+	e, err := core.NewChecked(core.Config{Layout: core.LayoutVal, MaxThreads: oracleMaxThreads})
 	if err != nil {
 		t.Fatal(err)
 	}

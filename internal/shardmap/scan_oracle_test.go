@@ -92,7 +92,7 @@ func TestScanOracle(t *testing.T) {
 }
 
 func runScanOracle(t *testing.T, seed int64, dist string) {
-	e := core.New(core.Config{MaxThreads: 64, Snapshots: true})
+	e := core.New(core.Config{MaxThreads: oracleMaxThreads, Snapshots: true})
 	m := New(e, WithOrdered(), WithShards(4), WithInitialBuckets(8))
 	setup := m.NewThread()
 

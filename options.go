@@ -79,7 +79,9 @@ func WithSnapshots() Option {
 
 // WithMaxThreads bounds the number of Register calls the engine accepts
 // (it sizes the per-thread counter arrays and the epoch domain). The
-// default is 128.
+// default is 128. It is capacity, not cost: commit-counter validation
+// walks the threads that have registered, so an unused slot costs 256
+// bytes of memory and nothing per operation.
 func WithMaxThreads(n int) Option {
 	return func(c *core.Config) { c.MaxThreads = n }
 }
