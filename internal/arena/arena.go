@@ -19,8 +19,10 @@
 // never stored into the heap twice, which is what makes value-based
 // validation sound for pointer-like data.
 //
-// Allocation is lock-free on the bump-pointer fast path; the free list and
-// chunk installation use short critical sections off the hot path.
+// Allocation is lock-free on the bump-pointer path, which is the path
+// taken whenever the free list is empty (an atomic length says so without
+// the lock); the free list and chunk installation use short critical
+// sections.
 package arena
 
 import (
@@ -71,8 +73,9 @@ type Arena[T any] struct {
 	// next is the bump cursor over never-yet-used slot numbers.
 	next atomic.Uint64
 
-	mu   sync.Mutex
-	free []Handle // recycled slots, with post-bump generations
+	mu    sync.Mutex
+	free  []Handle     // recycled slots, with post-bump generations
+	nfree atomic.Int64 // len(free), written under mu; lets Alloc skip the lock when it is 0
 
 	allocs atomic.Uint64
 	frees  atomic.Uint64
@@ -91,18 +94,22 @@ func New[T any]() *Arena[T] {
 // repository means a test or benchmark configuration error.
 func (a *Arena[T]) Alloc() (Handle, *T) {
 	a.allocs.Add(1)
-	// Fast path: recycled slot.
-	a.mu.Lock()
-	if n := len(a.free); n > 0 {
-		h := a.free[n-1]
-		a.free = a.free[:n-1]
+	// Recycled slot, if there is one. A Free racing the length check is
+	// picked up by a later Alloc.
+	if a.nfree.Load() > 0 {
+		a.mu.Lock()
+		if n := len(a.free); n > 0 {
+			h := a.free[n-1]
+			a.free = a.free[:n-1]
+			a.nfree.Store(int64(n - 1))
+			a.mu.Unlock()
+			e := a.entryOf(h.slot())
+			var zero T
+			e.val = zero
+			return h, &e.val
+		}
 		a.mu.Unlock()
-		e := a.entryOf(h.slot())
-		var zero T
-		e.val = zero
-		return h, &e.val
 	}
-	a.mu.Unlock()
 
 	slot := a.next.Add(1) - 1
 	if slot >= uint64(maxChunks)*chunkSize {
@@ -151,6 +158,7 @@ func (a *Arena[T]) Free(h Handle) {
 	a.frees.Add(1)
 	a.mu.Lock()
 	a.free = append(a.free, makeHandle(h.slot(), e.gen))
+	a.nfree.Store(int64(len(a.free)))
 	a.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -51,4 +52,32 @@ func BenchmarkAllocParallel(b *testing.B) {
 			a.Free(lh)
 		}
 	})
+}
+
+// BenchmarkArenaAllocParallel is the ordered index's allocation pattern
+// during a preload or a replay: two goroutines bump-allocating from one
+// arena whose free list is empty, which must not meet on a lock. A fresh
+// arena replaces the shared one every 1 Mi slots to bound the memory.
+func BenchmarkArenaAllocParallel(b *testing.B) {
+	const perArena = 1 << 20
+	var shared atomic.Pointer[Arena[node]]
+	shared.Store(New[node]())
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N/2; i++ {
+				a := shared.Load()
+				h, n := a.Alloc()
+				n.key = uint64(i)
+				if h.slot() == perArena {
+					shared.Store(New[node]())
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -98,4 +98,9 @@ func TestScanCommands(t *testing.T) {
 	if stats["scan_keys"] != 23 {
 		t.Fatalf("STATS scan_keys=%d, want 23", stats["scan_keys"])
 	}
+	// Every insert and scan above descended the index at least once, and
+	// no descent of a non-empty index visits nothing.
+	if stats["index_searches"] == 0 || stats["index_steps"] < stats["index_searches"] {
+		t.Fatalf("STATS index_searches=%d index_steps=%d", stats["index_searches"], stats["index_steps"])
+	}
 }

@@ -68,9 +68,9 @@ func (x *Thread) getBatchSnap(keys []string, vals []Value, found []bool) bool {
 		for i, key := range keys {
 			sh := x.m.shardOf(x.m.hash(key))
 			st := sh.state.Load()
-			if st.old != nil {
+			if st.old != nil || sh.resizedAt.Load() > at {
 				x.ops.snapFallbacks.Add(1)
-				return false // resize in progress
+				return false // resizing, or resized since at: copies have no history
 			}
 			states[i] = st
 			v, f, good := x.snapLookup(key, at)

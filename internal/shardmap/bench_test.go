@@ -82,3 +82,97 @@ func BenchmarkMapMixedParallel(b *testing.B) {
 		}
 	})
 }
+
+// olistFixtures caches one built index per size: the three BenchmarkOlist
+// functions, and the framework's repeated calls while it settles b.N,
+// share it (a 1 Mi-entry build takes seconds).
+var olistFixtures = map[int]*olistFixture{}
+
+type olistFixture struct {
+	m     *Map
+	x     *Thread
+	keys  []string // in the index
+	extra []string // not in it: what Insert adds and Delete then removes
+}
+
+func olistFixtureOf(n int) *olistFixture {
+	if f := olistFixtures[n]; f != nil {
+		return f
+	}
+	const batch = 4096
+	all := olistKeys(n+batch, true)
+	f := &olistFixture{keys: all[:n], extra: all[n:]}
+	f.m = New(core.New(core.Config{Layout: core.LayoutVal}), WithOrdered())
+	f.x = f.m.NewThread()
+	olistFill(f.m, f.x, f.keys)
+	olistFixtures[n] = f
+	return f
+}
+
+var olistSizes = []struct {
+	name string
+	n    int
+}{{"4Ki", 4 << 10}, {"256Ki", 256 << 10}, {"1Mi", 1 << 20}}
+
+// BenchmarkOlistSearch is one descent for a present key, at the key
+// counts the server is benchmarked at.
+func BenchmarkOlistSearch(b *testing.B) {
+	for _, sz := range olistSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			f := olistFixtureOf(sz.n)
+			b.ReportAllocs()
+			f.x.t.Epoch.Enter()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.m.ordered.search(f.x, f.keys[rng.Mix(uint64(i))%uint64(sz.n)])
+			}
+			b.StopTimer()
+			f.x.t.Epoch.Exit()
+		})
+	}
+}
+
+// benchOlistMutation times insert (or delete) of the fixture's extra
+// keys in batches, undoing each batch off the clock so the index stays
+// at its size.
+func benchOlistMutation(b *testing.B, insert bool) {
+	for _, sz := range olistSizes {
+		b.Run(sz.name, func(b *testing.B) {
+			f := olistFixtureOf(sz.n)
+			ol, x := f.m.ordered, f.x
+			add := func(k string) { ol.add(x, k, 0, 0) }
+			drop := func(k string) { ol.drop(x, k) }
+			timed, undo := add, drop
+			if !insert {
+				timed, undo = drop, add
+				olistFill(f.m, x, f.extra)
+				defer func() {
+					x.t.Epoch.Enter()
+					for _, k := range f.extra {
+						drop(k)
+					}
+					x.t.Epoch.Exit()
+				}()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				batch := f.extra[:min(len(f.extra), b.N-done)]
+				x.t.Epoch.Enter()
+				for _, k := range batch {
+					timed(k)
+				}
+				b.StopTimer()
+				for _, k := range batch {
+					undo(k)
+				}
+				x.t.Epoch.Exit()
+				b.StartTimer()
+				done += len(batch)
+			}
+		})
+	}
+}
+
+func BenchmarkOlistInsert(b *testing.B) { benchOlistMutation(b, true) }
+func BenchmarkOlistDelete(b *testing.B) { benchOlistMutation(b, false) }

@@ -41,20 +41,34 @@
 //	drop (cnt > 1)     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
 //	drop (mark level)  ShortRW2 over (cnt, node.nextL) per level
 //	drop (unlink)      ShortRW3 over (cnt, node.next₀, pred.next₀)
+//
+// # Cost
+//
+// A mutation is one O(log n) search: raise and the level-0 unlink commit
+// against the predecessors that search left in the thread's scratch (see
+// their comments for when they search again, and for the one second
+// search that has to stay). Heights are drawn with p = ¼, and a step
+// compares the two prefix words stored in the entry, next to the tower,
+// so a descent reads the separately allocated key bytes only on a
+// 16-byte tie. DESIGN.md "What an index operation costs" has the model.
 package shardmap
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"spectm/internal/arena"
 	"spectm/internal/core"
+	"spectm/internal/rng"
 	"spectm/internal/word"
 )
 
 const (
-	// idxMaxLevel caps skip-list height: 2^12 entries per index at the
-	// ideal geometric distribution before chains lengthen.
-	idxMaxLevel = 12
+	// idxMaxLevel caps tower height. Heights are drawn with p = ¼
+	// (rng.Level4), so next[L] links n/4^L of n entries: ten levels keep
+	// the top one at a single entry up to 4^9 = 256 Ki entries, and it
+	// lengthens slowly past that (4 entries at 1 Mi, 16 at 4 Mi).
+	idxMaxLevel = 10
 
 	// Index cell identities: bit 54 separates them from hash-map node
 	// cells (whose handle<<2|field never reaches bit 50) under the same
@@ -64,14 +78,43 @@ const (
 	idxFieldCnt   = 0 // field 0: refcount; field 1+L: next[L]
 )
 
-// inode is one index entry. key, split and lvl are immutable after
-// publication; cnt and next are transactional words.
+// inode is one index entry. Everything but cnt and next, the
+// transactional words, is immutable after publication. The prefix words
+// sit against the tower because those are what a search step reads: p0,
+// p1 and next[lv] are 40 contiguous bytes at level 0 and 56 at level 1;
+// key and hash, which a scan reads with next[0], come just before them.
+// With the arena's generation word an entry is 232 B (TestInodeLayout).
 type inode struct {
-	key   string
-	split int32 // secondary entries: length of the index-key half of key
-	lvl   int32
-	cnt   core.Cell
-	next  [idxMaxLevel]core.Cell
+	split  int32 // secondary entries: length of the index-key half of key
+	lvl    int32
+	cnt    core.Cell
+	key    string
+	hash   uint64 // primary index: the key's map hash, for Scan's verification
+	p0, p1 uint64 // prefixWords(key)
+	next   [idxMaxLevel]core.Cell
+}
+
+// prefixWords returns key[0:8] and key[8:16] as big-endian words, zero
+// padded. Comparing (p0, p1) and then, on a tie, the keys themselves
+// orders entries exactly as comparing the keys does: where two padded
+// prefixes first differ either both keys have that byte, or the shorter
+// key is a proper prefix of the longer and its padding byte is the
+// smaller.
+func prefixWords(key string) (p0, p1 uint64) {
+	var b [16]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// less reports n.key < key, given key's prefix words.
+func (n *inode) less(p0, p1 uint64, key string) bool {
+	if n.p0 != p0 {
+		return n.p0 < p0
+	}
+	if n.p1 != p1 {
+		return n.p1 < p1
+	}
+	return n.key < key
 }
 
 // olist is one ordered index: a skip list of refcounted entries.
@@ -79,6 +122,7 @@ type olist struct {
 	m     *Map
 	a     *arena.Arena[inode]
 	idTag uint64
+	level func(*rng.State) int // draws a fresh entry's height; tests force tall towers
 	head  [idxMaxLevel]core.Cell
 }
 
@@ -87,6 +131,7 @@ func newOlist(m *Map, seq *atomic.Uint64) *olist {
 		m:     m,
 		a:     arena.New[inode](),
 		idTag: seq.Add(1)<<idShardShift | idIndexBit,
+		level: func(r *rng.State) int { return r.Level4(idxMaxLevel) },
 	}
 	for i := range ol.head {
 		ol.head[i].Init(word.Null)
@@ -112,8 +157,11 @@ func (ol *olist) cntVar(h arena.Handle, n *inode) core.Var {
 // when an exact match heads level 0. Marked higher-level links met on
 // the way are spliced out (helping the remover that marked them); a
 // marked link read *from* a predecessor means that predecessor is being
-// removed, and the search restarts.
+// removed, and the search restarts. Entries visited are counted into the
+// thread's idxSteps, one add per search.
 func (ol *olist) search(x *Thread, key string) (arena.Handle, bool) {
+	p0, p1 := prefixWords(key)
+	steps := uint64(0)
 restart:
 	for {
 		var predH arena.Handle
@@ -134,6 +182,7 @@ restart:
 				}
 				c := dec(link)
 				cn := ol.a.Get(c)
+				steps++
 				cnext := x.t.SingleRead(ol.nextVar(c, cn, lv))
 				if cnext.Marked() {
 					// c is being removed. At levels ≥ 1 splice it out (its
@@ -145,7 +194,7 @@ restart:
 					}
 					continue
 				}
-				if cn.key < key {
+				if cn.less(p0, p1, key) {
 					predH, predN, predV = c, cn, ol.nextVar(c, cn, lv)
 					continue
 				}
@@ -153,9 +202,11 @@ restart:
 				break
 			}
 		}
+		x.ops.idxSearches.Add(1)
+		x.ops.idxSteps.Add(steps)
 		if !x.isuccs[0].IsNull() {
 			h := dec(x.isuccs[0])
-			if n := ol.a.Get(h); n.key == key {
+			if n := ol.a.Get(h); n.p0 == p0 && n.p1 == p1 && n.key == key {
 				return h, true
 			}
 		}
@@ -164,9 +215,10 @@ restart:
 }
 
 // add takes one reference on key's entry, inserting the entry at a
-// geometric random level when absent. split is recorded on a fresh
-// entry (secondary composite keys). The caller holds an epoch pin.
-func (ol *olist) add(x *Thread, key string, split int) {
+// geometric random level when absent. hash (the primary index's cached
+// map hash) and split (secondary composite keys) are recorded on a fresh
+// entry. The caller holds an epoch pin.
+func (ol *olist) add(x *Thread, key string, hash uint64, split int) {
 	var spare arena.Handle
 	for attempt := 1; ; attempt++ {
 		h, found := ol.search(x, key)
@@ -190,9 +242,9 @@ func (ol *olist) add(x *Thread, key string, split int) {
 		if spare.IsNil() {
 			var n *inode
 			spare, n = ol.a.Alloc()
-			n.key = key
-			n.split = int32(split)
-			n.lvl = int32(x.t.Rng.Level(idxMaxLevel))
+			n.key, n.hash, n.split = key, hash, int32(split)
+			n.p0, n.p1 = prefixWords(key)
+			n.lvl = int32(ol.level(x.t.Rng))
 		}
 		n := ol.a.Get(spare)
 		n.cnt.Init(word.FromUint(1))
@@ -211,16 +263,22 @@ func (ol *olist) add(x *Thread, key string, split int) {
 // level and the predecessor still points at the successor the search
 // saw. Linking stops if the entry is removed mid-raise; a partially
 // raised entry is simply shorter than its drawn level.
+//
+// The predecessors are the ones the publishing search left in the
+// thread's scratch; raise searches again only when a level's validation
+// finds its predecessor link changed. Reuse adds no interleaving: a
+// window between a search and the commit that trusts it always existed,
+// and the commit's own validation is what closes it. An unmarked link
+// equal to the value the search read proves the predecessor is still
+// linked at that level (upper levels are marked before they are
+// spliced), keys never change, and the epoch pin add's caller holds
+// keeps every handle in the scratch from being recycled. A removal that
+// ran to completion in the window left every level of the tower marked
+// (remove marks up to the drawn height, not the raised one), which is
+// the nv.Marked exit below.
 func (ol *olist) raise(x *Thread, h arena.Handle, n *inode) {
 	for lv := 1; lv < int(n.lvl); lv++ {
 		for attempt := 1; ; attempt++ {
-			h2, found := ol.search(x, n.key)
-			if !found || h2 != h {
-				return // removed (and possibly reinserted) under us
-			}
-			if x.isuccs[lv] == enc(h) {
-				break // already linked at this level
-			}
 			d, nv, pv := x.t.ShortRW2(ol.nextVar(h, n, lv), x.ipreds[lv])
 			if !d.Valid() {
 				x.t.Backoff(attempt)
@@ -230,12 +288,14 @@ func (ol *olist) raise(x *Thread, h arena.Handle, n *inode) {
 				d.Abort()
 				return // removal reached this level first
 			}
-			if pv != x.isuccs[lv] {
-				d.Abort()
-				continue // chain moved since the search
+			if pv == x.isuccs[lv] {
+				d.Commit(pv, enc(h))
+				break
 			}
-			d.Commit(x.isuccs[lv], enc(h))
-			break
+			d.Abort() // chain moved since the search
+			if h2, found := ol.search(x, n.key); !found || h2 != h {
+				return // removed (and possibly reinserted) under us
+			}
 		}
 	}
 }
@@ -280,6 +340,15 @@ func (ol *olist) drop(x *Thread, key string) {
 // "unmarked level-0 link implies cnt ≥ 1" invariant add relies on.
 // False means a concurrent add resurrected the entry (the caller then
 // retries its drop against the raised count).
+//
+// An entry of height one unlinks against the level-0 predecessor drop's
+// search found, and searches again only if the commit finds that link
+// moved: as in raise, the ShortRW3 validates everything it trusts (an
+// unmarked level-0 link is a linked predecessor, because level 0 is
+// marked and spliced in one commit). A taller entry must search after
+// its upper levels are marked, whatever drop found: that descent is the
+// pass that help-splices the entry out of every level it was linked at,
+// and it has to finish before Retire hands the slot to the arena.
 func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 	for lv := int(n.lvl) - 1; lv >= 1; lv-- {
 		for attempt := 1; ; attempt++ {
@@ -300,11 +369,14 @@ func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 			break
 		}
 	}
+	stale := n.lvl > 1
 	for attempt := 1; ; attempt++ {
-		h2, found := ol.search(x, n.key)
-		if !found || h2 != h {
-			// Gone: a resurrect + concurrent drop consumed the entry.
-			return false
+		if stale {
+			if h2, found := ol.search(x, n.key); !found || h2 != h {
+				// Gone: a resurrect + concurrent drop consumed the entry.
+				return false
+			}
+			stale = false
 		}
 		d, cv, nv, pv := x.t.ShortRW3(ol.cntVar(h, n), ol.nextVar(h, n, 0), x.ipreds[0])
 		if !d.Valid() {
@@ -317,7 +389,8 @@ func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 		}
 		if nv.Marked() || pv != enc(h) {
 			d.Abort()
-			continue // stale search; re-resolve the predecessor
+			stale = true // re-resolve the predecessor
+			continue
 		}
 		d.Commit(word.Null, nv.WithMark(), nv)
 		x.t.Epoch.Retire(ol.a, uint64(h))

@@ -17,8 +17,8 @@ var ErrNoOrdered = errors.New("shardmap: map has no ordered index")
 // WithOrdered maintains an ordered index of the map's keys inside the
 // same short transactions as the hash-map mutations, enabling Scan and
 // secondary indexes (CreateIndex / IndexScan). Point operations pay one
-// skip-list reference update per insert and delete; updates are
-// unaffected.
+// skip-list search per insert and delete (a delete of an entry taller
+// than one level pays two; see olist.go); updates are unaffected.
 func WithOrdered() Option { return func(c *config) { c.ordered = true } }
 
 // Ordered reports whether the map maintains the ordered index.
@@ -42,6 +42,7 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 		snapAt = x.t.SnapshotBegin()
 	}
 	ol.search(x, start)
+	e0, e1 := prefixWords(end)
 	link := x.isuccs[0]
 	for !link.IsNull() {
 		h := dec(link)
@@ -51,10 +52,10 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 			link = nv.WithoutMark() // dead entry, already spliced; skip
 			continue
 		}
-		if end != "" && n.key >= end {
+		if end != "" && !n.less(e0, e1, end) {
 			break
 		}
-		if v, ok := x.lookupLive(n.key, snapAt); ok {
+		if v, ok := x.lookupLive(n.key, n.hash, snapAt); ok {
 			keys = append(keys, n.key)
 			vals = append(vals, v)
 			if limit > 0 && len(keys)-n0 >= limit {
@@ -69,13 +70,17 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 	return keys, vals, nil
 }
 
-// lookupLive resolves key against the hash map: present right now, and
-// if so its value — at snapAt when the engine keeps snapshot history
-// (falling back to a consistent pair read, counted in ScanFallbacks),
-// else the current committed value. The caller holds an epoch pin.
-func (x *Thread) lookupLive(key string, snapAt uint64) (Value, bool) {
+// lookupLive resolves key (whose map hash is h) against the hash map:
+// present right now, and if so its value — at snapAt when the engine
+// keeps snapshot history (falling back to a consistent pair read,
+// counted in ScanFallbacks), else the current committed value. A node
+// found in a shard that is resizing, or that finished a resize after
+// snapAt, may be a migrated copy: a fresh word with no version history,
+// whose snapshot read would pass off the value it was copied with as the
+// value at snapAt. Those candidates take the fallback. The caller holds
+// an epoch pin.
+func (x *Thread) lookupLive(key string, h uint64, snapAt uint64) (Value, bool) {
 	m := x.m
-	h := m.hash(key)
 	sh := m.shardOf(h)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
@@ -91,8 +96,10 @@ func (x *Thread) lookupLive(key string, snapAt uint64) (Value, bool) {
 			if nv := x.t.SingleRead(m.nextVar(sh, cur, n)); nv.Marked() {
 				continue // unlinked under our feet; re-resolve
 			}
-			if vv, snapped := x.t.SnapshotRead(m.valVar(sh, cur, n), snapAt); snapped {
-				return vv, true
+			if sh.state.Load().old == nil && sh.resizedAt.Load() <= snapAt {
+				if vv, snapped := x.t.SnapshotRead(m.valVar(sh, cur, n), snapAt); snapped {
+					return vv, true
+				}
 			}
 			x.ops.scanFallbacks.Add(1)
 		}

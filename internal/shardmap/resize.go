@@ -39,6 +39,13 @@ func (x *Thread) grow(sh *shard, old *table) {
 	for b := range old.buckets {
 		x.migrateBucket(sh, old, nt, uint64(b))
 	}
+	if x.m.snap {
+		// Stored before the state that stops saying "resizing", so a
+		// reader that sees that state also sees a clock no older than
+		// every migration's commit. Only the clock reading is wanted: no
+		// snapshot read follows, hence no epoch pin.
+		sh.resizedAt.Store(x.t.SnapshotBegin())
+	}
 	sh.state.Store(&tables{cur: nt})
 }
 

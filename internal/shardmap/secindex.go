@@ -147,7 +147,7 @@ func (x *Thread) CreateIndex(name, kind string) error {
 	// callback runs inside Range's epoch pin, which add requires).
 	x.Range(func(k string, v Value) bool {
 		ek, split := ix.entry(k, v)
-		ix.ol.add(x, ek, split)
+		ix.ol.add(x, ek, 0, split)
 		return true
 	})
 	x.ops.idxCreates.Add(1)
@@ -207,7 +207,7 @@ func (x *Thread) IndexScan(name, start, end string, limit int, keys []string, va
 			break
 		}
 		pk := n.key[n.split+1:]
-		if v, ok := x.lookupLive(pk, snapAt); ok && ix.seckey(pk, v) == sk {
+		if v, ok := x.lookupLive(pk, x.m.hash(pk), snapAt); ok && ix.seckey(pk, v) == sk {
 			keys = append(keys, pk)
 			vals = append(vals, v)
 			if limit > 0 && len(keys)-n0 >= limit {
@@ -248,7 +248,7 @@ func (x *Thread) secUpdate(key string, old Value, hasOld bool, new Value, hasNew
 			continue
 		}
 		if hasNew {
-			ix.ol.add(x, ne, nsplit)
+			ix.ol.add(x, ne, 0, nsplit)
 		}
 		if hasOld {
 			ix.ol.drop(x, oe)

@@ -113,7 +113,14 @@ type shard struct {
 	idx   uint32     // position in Map.shards (hot-shard tracking)
 	mu    sync.Mutex // serializes resizers; never taken on the hot path
 	cm    backoff.CM // conflict-rate sampler + phase-2 ticket queue (cm.go)
-	_     [pad.CacheLine]byte
+
+	// resizedAt is the snapshot clock read when the last resize finished
+	// migrating. Node copies made by a resize are fresh words with no
+	// version history, so a snapshot read at an earlier timestamp must
+	// not trust what it finds in this shard (lookupLive, getBatchSnap).
+	resizedAt atomic.Uint64
+
+	_ [pad.CacheLine]byte
 }
 
 // Option configures a Map under construction.
@@ -547,7 +554,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			n.hash, n.key = h, key
 		}
 		if x.m.ordered != nil && !added {
-			x.m.ordered.add(x, key, 0)
+			x.m.ordered.add(x, key, h, 0)
 			added = true
 		}
 		n := sh.a.Get(*spare)

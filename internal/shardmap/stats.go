@@ -36,6 +36,8 @@ type OpStats struct {
 	IScanKeys     uint64 // keys emitted across all index scans
 	IdxCreates    uint64 // CreateIndex calls that registered an index
 	ScanFallbacks uint64 // scan value reads that outran snapshot history
+	IndexSearches uint64 // skip-list searches, by mutations and scans alike
+	IndexSteps    uint64 // entries those searches visited (steps per search = cost at this key count)
 
 	// Contention management (see cm.go).
 	Conflicts   uint64 // conflicted point-op attempts (every policy)
@@ -68,6 +70,8 @@ func (s *OpStats) Add(o OpStats) {
 	s.IScanKeys += o.IScanKeys
 	s.IdxCreates += o.IdxCreates
 	s.ScanFallbacks += o.ScanFallbacks
+	s.IndexSearches += o.IndexSearches
+	s.IndexSteps += o.IndexSteps
 	s.Conflicts += o.Conflicts
 	s.Escalations += o.Escalations
 	s.Serialized += o.Serialized
@@ -95,6 +99,7 @@ type opCounters struct {
 	scans, scanKeys           atomic.Uint64
 	iscans, iscanKeys         atomic.Uint64
 	idxCreates, scanFallbacks atomic.Uint64
+	idxSearches, idxSteps     atomic.Uint64
 
 	conflicts, escalations, serialized atomic.Uint64
 }
@@ -108,7 +113,7 @@ func (c *opCounters) reset() {
 		&c.batches, &c.batchKeys,
 		&c.snapBatches, &c.snapRetries, &c.snapFallbacks,
 		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
-		&c.idxCreates, &c.scanFallbacks,
+		&c.idxCreates, &c.scanFallbacks, &c.idxSearches, &c.idxSteps,
 		&c.conflicts, &c.escalations, &c.serialized,
 	} {
 		a.Store(0)
@@ -133,6 +138,8 @@ func (c *opCounters) snapshot() OpStats {
 		IScanKeys:         c.iscanKeys.Load(),
 		IdxCreates:        c.idxCreates.Load(),
 		ScanFallbacks:     c.scanFallbacks.Load(),
+		IndexSearches:     c.idxSearches.Load(),
+		IndexSteps:        c.idxSteps.Load(),
 		Conflicts:         c.conflicts.Load(),
 		Escalations:       c.escalations.Load(),
 		Serialized:        c.serialized.Load(),
