@@ -42,7 +42,7 @@ func parseThreads(s string) ([]int, error) {
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, map, cc, mapping, scan, net, durable, repl, or all")
+		figure   = flag.String("figure", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, map, cc, scan, net, durable, repl, or all")
 		duration = flag.Duration("duration", time.Second, "measurement time per experiment point")
 		threads  = flag.String("threads", "", "comma-separated thread counts; sorted and de-duplicated (default 1..2*GOMAXPROCS)")
 		keyrange = flag.Uint64("keyrange", 65536, "integer-set key range / map key population")
@@ -81,7 +81,6 @@ func main() {
 		"1": figures.Fig1, "5": figures.Fig5, "6": figures.Fig6,
 		"7": figures.Fig7, "8": figures.Fig8, "9": figures.Fig9,
 		"10": figures.Fig10, "map": figures.FigMap, "cc": figures.FigCC,
-		"mapping": figures.FigMapping,
 		"scan":    figures.FigScan,
 		"net":     figures.FigNet,
 		"durable": figures.FigDurable,

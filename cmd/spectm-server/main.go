@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"spectm/internal/backoff"
 	"spectm/internal/core"
 	"spectm/internal/server"
 	"spectm/internal/wal"
@@ -33,8 +32,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "map shard count (0 = default: ≥ GOMAXPROCS)")
 		buckets    = flag.Int("buckets", 0, "initial buckets per shard (0 = default 64)")
 		layout     = flag.String("layout", "val", "engine meta-data layout: val, tvar or orec")
-		cm         = flag.String("cm", "linear", "contention management: linear, twophase or adaptive")
-		pinThreads = flag.Bool("pin-threads", false, "pin each connection goroutine to an OS thread (pairs with shard affinity)")
 		dataDir    = flag.String("data-dir", "", "persistence directory: per-shard write-ahead logs + snapshots (empty = in-memory only)")
 		fsync      = flag.String("fsync", "interval=1s", "WAL fsync policy: always, every=N or interval=DURATION")
 		replListen = flag.String("repl-listen", "", "serve WAL-shipping replication to replicas on this address (requires -data-dir; on a replica, the listener a future PROMOTE will serve)")
@@ -56,21 +53,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	policy, err := backoff.ParsePolicy(*cm)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spectm-server: %v\n", err)
-		os.Exit(2)
-	}
-
 	opts := []server.Option{
 		server.WithMaxConns(*maxConns),
 		server.WithShards(*shards),
 		server.WithInitialBuckets(*buckets),
 		server.WithLayout(l),
-		server.WithContention(policy),
-	}
-	if *pinThreads {
-		opts = append(opts, server.WithLockOSThread())
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParsePolicy(*fsync)

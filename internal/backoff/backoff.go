@@ -1,23 +1,11 @@
 // Package backoff implements the contention manager used throughout the
-// reproduction, completing both phases of SwissTM's two-phase design:
-//
-//   - Phase 1 (Wait): on conflict a transaction aborts itself and waits
-//     for a randomized linear time before restarting — the only phase
-//     BaseTM in the paper uses.
-//   - Phase 2 (CM.Acquire/Release): past an attempt threshold a long
-//     abort streak escalates to serialization on a per-shard ticket
-//     queue, so a hotspot degrades to FIFO progress instead of livelock.
-//
-// Which phase applies is a Policy: CMLinear keeps phase 1 only,
-// CMTwoPhase escalates on attempt count, and CMAdaptive escalates per
-// shard when the sampled EWMA conflict rate crosses a threshold and
-// falls back when the shard cools. The CM struct carries the per-shard
-// sampler and ticket state; it is atomics-only and allocation-free so
-// the callers' hot paths stay 0 allocs/op.
+// reproduction: on conflict a transaction aborts itself and waits for a
+// randomized linear time before restarting — the one policy the paper's
+// BaseTM uses (phase 1 of SwissTM's two-phase design). Wait is that
+// delay; Yield is the scheduler hand-off bounded lock-bit spins use.
 package backoff
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -74,173 +62,3 @@ func spin(n uint64) {
 // Yield cedes the processor once. Used inside bounded spin loops (e.g.
 // waiting for a lock bit to clear) where aborting is not an option.
 func Yield() { runtime.Gosched() }
-
-// Policy selects the contention-management policy.
-type Policy uint8
-
-const (
-	// CMLinear is phase 1 only: randomized linear backoff on every
-	// conflict (the paper's BaseTM). The default.
-	CMLinear Policy = iota
-	// CMTwoPhase escalates after EscalateAfter consecutive conflicted
-	// attempts of one operation: the thread takes the shard's ticket and
-	// retries under FIFO serialization until the operation completes.
-	CMTwoPhase
-	// CMAdaptive escalates per shard on the sampled conflict rate: while
-	// a shard's EWMA rate is above the hot threshold, conflicted
-	// operations on it serialize immediately; when the shard cools below
-	// the exit threshold, the policy falls back to linear backoff.
-	CMAdaptive
-)
-
-// String implements fmt.Stringer for variant labels.
-func (p Policy) String() string {
-	switch p {
-	case CMLinear:
-		return "linear"
-	case CMTwoPhase:
-		return "twophase"
-	case CMAdaptive:
-		return "adaptive"
-	}
-	return "unknown"
-}
-
-// ParsePolicy maps a policy name (the String values) to its constant.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "linear":
-		return CMLinear, nil
-	case "twophase":
-		return CMTwoPhase, nil
-	case "adaptive":
-		return CMAdaptive, nil
-	default:
-		return 0, fmt.Errorf("backoff: unknown contention policy %q (known: linear, twophase, adaptive)", name)
-	}
-}
-
-// Phase-2 and sampler parameters.
-const (
-	// EscalateAfter is the conflicted-attempt count past which CMTwoPhase
-	// (and a not-yet-hot CMAdaptive shard) escalates to the ticket queue.
-	EscalateAfter = 8
-
-	// windowOps is the sampler window: the EWMA advances every windowOps
-	// completed operations on the shard, so sampling costs one shared
-	// atomic add per op plus rare window-boundary work.
-	windowOps = 1024
-
-	// rateScale is the fixed-point denominator of the EWMA conflict rate
-	// (conflicts per completed operation; may exceed 1.0 when operations
-	// retry more than once on average).
-	rateScale = 1 << 16
-
-	// maxRate caps the stored rate at 4 conflicts/op so the fixed-point
-	// EWMA cannot overflow its 32-bit slot under extreme retry storms.
-	maxRate = 4 * rateScale
-
-	// hotEnter and hotExit are the CMAdaptive thresholds: a shard latches
-	// hot when its EWMA rate reaches 0.5 conflicts/op and unlatches when
-	// it decays to 1/8. The wide hysteresis band keeps the latch from
-	// flapping at the boundary.
-	hotEnter = rateScale / 2
-	hotExit  = rateScale / 8
-)
-
-// CM is one shard's contention-management state: the conflict-rate
-// sampler (NoteConflict/NoteOp feeding an EWMA) and the phase-2 ticket
-// queue (Acquire/Release). The zero value is ready to use. All state is
-// atomics-only; no method allocates.
-type CM struct {
-	conflicts atomic.Uint64 // backoff events on this shard
-	ops       atomic.Uint64 // completed operations on this shard
-	rate      atomic.Uint32 // EWMA conflict rate, fixed-point / rateScale
-	hot       atomic.Bool   // CMAdaptive escalation latch
-	escs      atomic.Uint64 // Acquire calls (escalations)
-
-	// Sampler window snapshot, advanced under the tick try-lock.
-	tick  atomic.Uint32
-	snapC atomic.Uint64
-	snapO atomic.Uint64
-
-	// Ticket queue: owner serves tickets in issue order.
-	next  atomic.Uint64
-	owner atomic.Uint64
-}
-
-// NoteConflict records one backoff event (a conflicted attempt).
-func (c *CM) NoteConflict() { c.conflicts.Add(1) }
-
-// NoteOp records one completed operation and, at window boundaries,
-// advances the EWMA and the adaptive hot latch.
-func (c *CM) NoteOp() {
-	if c.ops.Add(1)%windowOps == 0 {
-		c.tickWindow()
-	}
-}
-
-// tickWindow folds the last window's conflict rate into the EWMA
-// (new = (3·old + window)/4) and drives the hot latch hysteresis. The
-// try-lock makes concurrent boundary crossings cheap: losers skip the
-// update rather than queue for it.
-//
-//spectm:coldpath
-func (c *CM) tickWindow() {
-	if !c.tick.CompareAndSwap(0, 1) {
-		return
-	}
-	ops, con := c.ops.Load(), c.conflicts.Load()
-	dOps := ops - c.snapO.Load()
-	dCon := con - c.snapC.Load()
-	c.snapO.Store(ops)
-	c.snapC.Store(con)
-	if dOps > 0 {
-		w := dCon * rateScale / dOps
-		if w > maxRate {
-			w = maxRate
-		}
-		nr := (3*uint64(c.rate.Load()) + w) / 4
-		c.rate.Store(uint32(nr))
-		if nr >= hotEnter {
-			c.hot.Store(true)
-		} else if nr <= hotExit {
-			c.hot.Store(false)
-		}
-	}
-	c.tick.Store(0)
-}
-
-// Rate returns the shard's EWMA conflict rate in conflicts per
-// completed operation (0 when the sampler has not run).
-func (c *CM) Rate() float64 { return float64(c.rate.Load()) / rateScale }
-
-// Hot reports whether the shard is latched into serialized mode.
-func (c *CM) Hot() bool { return c.hot.Load() }
-
-// Conflicts returns the total conflict events recorded on the shard.
-func (c *CM) Conflicts() uint64 { return c.conflicts.Load() }
-
-// Ops returns the total completed operations recorded on the shard.
-func (c *CM) Ops() uint64 { return c.ops.Load() }
-
-// Escalations returns how many operations entered phase 2 on the shard.
-func (c *CM) Escalations() uint64 { return c.escs.Load() }
-
-// Acquire takes the next ticket and waits until it is served: callers
-// proceed in strict FIFO order. The caller must Release when its
-// operation completes (success or abandonment) — a leaked ticket stalls
-// every later waiter. The wait spins briefly and then yields, like the
-// phase-1 spin loop.
-func (c *CM) Acquire() {
-	c.escs.Add(1)
-	t := c.next.Add(1) - 1
-	for i := 0; c.owner.Load() != t; i++ {
-		if i%spinBudget == spinBudget-1 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Release serves the next ticket.
-func (c *CM) Release() { c.owner.Add(1) }

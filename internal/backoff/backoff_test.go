@@ -1,8 +1,6 @@
 package backoff
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spectm/internal/rng"
@@ -58,159 +56,5 @@ func TestWaitRandomized(t *testing.T) {
 	}
 	if len(seen) < 16 {
 		t.Fatalf("256 draws produced only %d distinct values; not randomized", len(seen))
-	}
-}
-
-func TestPolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{CMLinear, CMTwoPhase, CMAdaptive} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy(bogus) succeeded")
-	}
-	if s := Policy(99).String(); s != "unknown" {
-		t.Errorf("Policy(99).String() = %q", s)
-	}
-}
-
-// window drives exactly one sampler window with the given conflict count.
-func window(c *CM, conflicts uint64) {
-	for i := uint64(0); i < conflicts; i++ {
-		c.NoteConflict()
-	}
-	for i := 0; i < windowOps; i++ {
-		c.NoteOp()
-	}
-}
-
-// TestCMEscalationThreshold walks a CM across the hot hysteresis: hot
-// latches once the EWMA reaches hotEnter, stays latched inside the band,
-// and decays back below hotExit after enough quiet windows.
-func TestCMEscalationThreshold(t *testing.T) {
-	var c CM
-	if c.Hot() || c.Rate() != 0 {
-		t.Fatal("zero CM is hot or has a rate")
-	}
-
-	// One fully conflicted window: EWMA = 1/4 of 1.0 — below hotEnter.
-	window(&c, windowOps)
-	if c.Hot() {
-		t.Fatalf("hot after one window (rate %.3f)", c.Rate())
-	}
-
-	// Sustained conflicts converge the EWMA toward 1.0, crossing 0.5.
-	for i := 0; i < 8 && !c.Hot(); i++ {
-		window(&c, windowOps)
-	}
-	if !c.Hot() {
-		t.Fatalf("never latched hot under sustained conflicts (rate %.3f)", c.Rate())
-	}
-	if r := c.Rate(); r < float64(hotEnter)/rateScale {
-		t.Fatalf("hot but rate %.3f below enter threshold", r)
-	}
-
-	// One quiet window cannot unlatch: rate decays by at most 4x per
-	// window, and the exit threshold sits 4x below the enter threshold.
-	window(&c, 0)
-	if !c.Hot() {
-		t.Fatal("unlatched inside the hysteresis band after one quiet window")
-	}
-
-	// Sustained quiet decays the EWMA to zero and unlatches.
-	for i := 0; i < 16 && c.Hot(); i++ {
-		window(&c, 0)
-	}
-	if c.Hot() {
-		t.Fatalf("still hot after sustained quiet (rate %.3f)", c.Rate())
-	}
-	if r := c.Rate(); r > float64(hotExit)/rateScale {
-		t.Fatalf("unlatched but rate %.3f above exit threshold", r)
-	}
-}
-
-// TestCMRateCap floods the sampler with many conflicts per op: the
-// stored rate must saturate at maxRate instead of wrapping.
-func TestCMRateCap(t *testing.T) {
-	var c CM
-	for i := 0; i < 8; i++ {
-		window(&c, 64*windowOps)
-	}
-	if r := c.Rate(); r > float64(maxRate)/rateScale {
-		t.Fatalf("rate %.3f exceeds the cap", r)
-	}
-	if c.Conflicts() == 0 || c.Ops() == 0 {
-		t.Fatal("counters did not accumulate")
-	}
-}
-
-// TestCMTicketFIFO checks phase 2 really is a FIFO: goroutines that
-// acquire in ticket order observe strictly increasing service order.
-func TestCMTicketFIFO(t *testing.T) {
-	var c CM
-	const waiters = 8
-	var served atomic.Uint64
-	order := make([]uint64, waiters)
-	var wg sync.WaitGroup
-
-	// Hold the first ticket so every waiter queues behind it.
-	c.Acquire()
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		// Hand each goroutine its ticket index synchronously so issue
-		// order is deterministic.
-		idx := i
-		ready := make(chan struct{})
-		go func() {
-			t := c.next.Add(1) - 1 // the ticket Acquire would take
-			close(ready)
-			for c.owner.Load() != t {
-				Yield()
-			}
-			order[idx] = served.Add(1)
-			c.Release()
-			wg.Done()
-		}()
-		<-ready
-	}
-	c.Release()
-	wg.Wait()
-	for i, o := range order {
-		if o != uint64(i+1) {
-			t.Fatalf("waiter %d served %d-th; want strict FIFO %v", i, o, order)
-		}
-	}
-	if got := c.Escalations(); got != 1 {
-		t.Fatalf("Escalations() = %d, want 1 (only the explicit Acquire)", got)
-	}
-}
-
-// TestCMAcquireRelease exercises the public Acquire under real
-// contention: many goroutines × many critical sections, a plain counter
-// protected only by the ticket must never tear.
-func TestCMAcquireRelease(t *testing.T) {
-	var c CM
-	var n uint64 // deliberately non-atomic
-	const goroutines, rounds = 8, 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				c.Acquire()
-				n++
-				c.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if n != goroutines*rounds {
-		t.Fatalf("counter %d, want %d: ticket queue is not mutually exclusive", n, goroutines*rounds)
-	}
-	if got := c.Escalations(); got != goroutines*rounds {
-		t.Fatalf("Escalations() = %d, want %d", got, goroutines*rounds)
 	}
 }

@@ -26,7 +26,7 @@ func benchEngines() []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"tvar-g", core.Config{Layout: core.LayoutTVar, Clock: core.ClockGlobal}},
+		{"tvar-g", core.Config{Layout: core.LayoutTVar}},
 		{"val", core.Config{Layout: core.LayoutVal}},
 	}
 }

@@ -12,9 +12,9 @@ import (
 
 func engines() map[string]core.Config {
 	return map[string]core.Config{
-		"orec-g": {Layout: core.LayoutOrec, Clock: core.ClockGlobal},
-		"orec-l": {Layout: core.LayoutOrec, Clock: core.ClockLocal},
-		"tvar-g": {Layout: core.LayoutTVar, Clock: core.ClockGlobal},
+		"orec-g": {Layout: core.LayoutOrec},
+		"orec-l": {Layout: core.LayoutOrec, CC: core.CCLocal},
+		"tvar-g": {Layout: core.LayoutTVar},
 		"val":    {Layout: core.LayoutVal}, // counters: tree versions are monotone but values repeat
 	}
 }

@@ -22,11 +22,11 @@ func benchConfigs() []struct {
 		name string
 		cfg  Config
 	}{
-		{"orec-g", Config{Layout: LayoutOrec, Clock: ClockGlobal}},
-		{"orec-l", Config{Layout: LayoutOrec, Clock: ClockLocal}},
-		{"tvar-g", Config{Layout: LayoutTVar, Clock: ClockGlobal}},
-		{"tvar-l", Config{Layout: LayoutTVar, Clock: ClockLocal}},
-		{"val", Config{Layout: LayoutVal, ValNoCounter: true}},
+		{"orec-g", Config{Layout: LayoutOrec}},
+		{"orec-l", Config{Layout: LayoutOrec, CC: CCLocal}},
+		{"tvar-g", Config{Layout: LayoutTVar}},
+		{"tvar-l", Config{Layout: LayoutTVar, CC: CCLocal}},
+		{"val", Config{Layout: LayoutVal, CC: CCNoCounter}},
 		{"val-counter", Config{Layout: LayoutVal}},
 	}
 }
@@ -224,7 +224,7 @@ func BenchmarkFullTxn2(b *testing.B) {
 func BenchmarkAblationOrecBits(b *testing.B) {
 	for _, bits := range []int{6, 10, 14, 18} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			e := New(Config{Layout: LayoutOrec, Clock: ClockLocal, OrecBits: bits})
+			e := New(Config{Layout: LayoutOrec, CC: CCLocal, OrecBits: bits})
 			vars := benchVars(e, 4096)
 			var seed atomic.Uint64
 			b.RunParallel(func(pb *testing.PB) {
@@ -257,9 +257,9 @@ func BenchmarkAblationGlobalClock(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"global", Config{Layout: LayoutTVar, Clock: ClockGlobal}},
-		{"local", Config{Layout: LayoutTVar, Clock: ClockLocal}},
-		{"val-nocounter", Config{Layout: LayoutVal, ValNoCounter: true}},
+		{"global", Config{Layout: LayoutTVar}},
+		{"local", Config{Layout: LayoutTVar, CC: CCLocal}},
+		{"val-nocounter", Config{Layout: LayoutVal, CC: CCNoCounter}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e := New(c.cfg)

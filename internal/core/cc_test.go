@@ -1,37 +1,101 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
-// TestCCNormalization checks the bidirectional folding between the CC
-// policy enum and the legacy Clock/ValNoCounter knobs: either spelling
-// must yield the same fully-normalized configuration.
-func TestCCNormalization(t *testing.T) {
-	cases := []struct {
-		name string
-		in   Config
-		cc   CC
-		clk  ClockMode
-		vnc  bool
-	}{
-		{"legacy-local-clock", Config{Layout: LayoutTVar, Clock: ClockLocal}, CCLocal, ClockLocal, false},
-		{"legacy-nocounter", Config{Layout: LayoutVal, ValNoCounter: true}, CCNoCounter, ClockGlobal, true},
-		{"cc-local", Config{Layout: LayoutTVar, CC: CCLocal}, CCLocal, ClockLocal, false},
-		{"cc-nocounter", Config{Layout: LayoutVal, CC: CCNoCounter}, CCNoCounter, ClockGlobal, true},
-		{"default", Config{Layout: LayoutTVar}, CCTimestampExt, ClockGlobal, false},
-		{"lazy", Config{Layout: LayoutTVar, CC: CCLazy}, CCLazy, ClockGlobal, false},
-		{"eager", Config{Layout: LayoutOrec, CC: CCEager}, CCEager, ClockGlobal, false},
+// TestConfigSpace pins the engine's whole option space. Every Layout × CC
+// × Snapshots combination either builds through NewChecked and conserves
+// money over a two-thread round of mixed short and full transfers, or is
+// rejected with an error; the valid set is exactly the one listed here.
+func TestConfigSpace(t *testing.T) {
+	valid := map[Config]bool{}
+	for _, l := range []Layout{LayoutOrec, LayoutTVar} {
+		for _, cc := range []CC{CCTimestampExt, CCLazy, CCEager} {
+			valid[Config{Layout: l, CC: cc}] = true
+			valid[Config{Layout: l, CC: cc, Snapshots: true}] = true
+		}
+		valid[Config{Layout: l, CC: CCLocal}] = true
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			e := newTestEngine(c.in)
-			got := e.Config()
-			if got.CC != c.cc || got.Clock != c.clk || got.ValNoCounter != c.vnc {
-				t.Fatalf("normalized to CC=%v Clock=%v ValNoCounter=%v, want %v/%v/%v",
-					got.CC, got.Clock, got.ValNoCounter, c.cc, c.clk, c.vnc)
+	for _, cc := range []CC{CCTimestampExt, CCLazy, CCEager, CCNoCounter} {
+		valid[Config{Layout: LayoutVal, CC: cc}] = true
+	}
+	if len(valid) != 18 {
+		t.Fatalf("valid table lists %d configurations, want 18", len(valid))
+	}
+	for l := LayoutOrec; l <= LayoutVal+1; l++ {
+		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
+			for _, snap := range []bool{false, true} {
+				cfg := Config{Layout: l, CC: cc, Snapshots: snap}
+				t.Run(fmt.Sprintf("%v-%v-snap=%v", l, cc, snap), func(t *testing.T) {
+					run := cfg
+					run.MaxThreads = suiteMaxThreads
+					e, err := NewChecked(run)
+					if !valid[cfg] {
+						if err == nil {
+							t.Fatalf("NewChecked(%+v) built an engine outside the supported space", cfg)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("NewChecked(%+v): %v", cfg, err)
+					}
+					transferRound(t, e)
+				})
 			}
-		})
+		}
+	}
+}
+
+// transferRound moves money between four accounts from two threads, one
+// alternating short (DoRW2) with full transactions and the other the
+// reverse, and checks that the total is conserved.
+func transferRound(t *testing.T, e *Engine) {
+	const accounts, start = 4, 1000
+	iters := stressIters(t, 2000)
+	vars := make([]Var, accounts)
+	for i := range vars {
+		vars[i] = e.NewVar(iv(start))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			thr := e.Register()
+			for i := 0; i < iters; i++ {
+				from := vars[thr.Rng.Intn(accounts)]
+				to := vars[thr.Rng.Intn(accounts)]
+				if from == to {
+					continue
+				}
+				if (i+w)%2 == 0 {
+					DoRW2(thr, from, to, func(a, b Value) (Value, Value, bool) {
+						return iv(a.Uint() - 1), iv(b.Uint() + 1), true
+					})
+				} else {
+					thr.Atomic(func() bool {
+						a, b := thr.TxRead(from), thr.TxRead(to)
+						if thr.TxOK() {
+							thr.TxWrite(from, iv(a.Uint()-1))
+							thr.TxWrite(to, iv(b.Uint()+1))
+						}
+						return true
+					})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	thr := e.Register()
+	var sum uint64
+	for _, v := range vars {
+		sum += thr.SingleRead(v).Uint()
+	}
+	if sum != accounts*start {
+		t.Fatalf("total %d after transfers, want %d", sum, accounts*start)
 	}
 }
 
@@ -40,8 +104,7 @@ func TestCCNormalization(t *testing.T) {
 func TestCCValidate(t *testing.T) {
 	bad := map[string]Config{
 		"nocounter-versioned": {Layout: LayoutTVar, CC: CCNoCounter},
-		"lazy-local-clock":    {Layout: LayoutTVar, CC: CCLazy, Clock: ClockLocal},
-		"eager-local-clock":   {Layout: LayoutOrec, CC: CCEager, Clock: ClockLocal},
+		"local-val":           {Layout: LayoutVal, CC: CCLocal},
 		"snapshots-val":       {Layout: LayoutVal, Snapshots: true},
 		"snapshots-local":     {Layout: LayoutTVar, CC: CCLocal, Snapshots: true},
 		"cc-out-of-range":     {Layout: LayoutTVar, CC: CC(97)},

@@ -22,9 +22,11 @@
 //	LayoutVal  — one lock bit stolen from the data word itself (Fig 3c),
 //	             with value-based validation
 //
-// and one of two version-management strategies (§4.1): ClockGlobal (one
-// shared TL2 counter) or ClockLocal (per-orec versions with incremental
-// validation; per-thread commit counters in the val layout).
+// and a concurrency-control policy (CC) that fixes the version
+// management (§4.1): one shared TL2 counter by default, per-orec versions
+// with incremental validation under CCLocal; on the val layout, value
+// validation with per-thread commit counters, or without under
+// CCNoCounter.
 package core
 
 import (
@@ -69,33 +71,11 @@ func (l Layout) String() string {
 	return "unknown"
 }
 
-// ClockMode selects the version-management strategy (§4.1).
-type ClockMode uint8
-
-const (
-	// ClockGlobal uses one shared version number (TL2 style).
-	ClockGlobal ClockMode = iota
-	// ClockLocal uses per-orec versions without a global counter,
-	// paying for it with read-set validation after every read. In the
-	// val layout it selects per-thread commit counters.
-	ClockLocal
-)
-
-// String implements fmt.Stringer for variant labels.
-func (c ClockMode) String() string {
-	if c == ClockGlobal {
-		return "g"
-	}
-	return "l"
-}
-
 // CC selects the concurrency-control policy: how full (and short
 // read-only) transactions acquire write ownership and keep their read
 // sets consistent. Policies are specialized at engine construction into
 // monomorphized read/commit paths — there is no interface dispatch on
-// the hot path. CC subsumes the older Clock/ValNoCounter knobs: setting
-// those legacy fields is normalized into the equivalent policy (and vice
-// versa), so both surfaces always describe one effective protocol.
+// the hot path.
 type CC uint8
 
 const (
@@ -103,7 +83,9 @@ const (
 	// commit-time (lazy) lock acquisition, invisible readers, and
 	// TL2-style timebase extension — a read that observes a version
 	// newer than the transaction's snapshot revalidates the read set
-	// against a fresh snapshot instead of aborting.
+	// against a fresh snapshot instead of aborting. On LayoutVal it is
+	// value-based validation guarded by per-thread commit counters
+	// (after Dalessandro et al.), which makes general transactions safe.
 	CCTimestampExt CC = iota
 	// CCLazy is classic TL2: lazy acquisition and invisible readers,
 	// but no extension — a read that observes a post-snapshot version
@@ -113,15 +95,17 @@ const (
 	// CCEager acquires write locks at encounter time (TxWrite) instead
 	// of commit time. Writers become visible early, which resolves
 	// write/write conflicts immediately at the cost of longer lock hold
-	// times. Reads keep timebase extension. Requires ClockGlobal.
+	// times. Reads keep timebase extension.
 	CCEager
-	// CCLocal is the per-location-version policy previously selected by
-	// WithClock(ClockLocal): no global counter, read-set validation
-	// after every read (per-thread commit counters in the val layout).
+	// CCLocal, for the versioned layouts (orec, tvar), keeps per-orec
+	// versions and no global counter, paying for it with read-set
+	// validation after every read.
 	CCLocal
 	// CCNoCounter, for LayoutVal only, is value-based validation
-	// without commit counters — previously WithValNoCounter. Sound only
-	// under the paper's §2.4 special cases (non-re-use of memory).
+	// without commit counters. Sound only under the paper's §2.4 special
+	// cases (e.g. the non-re-use property, which arena handles provide);
+	// it is what the paper's val-short and the Fig 5 val-full variants
+	// measure.
 	CCNoCounter
 )
 
@@ -150,7 +134,10 @@ const MaxShort = 4
 // Config parametrizes an Engine.
 type Config struct {
 	Layout Layout
-	Clock  ClockMode
+
+	// CC selects the concurrency-control policy. The zero value
+	// (CCTimestampExt) is valid on every layout.
+	CC CC
 
 	// OrecBits is log2 of the ownership-record table size for
 	// LayoutOrec. Defaults to 18 (256k orecs). Tiny values are useful in
@@ -168,39 +155,11 @@ type Config struct {
 	// transactions). See debug.go.
 	Debug bool
 
-	// ValNoCounter, for LayoutVal only, drops the commit-counter check
-	// from value-based validation. This is sound only under the paper's
-	// §2.4 special cases (e.g. the non-re-use property, which arena
-	// handles provide); it is what the paper's val-short and the Fig 5
-	// val-full variants measure. When false, validation additionally
-	// consults per-thread commit counters (after Dalessandro et al.),
-	// making general transactions safe.
-	//
-	// Deprecated: set CC to CCNoCounter instead. The field remains the
-	// normalization target so layout-specific code keys off one flag.
-	ValNoCounter bool
-
-	// CC selects the concurrency-control policy. The zero value
-	// (CCTimestampExt) is the engine's original protocol; legacy
-	// Clock/ValNoCounter settings are folded into the equivalent policy
-	// by normalization, see withDefaults.
-	CC CC
-
 	// Snapshots allocates the multi-version history ring that backs
 	// Thr.SnapshotRead. Requires a versioned layout (orec or tvar) and
 	// the global timebase; costs one predictable branch per commit when
 	// disabled and a bounded ring write per published word when enabled.
 	Snapshots bool
-
-	// Contention selects the contention-management policy applied by
-	// retry loops built over the engine (see internal/backoff): CMLinear
-	// (the default — randomized linear backoff, the paper's BaseTM),
-	// CMTwoPhase (escalate a long abort streak to per-shard FIFO
-	// serialization) or CMAdaptive (escalate per shard on the sampled
-	// conflict rate, fall back when it cools). The engine itself only
-	// carries the policy; data structures with per-shard state
-	// (internal/shardmap) consult it to arm their contention managers.
-	Contention backoff.Policy
 }
 
 func (c Config) withDefaults() Config {
@@ -209,24 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxThreads == 0 {
 		c.MaxThreads = 128
-	}
-	// Fold the legacy Clock/ValNoCounter knobs and the CC policy into
-	// one another, so internal code can branch on whichever field is
-	// closest to the mechanism (cfg.Clock for versioned word handling,
-	// cfg.ValNoCounter for the val layout, cfg.CC for policy dispatch).
-	if c.CC == CCTimestampExt {
-		switch {
-		case c.Clock == ClockLocal:
-			c.CC = CCLocal
-		case c.ValNoCounter && c.Layout == LayoutVal:
-			c.CC = CCNoCounter
-		}
-	}
-	switch c.CC {
-	case CCLocal:
-		c.Clock = ClockLocal
-	case CCNoCounter:
-		c.ValNoCounter = true
 	}
 	return c
 }
@@ -238,14 +179,9 @@ func (c Config) Validate() error {
 	if c.Layout > LayoutVal {
 		return fmt.Errorf("core: unknown layout %d", c.Layout)
 	}
-	if c.Clock > ClockLocal {
-		return fmt.Errorf("core: unknown clock mode %d", c.Clock)
-	}
-	// OrecBits and ValNoCounter are ignored by the layouts they don't
-	// apply to, and pre-options constructors accepted such configs
-	// silently, so OrecBits is only range-checked here; the stricter
-	// options constructor in the public package rejects the
-	// layout-inconsistent combinations itself.
+	// OrecBits is ignored by the layouts it does not apply to, so it is
+	// only range-checked here; the stricter options constructor in the
+	// public package rejects the layout-inconsistent combination itself.
 	if c.OrecBits < 0 || c.OrecBits > 30 {
 		return fmt.Errorf("core: OrecBits %d out of range [0, 30] (0 selects the default)", c.OrecBits)
 	}
@@ -258,19 +194,16 @@ func (c Config) Validate() error {
 	if c.CC == CCNoCounter && c.Layout != LayoutVal {
 		return fmt.Errorf("core: CCNoCounter requires LayoutVal (value-based validation)")
 	}
-	if (c.CC == CCLazy || c.CC == CCEager) && c.Clock == ClockLocal {
-		return fmt.Errorf("core: %v requires the global timebase, not ClockLocal (use CCLocal)", c.CC)
+	if c.CC == CCLocal && c.Layout == LayoutVal {
+		return fmt.Errorf("core: CCLocal requires a versioned layout (orec or tvar)")
 	}
 	if c.Snapshots {
 		if c.Layout == LayoutVal {
 			return fmt.Errorf("core: Snapshots require a versioned layout (orec or tvar)")
 		}
-		if c.Clock == ClockLocal || c.CC == CCLocal {
+		if c.CC == CCLocal {
 			return fmt.Errorf("core: Snapshots require the global timebase")
 		}
-	}
-	if c.Contention > backoff.CMAdaptive {
-		return fmt.Errorf("core: unknown contention policy %d", c.Contention)
 	}
 	return nil
 }
@@ -292,9 +225,9 @@ type Engine struct {
 }
 
 // rpath is the engine's specialized read/validate path, computed once at
-// construction from the layout, clock and CC policy. Hot-path dispatch
-// is a switch on this byte to statically-known functions — the "per
-// policy monomorphized paths" that replace interface dispatch.
+// construction from the layout and CC policy. Hot-path dispatch is a
+// switch on this byte to statically-known functions — the "per policy
+// monomorphized paths" that replace interface dispatch.
 type rpath uint8
 
 const (
@@ -305,18 +238,16 @@ const (
 	rpValNoCnt              // val layout, pure value validation
 )
 
-// protoPaths derives the dispatch code and eager flag from a normalized
+// protoPaths derives the dispatch code and eager flag from a validated
 // configuration.
 func protoPaths(cfg Config) (rpath, bool) {
 	var rp rpath
 	switch {
+	case cfg.CC == CCNoCounter:
+		rp = rpValNoCnt
 	case cfg.Layout == LayoutVal:
-		if cfg.ValNoCounter {
-			rp = rpValNoCnt
-		} else {
-			rp = rpValCnt
-		}
-	case cfg.Clock == ClockLocal:
+		rp = rpValCnt
+	case cfg.CC == CCLocal:
 		rp = rpVerLocal
 	case cfg.CC == CCLazy:
 		rp = rpVerLazy
@@ -363,9 +294,6 @@ func NewChecked(cfg Config) (*Engine, error) {
 // SnapshotsEnabled reports whether the engine maintains the version
 // history that backs Thr.SnapshotRead.
 func (e *Engine) SnapshotsEnabled() bool { return e.snap != nil }
-
-// Contention returns the engine's contention-management policy.
-func (e *Engine) Contention() backoff.Policy { return e.cfg.Contention }
 
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }

@@ -14,12 +14,12 @@ import (
 // covers their orec (duplicate-aliasing) and val (lock-bit) forms.
 func configs() map[string]Config {
 	m := map[string]Config{
-		"orec-g":        {Layout: LayoutOrec, Clock: ClockGlobal},
-		"orec-l":        {Layout: LayoutOrec, Clock: ClockLocal},
-		"tvar-g":        {Layout: LayoutTVar, Clock: ClockGlobal},
-		"tvar-l":        {Layout: LayoutTVar, Clock: ClockLocal},
+		"orec-g":        {Layout: LayoutOrec},
+		"orec-l":        {Layout: LayoutOrec, CC: CCLocal},
+		"tvar-g":        {Layout: LayoutTVar},
+		"tvar-l":        {Layout: LayoutTVar, CC: CCLocal},
 		"val":           {Layout: LayoutVal},
-		"val-nocounter": {Layout: LayoutVal, ValNoCounter: true},
+		"val-nocounter": {Layout: LayoutVal, CC: CCNoCounter},
 		"tvar-lazy":     {Layout: LayoutTVar, CC: CCLazy},
 		"tvar-eager":    {Layout: LayoutTVar, CC: CCEager},
 	}
@@ -190,7 +190,7 @@ func TestShortROOpacityBetweenReads(t *testing.T) {
 	// a state mixing old a with new b (except in the explicitly unsafe
 	// val-nocounter mode, whose soundness relies on non-re-use).
 	for name, cfg := range configs() {
-		if cfg.Layout == LayoutVal && cfg.ValNoCounter {
+		if cfg.CC == CCNoCounter {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
@@ -588,10 +588,10 @@ func TestVariantLabels(t *testing.T) {
 	if LayoutOrec.String() != "orec" || LayoutTVar.String() != "tvar" || LayoutVal.String() != "val" {
 		t.Fatal("layout labels")
 	}
-	if ClockGlobal.String() != "g" || ClockLocal.String() != "l" {
-		t.Fatal("clock labels")
+	if CCTimestampExt.String() != "ext" || CCLocal.String() != "local" || CCNoCounter.String() != "nocounter" {
+		t.Fatal("cc labels")
 	}
-	if fmt.Sprintf("%v-%v", LayoutOrec, ClockGlobal) != "orec-g" {
+	if fmt.Sprintf("%v-%v", LayoutOrec, CCLocal) != "orec-local" {
 		t.Fatal("label composition")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // must extend rather than abort when its earlier reads still hold.
 func TestTimebaseExtension(t *testing.T) {
 	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := newTestEngine(Config{Layout: layout, Clock: ClockGlobal})
+		e := newTestEngine(Config{Layout: layout})
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -40,7 +40,7 @@ func TestTimebaseExtension(t *testing.T) {
 // extension must abort the transaction.
 func TestExtensionDetectsStaleRead(t *testing.T) {
 	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := newTestEngine(Config{Layout: layout, Clock: ClockGlobal})
+		e := newTestEngine(Config{Layout: layout})
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 
@@ -65,7 +65,7 @@ func TestExtensionDetectsStaleRead(t *testing.T) {
 // bounded.
 func TestZombieReadsAreNull(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
-		if e.Config().Layout == LayoutVal && e.Config().ValNoCounter {
+		if e.Config().CC == CCNoCounter {
 			t.Skip("val-nocounter aborts on value change only")
 		}
 		reader, writer := e.Register(), e.Register()
@@ -135,7 +135,7 @@ func TestLargeWriteSet(t *testing.T) {
 // must always be consistent.
 func TestReadOnlyTxnLinearizesWithWriters(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
-		if e.Config().Layout == LayoutVal && e.Config().ValNoCounter {
+		if e.Config().CC == CCNoCounter {
 			t.Skip("val-nocounter needs non-re-used values")
 		}
 		a, b := e.NewVar(iv(0)), e.NewVar(iv(0))

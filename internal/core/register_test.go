@@ -183,7 +183,7 @@ func TestSuitesAtCapacity1024(t *testing.T) {
 		{"ZombieReadsAreNull", TestZombieReadsAreNull},
 		{"LargeWriteSet", TestLargeWriteSet},
 		{"ReadOnlyTxnLinearizesWithWriters", TestReadOnlyTxnLinearizesWithWriters},
-		{"CCNormalization", TestCCNormalization},
+		{"ConfigSpace", TestConfigSpace},
 		{"LazyAbortsInsteadOfExtending", TestLazyAbortsInsteadOfExtending},
 		{"EagerWriteWriteConflict", TestEagerWriteWriteConflict},
 		{"EagerAbortReleasesLocks", TestEagerAbortReleasesLocks},

@@ -13,7 +13,7 @@
 //     validation").
 //   - RO reads are invisible. Under versioned layouts they are validated
 //     against orec versions (with TL2-style snapshot extension under
-//     ClockGlobal, or validation after every read under ClockLocal).
+//     the global timebase, or validation after every read under CCLocal).
 //     Under the val layout they are validated by value (§2.4), optionally
 //     guarded by the per-thread commit counters.
 //   - A combined transaction reads with RO ops, upgrades the locations it
@@ -39,7 +39,7 @@ import (
 type shortRec struct {
 	valid bool
 	done  bool   // completed by a successful read-only validation
-	snap  uint64 // ClockGlobal: snapshot; LayoutVal: counter sum
+	snap  uint64 // global timebase: snapshot; LayoutVal: counter sum
 	nr    int    // read-only entries
 	nw    int    // write (locked) entries
 
@@ -199,7 +199,7 @@ func (t *Thr) publishAndRelease(n int, vals [MaxShort]Value) {
 		return
 	}
 	var wv uint64
-	if t.e.cfg.Clock == ClockGlobal {
+	if t.rp != rpVerLocal {
 		wv = t.e.global.Tick()
 	}
 	if st := t.e.snap; st != nil {
@@ -215,7 +215,7 @@ func (t *Thr) publishAndRelease(n int, vals [MaxShort]Value) {
 		if s.wDup[i] {
 			continue
 		}
-		if t.e.cfg.Clock == ClockGlobal {
+		if t.rp != rpVerLocal {
 			vlock.Unlock(s.wMeta[i], wv)
 		} else {
 			vlock.Unlock(s.wMeta[i], vlock.Version(s.wSeen[i])+1)
@@ -238,7 +238,7 @@ func (t *Thr) shortRWAbort(n int) {
 }
 
 // shortRORead implements Tx_RO_Ri: an invisible read, validated per the
-// layout/clock mode. i == 0 always starts a fresh transaction; read-only
+// layout and CC policy. i == 0 always starts a fresh transaction; read-only
 // reads must precede any RW reads or upgrades of a combined transaction.
 func (t *Thr) shortRORead(i int, v Var) Value {
 	if i == 0 {

@@ -132,7 +132,7 @@ func (t *Thr) SingleCAS(v Var, old, new Value) Value {
 // nextVersion computes the version installed by a committing single/short
 // update under versioned layouts.
 func (t *Thr) nextVersion(preLock uint64) uint64 {
-	if t.e.cfg.Clock == ClockGlobal {
+	if t.rp != rpVerLocal {
 		return t.e.global.Tick()
 	}
 	return vlock.Version(preLock) + 1

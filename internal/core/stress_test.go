@@ -61,7 +61,7 @@ func TestShortRWIsolation(t *testing.T) {
 		for i := range vars {
 			vars[i] = e.NewVar(iv(1000))
 		}
-		checkRO := e.Config().Layout != LayoutVal || !e.Config().ValNoCounter
+		checkRO := e.Config().CC != CCNoCounter
 
 		var wg sync.WaitGroup
 		var roViolations atomic.Int64
@@ -136,7 +136,7 @@ func TestFullTxnInvariant(t *testing.T) {
 		// under non-re-use; account balances re-use values freely, so
 		// skip the unsafe mode here (its sound uses are exercised by the
 		// data-structure tests).
-		if e.Config().Layout == LayoutVal && e.Config().ValNoCounter {
+		if e.Config().CC == CCNoCounter {
 			t.Skip("val-nocounter requires the non-re-use property")
 		}
 
@@ -223,7 +223,7 @@ func TestFullTxnInvariant(t *testing.T) {
 // from committing against each other's guard.
 func TestWriteSkewPrevented(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
-		if e.Config().Layout == LayoutVal && e.Config().ValNoCounter {
+		if e.Config().CC == CCNoCounter {
 			t.Skip("val-nocounter requires the non-re-use property")
 		}
 		iters := stressIters(t, 1500)
@@ -269,7 +269,7 @@ func TestMixedAPIsConcurrent(t *testing.T) {
 
 		// Observer: a and b must always be equal in any consistent
 		// snapshot (writers advance both by the same delta atomically).
-		checkRO := e.Config().Layout != LayoutVal || !e.Config().ValNoCounter
+		checkRO := e.Config().CC != CCNoCounter
 		if checkRO {
 			wg.Add(1)
 			go func() {
@@ -348,8 +348,8 @@ func TestMixedAPIsConcurrent(t *testing.T) {
 // TestHighContentionFalseConflicts forces heavy orec aliasing with a tiny
 // table and checks that nothing deadlocks or corrupts under the storm.
 func TestHighContentionFalseConflicts(t *testing.T) {
-	for _, clk := range []ClockMode{ClockGlobal, ClockLocal} {
-		e := New(Config{Layout: LayoutOrec, Clock: clk, OrecBits: 2})
+	for _, cc := range []CC{CCTimestampExt, CCLocal} {
+		e := New(Config{Layout: LayoutOrec, CC: cc, OrecBits: 2})
 		const accounts = 16
 		iters := stressIters(t, 2000)
 		vars := make([]Var, accounts)
@@ -388,7 +388,7 @@ func TestHighContentionFalseConflicts(t *testing.T) {
 			sum += probe.SingleRead(vars[i]).Uint()
 		}
 		if sum != accounts*10 {
-			t.Fatalf("clock=%v: sum=%d want %d under false-conflict storm", clk, sum, accounts*10)
+			t.Fatalf("cc=%v: sum=%d want %d under false-conflict storm", cc, sum, accounts*10)
 		}
 	}
 }
@@ -397,7 +397,7 @@ func TestHighContentionFalseConflicts(t *testing.T) {
 // handle-like (never re-used) values: writers only ever install fresh
 // values, and RO pairs must then be consistent.
 func TestNonReuseValueValidation(t *testing.T) {
-	e := New(Config{Layout: LayoutVal, ValNoCounter: true})
+	e := New(Config{Layout: LayoutVal, CC: CCNoCounter})
 	a, b := e.NewVar(iv(1)), e.NewVar(iv(1))
 	iters := stressIters(t, 5000)
 	var wg sync.WaitGroup

@@ -2,8 +2,8 @@
 //
 // Versioned layouts (orec table, tvar) follow TL2 [Dice et al.] with
 // timebase extension [Riegel et al.]: invisible reads validated against a
-// start-time snapshot (ClockGlobal) or incrementally after every read
-// (ClockLocal), deferred updates in a write log, and commit-time locking.
+// start-time snapshot (global timebase) or incrementally after every read
+// (CCLocal), deferred updates in a write log, and commit-time locking.
 //
 // The val layout follows the paper's §2.4 general-purpose fallback, which
 // is NOrec-shaped [Dalessandro et al.]: reads log (location, value) pairs
@@ -419,7 +419,7 @@ func (t *Thr) txCommitReadOnly() bool {
 	// The val layout revalidates at its linearization point.
 	if t.e.cfg.Layout == LayoutVal {
 		ok := true
-		if t.e.cfg.ValNoCounter {
+		if t.rp == rpValNoCnt {
 			// Sound only under §2.4's special cases (non-re-use),
 			// exactly like the paper's Fig 5 val-full RO measurement.
 			ok = t.txValidateVal(0)
@@ -465,7 +465,7 @@ func (t *Thr) txCommitVersioned() bool {
 	}
 	// Validate phase.
 	wv := uint64(0)
-	if t.e.cfg.Clock == ClockGlobal {
+	if t.rp != rpVerLocal {
 		wv = t.e.global.Tick()
 	}
 	if !t.txValidateVersioned() {
@@ -479,7 +479,7 @@ func (t *Thr) txCommitVersioned() bool {
 		if w.dup {
 			continue
 		}
-		if t.e.cfg.Clock == ClockGlobal {
+		if t.rp != rpVerLocal {
 			vlock.Unlock(w.meta, wv)
 		} else {
 			vlock.Unlock(w.meta, vlock.Version(w.lockSeen)+1)
@@ -607,7 +607,7 @@ func (t *Thr) txCommitVal() bool {
 	// counters, so they can only be observed through the value
 	// comparison itself (this is what prevents write skew).
 	var ok bool
-	if t.e.cfg.ValNoCounter {
+	if t.rp == rpValNoCnt {
 		ok = t.txValidateVal(t.owner)
 	} else {
 		for {
@@ -637,7 +637,7 @@ func (t *Thr) txCommitVal() bool {
 func (t *Thr) txCommitValEager() bool {
 	x := &t.txn
 	var ok bool
-	if t.e.cfg.ValNoCounter {
+	if t.rp == rpValNoCnt {
 		ok = t.txValidateVal(t.owner)
 	} else {
 		for {

@@ -11,8 +11,8 @@ import (
 
 func engines() map[string]core.Config {
 	return map[string]core.Config{
-		"orec-g": {Layout: core.LayoutOrec, Clock: core.ClockGlobal},
-		"tvar-l": {Layout: core.LayoutTVar, Clock: core.ClockLocal},
+		"orec-g": {Layout: core.LayoutOrec},
+		"tvar-l": {Layout: core.LayoutTVar, CC: core.CCLocal},
 		"val":    {Layout: core.LayoutVal},
 	}
 }

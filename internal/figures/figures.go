@@ -277,10 +277,10 @@ func Fig10(o Options) error {
 	})
 }
 
-// All runs every figure, plus the forward-looking map, cc, mapping,
+// All runs every figure, plus the forward-looking map, cc,
 // scan, net, durable and repl series.
 func All(o Options) error {
-	for _, f := range []func(Options) error{Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10, FigMap, FigCC, FigMapping, FigScan, FigNet, FigDurable, FigRepl} {
+	for _, f := range []func(Options) error{Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10, FigMap, FigCC, FigScan, FigNet, FigDurable, FigRepl} {
 		if err := f(o); err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ func (st *replStack) start(nReplicas, maxConns int) error {
 	p, err := server.New(
 		server.WithMaxConns(maxConns),
 		server.WithPersistence(dir, wal.EveryN(64)),
-		server.WithReplListen("127.0.0.1:0"))
+		server.WithTopology(server.Topology{ReplListen: "127.0.0.1:0"}))
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func (st *replStack) start(nReplicas, maxConns int) error {
 		r, err := server.New(
 			server.WithMaxConns(maxConns),
 			server.WithPersistence(rdir, wal.EveryN(64)),
-			server.WithReplicaOf(p.ReplAddr().String()))
+			server.WithTopology(server.Topology{Primary: p.ReplAddr().String()}))
 		if err != nil {
 			return err
 		}

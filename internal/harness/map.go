@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spectm/internal/backoff"
 	"spectm/internal/core"
 	"spectm/internal/rng"
 	"spectm/internal/shardmap"
@@ -35,7 +34,6 @@ type MapWorkload struct {
 	Dist      string // "uniform" (default) or "zipf"
 	Layout    string // "val" (default), "tvar" or "orec"
 	CC        string // "ext" (default), "lazy", "eager", "local" or "nocounter"
-	CM        string // "linear" (default), "twophase" or "adaptive"
 
 	// Fsync, when non-empty, runs the map with persistence enabled in a
 	// temporary directory under the given policy ("always", "every=N",
@@ -70,9 +68,6 @@ func (w MapWorkload) withDefaults() MapWorkload {
 	if w.CC == "" {
 		w.CC = "ext"
 	}
-	if w.CM == "" {
-		w.CM = "linear"
-	}
 	if w.Threads == 0 {
 		w.Threads = 1
 	}
@@ -94,7 +89,6 @@ type MapResult struct {
 	AllocsPerOp float64 // process-wide mallocs per operation during the run
 	Stats       core.Stats
 	MapStats    shardmap.OpStats // batch routing incl. snapshot counters
-	CM          shardmap.CMStats // contention-management activity
 }
 
 // parseCC maps a policy name to its core constant (the names WithCC's
@@ -116,12 +110,12 @@ func parseCC(name string) (core.CC, error) {
 	}
 }
 
-// mapEngine builds the engine for a layout, concurrency-control policy
-// and contention-management policy, at the default capacity: the figures
-// measure the engine as shipped. Versioned layouts under a global clock
-// also get snapshot history, routing wide batches through multi-version
-// reads — the configuration FigCC compares.
-func mapEngine(layout, cc, cm string) (*core.Engine, error) {
+// mapEngine builds the engine for a layout and concurrency-control
+// policy, at the default capacity: the figures measure the engine as
+// shipped. Versioned layouts under a global clock also get snapshot
+// history, routing wide batches through multi-version reads — the
+// configuration FigCC compares.
+func mapEngine(layout, cc string) (*core.Engine, error) {
 	var cfg core.Config
 	switch layout {
 	case "val":
@@ -138,9 +132,6 @@ func mapEngine(layout, cc, cm string) (*core.Engine, error) {
 		return nil, err
 	}
 	cfg.CC = pol
-	if cfg.Contention, err = backoff.ParsePolicy(cm); err != nil {
-		return nil, err
-	}
 	cfg.Snapshots = cfg.Layout != core.LayoutVal &&
 		pol != core.CCLocal && pol != core.CCNoCounter
 	return core.NewChecked(cfg)
@@ -176,7 +167,7 @@ func RunMap(w MapWorkload) (MapResult, error) {
 		return MapResult{}, fmt.Errorf("harness: op mix %d/%d/%d/%d/%d does not sum to 100",
 			w.GetPct, w.PutPct, w.DeletePct, w.BatchPct, w.ScanPct)
 	}
-	e, err := mapEngine(w.Layout, w.CC, w.CM)
+	e, err := mapEngine(w.Layout, w.CC)
 	if err != nil {
 		return MapResult{}, err
 	}
@@ -259,7 +250,7 @@ func RunMap(w MapWorkload) (MapResult, error) {
 		}
 	})
 
-	res := MapResult{Workload: w, Elapsed: elapsed, Ops: ops, Stats: stats, MapStats: m.OpStats(), CM: m.CMStats()}
+	res := MapResult{Workload: w, Elapsed: elapsed, Ops: ops, Stats: stats, MapStats: m.OpStats()}
 	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
 	if res.Ops > 0 {
 		res.AllocsPerOp = float64(mallocs) / float64(res.Ops)

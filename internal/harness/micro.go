@@ -47,11 +47,11 @@ type paddedWord struct {
 func microEngine(variant string) *core.Engine {
 	switch variant {
 	case "orec-full-g", "orec-short-g":
-		return core.New(core.Config{Layout: core.LayoutOrec, Clock: core.ClockGlobal})
+		return core.New(core.Config{Layout: core.LayoutOrec})
 	case "tvar-short-g":
-		return core.New(core.Config{Layout: core.LayoutTVar, Clock: core.ClockGlobal})
+		return core.New(core.Config{Layout: core.LayoutTVar})
 	case "val-short", "val-full":
-		return core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true})
+		return core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter})
 	}
 	panic("harness: unknown micro variant " + variant)
 }

@@ -71,19 +71,19 @@ func engineFor(variant string, maxThreads int) (*core.Engine, error) {
 	cfg := core.Config{MaxThreads: maxThreads}
 	switch variant {
 	case "orec-full-g", "orec-short-g", "orec-full-g-fine":
-		cfg.Layout, cfg.Clock = core.LayoutOrec, core.ClockGlobal
+		cfg.Layout = core.LayoutOrec
 	case "orec-full-l", "orec-short-l":
-		cfg.Layout, cfg.Clock = core.LayoutOrec, core.ClockLocal
+		cfg.Layout, cfg.CC = core.LayoutOrec, core.CCLocal
 	case "tvar-full-g", "tvar-short-g":
-		cfg.Layout, cfg.Clock = core.LayoutTVar, core.ClockGlobal
+		cfg.Layout = core.LayoutTVar
 	case "tvar-full-l", "tvar-short-l":
-		cfg.Layout, cfg.Clock = core.LayoutTVar, core.ClockLocal
+		cfg.Layout, cfg.CC = core.LayoutTVar, core.CCLocal
 	case "val-short":
 		// The paper's fastest variant: no version numbers at all. Safe
 		// because every value stored by the sets is a never-re-used
 		// generational handle or a monotone counter (§2.4's special
 		// cases).
-		cfg.Layout, cfg.ValNoCounter = core.LayoutVal, true
+		cfg.Layout, cfg.CC = core.LayoutVal, core.CCNoCounter
 	case "val-full":
 		cfg.Layout = core.LayoutVal
 	default:

@@ -17,7 +17,7 @@ func TestPerCommandZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	th, ok := s.getThread(-1)
+	th, ok := s.getThread()
 	if !ok {
 		t.Fatalf("no thread")
 	}

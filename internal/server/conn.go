@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -40,8 +39,6 @@ type conn struct {
 	wr *proto.Writer
 	th *shardmap.Thread
 
-	ncmds uint64 // commands served; drives the periodic affinity check
-
 	// reused MGET scratch
 	mkeys  []string
 	mvals  []shardmap.Value
@@ -75,20 +72,14 @@ func parseVal(b []byte) (word.Value, bool) {
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer nc.Close()
-	if s.cfg.pinOS {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	th, ok := s.getThread(-1)
+	th, ok := s.getThread()
 	if !ok {
 		s.refused.Add(1)
 		nc.Write([]byte("-ERR max connections reached\r\n"))
 		return
 	}
+	defer s.putThread(th)
 	c := &conn{s: s, nc: nc, rd: proto.NewReader(nc), wr: proto.NewWriter(nc), th: th}
-	// Park whichever descriptor the connection holds when it ends:
-	// maybeRelease may have traded th away, and parked it, long ago.
-	defer func() { s.putThread(c.th) }()
 	s.accepted.Add(1)
 
 	if !s.track(c) {
@@ -116,27 +107,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			continue // blank inline line
 		}
 		c.execute(args)
-		if c.ncmds++; c.ncmds%affinityEvery == 0 {
-			c.maybeRelease()
-		}
 	}
-}
-
-// affinityEvery is how many commands a connection serves between
-// affinity checks: rare enough that the pool lock never shows up in a
-// profile, frequent enough to follow a shifting access pattern.
-const affinityEvery = 4096
-
-// maybeRelease re-leases the connection's thread when a parked
-// descriptor last served the shard this connection is hot on — the pool
-// pairs connections with cache-warm descriptors (see threadPool). Runs
-// between commands, so the thread is never mid-transaction.
-func (c *conn) maybeRelease() {
-	hs := c.th.HotShard()
-	if hs < 0 {
-		return
-	}
-	c.th, _ = c.s.swapThread(c.th, hs)
 }
 
 // writable refuses mutating commands on a replica and on a fenced
@@ -459,17 +430,8 @@ func (c *conn) statsReply() {
 	appendStat("snapshot_batches", st.SnapshotBatches)
 	appendStat("snapshot_retries", st.SnapshotRetries)
 	appendStat("snapshot_fallbacks", st.SnapshotFallbacks)
-	cm := s.m.CMStats()
-	b = append(b, "cm_policy "...)
-	b = append(b, cm.Policy.String()...)
-	b = append(b, '\n')
 	appendStat("shards", uint64(s.m.Shards()))
-	appendStat("conflicts", cm.Conflicts)
-	appendStat("escalations", cm.Escalations)
-	appendStat("serialized_ops", cm.Serialized)
-	appendStat("cm_hot_shards", uint64(cm.HotShards))
-	appendStat("cm_max_rate_pct", uint64(cm.MaxRate*100))
-	appendStat("affinity_swaps", s.swaps.Load())
+	appendStat("conflicts", st.Conflicts)
 	appendStat("wal_bytes", uint64(s.m.LogSize()))
 	c.stats = b
 	c.wr.Bulk(b)

@@ -242,14 +242,14 @@ func TestTopologyValidation(t *testing.T) {
 			t.Errorf("%s: New accepted an invalid topology", name)
 		}
 	}
-	// The deprecated shims still compose into a valid topology.
+	// A listener alone, with the role left zero, normalizes to a primary.
 	dir := t.TempDir()
-	s, err := New(WithPersistence(dir, wal.EveryN(4)), WithReplListen("127.0.0.1:0"))
+	s, err := New(WithPersistence(dir, wal.EveryN(4)), WithTopology(Topology{ReplListen: "127.0.0.1:0"}))
 	if err != nil {
-		t.Fatalf("deprecated WithReplListen: %v", err)
+		t.Fatalf("listener-only topology: %v", err)
 	}
 	if role, _ := s.Role(); role != RolePrimary {
-		t.Fatalf("WithReplListen role = %v, want primary", role)
+		t.Fatalf("listener-only topology role = %v, want primary", role)
 	}
 	s.Map().Close()
 }

@@ -19,13 +19,13 @@ func startPrimary(t *testing.T) *Server {
 	dir := t.TempDir()
 	return startServer(t,
 		WithPersistence(dir, wal.EveryN(8)),
-		WithReplListen("127.0.0.1:0"))
+		WithTopology(Topology{ReplListen: "127.0.0.1:0"}))
 }
 
 // startReplica runs a replica server tailing p's replication listener.
 func startReplica(t *testing.T, p *Server, persistent bool) *Server {
 	t.Helper()
-	opts := []Option{WithReplicaOf(p.ReplAddr().String())}
+	opts := []Option{WithTopology(Topology{Primary: p.ReplAddr().String()})}
 	if persistent {
 		opts = append(opts, WithPersistence(t.TempDir(), wal.EveryN(8)))
 	}
@@ -133,7 +133,7 @@ func TestServerReplicationEndToEnd(t *testing.T) {
 
 // TestServerReplListenRequiresPersistence pins the configuration error.
 func TestServerReplListenRequiresPersistence(t *testing.T) {
-	if _, err := New(WithReplListen("127.0.0.1:0")); err == nil {
+	if _, err := New(WithTopology(Topology{ReplListen: "127.0.0.1:0"})); err == nil {
 		t.Fatal("New accepted -repl-listen without -data-dir")
 	}
 }
@@ -159,7 +159,7 @@ func TestServerReplZeroAlloc(t *testing.T) {
 	// In-process command frames against the primary, as in
 	// TestPerCommandZeroAlloc: decode → transaction → encode with
 	// reused buffers, io.Discard replies.
-	th, ok := p.getThread(-1)
+	th, ok := p.getThread()
 	if !ok {
 		t.Fatal("no thread")
 	}

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spectm/internal/backoff"
 	"spectm/internal/core"
 	"spectm/internal/repl"
 	"spectm/internal/shardmap"
@@ -37,15 +36,13 @@ import (
 type Option func(*config)
 
 type config struct {
-	maxConns   int
-	shards     int
-	buckets    int
-	layout     core.Layout
-	contention backoff.Policy
-	pinOS      bool
-	dataDir    string
-	fsync      wal.Policy
-	topo       Topology
+	maxConns int
+	shards   int
+	buckets  int
+	layout   core.Layout
+	dataDir  string
+	fsync    wal.Policy
+	topo     Topology
 }
 
 // WithMaxConns bounds concurrently served connections (default 64).
@@ -61,17 +58,6 @@ func WithInitialBuckets(n int) Option { return func(c *config) { c.buckets = n }
 // WithLayout selects the engine meta-data layout (default LayoutVal,
 // the paper's fastest for short transactions).
 func WithLayout(l core.Layout) Option { return func(c *config) { c.layout = l } }
-
-// WithContention selects the map's contention-management policy
-// (default CMLinear; see spectm.WithContention for the variants).
-func WithContention(p backoff.Policy) Option { return func(c *config) { c.contention = p } }
-
-// WithLockOSThread pins every connection goroutine to its own OS
-// thread. Combined with the pool's shard affinity this keeps a hot
-// shard's working set resident on the same core's caches; it spends an
-// OS thread per live connection, so it only pays off when maxConns is
-// near the core count.
-func WithLockOSThread() Option { return func(c *config) { c.pinOS = true } }
 
 // WithPersistence makes the served map durable: mutations append to
 // per-shard write-ahead logs under dir (fsynced per policy), startup
@@ -108,12 +94,10 @@ type Server struct {
 	rep    *repl.Replica // replica side, tailing the current primary
 	replLn net.Listener
 
-	// Thread pool with shard affinity (see threadPool).
 	pool threadPool
 
 	accepted atomic.Uint64
 	refused  atomic.Uint64
-	swaps    atomic.Uint64 // affinity re-leases (STATS affinity_swaps)
 }
 
 // New builds a server (engine + map) without listening yet.
@@ -140,7 +124,6 @@ func New(opts ...Option) (*Server, error) {
 		Layout:     cfg.layout,
 		MaxThreads: cfg.maxConns + 4,
 		Snapshots:  cfg.layout != core.LayoutVal,
-		Contention: cfg.contention,
 	})
 	if err != nil {
 		return nil, err
@@ -397,53 +380,26 @@ func (s *Server) untrack(c *conn) {
 	s.mu.Unlock()
 }
 
-// threadPool recycles map threads across connection churn with shard
-// affinity: shard[i] is the hot shard free[i]'s last connection
-// hammered (-1 when unknown), so a re-leasing connection can be paired
-// with a descriptor whose shard-local working set (arena pages,
-// contention state) is still cache-warm.
+// threadPool recycles map threads across connection churn: a LIFO free
+// list of parked descriptors plus the count ever created, which
+// maxConns bounds.
 type threadPool struct {
 	sync.Mutex
-	free  []*shardmap.Thread
-	shard []int
-	made  int
+	free []*shardmap.Thread
+	made int
 }
 
-// pick chooses a free-list index for hint, preferring a shard match;
-// -1 when the free list is empty. Callers hold the pool lock.
-func (p *threadPool) pick(hint int) int {
-	n := len(p.free)
-	if n == 0 {
-		return -1
-	}
-	if hint >= 0 {
-		for i := n - 1; i >= 0; i-- {
-			if p.shard[i] == hint {
-				return i
-			}
-		}
-	}
-	return n - 1
-}
-
-// take removes free-list entry i. Callers hold the pool lock.
-func (p *threadPool) take(i int) *shardmap.Thread {
-	th := p.free[i]
-	n := len(p.free) - 1
-	p.free[i], p.shard[i] = p.free[n], p.shard[n]
-	p.free, p.shard = p.free[:n], p.shard[:n]
-	return th
-}
-
-// getThread leases a map thread from the pool. hint is the shard the
-// caller expects to hammer (-1 = unknown): a free descriptor that last
-// served that shard is preferred over the most recently parked one.
-func (s *Server) getThread(hint int) (*shardmap.Thread, bool) {
+// getThread leases a map thread: the most recently parked one, or a new
+// one while fewer than maxConns exist. The connection keeps it until it
+// closes.
+func (s *Server) getThread() (*shardmap.Thread, bool) {
 	p := &s.pool
 	p.Lock()
 	defer p.Unlock()
-	if i := p.pick(hint); i >= 0 {
-		return p.take(i), true
+	if n := len(p.free); n > 0 {
+		th := p.free[n-1]
+		p.free = p.free[:n-1]
+		return th, true
 	}
 	if p.made >= s.cfg.maxConns {
 		return nil, false
@@ -452,41 +408,10 @@ func (s *Server) getThread(hint int) (*shardmap.Thread, bool) {
 	return s.m.NewThread(), true
 }
 
-// putThread parks a thread, recording the shard its connection was hot
-// on and clearing the tracker for the next lease.
+// putThread parks a thread for the next connection.
 func (s *Server) putThread(th *shardmap.Thread) {
-	hs := th.HotShard()
-	th.ResetHotShard()
 	p := &s.pool
 	p.Lock()
 	p.free = append(p.free, th)
-	p.shard = append(p.shard, hs)
 	p.Unlock()
-}
-
-// swapThread trades cur for a parked descriptor that last served shard
-// hint. It returns (cur, false) when no parked descriptor matches —
-// swapping for a random descriptor would only shed cache warmth.
-func (s *Server) swapThread(cur *shardmap.Thread, hint int) (*shardmap.Thread, bool) {
-	hs := cur.HotShard()
-	p := &s.pool
-	p.Lock()
-	n := len(p.free)
-	var i int
-	for i = n - 1; i >= 0; i-- {
-		if p.shard[i] == hint {
-			break
-		}
-	}
-	if i < 0 {
-		p.Unlock()
-		return cur, false
-	}
-	th := p.take(i)
-	cur.ResetHotShard()
-	p.free = append(p.free, cur)
-	p.shard = append(p.shard, hs)
-	p.Unlock()
-	s.swaps.Add(1)
-	return th, true
 }

@@ -70,7 +70,7 @@ func (c *client) do(t *testing.T, words ...string) proto.Reply {
 }
 
 func TestCommands(t *testing.T) {
-	s := startServer(t)
+	s := startServer(t, WithShards(4))
 	c := dial(t, s)
 
 	if r := c.do(t, "PING"); string(r.Str) != "PONG" {
@@ -168,6 +168,9 @@ func TestCommands(t *testing.T) {
 	if stats["conns"] != 1 || stats["accepted"] != 1 {
 		t.Errorf("STATS conns=%d accepted=%d, want 1,1", stats["conns"], stats["accepted"])
 	}
+	if _, ok := stats["conflicts"]; !ok || stats["shards"] != 4 {
+		t.Errorf("STATS shards=%d (want 4), conflicts present %v", stats["shards"], ok)
+	}
 }
 
 func parseStats(t *testing.T, s string) map[string]uint64 {
@@ -180,7 +183,7 @@ func parseStats(t *testing.T, s string) map[string]uint64 {
 		}
 		v, err := strconv.ParseUint(num, 10, 64)
 		if err != nil {
-			continue // string-valued stat (cm_policy)
+			t.Fatalf("bad stats value in %q", line)
 		}
 		out[name] = v
 	}

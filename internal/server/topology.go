@@ -94,23 +94,6 @@ func WithTopology(t Topology) Option {
 	return func(c *config) { c.topo = t }
 }
 
-// WithReplListen serves WAL-shipping replication on its own listener at
-// addr.
-//
-// Deprecated: use WithTopology. Composed with WithReplicaOf it yields a
-// promotable replica; alone it yields a primary.
-func WithReplListen(addr string) Option {
-	return func(c *config) { c.topo.ReplListen = addr }
-}
-
-// WithReplicaOf makes this server a read-only replica of the primary
-// whose replication listener is at addr.
-//
-// Deprecated: use WithTopology.
-func WithReplicaOf(addr string) Option {
-	return func(c *config) { c.topo.Primary = addr }
-}
-
 // ---- runtime role state ----
 
 // Role mirror for the writable() hot path: an atomic int32 the conn

@@ -47,7 +47,6 @@ import (
 	"sync/atomic"
 
 	"spectm/internal/arena"
-	"spectm/internal/backoff"
 	"spectm/internal/core"
 	"spectm/internal/pad"
 	"spectm/internal/wal"
@@ -110,9 +109,7 @@ type shard struct {
 	size  atomic.Uint64
 	a     *arena.Arena[node]
 	idTag uint64
-	idx   uint32     // position in Map.shards (hot-shard tracking)
 	mu    sync.Mutex // serializes resizers; never taken on the hot path
-	cm    backoff.CM // conflict-rate sampler + phase-2 ticket queue (cm.go)
 
 	// resizedAt is the snapshot clock read when the last resize finished
 	// migrating. Node copies made by a resize are fresh words with no
@@ -157,8 +154,7 @@ type Map struct {
 	shards    []shard
 	shardMask uint64
 	shardBits uint
-	idSeq     atomic.Uint64  // bucket identity allocator
-	cmPolicy  backoff.Policy // contention management for point-op retries (cm.go)
+	idSeq     atomic.Uint64 // bucket identity allocator
 
 	thrMu       sync.Mutex    // guards thrCounters
 	thrCounters []*opCounters // one slot set per attached Thread
@@ -224,7 +220,6 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		seed:      maphash.MakeSeed(),
 		shards:    make([]shard, ns),
 		shardMask: uint64(ns - 1),
-		cmPolicy:  e.Contention(),
 	}
 	for m.shardBits = 0; 1<<m.shardBits < ns; m.shardBits++ {
 	}
@@ -232,7 +227,6 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		sh := &m.shards[i]
 		sh.a = arena.New[node]()
 		sh.idTag = (uint64(i) + 1) << idShardShift
-		sh.idx = uint32(i)
 		st := &tables{cur: m.newTable(nb)}
 		sh.state.Store(st)
 	}
@@ -263,6 +257,9 @@ func (m *Map) newTable(n int) *table {
 // Engine returns the engine the map is bound to.
 func (m *Map) Engine() *core.Engine { return m.e }
 
+// Shards returns the map's shard count (after power-of-two rounding).
+func (m *Map) Shards() int { return len(m.shards) }
+
 // Len returns the number of keys. The count is a live sum over shard
 // counters, not an atomic snapshot.
 func (m *Map) Len() int {
@@ -289,13 +286,6 @@ type Thread struct {
 	m   *Map
 	t   *core.Thr
 	ops opCounters
-
-	// Contention management (cm.go): the single shard ticket this thread
-	// may hold mid-operation, and the Boyer-Moore hot-shard tracker.
-	// Owner-goroutine only, like the scratch below.
-	cmHeld  *backoff.CM
-	hsCand  uint32
-	hsCount int32
 
 	// migration scratch, reused across resizes
 	mchain []arena.Handle
@@ -330,6 +320,13 @@ func (m *Map) AttachThread(t *core.Thr) *Thread {
 
 // Thr exposes the underlying engine thread (stats, epochs).
 func (x *Thread) Thr() *core.Thr { return x.t }
+
+// conflict handles one conflicted attempt of a point operation: count it
+// and wait out the engine's randomized linear backoff.
+func (x *Thread) conflict(attempt int) {
+	x.ops.conflicts.Add(1)
+	x.t.Backoff(attempt)
+}
 
 // bucketVar returns the Var of bucket b's head link in table tb.
 func (m *Map) bucketVar(tb *table, b uint64) core.Var {
@@ -406,7 +403,6 @@ func (x *Thread) get(key string) (Value, bool) {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	defer x.cmDone(sh)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		_, _, cur, found, ok := x.search(sh, tb, h, key)
@@ -419,7 +415,7 @@ func (x *Thread) get(key string) (Value, bool) {
 		n := sh.a.Get(cur)
 		d, nv, vv := x.t.ShortRO2(x.m.nextVar(sh, cur, n), x.m.valVar(sh, cur, n))
 		if !d.Valid() {
-			x.cmWait(sh, attempt)
+			x.conflict(attempt)
 			continue
 		}
 		if nv.Marked() {
@@ -442,7 +438,6 @@ func (x *Thread) Put(key string, val Value) bool {
 	x.t.Epoch.Enter()
 	var spare arena.Handle
 	inserted, old := x.putLoop(sh, h, key, val, &spare)
-	x.cmDone(sh)
 	x.t.Epoch.Exit()
 	if inserted {
 		sh.size.Add(1)
@@ -480,7 +475,6 @@ func (x *Thread) update(h uint64, key string, val Value) (bool, Value) {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	defer x.cmDone(sh)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		_, _, cur, found, ok := x.search(sh, tb, h, key)
@@ -521,7 +515,7 @@ func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) (
 	if c.Commit(val) {
 		return writeDone, old
 	}
-	x.cmWait(sh, attempt)
+	x.conflict(attempt)
 	return writeConflict, 0
 }
 
@@ -590,7 +584,6 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	defer x.cmDone(sh)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		prev, link, cur, found, ok := x.search(sh, tb, h, key)
@@ -603,7 +596,7 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 		n := sh.a.Get(cur)
 		d, nv, pv := x.t.ShortRW2(x.m.nextVar(sh, cur, n), prev)
 		if !d.Valid() {
-			x.cmWait(sh, attempt)
+			x.conflict(attempt)
 			continue
 		}
 		if nv.Marked() || pv != link {
@@ -650,7 +643,6 @@ func (x *Thread) cas(h uint64, key string, old, new Value) bool {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	defer x.cmDone(sh)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		_, _, cur, found, ok := x.search(sh, tb, h, key)
@@ -671,13 +663,13 @@ func (x *Thread) cas(h uint64, key string, old, new Value) bool {
 			if d2.Valid() {
 				return false // consistent snapshot: live node, other value
 			}
-			x.cmWait(sh, attempt)
+			x.conflict(attempt)
 			continue
 		}
 		if c, up := d2.Upgrade2(); up && c.Commit(new) {
 			return true
 		}
-		x.cmWait(sh, attempt)
+		x.conflict(attempt)
 	}
 }
 
@@ -700,7 +692,6 @@ func (x *Thread) swap2(k1, k2 string) bool {
 	h1, h2 := x.m.hash(k1), x.m.hash(k2)
 	x.t.Epoch.Enter()
 	nv1, nv2, ok := x.swap2Loop(h1, h2, k1, k2)
-	x.cmDone(x.m.shardOf(h1))
 	x.t.Epoch.Exit()
 	if ok {
 		x.logSwap2(h1, k1, nv1, h2, k2, nv2)
@@ -742,6 +733,6 @@ func (x *Thread) swap2Loop(h1, h2 uint64, k1, k2 string) (Value, Value, bool) {
 		}
 		// A cross-shard op conflicts on its first key's shard: one shard
 		// keeps the thread's ticket count at most one (no queue deadlock).
-		x.cmWait(s1, attempt)
+		x.conflict(attempt)
 	}
 }

@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"spectm/internal/core"
@@ -14,15 +15,33 @@ import (
 func engines() map[string]*core.Engine {
 	return map[string]*core.Engine{
 		"val":           core.New(core.Config{Layout: core.LayoutVal}),
-		"val-nocounter": core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true}),
-		"tvar-g":        core.New(core.Config{Layout: core.LayoutTVar, Clock: core.ClockGlobal}),
-		"tvar-l":        core.New(core.Config{Layout: core.LayoutTVar, Clock: core.ClockLocal}),
-		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec, Clock: core.ClockGlobal}),
-		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, Clock: core.ClockLocal}),
+		"val-nocounter": core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter}),
+		"tvar-g":        core.New(core.Config{Layout: core.LayoutTVar}),
+		"tvar-l":        core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLocal}),
+		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec}),
+		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}),
 		"tvar-lazy":     core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLazy}),
 		"tvar-eager":    core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCEager}),
 		"val-eager":     core.New(core.Config{Layout: core.LayoutVal, CC: core.CCEager}),
 		"tvar-snap":     core.New(core.Config{Layout: core.LayoutTVar, Snapshots: true}),
+	}
+}
+
+// TestDefaultShardCount pins the WithShards doc contract: with no
+// option the shard count is the smallest power of two >= GOMAXPROCS,
+// at least 8.
+func TestDefaultShardCount(t *testing.T) {
+	want := runtime.GOMAXPROCS(0)
+	if want < 8 {
+		want = 8
+	}
+	want = ceilPow2(want)
+	m := New(core.New(core.Config{Layout: core.LayoutVal}))
+	if got := m.Shards(); got != want {
+		t.Fatalf("default shard count = %d, want %d (ceilPow2(max(GOMAXPROCS, 8)))", got, want)
+	}
+	if got := New(core.New(core.Config{Layout: core.LayoutVal}), WithShards(3)).Shards(); got != 4 {
+		t.Fatalf("WithShards(3) = %d shards, want 4", got)
 	}
 }
 
@@ -237,6 +256,10 @@ func TestZeroAllocHotPaths(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Fatalf("Map.CompareAndSwap allocates %.1f allocs/op, want 0", n)
+			}
+			// A conflicted attempt (count + backoff) must not allocate either.
+			if n := testing.AllocsPerRun(200, func() { th.conflict(3) }); n != 0 {
+				t.Fatalf("conflict path allocates %.1f allocs/op, want 0", n)
 			}
 		})
 	}

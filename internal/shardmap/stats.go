@@ -39,10 +39,9 @@ type OpStats struct {
 	IndexSearches uint64 // skip-list searches, by mutations and scans alike
 	IndexSteps    uint64 // entries those searches visited (steps per search = cost at this key count)
 
-	// Contention management (see cm.go).
-	Conflicts   uint64 // conflicted point-op attempts (every policy)
-	Escalations uint64 // attempts that escalated to a shard ticket (phase 2)
-	Serialized  uint64 // operations completed while holding a ticket
+	Conflicts uint64 // conflicted point-op attempts, each followed by a backoff
+	// Escalations is never incremented; tests/bench/stacks.go and ladder.go are its only readers.
+	Escalations uint64
 }
 
 // Add accumulates o into s.
@@ -73,8 +72,6 @@ func (s *OpStats) Add(o OpStats) {
 	s.IndexSearches += o.IndexSearches
 	s.IndexSteps += o.IndexSteps
 	s.Conflicts += o.Conflicts
-	s.Escalations += o.Escalations
-	s.Serialized += o.Serialized
 }
 
 // Ops returns the total operation count (batches count once).
@@ -101,7 +98,7 @@ type opCounters struct {
 	idxCreates, scanFallbacks atomic.Uint64
 	idxSearches, idxSteps     atomic.Uint64
 
-	conflicts, escalations, serialized atomic.Uint64
+	conflicts atomic.Uint64
 }
 
 // reset zeroes every slot (recovery replay drives the map through the
@@ -114,7 +111,7 @@ func (c *opCounters) reset() {
 		&c.snapBatches, &c.snapRetries, &c.snapFallbacks,
 		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
 		&c.idxCreates, &c.scanFallbacks, &c.idxSearches, &c.idxSteps,
-		&c.conflicts, &c.escalations, &c.serialized,
+		&c.conflicts,
 	} {
 		a.Store(0)
 	}
@@ -141,8 +138,6 @@ func (c *opCounters) snapshot() OpStats {
 		IndexSearches:     c.idxSearches.Load(),
 		IndexSteps:        c.idxSteps.Load(),
 		Conflicts:         c.conflicts.Load(),
-		Escalations:       c.escalations.Load(),
-		Serialized:        c.serialized.Load(),
 	}
 }
 
@@ -169,6 +164,12 @@ func (m *Map) OpStats() OpStats {
 	}
 	return s
 }
+
+// CMStats is the two-field form of OpStats' conflict counters; tests/bench/stacks.go and ladder.go are its only readers.
+type CMStats struct{ Conflicts, Escalations uint64 }
+
+// CMStats reports the map-wide conflict count (see OpStats.Conflicts).
+func (m *Map) CMStats() CMStats { return CMStats{Conflicts: m.OpStats().Conflicts} }
 
 // registerCounters attaches a new thread's counter slots to the map.
 func (m *Map) registerCounters(c *opCounters) {

@@ -154,6 +154,50 @@ func TestResizeUnderLoad(t *testing.T) {
 	}
 }
 
+// TestHotKeyHammer CAS-increments two keys from eight goroutines: every
+// lost race goes through the conflict path (count + randomized linear
+// backoff), and the per-key final sums must still be exact.
+func TestHotKeyHammer(t *testing.T) {
+	m := New(core.New(core.Config{Layout: core.LayoutOrec}), WithShards(2), WithInitialBuckets(4))
+	init := m.NewThread()
+	const hotKeys, workers = 2, 8
+	for k := 0; k < hotKeys; k++ {
+		init.Put(key(k), word.FromUint(0))
+	}
+	iters := 2000
+	if testing.Short() {
+		iters = 500
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := m.NewThread()
+			k := key(w % hotKeys)
+			for i := 0; i < iters; i++ {
+				for {
+					v, ok := th.Get(k)
+					if !ok {
+						t.Error("hot key vanished")
+						return
+					}
+					if th.CompareAndSwap(k, v, word.FromUint(v.Uint()+1)) {
+						break
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := 0; k < hotKeys; k++ {
+		v, ok := init.Get(key(k))
+		if want := uint64(workers / hotKeys * iters); !ok || v.Uint() != want {
+			t.Fatalf("key %d = %d (present %v) after the storm, want %d", k, v.Uint(), ok, want)
+		}
+	}
+}
+
 // TestSwap2Atomicity spins swappers exchanging two values across shards
 // while readers snapshot both keys with GetBatch; a reader must never see
 // a half-applied swap (both keys equal) or a missing key.

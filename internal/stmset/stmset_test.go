@@ -10,11 +10,11 @@ import (
 // engines returns a representative engine per layout/clock combination.
 func engines() map[string]func() *core.Engine {
 	return map[string]func() *core.Engine{
-		"orec-g": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutOrec, Clock: core.ClockGlobal}) },
-		"orec-l": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutOrec, Clock: core.ClockLocal}) },
-		"tvar-g": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutTVar, Clock: core.ClockGlobal}) },
-		"tvar-l": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutTVar, Clock: core.ClockLocal}) },
-		"val":    func() *core.Engine { return core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true}) },
+		"orec-g": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutOrec}) },
+		"orec-l": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}) },
+		"tvar-g": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutTVar}) },
+		"tvar-l": func() *core.Engine { return core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLocal}) },
+		"val":    func() *core.Engine { return core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter}) },
 		"val-c":  func() *core.Engine { return core.New(core.Config{Layout: core.LayoutVal}) },
 	}
 }
@@ -138,7 +138,7 @@ func TestModelEquivalence(t *testing.T) {
 
 // TestReclamation verifies removed nodes flow back through epochs.
 func TestReclamation(t *testing.T) {
-	e := core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true})
+	e := core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter})
 	h := NewHashShort(e, 8)
 	th := h.NewThread().(*hashShortThread)
 	for i := uint64(0); i < 500; i++ {
@@ -151,7 +151,7 @@ func TestReclamation(t *testing.T) {
 		t.Fatalf("%d hash nodes still live after churn", live)
 	}
 
-	sk := NewSkipShort(core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true}))
+	sk := NewSkipShort(core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter}))
 	st := sk.NewThread().(*skipSMThread[shortSteps])
 	for i := uint64(0); i < 500; i++ {
 		if !st.Add(i) {

@@ -73,7 +73,7 @@ func TestSkipTallTowerConcurrency(t *testing.T) {
 // that is concurrently marked: the marked node must read as absent while
 // its successors stay reachable through the frozen link.
 func TestHashShortMarkedNodeEdge(t *testing.T) {
-	e := core.New(core.Config{Layout: core.LayoutVal, ValNoCounter: true})
+	e := core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter})
 	h := NewHashShort(e, 1) // single bucket: one chain
 	th := h.NewThread()
 	for _, k := range []uint64{10, 20, 30} {

@@ -34,38 +34,16 @@ func WithLayout(l Layout) Option {
 //	CCLazy          classic TL2: as above but a stale read aborts
 //	                instead of extending
 //	CCEager         encounter-time write locking; reads keep extension
-//	CCLocal         per-orec versions, no global counter, read-set
-//	                validation after every read (formerly
-//	                WithClock(ClockLocal))
+//	CCLocal         orec and tvar only: per-orec versions, no global
+//	                counter, read-set validation after every read
 //	CCNoCounter     LayoutVal only: value validation without commit
-//	                counters (formerly WithValNoCounter)
+//	                counters (sound under the paper's §2.4 special
+//	                cases, e.g. non-re-use of memory)
 //
-// WithCC subsumes the deprecated WithClock/WithValNoCounter options; the
-// engine normalizes either surface into one effective protocol.
+// It is the one selector of the engine's protocol; NewEngine rejects a
+// policy the selected layout cannot run.
 func WithCC(cc CC) Option {
 	return func(c *core.Config) { c.CC = cc }
-}
-
-// WithContention selects the contention-management policy — how retry
-// loops over the engine respond to a conflict:
-//
-//	CMLinear    randomized linear backoff on every conflict (the
-//	            default — the paper's BaseTM, phase 1 of SwissTM's
-//	            two-phase manager)
-//	CMTwoPhase  the full two-phase design: past an attempt threshold a
-//	            long abort streak escalates to FIFO serialization on
-//	            the conflicted shard's ticket queue, so a hotspot
-//	            degrades to ordered progress instead of livelock
-//	CMAdaptive  per-shard switching: a shard whose sampled EWMA
-//	            conflict rate crosses the hot threshold serializes
-//	            conflicted operations immediately, and falls back to
-//	            linear backoff when it cools
-//
-// The policy mirrors the WithCC pattern: it is fixed at construction
-// and consulted by shard-structured data types (spectm.Map) that carry
-// per-shard contention state.
-func WithContention(p Contention) Option {
-	return func(c *core.Config) { c.Contention = p }
 }
 
 // WithSnapshots enables multi-version snapshot reads (Thr.SnapshotRead):
@@ -107,9 +85,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	var cfg core.Config
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.ValNoCounter && cfg.Layout != LayoutVal {
-		return nil, fmt.Errorf("spectm: CCNoCounter is only meaningful with LayoutVal, not %v", cfg.Layout)
 	}
 	if cfg.OrecBits != 0 && cfg.Layout != LayoutOrec {
 		return nil, fmt.Errorf("spectm: WithOrecBits is only meaningful with LayoutOrec, not %v", cfg.Layout)

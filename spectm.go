@@ -52,7 +52,6 @@ package spectm
 import (
 	"time"
 
-	"spectm/internal/backoff"
 	"spectm/internal/btree"
 	"spectm/internal/core"
 	"spectm/internal/deque"
@@ -92,13 +91,10 @@ type Layout = core.Layout
 // CC selects the concurrency-control policy; see WithCC.
 type CC = core.CC
 
-// Contention selects the contention-management policy; see
-// WithContention.
-type Contention = backoff.Policy
-
-// Meta-data layouts, concurrency-control policies and contention-
-// management policies (see the paper's Fig 3 and §4.1, WithCC for the
-// policy table, and WithContention for the contention table).
+// Meta-data layouts and concurrency-control policies (see the paper's
+// Fig 3 and §4.1, and WithCC for the policy table). Contention management
+// is not a choice: every retry loop uses the paper's randomized linear
+// backoff.
 const (
 	LayoutOrec = core.LayoutOrec
 	LayoutTVar = core.LayoutTVar
@@ -109,15 +105,7 @@ const (
 	CCEager        = core.CCEager
 	CCLocal        = core.CCLocal
 	CCNoCounter    = core.CCNoCounter
-
-	CMLinear   = backoff.CMLinear
-	CMTwoPhase = backoff.CMTwoPhase
-	CMAdaptive = backoff.CMAdaptive
 )
-
-// ParseContention maps a contention-policy name ("linear", "twophase",
-// "adaptive" — the String values) to its constant.
-func ParseContention(name string) (Contention, error) { return backoff.ParsePolicy(name) }
 
 // MaxShort is the maximum number of locations in a short transaction.
 const MaxShort = core.MaxShort

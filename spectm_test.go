@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"spectm/internal/core"
 )
 
 // TestFacadeQuickstart exercises the whole public surface the way the
@@ -83,13 +81,9 @@ func TestOptionsConstruction(t *testing.T) {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 
-	// CC policies normalize into the engine's internal clock/counter
-	// fields (the effective protocol is visible through Config).
-	if ec := New(WithCC(CCLocal)); ec.Config().Clock != core.ClockLocal {
-		t.Fatalf("WithCC(CCLocal) Clock = %v, want ClockLocal", ec.Config().Clock)
-	}
-	if ec := New(WithLayout(LayoutVal), WithCC(CCNoCounter)); !ec.Config().ValNoCounter {
-		t.Fatal("WithCC(CCNoCounter) did not set ValNoCounter")
+	// The effective protocol is visible through Config.
+	if ec := New(WithLayout(LayoutVal), WithCC(CCNoCounter)); ec.Config().CC != CCNoCounter {
+		t.Fatalf("WithCC(CCNoCounter) not applied: %+v", ec.Config())
 	}
 	if ec := New(WithLayout(LayoutTVar), WithCC(CCEager), WithSnapshots()); ec.Config().CC != CCEager || !ec.Config().Snapshots {
 		t.Fatalf("WithCC/WithSnapshots not applied: %+v", ec.Config())
@@ -100,6 +94,7 @@ func TestOptionsConstruction(t *testing.T) {
 		"orecbits-range":    {WithOrecBits(31)},
 		"orecbits-on-val":   {WithLayout(LayoutVal), WithOrecBits(4)},
 		"nocounter-on-tvar": {WithLayout(LayoutTVar), WithCC(CCNoCounter)},
+		"local-on-val":      {WithLayout(LayoutVal), WithCC(CCLocal)},
 		"snapshots-on-val":  {WithLayout(LayoutVal), WithSnapshots()},
 		"snapshots-local":   {WithCC(CCLocal), WithSnapshots()},
 	} {
