@@ -1,20 +1,15 @@
-// Command spectm-bench regenerates the paper's evaluation figures and
-// runs the repository's forward-looking serving workloads.
+// Command spectm-bench regenerates the paper's evaluation figures.
 //
 // Usage:
 //
 //	spectm-bench -figure all -duration 2s -csv out/
 //	spectm-bench -figure 6 -threads 1,2,4,8
-//	spectm-bench -figure map -duration 25ms -threads 1,2 -json BENCH_smoke.json
 //
-// Each figure prints the series the paper plots; -figure map runs the
-// sharded transactional map under mixed traffic. With -json, every series
-// point is also written as a machine-readable record — the file CI
-// uploads as the BENCH_smoke.json artifact to track the perf trajectory.
+// Each figure prints the series the paper plots, and with -csv also
+// writes them as one CSV file per sub-figure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,12 +37,11 @@ func parseThreads(s string) ([]int, error) {
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, map, cc, scan, net, durable, repl, or all")
+		figure   = flag.String("figure", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, or all")
 		duration = flag.Duration("duration", time.Second, "measurement time per experiment point")
 		threads  = flag.String("threads", "", "comma-separated thread counts; sorted and de-duplicated (default 1..2*GOMAXPROCS)")
-		keyrange = flag.Uint64("keyrange", 65536, "integer-set key range / map key population")
+		keyrange = flag.Uint64("keyrange", 65536, "integer-set key range")
 		csvDir   = flag.String("csv", "", "directory for CSV output (optional)")
-		jsonPath = flag.String("json", "", "file for machine-readable benchmark records (optional; one {name,threads,ops_per_sec,allocs_per_op} record per series point)")
 		seed     = flag.Uint64("seed", 0, "workload seed (0 = default)")
 	)
 	flag.Parse()
@@ -72,20 +66,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var records []figures.BenchRecord
-	if *jsonPath != "" {
-		opts.Record = func(r figures.BenchRecord) { records = append(records, r) }
-	}
 
 	runners := map[string]func(figures.Options) error{
 		"1": figures.Fig1, "5": figures.Fig5, "6": figures.Fig6,
 		"7": figures.Fig7, "8": figures.Fig8, "9": figures.Fig9,
-		"10": figures.Fig10, "map": figures.FigMap, "cc": figures.FigCC,
-		"scan":    figures.FigScan,
-		"net":     figures.FigNet,
-		"durable": figures.FigDurable,
-		"repl":    figures.FigRepl,
-		"all":     figures.All,
+		"10": figures.Fig10, "all": figures.All,
 	}
 	run, ok := runners[*figure]
 	if !ok {
@@ -101,16 +86,5 @@ func main() {
 	if err := run(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "spectm-bench: %v\n", err)
 		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectm-bench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d benchmark records to %s\n", len(records), *jsonPath)
 	}
 }

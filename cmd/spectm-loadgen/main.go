@@ -1,18 +1,16 @@
 // Command spectm-loadgen drives a spectm-server with closed-loop
-// pipelined key-value traffic and reports client-observed throughput,
-// in the same machine-readable BenchRecord format as spectm-bench.
+// pipelined key-value traffic and reports client-observed throughput.
 //
 // Usage:
 //
 //	spectm-loadgen -addr 127.0.0.1:6399 -conns 8 -pipeline 16 -duration 10s
-//	spectm-loadgen -selfserve -conns 4 -json BENCH_net.json
+//	spectm-loadgen -selfserve -conns 4 -duration 2s
 //
 // The connection dial retries for a few seconds, so starting the server
 // and the load generator simultaneously (as CI does) is safe.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"spectm/internal/figures"
 	"spectm/internal/harness"
 	"spectm/internal/server"
 )
@@ -48,6 +45,20 @@ func parseMix(s string) ([8]int, error) {
 	return mix, nil
 }
 
+// checkCounts rejects count flags below 1: the harness would read 0 as
+// its default and cannot size anything negative.
+func checkCounts(conns, pipeline, keys, scanLim int) error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"conns", conns}, {"pipeline", pipeline}, {"keys", keys}, {"scanlimit", scanLim}} {
+		if f.n < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", f.name, f.n)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", "", "server address (required unless -selfserve)")
@@ -60,12 +71,13 @@ func main() {
 		mixFlag   = flag.String("mix", "70,20,3,3,2,2", "op mix percentages get,set,del,cas,swap2,mget[,scan,iscan] (sum 100)")
 		scanLim   = flag.Int("scanlimit", 32, "SCAN/ISCAN result limit")
 		seed      = flag.Uint64("seed", 0, "workload seed (0 = default)")
-		jsonPath  = flag.String("json", "", "file for machine-readable benchmark records (optional)")
-		name      = flag.String("name", "loadgen", "benchmark record name prefix")
 	)
 	flag.Parse()
 
 	mix, err := parseMix(*mixFlag)
+	if err == nil {
+		err = checkCounts(*conns, *pipeline, *keys, *scanLim)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spectm-loadgen: %v\n", err)
 		os.Exit(2)
@@ -118,23 +130,5 @@ func main() {
 	if res.Errors > 0 {
 		fmt.Fprintf(os.Stderr, "spectm-loadgen: %d errors during run\n", res.Errors)
 		os.Exit(1)
-	}
-
-	if *jsonPath != "" {
-		records := []figures.BenchRecord{{
-			Name:        *name + "/" + *dist,
-			Threads:     *conns,
-			OpsPerSec:   res.OpsPerSec,
-			AllocsPerOp: res.AllocsPerOp,
-		}}
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectm-loadgen: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d benchmark records to %s\n", len(records), *jsonPath)
 	}
 }

@@ -6,7 +6,8 @@
 //
 // The paper's 16-way and 128-way testbeds become thread sweeps on the
 // host; shapes (variant ranking, relative factors) are the reproduction
-// target, not absolute numbers. See EXPERIMENTS.md.
+// target, not absolute numbers. The repository's own performance is
+// measured and gated by the layer ledger in tests/bench, not here.
 package figures
 
 import (
@@ -20,15 +21,6 @@ import (
 	"spectm/internal/harness"
 )
 
-// BenchRecord is one machine-readable benchmark point, the unit of the
-// CI perf trajectory (BENCH_*.json artifacts).
-type BenchRecord struct {
-	Name        string  `json:"name"` // e.g. "fig1/val-short" or "map/read-heavy/zipf"
-	Threads     int     `json:"threads"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
 // Options configures the runners.
 type Options struct {
 	Out      io.Writer     // destination (default os.Stdout)
@@ -37,17 +29,6 @@ type Options struct {
 	Duration time.Duration // per experiment point (default 1s)
 	KeyRange uint64        // default 65536
 	Seed     uint64
-
-	// Record, when set, receives one BenchRecord per series point (the
-	// -json plumbing of cmd/spectm-bench).
-	Record func(BenchRecord)
-}
-
-// record emits one benchmark point when a sink is attached.
-func (o Options) record(name string, threads int, opsPerSec, allocsPerOp float64) {
-	if o.Record != nil {
-		o.Record(BenchRecord{Name: name, Threads: threads, OpsPerSec: opsPerSec, AllocsPerOp: allocsPerOp})
-	}
 }
 
 func (o Options) withDefaults() Options {
@@ -93,7 +74,6 @@ func runSeries(o Options, s series) error {
 	}
 	fmt.Fprintf(o.Out, "sequential baseline: %.0f ops/s (normalization = 1.0)\n", base.OpsPerSec)
 	fmt.Fprintf(o.Out, "%-8s %-18s %14s %10s %12s\n", "threads", "variant", "ops/s", "vs-seq", "aborts")
-	o.record(s.fig+"/sequential", 1, base.OpsPerSec, base.AllocsPerOp)
 
 	var csv *os.File
 	if o.CSVDir != "" {
@@ -120,7 +100,6 @@ func runSeries(o Options, s series) error {
 			aborts := res.Stats.Aborts + res.Stats.ShortAborts
 			norm := res.OpsPerSec / base.OpsPerSec
 			fmt.Fprintf(o.Out, "%-8d %-18s %14.0f %10.2f %12d\n", th, v, res.OpsPerSec, norm, aborts)
-			o.record(s.fig+"/"+v, th, res.OpsPerSec, res.AllocsPerOp)
 			if csv != nil {
 				fmt.Fprintf(csv, "%d,%s,%.0f,%.3f,%d\n", th, v, res.OpsPerSec, norm, aborts)
 			}
@@ -277,10 +256,9 @@ func Fig10(o Options) error {
 	})
 }
 
-// All runs every figure, plus the forward-looking map, cc,
-// scan, net, durable and repl series.
+// All runs every figure.
 func All(o Options) error {
-	for _, f := range []func(Options) error{Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10, FigMap, FigCC, FigScan, FigNet, FigDurable, FigRepl} {
+	for _, f := range []func(Options) error{Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10} {
 		if err := f(o); err != nil {
 			return err
 		}

@@ -89,32 +89,3 @@ func TestRemainingFiguresRun(t *testing.T) {
 		}
 	}
 }
-
-func TestFigMapRuns(t *testing.T) {
-	var buf bytes.Buffer
-	o := quickOpts(t, true)
-	o.Out = &buf
-	var recs []BenchRecord
-	o.Record = func(r BenchRecord) { recs = append(recs, r) }
-	if err := FigMap(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"sharded transactional map", "read-heavy", "write-heavy", "zipf"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	// 2 thread counts × 3 mixes × 2 distributions
-	if want := 2 * 3 * 2; len(recs) != want {
-		t.Fatalf("got %d records, want %d", len(recs), want)
-	}
-	for _, r := range recs {
-		if r.OpsPerSec <= 0 || !strings.HasPrefix(r.Name, "map/") {
-			t.Fatalf("bad record %+v", r)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(o.CSVDir, "map.csv")); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -49,12 +49,11 @@ func (w Workload) withDefaults() Workload {
 
 // Result reports one experiment point.
 type Result struct {
-	Workload    Workload
-	Ops         uint64
-	Elapsed     time.Duration
-	OpsPerSec   float64
-	AllocsPerOp float64    // process-wide mallocs per operation during the run
-	Stats       core.Stats // aggregate over STM threads (zero otherwise)
+	Workload  Workload
+	Ops       uint64
+	Elapsed   time.Duration
+	OpsPerSec float64
+	Stats     core.Stats // aggregate over STM threads (zero otherwise)
 }
 
 // thrStats is implemented by STM-backed set threads.
@@ -89,7 +88,7 @@ func Run(w Workload) (Result, error) {
 	}
 
 	insertPct := (100 - w.LookupPct) / 2
-	ops, stats, elapsed, mallocs := runWorkers(w.Threads, w.Duration, func(id int) workerBody {
+	ops, stats, elapsed, _ := runWorkers(w.Threads, w.Duration, func(id int) workerBody {
 		var th intset.Thread
 		if w.Threads == 1 && w.Variant == "sequential" {
 			th = init // sequential sets share the underlying structure anyway
@@ -124,9 +123,6 @@ func Run(w Workload) (Result, error) {
 
 	res := Result{Workload: w, Elapsed: elapsed, Ops: ops, Stats: stats}
 	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	if res.Ops > 0 {
-		res.AllocsPerOp = float64(mallocs) / float64(res.Ops)
-	}
 	return res, nil
 }
 

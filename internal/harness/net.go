@@ -2,11 +2,12 @@
 // spectm-server. N client connections each keep a fixed-depth pipeline
 // of commands in flight — write depth commands, flush, read depth
 // replies — which is the many-connection, batched-RPC shape of real
-// key-value front-ends, as opposed to the in-process MapWorkload.
+// key-value front-ends.
 package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,7 @@ import (
 )
 
 // NetWorkload describes one load-generation run against a spectm-server
-// at Addr.
+// at Addr. A zero count means its default; a negative one is an error.
 type NetWorkload struct {
 	Addr     string
 	Conns    int // concurrent connections (default 4)
@@ -194,9 +195,36 @@ func (c *netConn) idxCreate(name, kind string) error {
 	return nil
 }
 
+// zipfSource adapts the repository PRNG to math/rand for the Zipf
+// sampler (setup-time only; sampling itself is allocation-free).
+type zipfSource struct{ s *rng.State }
+
+func (z zipfSource) Int63() int64   { return int64(z.s.Next() >> 1) }
+func (z zipfSource) Uint64() uint64 { return z.s.Next() }
+func (z zipfSource) Seed(int64)     {}
+
+// keyPicker returns a sampler over [0, n) for the configured
+// distribution. The Zipf exponent 1.1 gives the classic hot-key skew of
+// key-value-store traffic studies.
+func keyPicker(dist string, r *rng.State, n int) (func() int, error) {
+	switch dist {
+	case "uniform":
+		return func() int { return int(r.Intn(uint64(n))) }, nil
+	case "zipf":
+		z := rand.NewZipf(rand.New(zipfSource{r}), 1.1, 1, uint64(n-1))
+		return func() int { return int(z.Uint64()) }, nil
+	default:
+		return nil, fmt.Errorf("harness: unknown key distribution %q", dist)
+	}
+}
+
 // RunNet executes the workload and reports client-side throughput.
 func RunNet(w NetWorkload) (NetResult, error) {
 	w = w.withDefaults()
+	if w.Conns < 0 || w.Pipeline < 0 || w.Keys < 0 || w.ScanLim < 0 {
+		return NetResult{}, fmt.Errorf("harness: negative conns/pipeline/keys/scan limit %d/%d/%d/%d",
+			w.Conns, w.Pipeline, w.Keys, w.ScanLim)
+	}
 	if sum := w.GetPct + w.SetPct + w.DelPct + w.CASPct + w.SwapPct + w.MGetPct +
 		w.ScanPct + w.IScanPct; sum != 100 {
 		return NetResult{}, fmt.Errorf("harness: net op mix sums to %d, want 100", sum)

@@ -94,6 +94,32 @@ func TestAllVariantsAgree(t *testing.T) {
 	}
 }
 
+// TestFig1VariantsZeroAlloc pins the steady state of figure 1's hash
+// table at 0 allocs/op for every variant the figure plots: a lookup, a
+// remove of an absent key and an add of a present key touch no new node.
+func TestFig1VariantsZeroAlloc(t *testing.T) {
+	for _, v := range []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"} {
+		s, err := New(Config{Structure: "hash", Variant: v, Buckets: 256, MaxThreads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := s.NewThread()
+		for k := uint64(0); k < 1024; k += 2 {
+			th.Add(k)
+		}
+		for name, op := range map[string]func(){
+			"contains":        func() { th.Contains(512) },
+			"remove-absent":   func() { th.Remove(513) },
+			"add-present":     func() { th.Add(514) },
+			"contains-absent": func() { th.Contains(515) },
+		} {
+			if got := testing.AllocsPerRun(200, op); got != 0 {
+				t.Errorf("%s %s: %.2f allocs/op, want 0", v, name, got)
+			}
+		}
+	}
+}
+
 // TestConcurrentBalance stresses every concurrent variant and checks the
 // add/remove balance invariant per key.
 func TestConcurrentBalance(t *testing.T) {
