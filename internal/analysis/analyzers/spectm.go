@@ -120,12 +120,11 @@ const (
 )
 
 // The terminal set is policy-independent by construction: every
-// concurrency-control policy (timestamp extension, lazy, eager — see
-// core.CC) funnels through the same descriptor Commit/Abort surface,
-// and the eager policy's extra release-on-abort work happens inside
-// those same calls. Snapshot reads never join a read set or take
-// locks, so they get their own state-neutral event instead of falling
-// through unrecognized.
+// concurrency-control policy (see core.CC) funnels through the same
+// descriptor Commit/Abort surface, and the eager policy's extra
+// release-on-abort work happens inside those same calls. Snapshot reads
+// never join a read set or take locks, so they get their own
+// state-neutral event instead of falling through unrecognized.
 var (
 	thrOpenLockRe = regexp.MustCompile(`^(ShortRW[1-4]|RWRead1)$`)
 	thrOpenRORe   = regexp.MustCompile(`^(ShortRO[1-4]|RORead1)$`)

@@ -13,17 +13,17 @@ import (
 func TestConfigSpace(t *testing.T) {
 	valid := map[Config]bool{}
 	for _, l := range []Layout{LayoutOrec, LayoutTVar} {
-		for _, cc := range []CC{CCTimestampExt, CCLazy, CCEager} {
+		for _, cc := range []CC{CCTimestampExt, CCLazy} {
 			valid[Config{Layout: l, CC: cc}] = true
 			valid[Config{Layout: l, CC: cc, Snapshots: true}] = true
 		}
 		valid[Config{Layout: l, CC: CCLocal}] = true
 	}
-	for _, cc := range []CC{CCTimestampExt, CCLazy, CCEager, CCNoCounter} {
+	for _, cc := range []CC{CCTimestampExt, CCEager, CCNoCounter} {
 		valid[Config{Layout: LayoutVal, CC: cc}] = true
 	}
-	if len(valid) != 18 {
-		t.Fatalf("valid table lists %d configurations, want 18", len(valid))
+	if len(valid) != 13 {
+		t.Fatalf("valid table lists %d configurations, want 13", len(valid))
 	}
 	for l := LayoutOrec; l <= LayoutVal+1; l++ {
 		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
@@ -105,6 +105,8 @@ func TestCCValidate(t *testing.T) {
 	bad := map[string]Config{
 		"nocounter-versioned": {Layout: LayoutTVar, CC: CCNoCounter},
 		"local-val":           {Layout: LayoutVal, CC: CCLocal},
+		"lazy-val":            {Layout: LayoutVal, CC: CCLazy},
+		"eager-versioned":     {Layout: LayoutOrec, CC: CCEager},
 		"snapshots-val":       {Layout: LayoutVal, Snapshots: true},
 		"snapshots-local":     {Layout: LayoutTVar, CC: CCLocal, Snapshots: true},
 		"cc-out-of-range":     {Layout: LayoutTVar, CC: CC(97)},
@@ -158,12 +160,11 @@ func TestLazyAbortsInsteadOfExtending(t *testing.T) {
 	}
 }
 
-// eagerConfigs returns the eager-policy engines across all layouts.
+// eagerConfigs returns the eager-policy engines. CCEager runs only on
+// LayoutVal, where the lock bit lives in the data word.
 func eagerConfigs() map[string]Config {
 	return map[string]Config{
-		"orec": {Layout: LayoutOrec, CC: CCEager},
-		"tvar": {Layout: LayoutTVar, CC: CCEager},
-		"val":  {Layout: LayoutVal, CC: CCEager},
+		"val": {Layout: LayoutVal, CC: CCEager},
 	}
 }
 
@@ -248,8 +249,8 @@ func TestEagerAbortReleasesLocks(t *testing.T) {
 }
 
 // TestEagerReadsOwnWrites: a read of a word the transaction has eagerly
-// locked must return the pending (deferred) value, not the stale data
-// word, and the commit must publish it.
+// locked must return the pending (deferred) value, not the lock word,
+// and the commit must publish it.
 func TestEagerReadsOwnWrites(t *testing.T) {
 	for name, cfg := range eagerConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -276,45 +277,5 @@ func TestEagerReadsOwnWrites(t *testing.T) {
 				t.Fatal("eager commit did not publish")
 			}
 		})
-	}
-}
-
-// TestEagerOrecAliasing: with a tiny orec table, reads of unwritten
-// words whose orec the transaction already owns must read through its
-// own lock (the data word is untouched — updates are deferred), and the
-// commit must still publish exactly the written words.
-func TestEagerOrecAliasing(t *testing.T) {
-	e := newTestEngine(Config{Layout: LayoutOrec, CC: CCEager, OrecBits: 2})
-	thr := e.Register()
-	const n = 8
-	w := make([]Var, n)
-	r := make([]Var, n)
-	for i := range w {
-		w[i] = e.NewVar(iv(uint64(i)))
-		r[i] = e.NewVar(iv(uint64(1000 + i)))
-	}
-	ok := thr.Atomic(func() bool {
-		for i := range w {
-			thr.TxWrite(w[i], iv(uint64(100+i)))
-		}
-		// Every orec is now self-owned; these reads all go through the
-		// transaction's own locks.
-		for i := range r {
-			if got := thr.TxRead(r[i]); got != iv(uint64(1000+i)) {
-				t.Fatalf("aliased read r[%d] = %v", i, got)
-			}
-		}
-		return true
-	})
-	if !ok {
-		t.Fatal("uncontended aliasing transaction failed")
-	}
-	for i := range w {
-		if got := thr.SingleRead(w[i]); got != iv(uint64(100+i)) {
-			t.Fatalf("w[%d] = %v after commit", i, got)
-		}
-		if got := thr.SingleRead(r[i]); got != iv(uint64(1000+i)) {
-			t.Fatalf("r[%d] = %v after commit (unwritten word changed)", i, got)
-		}
 	}
 }

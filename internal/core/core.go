@@ -72,10 +72,12 @@ func (l Layout) String() string {
 }
 
 // CC selects the concurrency-control policy: how full (and short
-// read-only) transactions acquire write ownership and keep their read
-// sets consistent. Policies are specialized at engine construction into
-// monomorphized read/commit paths — there is no interface dispatch on
-// the hot path.
+// read-only) transactions version words and keep their read sets
+// consistent. On the versioned layouts every policy locks a full
+// transaction's write set at commit time; only CCEager, on LayoutVal,
+// locks at encounter time. Policies are specialized at engine
+// construction into monomorphized read/commit paths — there is no
+// interface dispatch on the hot path.
 type CC uint8
 
 const (
@@ -87,15 +89,16 @@ const (
 	// value-based validation guarded by per-thread commit counters
 	// (after Dalessandro et al.), which makes general transactions safe.
 	CCTimestampExt CC = iota
-	// CCLazy is classic TL2: lazy acquisition and invisible readers,
-	// but no extension — a read that observes a post-snapshot version
-	// aborts immediately. Cheaper validation under low contention,
-	// more aborts under clock pressure.
+	// CCLazy, for the versioned layouts (orec, tvar), is classic TL2:
+	// lazy acquisition and invisible readers, but no extension — a read
+	// that observes a post-snapshot version aborts immediately. Cheaper
+	// validation under low contention, more aborts under clock pressure.
 	CCLazy
-	// CCEager acquires write locks at encounter time (TxWrite) instead
-	// of commit time. Writers become visible early, which resolves
-	// write/write conflicts immediately at the cost of longer lock hold
-	// times. Reads keep timebase extension.
+	// CCEager, for LayoutVal only, acquires write locks at encounter
+	// time (TxWrite) instead of commit time. Writers become visible
+	// early, which resolves write/write conflicts immediately at the
+	// cost of longer lock hold times. Reads keep counter-guarded value
+	// validation.
 	CCEager
 	// CCLocal, for the versioned layouts (orec, tvar), keeps per-orec
 	// versions and no global counter, paying for it with read-set
@@ -194,8 +197,11 @@ func (c Config) Validate() error {
 	if c.CC == CCNoCounter && c.Layout != LayoutVal {
 		return fmt.Errorf("core: CCNoCounter requires LayoutVal (value-based validation)")
 	}
-	if c.CC == CCLocal && c.Layout == LayoutVal {
-		return fmt.Errorf("core: CCLocal requires a versioned layout (orec or tvar)")
+	if c.CC == CCEager && c.Layout != LayoutVal {
+		return fmt.Errorf("core: CCEager requires LayoutVal (versioned layouts lock at commit time)")
+	}
+	if (c.CC == CCLocal || c.CC == CCLazy) && c.Layout == LayoutVal {
+		return fmt.Errorf("core: the %v policy requires a versioned layout (orec or tvar)", c.CC)
 	}
 	if c.Snapshots {
 		if c.Layout == LayoutVal {
@@ -238,23 +244,19 @@ const (
 	rpValNoCnt              // val layout, pure value validation
 )
 
-// protoPaths derives the dispatch code and eager flag from a validated
-// configuration.
-func protoPaths(cfg Config) (rpath, bool) {
-	var rp rpath
+// protoPath derives the dispatch code from a validated configuration.
+func protoPath(cfg Config) rpath {
 	switch {
 	case cfg.CC == CCNoCounter:
-		rp = rpValNoCnt
+		return rpValNoCnt
 	case cfg.Layout == LayoutVal:
-		rp = rpValCnt
+		return rpValCnt
 	case cfg.CC == CCLocal:
-		rp = rpVerLocal
+		return rpVerLocal
 	case cfg.CC == CCLazy:
-		rp = rpVerLazy
-	default:
-		rp = rpVerExt
+		return rpVerLazy
 	}
-	return rp, cfg.CC == CCEager
+	return rpVerExt
 }
 
 // New creates an engine, panicking on an invalid configuration. Use
@@ -276,10 +278,11 @@ func NewChecked(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:      cfg,
+		rp:       protoPath(cfg),
+		eager:    cfg.CC == CCEager,
 		local:    clock.NewPerThread(cfg.MaxThreads),
 		epochDom: epoch.NewDomain(cfg.MaxThreads),
 	}
-	e.rp, e.eager = protoPaths(cfg)
 	if cfg.Snapshots {
 		e.snap = newSnapTable()
 	}
@@ -389,12 +392,6 @@ type Thr struct {
 	// Stats accumulates outcome counts.
 	Stats Stats
 
-	// conflicts counts every Backoff call — one per conflicted attempt,
-	// the engine's universal abort-retry funnel. Atomic (unlike Stats)
-	// so samplers on other goroutines can read it while the thread runs;
-	// a single uncontended add on the already-slow conflict path.
-	conflicts atomic.Uint64
-
 	short shortRec
 	txn   txnRec
 }
@@ -449,16 +446,8 @@ func (t *Thr) storeEnd() {
 func (e *Engine) stableSum() uint64 { return e.local.StableSum() }
 
 // Backoff delays the caller before a retry, using the randomized linear
-// contention manager (attempt is 1-based). Every conflicted attempt
-// funnels through here, so it also feeds the thread's conflict counter.
-func (t *Thr) Backoff(attempt int) {
-	t.conflicts.Add(1)
-	backoff.Wait(t.Rng, attempt)
-}
-
-// Conflicts returns the number of conflicted attempts (Backoff calls)
-// this thread has made. Safe to read from any goroutine.
-func (t *Thr) Conflicts() uint64 { return t.conflicts.Load() }
+// contention manager (attempt is 1-based).
+func (t *Thr) Backoff(attempt int) { backoff.Wait(t.Rng, attempt) }
 
 // spinWait is a bounded busy-wait used while a lock bit is expected to
 // clear momentarily; it yields to the scheduler each round.

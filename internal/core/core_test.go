@@ -11,7 +11,7 @@ import (
 // variant grid, keyed by a label matching the paper's naming, plus the
 // non-default concurrency-control policies. In -short mode the policy
 // matrix shrinks to one representative per policy; the full run also
-// covers their orec (duplicate-aliasing) and val (lock-bit) forms.
+// covers the lazy policy's orec (duplicate-aliasing) form.
 func configs() map[string]Config {
 	m := map[string]Config{
 		"orec-g":        {Layout: LayoutOrec},
@@ -20,13 +20,11 @@ func configs() map[string]Config {
 		"tvar-l":        {Layout: LayoutTVar, CC: CCLocal},
 		"val":           {Layout: LayoutVal},
 		"val-nocounter": {Layout: LayoutVal, CC: CCNoCounter},
+		"val-eager":     {Layout: LayoutVal, CC: CCEager},
 		"tvar-lazy":     {Layout: LayoutTVar, CC: CCLazy},
-		"tvar-eager":    {Layout: LayoutTVar, CC: CCEager},
 	}
 	if !testing.Short() {
 		m["orec-lazy"] = Config{Layout: LayoutOrec, CC: CCLazy}
-		m["orec-eager"] = Config{Layout: LayoutOrec, CC: CCEager}
-		m["val-eager"] = Config{Layout: LayoutVal, CC: CCEager}
 	}
 	return m
 }
@@ -328,7 +326,7 @@ func TestFullTxnReadYourWrites(t *testing.T) {
 		// Deferred updates: not visible before commit. Under
 		// encounter-time locking the word is write-locked until the
 		// decision, so a reader would wait instead of observing — the
-		// peek only applies to lazy-acquisition policies.
+		// peek only applies to commit-time locking.
 		if e.Config().CC != CCEager {
 			if peek := e.Register().SingleRead(v); peek != iv(1) {
 				t.Fatalf("uncommitted write leaked: %v", peek)

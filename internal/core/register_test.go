@@ -188,7 +188,6 @@ func TestSuitesAtCapacity1024(t *testing.T) {
 		{"EagerWriteWriteConflict", TestEagerWriteWriteConflict},
 		{"EagerAbortReleasesLocks", TestEagerAbortReleasesLocks},
 		{"EagerReadsOwnWrites", TestEagerReadsOwnWrites},
-		{"EagerOrecAliasing", TestEagerOrecAliasing},
 	} {
 		t.Run(s.name, s.fn)
 	}

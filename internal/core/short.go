@@ -276,7 +276,7 @@ func (t *Thr) shortRORead(i int, v Var) Value {
 const roSpinBudget = 64
 
 // shortROReadVerExt: global clock with TL2 timebase extension
-// (CCTimestampExt/CCEager): a version newer than the snapshot forces
+// (CCTimestampExt): a version newer than the snapshot forces
 // revalidation of everything read so far, after which the snapshot may
 // be advanced.
 func (t *Thr) shortROReadVerExt(i int, v Var) Value {

@@ -8,8 +8,9 @@
 // The val layout follows the paper's §2.4 general-purpose fallback, which
 // is NOrec-shaped [Dalessandro et al.]: reads log (location, value) pairs
 // and are revalidated by value whenever the commit counter moves; commit
-// locks the write set in place (lock bits in the data words), validates
-// the read set by value, and publishes.
+// locks the write set in place (lock bits in the data words; CCEager sets
+// them at TxWrite instead), validates the read set by value, and
+// publishes.
 //
 // Conflicts mark the transaction aborted; subsequent reads return 0 and
 // TxCommit fails. Callers restart, normally through Thr.Atomic, which
@@ -80,7 +81,7 @@ func (t *Thr) TxOK() bool { return t.txn.active && !t.txn.aborted }
 
 // txAbortNow marks the transaction dead after a conflict. Under CCEager
 // the write set holds its locks during execution, so they are released
-// here.
+// here; every other policy locks the write set only inside TxCommit.
 func (t *Thr) txAbortNow() {
 	if t.eager {
 		t.txReleaseEagerLocks()
@@ -90,20 +91,18 @@ func (t *Thr) txAbortNow() {
 }
 
 // txReleaseEagerLocks drops every encounter-time write lock and empties
-// the write set (idempotent).
+// the write set (idempotent). CCEager requires LayoutVal, so the locks
+// are the lock bits in the data words.
 func (t *Thr) txReleaseEagerLocks() {
 	x := &t.txn
-	if t.e.cfg.Layout == LayoutVal {
-		t.txReleaseValLocks(len(x.writes))
-	} else {
-		t.txReleaseWriteLocks(len(x.writes))
-	}
+	t.txReleaseValLocks(len(x.writes))
 	x.writes = x.writes[:0]
 }
 
 // TxAbort abandons the transaction explicitly (user abort, the paper's
-// STM_ABORT_TX). Only CCEager holds locks during execution; they are
-// released before the reset.
+// STM_ABORT_TX). Updates are deferred, so there is nothing to undo; only
+// CCEager holds locks during execution, and they are released before
+// the reset.
 func (t *Thr) TxAbort() {
 	if t.eager && t.txn.active && !t.txn.aborted {
 		t.txReleaseEagerLocks()
@@ -145,19 +144,11 @@ func (t *Thr) TxRead(v Var) Value {
 }
 
 // txPairRead performs the consistent meta/data pair read shared by the
-// versioned policies. Under CCEager a word can be locked by this very
-// transaction (through an orec shared with an earlier write); deferred
-// updates leave the data word untouched, so it reads through against
-// the recorded pre-lock meta.
+// versioned policies.
 func (t *Thr) txPairRead(v Var) (m1, d uint64, ok bool) {
 	for iter := 0; ; iter++ {
 		m1 = vlock.Load(v.meta)
 		if vlock.IsLocked(m1) {
-			if t.eager && vlock.LockedBy(m1, t.owner) {
-				if seen := t.txOwnLockSeen(v.meta); seen != ^uint64(0) {
-					return seen, atomic.LoadUint64(v.data), true
-				}
-			}
 			if iter >= txnSpinBudget {
 				return 0, 0, false
 			}
@@ -175,8 +166,7 @@ func (t *Thr) txPairRead(v Var) (m1, d uint64, ok bool) {
 	}
 }
 
-// txReadVerExt: global clock with timebase extension (CCTimestampExt,
-// and the read side of CCEager).
+// txReadVerExt: global clock with timebase extension (CCTimestampExt).
 func (t *Thr) txReadVerExt(v Var) Value {
 	x := &t.txn
 	m1, d, ok := t.txPairRead(v)
@@ -249,7 +239,7 @@ func (t *Thr) txReadValNoCnt(v Var) Value {
 			continue
 		}
 		x.reads = append(x.reads, rdEnt{data: v.data, seen: w})
-		if !t.txValidateVal(t.valSelfOwner()) {
+		if !t.txValidateVal(0) {
 			t.txAbortNow()
 			return 0
 		}
@@ -339,33 +329,13 @@ func (t *Thr) TxWrite(v Var, val Value) {
 	x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val)})
 }
 
-// txWriteEager acquires v's write lock at encounter time (CCEager).
-// Writers become visible to peers immediately; a conflict that outlasts
-// the spin budget aborts the transaction (deadlock avoidance: bounded
-// wait plus the caller's randomized backoff).
+// txWriteEager acquires v's write lock at encounter time (CCEager, val
+// layout: the lock bit lives in the data word itself). Writers become
+// visible to peers immediately; a conflict that outlasts the spin budget
+// aborts the transaction (deadlock avoidance: bounded wait plus the
+// caller's randomized backoff).
 func (t *Thr) txWriteEager(v Var, val Value) {
 	x := &t.txn
-	if v.meta != nil {
-		if j := t.ownWriteLock(v.meta, len(x.writes)); j >= 0 {
-			// Orec shared with an earlier write: alias its lock.
-			x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val), lockSeen: x.writes[j].lockSeen, dup: true})
-			return
-		}
-		for iter := 0; iter < txnSpinBudget; iter++ {
-			m := vlock.Load(v.meta)
-			if vlock.IsLocked(m) {
-				spinWait(iter)
-				continue
-			}
-			if vlock.TryLock(v.meta, m, t.owner) {
-				x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val), lockSeen: m})
-				return
-			}
-		}
-		t.txAbortNow()
-		return
-	}
-	// Val layout: the lock bit lives in the data word itself.
 	for iter := 0; iter < txnSpinBudget; iter++ {
 		cur := atomic.LoadUint64(v.data)
 		if word.Locked(cur) {
@@ -396,12 +366,10 @@ func (t *Thr) TxCommit() bool {
 	}
 	var ok bool
 	switch {
-	case t.e.cfg.Layout == LayoutVal && t.eager:
+	case t.eager:
 		ok = t.txCommitValEager()
 	case t.e.cfg.Layout == LayoutVal:
 		ok = t.txCommitVal()
-	case t.eager:
-		ok = t.txCommitVerEager()
 	default:
 		ok = t.txCommitVersioned()
 	}
@@ -502,26 +470,6 @@ func (t *Thr) txPublishVersioned(wv uint64) {
 	for i := range x.writes {
 		atomic.StoreUint64(x.writes[i].data, x.writes[i].val)
 	}
-}
-
-// txCommitVerEager commits a CCEager transaction: the write set was
-// locked at encounter time, so commit is validate + publish + release.
-// CCEager requires the global timebase (enforced by Config.Validate).
-func (t *Thr) txCommitVerEager() bool {
-	x := &t.txn
-	wv := t.e.global.Tick()
-	if !t.txValidateVersioned() {
-		t.txReleaseWriteLocks(len(x.writes))
-		return false
-	}
-	t.txPublishVersioned(wv)
-	for i := range x.writes {
-		w := &x.writes[i]
-		if !w.dup {
-			vlock.Unlock(w.meta, wv)
-		}
-	}
-	return true
 }
 
 // ownWriteLock returns the index of an earlier write entry that already
@@ -631,21 +579,17 @@ func (t *Thr) txCommitVal() bool {
 	return true
 }
 
-// txCommitValEager commits a CCEager val-layout transaction: the write
-// set already holds its lock bits (set in TxWrite), so commit is
-// validate + publish.
+// txCommitValEager commits a CCEager transaction: the write set already
+// holds its lock bits (set in TxWrite), so commit is validate + publish.
+// CCEager runs on the commit-counter path (rpValCnt).
 func (t *Thr) txCommitValEager() bool {
 	x := &t.txn
 	var ok bool
-	if t.rp == rpValNoCnt {
+	for {
+		s1 := t.e.stableSum()
 		ok = t.txValidateVal(t.owner)
-	} else {
-		for {
-			s1 := t.e.stableSum()
-			ok = t.txValidateVal(t.owner)
-			if !ok || t.e.stableSum() == s1 {
-				break
-			}
+		if !ok || t.e.stableSum() == s1 {
+			break
 		}
 	}
 	if !ok {

@@ -257,14 +257,12 @@ func TestOracleConcurrent(t *testing.T) {
 // multi-version reads. -short keeps one representative per policy.
 func TestOracleConcurrentCC(t *testing.T) {
 	cfgs := map[string]core.Config{
-		"tvar-lazy":  {Layout: core.LayoutTVar, CC: core.CCLazy},
-		"tvar-eager": {Layout: core.LayoutTVar, CC: core.CCEager},
-		"tvar-snap":  {Layout: core.LayoutTVar, Snapshots: true},
+		"tvar-lazy": {Layout: core.LayoutTVar, CC: core.CCLazy},
+		"tvar-snap": {Layout: core.LayoutTVar, Snapshots: true},
 	}
 	if !testing.Short() {
 		cfgs["val-eager"] = core.Config{Layout: core.LayoutVal, CC: core.CCEager}
 		cfgs["orec-lazy"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLazy}
-		cfgs["tvar-eager-snap"] = core.Config{Layout: core.LayoutTVar, CC: core.CCEager, Snapshots: true}
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) { runOracleConcurrent(t, cfg) })
@@ -375,7 +373,6 @@ func TestOracleSnapshotMGET(t *testing.T) {
 	}
 	if !testing.Short() {
 		cfgs["orec-snap"] = core.Config{Layout: core.LayoutOrec, Snapshots: true}
-		cfgs["tvar-eager-snap"] = core.Config{Layout: core.LayoutTVar, CC: core.CCEager, Snapshots: true}
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

@@ -3,7 +3,7 @@
 // control policy and a handful of capacity knobs; options make the
 // common case read as prose —
 //
-//	e := spectm.New(spectm.WithLayout(spectm.LayoutTVar), spectm.WithCC(spectm.CCEager))
+//	e := spectm.New(spectm.WithLayout(spectm.LayoutTVar), spectm.WithCC(spectm.CCLocal))
 //
 // — while New validates the combination before any memory is committed.
 // The zero-option call spectm.New() builds the default engine: the orec
@@ -28,13 +28,14 @@ func WithLayout(l Layout) Option {
 
 // WithCC selects the concurrency-control policy:
 //
-//	CCTimestampExt  lazy acquisition, invisible readers, timebase
+//	CCTimestampExt  commit-time locking, invisible readers, timebase
 //	                extension on reads (the default — the engine's
 //	                original protocol)
-//	CCLazy          classic TL2: as above but a stale read aborts
-//	                instead of extending
-//	CCEager         encounter-time write locking; reads keep extension
-//	CCLocal         orec and tvar only: per-orec versions, no global
+//	CCLazy          orec and tvar only: classic TL2, as above but a
+//	                stale read aborts instead of extending
+//	CCEager         LayoutVal only: encounter-time write locking;
+//	                reads keep counter-guarded value validation
+//	CCLocal        orec and tvar only: per-orec versions, no global
 //	                counter, read-set validation after every read
 //	CCNoCounter     LayoutVal only: value validation without commit
 //	                counters (sound under the paper's §2.4 special

@@ -85,7 +85,7 @@ func TestOptionsConstruction(t *testing.T) {
 	if ec := New(WithLayout(LayoutVal), WithCC(CCNoCounter)); ec.Config().CC != CCNoCounter {
 		t.Fatalf("WithCC(CCNoCounter) not applied: %+v", ec.Config())
 	}
-	if ec := New(WithLayout(LayoutTVar), WithCC(CCEager), WithSnapshots()); ec.Config().CC != CCEager || !ec.Config().Snapshots {
+	if ec := New(WithLayout(LayoutTVar), WithCC(CCLazy), WithSnapshots()); ec.Config().CC != CCLazy || !ec.Config().Snapshots {
 		t.Fatalf("WithCC/WithSnapshots not applied: %+v", ec.Config())
 	}
 
@@ -95,6 +95,7 @@ func TestOptionsConstruction(t *testing.T) {
 		"orecbits-on-val":   {WithLayout(LayoutVal), WithOrecBits(4)},
 		"nocounter-on-tvar": {WithLayout(LayoutTVar), WithCC(CCNoCounter)},
 		"local-on-val":      {WithLayout(LayoutVal), WithCC(CCLocal)},
+		"eager-on-tvar":     {WithLayout(LayoutTVar), WithCC(CCEager)},
 		"snapshots-on-val":  {WithLayout(LayoutVal), WithSnapshots()},
 		"snapshots-local":   {WithCC(CCLocal), WithSnapshots()},
 	} {

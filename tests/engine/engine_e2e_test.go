@@ -18,7 +18,6 @@ func configs() map[string][]spectm.Option {
 	return map[string][]spectm.Option{
 		"default":        nil,
 		"orec-lazy":      {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCLazy)},
-		"orec-eager":     {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCEager)},
 		"orec-local":     {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCLocal)},
 		"orec-snap":      {spectm.WithLayout(spectm.LayoutOrec), spectm.WithSnapshots()},
 		"tvar":           {spectm.WithLayout(spectm.LayoutTVar)},
