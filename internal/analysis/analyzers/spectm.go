@@ -109,8 +109,8 @@ type txnEvent int
 
 const (
 	evNone     txnEvent = iota
-	evOpenLock          // opens a lock-holding short txn (ShortRW*, RWRead1)
-	evOpenRO            // opens a read-only short txn (ShortRO*, RORead1)
+	evOpenLock          // opens a lock-holding short txn (Thr.ShortRW*)
+	evOpenRO            // opens a read-only short txn (Thr.ShortRO*)
 	evExtend            // widens the current txn, state unchanged
 	evLockRead          // RO → combined: now holds a lock
 	evUpgrade           // RO → combined: lock on success, released on failure
@@ -121,17 +121,14 @@ const (
 
 // The terminal set is policy-independent by construction: every
 // concurrency-control policy (see core.CC) funnels through the same
-// descriptor Commit/Abort surface, and the eager policy's extra
-// release-on-abort work happens inside those same calls. Snapshot reads
-// never join a read set or take locks, so they get their own
-// state-neutral event instead of falling through unrecognized.
+// descriptor Commit/Abort surface. On a Thr, only the openers and
+// ShortDiscard touch the short record; everything else is a descriptor
+// method. Snapshot reads never join a read set or take locks, so they
+// get their own state-neutral event instead of falling through
+// unrecognized.
 var (
-	thrOpenLockRe = regexp.MustCompile(`^(ShortRW[1-4]|RWRead1)$`)
-	thrOpenRORe   = regexp.MustCompile(`^(ShortRO[1-4]|RORead1)$`)
-	thrExtendRe   = regexp.MustCompile(`^(RWRead[2-4]|RORead[2-4])$`)
-	thrTermRe     = regexp.MustCompile(`^(RWCommit[1-4]|RWAbort[1-4]|CommitRO[1-4]RW[1-4]|ShortDiscard)$`)
-	thrValidRe    = regexp.MustCompile(`^(RWValid[1-4]|ROValid[1-4])$`)
-	thrUpgradeRe  = regexp.MustCompile(`^UpgradeRO[1-4]ToRW[1-4]$`)
+	thrOpenLockRe = regexp.MustCompile(`^ShortRW[1-4]$`)
+	thrOpenRORe   = regexp.MustCompile(`^ShortRO[1-4]$`)
 	thrSnapRe     = regexp.MustCompile(`^(SnapshotBegin|SnapshotRead)$`)
 	descUpgradeRe = regexp.MustCompile(`^Upgrade[1-4]?$`)
 )
@@ -164,14 +161,8 @@ func classifyTxnCall(info *types.Info, call *ast.CallExpr) txnEvent {
 			return evOpenLock
 		case thrOpenRORe.MatchString(name):
 			return evOpenRO
-		case thrExtendRe.MatchString(name):
-			return evExtend
-		case thrTermRe.MatchString(name):
+		case name == "ShortDiscard":
 			return evTerminal
-		case thrValidRe.MatchString(name):
-			return evValid
-		case thrUpgradeRe.MatchString(name):
-			return evUpgrade
 		case thrSnapRe.MatchString(name):
 			return evSnapshot
 		}

@@ -392,7 +392,7 @@ func isNoReturnCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // bindCondVars records boolean bindings whose truth refines the state:
-// `ok := d.Valid()` and `c, ok := d.Upgrade2()` / `ok := t.UpgradeRO…`.
+// `ok := d.Valid()` and `c, ok := d.Upgrade2()`.
 func (t *txnFlow) bindCondVars(st *ast.AssignStmt) {
 	if len(st.Rhs) != 1 {
 		return
@@ -416,10 +416,7 @@ func (t *txnFlow) bindCondVars(st *ast.AssignStmt) {
 			bind(st.Lhs[0], condValid)
 		}
 	case evUpgrade:
-		switch len(st.Lhs) {
-		case 1: // Thr-level upgrade: bool only
-			bind(st.Lhs[0], condUpgrade)
-		case 2: // descriptor upgrade: (desc, bool)
+		if len(st.Lhs) == 2 { // (desc, bool)
 			bind(st.Lhs[1], condUpgrade)
 		}
 	}

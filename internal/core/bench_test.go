@@ -78,28 +78,6 @@ func BenchmarkShortRW2(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x := t.RWRead1(vars[i&1023])
-				y := t.RWRead2(vars[(i+1)&1023])
-				if !t.RWValid2() {
-					b.Fatal("conflict single-threaded")
-				}
-				t.RWCommit2(word.FromUint(x.Uint()+1), word.FromUint(y.Uint()+1))
-			}
-		})
-	}
-}
-
-// BenchmarkShortRW2Typed is the same transaction through the typed
-// descriptor API; the wrappers above must cost the same.
-func BenchmarkShortRW2Typed(b *testing.B) {
-	for _, c := range benchConfigs() {
-		b.Run(c.name, func(b *testing.B) {
-			e := New(c.cfg)
-			t := e.Register()
-			vars := benchVars(e, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
 				d, x, y := t.ShortRW2(vars[i&1023], vars[(i+1)&1023])
 				if !d.Valid() {
 					b.Fatal("conflict single-threaded")
@@ -139,9 +117,8 @@ func BenchmarkShortRO2(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t.RORead1(vars[i&1023])
-				t.RORead2(vars[(i+1)&1023])
-				if !t.ROValid2() {
+				d, _, _ := t.ShortRO2(vars[i&1023], vars[(i+1)&1023])
+				if !d.Valid() {
 					b.Fatal("conflict single-threaded")
 				}
 			}
@@ -175,26 +152,6 @@ func BenchmarkShortRO2ByMaxThreads(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkShortRO2Typed is the read-only snapshot through the typed
-// descriptor API.
-func BenchmarkShortRO2Typed(b *testing.B) {
-	for _, c := range benchConfigs() {
-		b.Run(c.name, func(b *testing.B) {
-			e := New(c.cfg)
-			t := e.Register()
-			vars := benchVars(e, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, _, _ := t.ShortRO2(vars[i&1023], vars[(i+1)&1023])
-				if !d.Valid() {
-					b.Fatal("conflict single-threaded")
-				}
-			}
-		})
 	}
 }
 
@@ -234,10 +191,9 @@ func BenchmarkAblationOrecBits(b *testing.B) {
 					i++
 					attempt := 1
 					for {
-						x := t.RWRead1(vars[i&4095])
-						y := t.RWRead2(vars[(i+2048)&4095])
-						if t.RWValid2() {
-							t.RWCommit2(x, y)
+						d, x, y := t.ShortRW2(vars[i&4095], vars[(i+2048)&4095])
+						if d.Valid() {
+							d.Commit(x, y)
 							break
 						}
 						t.Backoff(attempt)
@@ -270,9 +226,8 @@ func BenchmarkAblationGlobalClock(b *testing.B) {
 				i := seed.Add(1) * 131
 				for pb.Next() {
 					i++
-					x := t.RWRead1(vars[i&4095])
-					if t.RWValid1() {
-						t.RWCommit1(x)
+					if d, x := t.ShortRW1(vars[i&4095]); d.Valid() {
+						d.Commit(x)
 					}
 				}
 			})

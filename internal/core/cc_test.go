@@ -19,11 +19,11 @@ func TestConfigSpace(t *testing.T) {
 		}
 		valid[Config{Layout: l, CC: CCLocal}] = true
 	}
-	for _, cc := range []CC{CCTimestampExt, CCEager, CCNoCounter} {
+	for _, cc := range []CC{CCTimestampExt, CCNoCounter} {
 		valid[Config{Layout: LayoutVal, CC: cc}] = true
 	}
-	if len(valid) != 13 {
-		t.Fatalf("valid table lists %d configurations, want 13", len(valid))
+	if len(valid) != 12 {
+		t.Fatalf("valid table lists %d configurations, want 12", len(valid))
 	}
 	for l := LayoutOrec; l <= LayoutVal+1; l++ {
 		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
@@ -106,7 +106,6 @@ func TestCCValidate(t *testing.T) {
 		"nocounter-versioned": {Layout: LayoutTVar, CC: CCNoCounter},
 		"local-val":           {Layout: LayoutVal, CC: CCLocal},
 		"lazy-val":            {Layout: LayoutVal, CC: CCLazy},
-		"eager-versioned":     {Layout: LayoutOrec, CC: CCEager},
 		"snapshots-val":       {Layout: LayoutVal, Snapshots: true},
 		"snapshots-local":     {Layout: LayoutTVar, CC: CCLocal, Snapshots: true},
 		"cc-out-of-range":     {Layout: LayoutTVar, CC: CC(97)},
@@ -157,125 +156,5 @@ func TestLazyAbortsInsteadOfExtending(t *testing.T) {
 		if !ok {
 			t.Fatal("uncontended lazy retry failed")
 		}
-	}
-}
-
-// eagerConfigs returns the eager-policy engines. CCEager runs only on
-// LayoutVal, where the lock bit lives in the data word.
-func eagerConfigs() map[string]Config {
-	return map[string]Config{
-		"val": {Layout: LayoutVal, CC: CCEager},
-	}
-}
-
-// TestEagerWriteWriteConflict: under encounter-time locking the second
-// writer of a location aborts at TxWrite, not at commit.
-func TestEagerWriteWriteConflict(t *testing.T) {
-	for name, cfg := range eagerConfigs() {
-		t.Run(name, func(t *testing.T) {
-			e := newTestEngine(cfg)
-			t1, t2 := e.Register(), e.Register()
-			a := e.NewVar(iv(1))
-
-			t1.TxStart()
-			t1.TxWrite(a, iv(10)) // acquires the write lock now
-			if !t1.TxOK() {
-				t.Fatal("first writer aborted without contention")
-			}
-
-			t2.TxStart()
-			t2.TxWrite(a, iv(20)) // must hit t1's lock and abort
-			if t2.TxOK() {
-				t.Fatal("second writer acquired an already-held write lock")
-			}
-			if t2.TxCommit() {
-				t.Fatal("aborted second writer committed")
-			}
-
-			if !t1.TxCommit() {
-				t.Fatal("first writer failed to commit")
-			}
-			if got := t1.SingleRead(a); got != iv(10) {
-				t.Fatalf("committed value = %v, want 10", got)
-			}
-		})
-	}
-}
-
-// TestEagerAbortReleasesLocks: locks taken at TxWrite must be released
-// by TxAbort (and by the internal abort path), or every later writer of
-// those words would wedge.
-func TestEagerAbortReleasesLocks(t *testing.T) {
-	for name, cfg := range eagerConfigs() {
-		t.Run(name, func(t *testing.T) {
-			e := newTestEngine(cfg)
-			t1, t2 := e.Register(), e.Register()
-			a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-
-			t1.TxStart()
-			t1.TxWrite(a, iv(10))
-			t1.TxWrite(b, iv(20))
-			t1.TxAbort()
-
-			// Deferred updates must not have leaked into the data words.
-			if got := t2.SingleRead(a); got != iv(1) {
-				t.Fatalf("aborted write visible: a = %v", got)
-			}
-			// Both words must be writable again without spinning forever.
-			t2.SingleWrite(a, iv(100))
-			t2.SingleWrite(b, iv(200))
-			if t2.SingleRead(a) != iv(100) || t2.SingleRead(b) != iv(200) {
-				t.Fatal("post-abort writes did not land")
-			}
-
-			// The internal abort path (conflict at TxWrite) releases too:
-			// t1 locks a, t2 locks b then aborts trying a; b must be free.
-			t1.TxStart()
-			t1.TxWrite(a, iv(11))
-			t2.TxStart()
-			t2.TxWrite(b, iv(21))
-			t2.TxWrite(a, iv(22))
-			if t2.TxOK() {
-				t.Fatal("t2 stole t1's lock")
-			}
-			t1.TxAbort()
-			t2.TxAbort() // aborted txn: must be a no-op, not a double release
-			t1.SingleWrite(b, iv(300))
-			if t1.SingleRead(b) != iv(300) {
-				t.Fatal("b still locked after t2's conflict abort")
-			}
-		})
-	}
-}
-
-// TestEagerReadsOwnWrites: a read of a word the transaction has eagerly
-// locked must return the pending (deferred) value, not the lock word,
-// and the commit must publish it.
-func TestEagerReadsOwnWrites(t *testing.T) {
-	for name, cfg := range eagerConfigs() {
-		t.Run(name, func(t *testing.T) {
-			e := newTestEngine(cfg)
-			thr := e.Register()
-			a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-
-			ok := thr.Atomic(func() bool {
-				thr.TxWrite(a, iv(10))
-				if got := thr.TxRead(a); got != iv(10) {
-					t.Fatalf("read-own-write = %v, want 10", got)
-				}
-				if got := thr.TxRead(b); got != iv(2) {
-					t.Fatalf("unrelated read = %v, want 2", got)
-				}
-				thr.TxWrite(a, iv(11)) // rewrite of an owned word
-				thr.TxWrite(b, iv(12))
-				return true
-			})
-			if !ok {
-				t.Fatal("uncontended eager transaction failed")
-			}
-			if thr.SingleRead(a) != iv(11) || thr.SingleRead(b) != iv(12) {
-				t.Fatal("eager commit did not publish")
-			}
-		})
 	}
 }

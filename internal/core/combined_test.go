@@ -8,20 +8,22 @@ import (
 )
 
 // TestCombinedROThenRW covers the Figure 2 mixing rule: RO reads open
-// the record, RW reads join it, the combined commit validates the RO
-// entries while holding the RW locks.
+// the record, RW reads (LockRead) join it, the combined commit validates
+// the RO entries while holding the RW locks.
 func TestCombinedROThenRW(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		guard := e.NewVar(iv(1))
 		val := e.NewVar(iv(10))
-		if thr.RORead1(guard) != iv(1) {
+		ro, g := thr.ShortRO1(guard)
+		if g != iv(1) {
 			t.Fatal("setup")
 		}
-		if got := thr.RWRead1(val); got != iv(10) {
+		cb, got := ro.LockRead(val)
+		if got != iv(10) {
 			t.Fatalf("RW read joined with value %v", got)
 		}
-		if !thr.CommitRO1RW1(iv(11)) {
+		if !cb.Commit(iv(11)) {
 			t.Fatal("combined commit failed without contention")
 		}
 		if thr.SingleRead(val) != iv(11) || thr.SingleRead(guard) != iv(1) {
@@ -35,10 +37,10 @@ func TestCombinedROThenRWConflict(t *testing.T) {
 		thr, writer := e.Register(), e.Register()
 		guard := e.NewVar(iv(1))
 		val := e.NewVar(iv(10))
-		thr.RORead1(guard)
-		thr.RWRead1(val)
+		ro, _ := thr.ShortRO1(guard)
+		cb, _ := ro.LockRead(val)
 		writer.SingleWrite(guard, iv(2)) // invalidate the RO member
-		if thr.CommitRO1RW1(iv(11)) {
+		if cb.Commit(iv(11)) {
 			t.Fatal("commit must fail after the guard changed")
 		}
 		if writer.SingleRead(val) != iv(10) {
@@ -57,10 +59,10 @@ func TestCombinedTwoWrites(t *testing.T) {
 		thr := e.Register()
 		guard := e.NewVar(iv(1))
 		a, b := e.NewVar(iv(10)), e.NewVar(iv(20))
-		thr.RORead1(guard)
-		thr.RWRead1(a)
-		thr.RWRead2(b)
-		if !thr.CommitRO1RW2(iv(11), iv(21)) {
+		ro, _ := thr.ShortRO1(guard)
+		cb1, _ := ro.LockRead(a)
+		cb2, _ := cb1.LockRead(b)
+		if !cb2.Commit(iv(11), iv(21)) {
 			t.Fatal("RO1RW2 commit failed")
 		}
 		if thr.SingleRead(a) != iv(11) || thr.SingleRead(b) != iv(21) {
@@ -75,24 +77,24 @@ func TestShortDiscardAbandonsROAndReleasesLocks(t *testing.T) {
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 		// Abandon an open read-only record, then run an unrelated RW
 		// transaction: it must start fresh, not join.
-		thr.RORead1(a)
+		thr.ShortRO1(a)
 		thr.ShortDiscard()
-		if got := thr.RWRead1(b); got != iv(2) || !thr.RWValid1() {
+		d, got := thr.ShortRW1(b)
+		if got != iv(2) || !d.Valid() {
 			t.Fatal("fresh RW txn after discard failed")
 		}
-		thr.RWCommit1(iv(3))
+		d.Commit(iv(3))
 		if thr.SingleRead(b) != iv(3) {
 			t.Fatal("commit after discard lost")
 		}
 		// Discard with a held lock releases it.
-		thr.RWRead1(a)
+		thr.ShortRW1(a)
 		thr.ShortDiscard()
-		other := e.Register()
-		other.RWRead1(a)
-		if !other.RWValid1() {
+		od, _ := e.Register().ShortRW1(a)
+		if !od.Valid() {
 			t.Fatal("lock not released by discard")
 		}
-		other.RWAbort1()
+		od.Abort()
 	})
 }
 
@@ -100,16 +102,16 @@ func TestROAfterValidationStartsFresh(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		thr.RORead1(a)
-		if !thr.ROValid1() {
+		if ro, _ := thr.ShortRO1(a); !ro.Valid() {
 			t.Fatal("validation failed")
 		}
 		// A validated (committed) RO record is done; the next RW read
 		// must not treat it as an open combined transaction.
-		if got := thr.RWRead1(b); got != iv(2) {
+		d, got := thr.ShortRW1(b)
+		if got != iv(2) {
 			t.Fatalf("post-validation RW read = %v", got)
 		}
-		thr.RWCommit1(iv(9))
+		d.Commit(iv(9))
 		if thr.SingleRead(b) != iv(9) {
 			t.Fatal("post-validation RW commit lost")
 		}
@@ -120,40 +122,35 @@ func TestROWhileHoldingLocksPanics(t *testing.T) {
 	e := New(Config{Layout: LayoutTVar})
 	thr := e.Register()
 	a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-	thr.RWRead1(a)
+	thr.ShortRW1(a)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RO read with held write locks must panic")
 		}
 		thr.ShortDiscard()
 	}()
-	thr.RORead1(b)
+	thr.ShortRO1(b)
 }
 
 func TestThreeAndFourLocationRW(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		v := []Var{e.NewVar(iv(1)), e.NewVar(iv(2)), e.NewVar(iv(3)), e.NewVar(iv(4))}
-		x1 := thr.RWRead1(v[0])
-		x2 := thr.RWRead2(v[1])
-		x3 := thr.RWRead3(v[2])
-		if !thr.RWValid3() {
+		d3, x1, x2, x3 := thr.ShortRW3(v[0], v[1], v[2])
+		if !d3.Valid() {
 			t.Fatal("RW3 invalid")
 		}
-		thr.RWCommit3(iv(x1.Uint()+10), iv(x2.Uint()+10), iv(x3.Uint()+10))
+		d3.Commit(iv(x1.Uint()+10), iv(x2.Uint()+10), iv(x3.Uint()+10))
 		for i, want := range []uint64{11, 12, 13} {
 			if got := thr.SingleRead(v[i]).Uint(); got != want {
 				t.Fatalf("v[%d] = %d, want %d", i, got, want)
 			}
 		}
-		thr.RWRead1(v[0])
-		thr.RWRead2(v[1])
-		thr.RWRead3(v[2])
-		thr.RWRead4(v[3])
-		if !thr.RWValid4() {
+		d4, _, _, _, _ := thr.ShortRW4(v[0], v[1], v[2], v[3])
+		if !d4.Valid() {
 			t.Fatal("RW4 invalid")
 		}
-		thr.RWAbort4()
+		d4.Abort()
 		if thr.SingleRead(v[3]) != iv(4) {
 			t.Fatal("RW4 abort did not restore")
 		}
@@ -164,26 +161,17 @@ func TestROThreeAndFour(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr, writer := e.Register(), e.Register()
 		v := []Var{e.NewVar(iv(1)), e.NewVar(iv(2)), e.NewVar(iv(3)), e.NewVar(iv(4))}
-		thr.RORead1(v[0])
-		thr.RORead2(v[1])
-		thr.RORead3(v[2])
-		if !thr.ROValid3() {
+		if d3, _, _, _ := thr.ShortRO3(v[0], v[1], v[2]); !d3.Valid() {
 			t.Fatal("RO3 failed quiescent")
 		}
-		thr.RORead1(v[0])
-		thr.RORead2(v[1])
-		thr.RORead3(v[2])
-		thr.RORead4(v[3])
-		if !thr.ROValid4() {
+		if d4, _, _, _, _ := thr.ShortRO4(v[0], v[1], v[2], v[3]); !d4.Valid() {
 			t.Fatal("RO4 failed quiescent")
 		}
 		// A write inside the window must invalidate RO4.
-		thr.RORead1(v[0])
-		thr.RORead2(v[1])
+		d2, _, _ := thr.ShortRO2(v[0], v[1])
 		writer.SingleWrite(v[0], iv(99))
-		thr.RORead3(v[2])
-		thr.RORead4(v[3])
-		if thr.ROValid4() {
+		d3, _ := d2.Extend(v[2])
+		if d4, _ := d3.Extend(v[3]); d4.Valid() {
 			t.Fatal("RO4 validated across a concurrent write")
 		}
 	})
@@ -194,24 +182,25 @@ func TestUpgradeVariants(t *testing.T) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 		// Upgrade the second read to the first write.
-		thr.RORead1(a)
-		thr.RORead2(b)
-		if !thr.UpgradeRO2ToRW1() {
-			t.Fatal("UpgradeRO2ToRW1 failed")
+		ro, _, _ := thr.ShortRO2(a, b)
+		cb, ok := ro.Upgrade2()
+		if !ok {
+			t.Fatal("RO2->RW1 upgrade failed")
 		}
-		if !thr.CommitRO2RW1(iv(20)) {
+		if !cb.Commit(iv(20)) {
 			t.Fatal("commit after RO2->RW1 upgrade failed")
 		}
 		if thr.SingleRead(b) != iv(20) || thr.SingleRead(a) != iv(1) {
 			t.Fatal("upgrade wrote the wrong location")
 		}
 		// Upgrade both reads (write set of two).
-		thr.RORead1(a)
-		thr.RORead2(b)
-		if !thr.UpgradeRO1ToRW1() || !thr.UpgradeRO2ToRW2() {
+		ro, _, _ = thr.ShortRO2(a, b)
+		cb, ok1 := ro.Upgrade1()
+		cb2, ok2 := cb.Upgrade2()
+		if !ok1 || !ok2 {
 			t.Fatal("double upgrade failed")
 		}
-		if !thr.CommitRO2RW2(iv(100), iv(200)) {
+		if !cb2.Commit(iv(100), iv(200)) {
 			t.Fatal("commit after double upgrade failed")
 		}
 		if thr.SingleRead(a) != iv(100) || thr.SingleRead(b) != iv(200) {
@@ -257,23 +246,21 @@ func TestShortModelProperty(t *testing.T) {
 						if i == j {
 							continue
 						}
-						x := thr.RWRead1(vars[i])
-						y := thr.RWRead2(vars[j])
-						if !thr.RWValid2() {
+						d, x, y := thr.ShortRW2(vars[i], vars[j])
+						if !d.Valid() {
 							return false
 						}
 						if x != iv(model[i]) || y != iv(model[j]) {
 							return false
 						}
-						thr.RWCommit2(iv(val), iv(val+1))
+						d.Commit(iv(val), iv(val+1))
 						model[i], model[j] = val, val+1
 					default: // short RO pair
 						if i == j {
 							continue
 						}
-						x := thr.RORead1(vars[i])
-						y := thr.RORead2(vars[j])
-						if !thr.ROValid2() {
+						d, x, y := thr.ShortRO2(vars[i], vars[j])
+						if !d.Valid() {
 							return false
 						}
 						if x != iv(model[i]) || y != iv(model[j]) {
@@ -302,11 +289,11 @@ func TestValueBitsNeverLeak(t *testing.T) {
 	thr := e.Register()
 	v := e.NewVar(iv(1))
 	for i := uint64(0); i < 2000; i++ {
-		x := thr.RWRead1(v)
-		if !thr.RWValid1() {
+		d, x := thr.ShortRW1(v)
+		if !d.Valid() {
 			t.Fatal("conflict single-threaded")
 		}
-		thr.RWCommit1(iv(x.Uint() + 1))
+		d.Commit(iv(x.Uint() + 1))
 		got := thr.SingleRead(v)
 		if word.Locked(uint64(got)) {
 			t.Fatalf("lock bit leaked into committed value %#x", uint64(got))

@@ -6,9 +6,10 @@
 //
 //   - Single-location transactions (Tx_Single_Read/Write/CAS, §2.2):
 //     SingleRead, SingleWrite, SingleCAS.
-//   - Short transactions of a statically known size ≤ 4 (§2.2): numbered
-//     reads RWRead1..4 / RORead1..4, validation, commit-with-values,
-//     read-only↔read-write upgrades, combined commits.
+//   - Short transactions of a statically known size ≤ 4 (§2.2): typed
+//     descriptors ShortRW1..4 / ShortRO1..4 / ShortROxRWy whose arity is
+//     in the type, with validation, commit-with-values, read-only↔
+//     read-write upgrades and combined commits (typed.go).
 //   - Full transactions (BaseTM, §2.1/§4.1): TxStart/TxRead/TxWrite/
 //     TxCommit, following TL2 with timebase extension, commit-time
 //     locking, invisible reads and deferred updates; for the val layout a
@@ -73,11 +74,10 @@ func (l Layout) String() string {
 
 // CC selects the concurrency-control policy: how full (and short
 // read-only) transactions version words and keep their read sets
-// consistent. On the versioned layouts every policy locks a full
-// transaction's write set at commit time; only CCEager, on LayoutVal,
-// locks at encounter time. Policies are specialized at engine
-// construction into monomorphized read/commit paths — there is no
-// interface dispatch on the hot path.
+// consistent. Every policy locks a full transaction's write set at
+// commit time. Policies are specialized at engine construction into
+// monomorphized read/commit paths — there is no interface dispatch on
+// the hot path.
 type CC uint8
 
 const (
@@ -94,12 +94,6 @@ const (
 	// that observes a post-snapshot version aborts immediately. Cheaper
 	// validation under low contention, more aborts under clock pressure.
 	CCLazy
-	// CCEager, for LayoutVal only, acquires write locks at encounter
-	// time (TxWrite) instead of commit time. Writers become visible
-	// early, which resolves write/write conflicts immediately at the
-	// cost of longer lock hold times. Reads keep counter-guarded value
-	// validation.
-	CCEager
 	// CCLocal, for the versioned layouts (orec, tvar), keeps per-orec
 	// versions and no global counter, paying for it with read-set
 	// validation after every read.
@@ -119,8 +113,6 @@ func (c CC) String() string {
 		return "ext"
 	case CCLazy:
 		return "lazy"
-	case CCEager:
-		return "eager"
 	case CCLocal:
 		return "local"
 	case CCNoCounter:
@@ -197,9 +189,6 @@ func (c Config) Validate() error {
 	if c.CC == CCNoCounter && c.Layout != LayoutVal {
 		return fmt.Errorf("core: CCNoCounter requires LayoutVal (value-based validation)")
 	}
-	if c.CC == CCEager && c.Layout != LayoutVal {
-		return fmt.Errorf("core: CCEager requires LayoutVal (versioned layouts lock at commit time)")
-	}
 	if (c.CC == CCLocal || c.CC == CCLazy) && c.Layout == LayoutVal {
 		return fmt.Errorf("core: the %v policy requires a versioned layout (orec or tvar)", c.CC)
 	}
@@ -220,7 +209,6 @@ func (c Config) Validate() error {
 type Engine struct {
 	cfg      Config
 	rp       rpath      // monomorphized read/validate path (from cfg)
-	eager    bool       // CCEager: encounter-time write locking
 	snap     *snapTable // multi-version history ring; nil when disabled
 	orecs    []uint64   // LayoutOrec only
 	orecMask uint64
@@ -279,7 +267,6 @@ func NewChecked(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		rp:       protoPath(cfg),
-		eager:    cfg.CC == CCEager,
 		local:    clock.NewPerThread(cfg.MaxThreads),
 		epochDom: epoch.NewDomain(cfg.MaxThreads),
 	}
@@ -383,7 +370,6 @@ type Thr struct {
 	id    int    // 0-based thread index
 	owner uint64 // id+1; appears in lock words
 	rp    rpath  // engine's read path, cached for hot-path dispatch
-	eager bool   // engine's CCEager flag, cached
 	// Epoch is the thread's reclamation slot, shared with the data
 	// structures built over the engine.
 	Epoch *epoch.Slot
@@ -409,7 +395,6 @@ func (e *Engine) Register() *Thr {
 		id:    id,
 		owner: uint64(id) + 1,
 		rp:    e.rp,
-		eager: e.eager,
 		Epoch: e.epochDom.Register(),
 		Rng:   rng.New(uint64(id)*0x9e3779b97f4a7c15 + 1),
 	}

@@ -20,7 +20,6 @@ func configs() map[string]Config {
 		"tvar-l":        {Layout: LayoutTVar, CC: CCLocal},
 		"val":           {Layout: LayoutVal},
 		"val-nocounter": {Layout: LayoutVal, CC: CCNoCounter},
-		"val-eager":     {Layout: LayoutVal, CC: CCEager},
 		"tvar-lazy":     {Layout: LayoutTVar, CC: CCLazy},
 	}
 	if !testing.Short() {
@@ -87,15 +86,14 @@ func TestShortRWCommit(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		x := thr.RWRead1(a)
-		y := thr.RWRead2(b)
-		if !thr.RWValid2() {
+		d, x, y := thr.ShortRW2(a, b)
+		if !d.Valid() {
 			t.Fatal("uncontended RW transaction must be valid")
 		}
 		if x != iv(1) || y != iv(2) {
 			t.Fatalf("reads = %v,%v", x, y)
 		}
-		thr.RWCommit2(iv(10), iv(20))
+		d.Commit(iv(10), iv(20))
 		if thr.SingleRead(a) != iv(10) || thr.SingleRead(b) != iv(20) {
 			t.Fatal("commit did not publish")
 		}
@@ -106,18 +104,17 @@ func TestShortRWAbortRestores(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		thr.RWRead1(a)
-		thr.RWRead2(b)
-		thr.RWAbort2()
+		d2, _, _ := thr.ShortRW2(a, b)
+		d2.Abort()
 		if thr.SingleRead(a) != iv(1) || thr.SingleRead(b) != iv(2) {
 			t.Fatal("abort must restore original values")
 		}
 		// The variables must be usable afterwards (locks released).
-		thr.RWRead1(a)
-		if !thr.RWValid1() {
+		d1, _ := thr.ShortRW1(a)
+		if !d1.Valid() {
 			t.Fatal("location still locked after abort")
 		}
-		thr.RWCommit1(iv(7))
+		d1.Commit(iv(7))
 		if thr.SingleRead(a) != iv(7) {
 			t.Fatal("commit after abort failed")
 		}
@@ -129,20 +126,21 @@ func TestShortRWConflictAndRestart(t *testing.T) {
 		t1, t2 := e.Register(), e.Register()
 		v := e.NewVar(iv(1))
 		// t1 locks v via an RW read and sits on it.
-		if t1.RWRead1(v); !t1.RWValid1() {
+		d1, _ := t1.ShortRW1(v)
+		if !d1.Valid() {
 			t.Fatal("t1 lock failed")
 		}
 		// t2 must conservatively detect the conflict.
-		t2.RWRead1(v)
-		if t2.RWValid1() {
+		if d2, _ := t2.ShortRW1(v); d2.Valid() {
 			t.Fatal("t2 must observe a conflict on the locked location")
 		}
-		t1.RWCommit1(iv(2))
+		d1.Commit(iv(2))
 		// Restart: t2 succeeds now.
-		if got := t2.RWRead1(v); got != iv(2) || !t2.RWValid1() {
-			t.Fatalf("t2 restart read %v valid=%v", got, t2.RWValid1())
+		d2, got := t2.ShortRW1(v)
+		if got != iv(2) || !d2.Valid() {
+			t.Fatalf("t2 restart read %v valid=%v", got, d2.Valid())
 		}
-		t2.RWCommit1(iv(3))
+		d2.Commit(iv(3))
 		if t1.SingleRead(v) != iv(3) {
 			t.Fatal("t2 commit lost")
 		}
@@ -156,13 +154,15 @@ func TestShortROValidates(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		if got := thr.RORead1(a); got != iv(1) {
+		d1, got := thr.ShortRO1(a)
+		if got != iv(1) {
 			t.Fatalf("RO read1 = %v", got)
 		}
-		if got := thr.RORead2(b); got != iv(2) {
+		d2, got := d1.Extend(b)
+		if got != iv(2) {
 			t.Fatalf("RO read2 = %v", got)
 		}
-		if !thr.ROValid2() {
+		if !d2.Valid() {
 			t.Fatal("quiescent RO transaction must validate")
 		}
 	})
@@ -172,12 +172,12 @@ func TestShortRODetectsIntermediateWrite(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		reader, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		if got := reader.RORead1(a); got != iv(1) {
+		d1, got := reader.ShortRO1(a)
+		if got != iv(1) {
 			t.Fatalf("read1 = %v", got)
 		}
 		writer.SingleWrite(a, iv(99))
-		reader.RORead2(b)
-		if reader.ROValid2() {
+		if d2, _ := d1.Extend(b); d2.Valid() {
 			t.Fatal("validation must fail: location a changed after it was read")
 		}
 	})
@@ -195,18 +195,18 @@ func TestShortROOpacityBetweenReads(t *testing.T) {
 			e := New(cfg)
 			reader, writer := e.Register(), e.Register()
 			a, b := e.NewVar(iv(1)), e.NewVar(iv(1))
-			if reader.RORead1(a) != iv(1) {
+			d1, x := reader.ShortRO1(a)
+			if x != iv(1) {
 				t.Fatal("setup")
 			}
 			// Writer advances both variables atomically.
-			writer.RWRead1(a)
-			writer.RWRead2(b)
-			writer.RWCommit2(iv(2), iv(2))
+			w, _, _ := writer.ShortRW2(a, b)
+			w.Commit(iv(2), iv(2))
 			// The reader's second read can only succeed if the whole
 			// snapshot is consistent; reading b==2 with a==1 recorded
 			// must invalidate.
-			got := reader.RORead2(b)
-			if reader.ROValid2() && got == iv(2) {
+			d2, got := d1.Extend(b)
+			if d2.Valid() && got == iv(2) {
 				t.Fatalf("opacity violation: snapshot mixes a=1 with b=2")
 			}
 		})
@@ -218,13 +218,15 @@ func TestUpgradeAndCombinedCommit(t *testing.T) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 		// Read both, decide to write a.
-		if thr.RORead1(a) != iv(1) || thr.RORead2(b) != iv(2) {
+		ro, x, y := thr.ShortRO2(a, b)
+		if x != iv(1) || y != iv(2) {
 			t.Fatal("setup reads")
 		}
-		if !thr.UpgradeRO1ToRW1() {
+		cb, ok := ro.Upgrade1()
+		if !ok {
 			t.Fatal("quiescent upgrade must succeed")
 		}
-		if !thr.CommitRO2RW1(iv(5)) {
+		if !cb.Commit(iv(5)) {
 			t.Fatal("combined commit must succeed")
 		}
 		if thr.SingleRead(a) != iv(5) || thr.SingleRead(b) != iv(2) {
@@ -237,14 +239,15 @@ func TestUpgradeFailsAfterConflict(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr, writer := e.Register(), e.Register()
 		a := e.NewVar(iv(1))
-		if thr.RORead1(a) != iv(1) {
+		ro, x := thr.ShortRO1(a)
+		if x != iv(1) {
 			t.Fatal("setup")
 		}
 		writer.SingleWrite(a, iv(2))
-		if thr.UpgradeRO1ToRW1() {
+		if _, ok := ro.Upgrade(); ok {
 			t.Fatal("upgrade must fail after the location changed")
 		}
-		if thr.ROValid1() {
+		if ro.Valid() {
 			t.Fatal("record must be invalid after failed upgrade")
 		}
 		// The location must not be locked.
@@ -258,15 +261,17 @@ func TestCombinedCommitFailsOnROConflict(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr, writer := e.Register(), e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-		if thr.RORead1(a) != iv(1) || thr.RORead2(b) != iv(2) {
+		ro, x, y := thr.ShortRO2(a, b)
+		if x != iv(1) || y != iv(2) {
 			t.Fatal("setup")
 		}
-		if !thr.UpgradeRO1ToRW1() {
+		cb, ok := ro.Upgrade1()
+		if !ok {
 			t.Fatal("upgrade")
 		}
 		// b (read-only) changes while we hold a's lock.
 		writer.SingleWrite(b, iv(9))
-		if thr.CommitRO2RW1(iv(5)) {
+		if cb.Commit(iv(5)) {
 			t.Fatal("commit must fail: read-only member changed")
 		}
 		// Everything released, nothing published.
@@ -277,14 +282,23 @@ func TestCombinedCommitFailsOnROConflict(t *testing.T) {
 }
 
 func TestDCSSSemantics(t *testing.T) {
-	// The paper's §2.2 DCSS example, run through every configuration.
+	// The paper's §2.2 DCSS example, run through every configuration. A
+	// mismatch on the first read validates the one-read snapshot.
 	dcss := func(thr *Thr, a1, a2 Var, o1, o2, n1 Value) bool {
 		for {
-			if thr.RORead1(a1) == o1 && thr.RORead2(a2) == o2 && thr.UpgradeRO1ToRW1() {
-				if thr.CommitRO2RW1(n1) {
+			d1, x1 := thr.ShortRO1(a1)
+			if x1 != o1 {
+				if d1.Valid() {
+					return false
+				}
+				continue
+			}
+			d2, x2 := d1.Extend(a2)
+			if x2 == o2 {
+				if cb, ok := d2.Upgrade1(); ok && cb.Commit(n1) {
 					return true
 				}
-			} else if thr.ROValid2() {
+			} else if d2.Valid() {
 				return false
 			}
 			// conflict: restart
@@ -323,14 +337,9 @@ func TestFullTxnReadYourWrites(t *testing.T) {
 		if got := thr.TxRead(v); got != iv(2) {
 			t.Fatalf("read-after-write = %v, want pending value", got)
 		}
-		// Deferred updates: not visible before commit. Under
-		// encounter-time locking the word is write-locked until the
-		// decision, so a reader would wait instead of observing — the
-		// peek only applies to commit-time locking.
-		if e.Config().CC != CCEager {
-			if peek := e.Register().SingleRead(v); peek != iv(1) {
-				t.Fatalf("uncommitted write leaked: %v", peek)
-			}
+		// Deferred updates: not visible before commit.
+		if peek := e.Register().SingleRead(v); peek != iv(1) {
+			t.Fatalf("uncommitted write leaked: %v", peek)
 		}
 		if !thr.TxCommit() {
 			t.Fatal("uncontended commit failed")
@@ -453,11 +462,11 @@ func TestMixShortAndFullOnSameData(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			switch i % 3 {
 			case 0:
-				cur := thr.RWRead1(v)
-				if !thr.RWValid1() {
+				d, cur := thr.ShortRW1(v)
+				if !d.Valid() {
 					t.Fatal("short conflict in single-threaded test")
 				}
-				thr.RWCommit1(iv(cur.Uint() + 1))
+				d.Commit(iv(cur.Uint() + 1))
 			case 1:
 				thr.Atomic(func() bool {
 					cur := thr.TxRead(v)
@@ -505,12 +514,11 @@ func TestOrecCollisionWithinOneTxn(t *testing.T) {
 	}
 	a, b := vars[ai], vars[bi]
 
-	x := thr.RWRead1(a)
-	y := thr.RWRead2(b)
-	if !thr.RWValid2() {
+	d, x, y := thr.ShortRW2(a, b)
+	if !d.Valid() {
 		t.Fatal("colliding locations in one short txn must alias, not conflict")
 	}
-	thr.RWCommit2(iv(x.Uint()+100), iv(y.Uint()+100))
+	d.Commit(iv(x.Uint()+100), iv(y.Uint()+100))
 	if thr.SingleRead(a).Uint() != uint64(ai)+100 || thr.SingleRead(b).Uint() != uint64(bi)+100 {
 		t.Fatal("colliding commit published wrong values")
 	}
@@ -545,15 +553,19 @@ func TestMisusePanics(t *testing.T) {
 	thr := e.Register()
 	v := e.NewVar(iv(1))
 
+	// A descriptor kept past its transaction drives the next one's record
+	// at the wrong index.
+	stale, _, _ := thr.ShortRW2(v, e.NewVar(iv(2)))
+	stale.Abort()
 	mustPanic("out-of-order RW read", func() {
-		thr.RWRead1(v)
-		defer thr.RWAbort1()
-		thr.RWRead3(e.NewVar(iv(2))) // skipped index 2
+		d, _ := thr.ShortRW1(v)
+		defer d.Abort()
+		stale.Extend(e.NewVar(iv(3))) // third read of a 1-location record
 	})
 	mustPanic("commit arity mismatch", func() {
-		thr.RWRead1(v)
-		defer func() { thr.failShort() }()
-		thr.RWCommit2(iv(1), iv(2))
+		d, _ := thr.ShortRW1(v)
+		defer d.Abort()
+		stale.Commit(iv(1), iv(2))
 	})
 	mustPanic("commit without start", func() {
 		ee := New(Config{Layout: LayoutTVar})
@@ -563,10 +575,9 @@ func TestMisusePanics(t *testing.T) {
 	ev := New(Config{Layout: LayoutVal})
 	tval := ev.Register()
 	mustPanic("unencodable value on val layout", func() {
-		w := ev.NewVar(iv(1))
-		tval.RWRead1(w)
-		defer func() { tval.failShort() }()
-		tval.RWCommit1(Value(3)) // bit0 set
+		d, _ := tval.ShortRW1(ev.NewVar(iv(1)))
+		defer d.Abort()
+		d.Commit(Value(3)) // bit0 set
 	})
 }
 

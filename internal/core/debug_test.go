@@ -33,8 +33,8 @@ func TestDebugDisjointnessRWAfterRO(t *testing.T) {
 	e := debugEngine()
 	thr := e.Register()
 	a := e.NewVar(iv(1))
-	thr.RORead1(a)
-	mustPanicWith(t, "disjoint", func() { thr.RWRead1(a) })
+	ro, _ := thr.ShortRO1(a)
+	mustPanicWith(t, "disjoint", func() { ro.LockRead(a) })
 	thr.ShortDiscard()
 }
 
@@ -43,10 +43,10 @@ func TestDebugDisjointnessROAfterRW(t *testing.T) {
 	thr := e.Register()
 	a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 	// Build a combined record legally, then violate disjointness with a
-	// later RO index.
-	thr.RORead1(b)
-	thr.RWRead1(a)
-	mustPanicWith(t, "disjoint", func() { thr.RORead2(a) })
+	// later RO index through the superseded read-only descriptor.
+	ro, _ := thr.ShortRO1(b)
+	ro.LockRead(a)
+	mustPanicWith(t, "disjoint", func() { ro.Extend(a) })
 	thr.ShortDiscard()
 }
 
@@ -54,8 +54,8 @@ func TestDebugDuplicateRWLocation(t *testing.T) {
 	e := debugEngine()
 	thr := e.Register()
 	a := e.NewVar(iv(1))
-	thr.RWRead1(a)
-	mustPanicWith(t, "distinct", func() { thr.RWRead2(a) })
+	d, _ := thr.ShortRW1(a)
+	mustPanicWith(t, "distinct", func() { d.Extend(a) })
 	thr.ShortDiscard()
 }
 
@@ -63,8 +63,7 @@ func TestDebugDuplicateROLocation(t *testing.T) {
 	e := debugEngine()
 	thr := e.Register()
 	a := e.NewVar(iv(1))
-	thr.RORead1(a)
-	mustPanicWith(t, "duplicate", func() { thr.RORead2(a) })
+	mustPanicWith(t, "duplicate", func() { thr.ShortRO2(a, a) })
 	thr.ShortDiscard()
 }
 
@@ -72,7 +71,7 @@ func TestDebugTxStartWithHeldLocks(t *testing.T) {
 	e := debugEngine()
 	thr := e.Register()
 	a := e.NewVar(iv(1))
-	thr.RWRead1(a)
+	thr.ShortRW1(a)
 	mustPanicWith(t, "holds locks", func() { thr.TxStart() })
 	thr.ShortDiscard()
 }
@@ -106,22 +105,19 @@ func TestDebugAllowsLegalPrograms(t *testing.T) {
 		thr := e.Register()
 		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
 		// Short RW.
-		x := thr.RWRead1(a)
-		thr.RWRead2(b)
-		if !thr.RWValid2() {
+		d, x, _ := thr.ShortRW2(a, b)
+		if !d.Valid() {
 			t.Fatal("legal RW flagged")
 		}
-		thr.RWCommit2(iv(x.Uint()+1), iv(9))
+		d.Commit(iv(x.Uint()+1), iv(9))
 		// Combined.
-		thr.RORead1(a)
-		thr.RWRead1(b)
-		if !thr.CommitRO1RW1(iv(10)) {
+		ro, _ := thr.ShortRO1(a)
+		if cb, _ := ro.LockRead(b); !cb.Commit(iv(10)) {
 			t.Fatal("legal combined flagged")
 		}
 		// Upgrade.
-		thr.RORead1(a)
-		thr.RORead2(b)
-		if !thr.UpgradeRO1ToRW1() || !thr.CommitRO2RW1(iv(5)) {
+		ro2, _, _ := thr.ShortRO2(a, b)
+		if cb, ok := ro2.Upgrade1(); !ok || !cb.Commit(iv(5)) {
 			t.Fatal("legal upgrade flagged")
 		}
 		// Full transaction.

@@ -61,9 +61,9 @@ func TestFirstCommitMovesTheClock(t *testing.T) {
 	}
 	r := e.Register()
 
-	x := r.RORead1(a)
+	d1, x := r.ShortRO1(a)
 	swap()
-	if y := r.RORead2(b); r.ROValid2() {
+	if d2, y := d1.Extend(b); d2.Valid() {
 		t.Fatalf("short reader validated (%d, %d) across a new thread's first commit", x.Uint(), y.Uint())
 	}
 
@@ -185,9 +185,6 @@ func TestSuitesAtCapacity1024(t *testing.T) {
 		{"ReadOnlyTxnLinearizesWithWriters", TestReadOnlyTxnLinearizesWithWriters},
 		{"ConfigSpace", TestConfigSpace},
 		{"LazyAbortsInsteadOfExtending", TestLazyAbortsInsteadOfExtending},
-		{"EagerWriteWriteConflict", TestEagerWriteWriteConflict},
-		{"EagerAbortReleasesLocks", TestEagerAbortReleasesLocks},
-		{"EagerReadsOwnWrites", TestEagerReadsOwnWrites},
 	} {
 		t.Run(s.name, s.fn)
 	}

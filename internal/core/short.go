@@ -1,7 +1,8 @@
 // Short transactions (paper §2.2): statically sized, numbered accesses,
 // writes deferred to commit. This file holds the layout-generic machinery;
-// shortapi.go exposes the numbered functions mirroring Figure 2 of the
-// paper (Tx_RW_R1, Tx_RO_2_Is_Valid, Tx_RO_1_RW_2_Commit, ...).
+// typed.go exposes it as descriptors whose types carry the arity of
+// Figure 2's functions (Tx_RW_R1, Tx_RO_2_Is_Valid, Tx_RO_1_RW_2_Commit,
+// ...).
 //
 // Protocol summary:
 //
@@ -17,13 +18,14 @@
 //     Under the val layout they are validated by value (§2.4), optionally
 //     guarded by the per-thread commit counters.
 //   - A combined transaction reads with RO ops, upgrades the locations it
-//     decides to write, and commits with CommitROxRWy, which validates
-//     the read-only entries while holding the write locks.
+//     decides to write (or locks fresh ones with LockRead), and commits
+//     through its ShortROxRWy descriptor, which validates the read-only
+//     entries while holding the write locks.
 //
 // Any conflict immediately releases all locks held by the record and
 // marks it invalid; subsequent operations on the record are no-ops until
-// the next R1 resets it. This matches the paper's usage pattern, where
-// the program polls ..._Is_Valid and restarts.
+// the next opener resets it. This matches the paper's usage pattern,
+// where the program polls ..._Is_Valid and restarts.
 package core
 
 import (
@@ -544,16 +546,16 @@ func (t *Thr) ownSeenVal(data *uint64) uint64 {
 // short transaction ("successful validation serves in the place of
 // commit", §2.2). The record stays readable so combined transactions can
 // continue; conflicting validation releases nothing because RO holds no
-// locks.
+// locks. An arity other than the record's comes from a stale descriptor
+// and panics: validating the record's reads would validate a different
+// transaction.
 func (t *Thr) shortROValid(n int) bool {
 	s := &t.short
 	if !s.valid {
 		return false
 	}
-	if n > s.nr {
-		// The paper's own DCSS example calls Tx_RO_2_Is_Valid after a
-		// short-circuited second read; validate what was read.
-		n = s.nr
+	if s.nr != n {
+		panic(fmt.Sprintf("core: RO valid arity %d but %d locations read", n, s.nr))
 	}
 	var ok bool
 	switch t.rp {
@@ -647,8 +649,8 @@ func (t *Thr) shortCommitRORW(x, y int, vals [MaxShort]Value) bool {
 	if s.nw != y {
 		panic(fmt.Sprintf("core: combined commit arity RW=%d but %d locations locked", y, s.nw))
 	}
-	if x > s.nr {
-		panic(fmt.Sprintf("core: combined commit arity RO=%d but only %d reads", x, s.nr))
+	if x != s.nr {
+		panic(fmt.Sprintf("core: combined commit arity RO=%d but %d reads", x, s.nr))
 	}
 	var ok bool
 	switch t.rp {

@@ -78,25 +78,22 @@ func TestShortRWIsolation(t *testing.T) {
 						dst++
 					}
 					for {
-						a := thr.RWRead1(vars[src])
-						b := thr.RWRead2(vars[dst])
-						if !thr.RWValid2() {
+						d, a, b := thr.ShortRW2(vars[src], vars[dst])
+						if !d.Valid() {
 							thr.Backoff(attempt)
 							attempt++
 							continue
 						}
 						if a.Uint() == 0 {
-							thr.RWAbort2()
+							d.Abort()
 							break
 						}
-						thr.RWCommit2(iv(a.Uint()-1), iv(b.Uint()+1))
+						d.Commit(iv(a.Uint()-1), iv(b.Uint()+1))
 						break
 					}
 					// Interleave a consistency probe via a short RO pair.
 					if checkRO && i%16 == 0 {
-						x := thr.RORead1(vars[0])
-						y := thr.RORead2(vars[1])
-						if thr.ROValid2() {
+						if d, x, y := thr.ShortRO2(vars[0], vars[1]); d.Valid() {
 							if x.Uint()+y.Uint() > uint64(accounts)*1000+uint64(workers*iters) {
 								roViolations.Add(1)
 							}
@@ -281,9 +278,7 @@ func TestMixedAPIsConcurrent(t *testing.T) {
 						return
 					default:
 					}
-					x := thr.RORead1(a)
-					y := thr.RORead2(b)
-					if thr.ROValid2() && x != y {
+					if d, x, y := thr.ShortRO2(a, b); d.Valid() && x != y {
 						torn.Add(1)
 						return
 					}
@@ -303,14 +298,13 @@ func TestMixedAPIsConcurrent(t *testing.T) {
 					if kind == 0 {
 						attempt := 1
 						for {
-							x := thr.RWRead1(a)
-							_ = thr.RWRead2(b)
-							if !thr.RWValid2() {
+							d, x, _ := thr.ShortRW2(a, b)
+							if !d.Valid() {
 								thr.Backoff(attempt)
 								attempt++
 								continue
 							}
-							thr.RWCommit2(iv(x.Uint()+1), iv(x.Uint()+1))
+							d.Commit(iv(x.Uint()+1), iv(x.Uint()+1))
 							break
 						}
 					} else {
@@ -414,9 +408,7 @@ func TestNonReuseValueValidation(t *testing.T) {
 				return
 			default:
 			}
-			x := thr.RORead1(a)
-			y := thr.RORead2(b)
-			if thr.ROValid2() && x != y {
+			if d, x, y := thr.ShortRO2(a, b); d.Valid() && x != y {
 				torn.Add(1)
 				return
 			}
@@ -428,14 +420,13 @@ func TestNonReuseValueValidation(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		attempt := 1
 		for {
-			writer.RWRead1(a)
-			writer.RWRead2(b)
-			if !writer.RWValid2() {
+			d, _, _ := writer.ShortRW2(a, b)
+			if !d.Valid() {
 				writer.Backoff(attempt)
 				attempt++
 				continue
 			}
-			writer.RWCommit2(iv(next), iv(next))
+			d.Commit(iv(next), iv(next))
 			next++
 			break
 		}
@@ -464,15 +455,15 @@ func TestValLockedWordNeverEscapes(t *testing.T) {
 	t1 := e.Register()
 	t2 := e.Register()
 	v := e.NewVar(iv(7))
-	t1.RWRead1(v)
-	if !t1.RWValid1() {
+	d, _ := t1.ShortRW1(v)
+	if !d.Valid() {
 		t.Fatal("lock failed")
 	}
 	done := make(chan Value)
 	go func() {
 		done <- t2.SingleRead(v) // must block until release
 	}()
-	t1.RWCommit1(iv(8))
+	d.Commit(iv(8))
 	got := <-done
 	if word.Locked(uint64(got)) {
 		t.Fatal("single read returned a raw lock word")

@@ -8,9 +8,11 @@
 // The val layout follows the paper's §2.4 general-purpose fallback, which
 // is NOrec-shaped [Dalessandro et al.]: reads log (location, value) pairs
 // and are revalidated by value whenever the commit counter moves; commit
-// locks the write set in place (lock bits in the data words; CCEager sets
-// them at TxWrite instead), validates the read set by value, and
-// publishes.
+// locks the write set in place (lock bits in the data words), validates
+// the read set by value, and publishes.
+//
+// Under every layout and policy a full transaction holds no lock outside
+// TxCommit.
 //
 // Conflicts mark the transaction aborted; subsequent reads return 0 and
 // TxCommit fails. Callers restart, normally through Thr.Atomic, which
@@ -79,34 +81,17 @@ func (t *Thr) TxStart() {
 // fall through to TxCommit (which will fail) or restart.
 func (t *Thr) TxOK() bool { return t.txn.active && !t.txn.aborted }
 
-// txAbortNow marks the transaction dead after a conflict. Under CCEager
-// the write set holds its locks during execution, so they are released
-// here; every other policy locks the write set only inside TxCommit.
+// txAbortNow marks the transaction dead after a conflict. The write set
+// is locked only inside TxCommit, so there is nothing to release.
 func (t *Thr) txAbortNow() {
-	if t.eager {
-		t.txReleaseEagerLocks()
-	}
 	t.txn.aborted = true
 	t.Stats.Aborts++
 }
 
-// txReleaseEagerLocks drops every encounter-time write lock and empties
-// the write set (idempotent). CCEager requires LayoutVal, so the locks
-// are the lock bits in the data words.
-func (t *Thr) txReleaseEagerLocks() {
-	x := &t.txn
-	t.txReleaseValLocks(len(x.writes))
-	x.writes = x.writes[:0]
-}
-
 // TxAbort abandons the transaction explicitly (user abort, the paper's
-// STM_ABORT_TX). Updates are deferred, so there is nothing to undo; only
-// CCEager holds locks during execution, and they are released before
-// the reset.
+// STM_ABORT_TX). Updates are deferred and no lock is held before
+// TxCommit, so there is nothing to undo.
 func (t *Thr) TxAbort() {
-	if t.eager && t.txn.active && !t.txn.aborted {
-		t.txReleaseEagerLocks()
-	}
 	t.txn.active = false
 	t.txn.aborted = true
 }
@@ -275,16 +260,6 @@ func (t *Thr) txReadValCnt(v Var) Value {
 	}
 }
 
-// valSelfOwner is the owner id value validation should accept for
-// self-locked words during execution: only CCEager holds write locks
-// before commit.
-func (t *Thr) valSelfOwner() uint64 {
-	if t.eager {
-		return t.owner
-	}
-	return 0
-}
-
 // txExtendVal revalidates the val-layout read set by value and advances
 // the counter snapshot, NOrec style.
 func (t *Thr) txExtendVal() bool {
@@ -294,7 +269,7 @@ func (t *Thr) txExtendVal() bool {
 		if cur == x.snap {
 			return true
 		}
-		if !t.txValidateVal(t.valSelfOwner()) {
+		if !t.txValidateVal(0) {
 			return false
 		}
 		if t.e.stableSum() == cur {
@@ -322,32 +297,7 @@ func (t *Thr) TxWrite(v Var, val Value) {
 			return
 		}
 	}
-	if t.eager {
-		t.txWriteEager(v, val)
-		return
-	}
 	x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val)})
-}
-
-// txWriteEager acquires v's write lock at encounter time (CCEager, val
-// layout: the lock bit lives in the data word itself). Writers become
-// visible to peers immediately; a conflict that outlasts the spin budget
-// aborts the transaction (deadlock avoidance: bounded wait plus the
-// caller's randomized backoff).
-func (t *Thr) txWriteEager(v Var, val Value) {
-	x := &t.txn
-	for iter := 0; iter < txnSpinBudget; iter++ {
-		cur := atomic.LoadUint64(v.data)
-		if word.Locked(cur) {
-			spinWait(iter)
-			continue
-		}
-		if atomic.CompareAndSwapUint64(v.data, cur, word.LockWord(t.owner)) {
-			x.writes = append(x.writes, wrEnt{data: v.data, val: uint64(val), lockSeen: cur})
-			return
-		}
-	}
-	t.txAbortNow()
 }
 
 // TxCommit attempts to commit. On failure the transaction is rolled back
@@ -365,12 +315,9 @@ func (t *Thr) TxCommit() bool {
 		return t.txCommitReadOnly()
 	}
 	var ok bool
-	switch {
-	case t.eager:
-		ok = t.txCommitValEager()
-	case t.e.cfg.Layout == LayoutVal:
+	if t.e.cfg.Layout == LayoutVal {
 		ok = t.txCommitVal()
-	default:
+	} else {
 		ok = t.txCommitVersioned()
 	}
 	if ok {
@@ -571,31 +518,6 @@ func (t *Thr) txCommitVal() bool {
 		return false
 	}
 	// Publish: the stores clear the lock bits.
-	t.storeBegin()
-	for i := range x.writes {
-		atomic.StoreUint64(x.writes[i].data, x.writes[i].val)
-	}
-	t.storeEnd()
-	return true
-}
-
-// txCommitValEager commits a CCEager transaction: the write set already
-// holds its lock bits (set in TxWrite), so commit is validate + publish.
-// CCEager runs on the commit-counter path (rpValCnt).
-func (t *Thr) txCommitValEager() bool {
-	x := &t.txn
-	var ok bool
-	for {
-		s1 := t.e.stableSum()
-		ok = t.txValidateVal(t.owner)
-		if !ok || t.e.stableSum() == s1 {
-			break
-		}
-	}
-	if !ok {
-		t.txReleaseValLocks(len(x.writes))
-		return false
-	}
 	t.storeBegin()
 	for i := range x.writes {
 		atomic.StoreUint64(x.writes[i].data, x.writes[i].val)

@@ -1,8 +1,11 @@
-// The typed short-transaction API. Each descriptor type carries the
+// The short-transaction API. Each descriptor type carries the
 // transaction's arity (and, for combined transactions, the read-only /
-// read-write split) in the type itself, so an arity mistake that the
-// numbered API of shortapi.go only catches at runtime simply does not
+// read-write split) in the type itself, where Figure 2 of the paper
+// carries it in the function name, so an arity mistake does not
 // type-check: a ShortRW2 can only be committed with exactly two values.
+// A stale descriptor, kept past the start of the thread's next
+// transaction, panics at runtime when its arity disagrees with the
+// record's.
 //
 // Descriptors are zero-state handles over the per-thread record (the
 // paper keeps one TX_RECORD per thread, §4.1), so they are free to copy

@@ -1,9 +1,8 @@
 package core
 
 // Tests for the typed short-transaction API: lifecycle over every
-// layout, misuse behavior, interoperability with the numbered Figure-2
-// wrappers, zero-allocation guarantees on the fast paths, and a
-// race-detector stress of the Do combinators.
+// layout, misuse behavior, zero-allocation guarantees on the fast paths,
+// and a race-detector stress of the Do combinators.
 
 import (
 	"sync"
@@ -157,6 +156,18 @@ func TestTypedMisuse(t *testing.T) {
 		d2.Abort()
 	})
 
+	t.Run("stale-arity-ro-valid", func(t *testing.T) {
+		e := New(Config{Layout: LayoutTVar, MaxThreads: 2})
+		thr, writer := e.Register(), e.Register()
+		a, b, c := e.NewVar(iv(1)), e.NewVar(iv(2)), e.NewVar(iv(3))
+		d2, _, _ := thr.ShortRO2(a, b)
+		thr.ShortRO1(c) // d2's transaction is over; the record now reads c
+		writer.SingleWrite(a, iv(9))
+		// Validating the record's one read would report d2's stale
+		// snapshot of a as consistent.
+		mustPanic(t, "validation through stale ShortRO2", func() { d2.Valid() })
+	})
+
 	t.Run("double-abort", func(t *testing.T) {
 		e := New(Config{Layout: LayoutTVar})
 		thr := e.Register()
@@ -241,40 +252,6 @@ func TestTypedMisuse(t *testing.T) {
 	})
 }
 
-// TestTypedNumberedInterop interleaves the numbered wrappers and the
-// typed descriptors inside one transaction — they drive the same
-// per-thread record, so a transaction may be opened with one style and
-// finished with the other.
-func TestTypedNumberedInterop(t *testing.T) {
-	forAllConfigs(t, func(t *testing.T, e *Engine) {
-		thr := e.Register()
-		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-
-		// Open numbered, commit typed.
-		x := thr.RWRead1(a)
-		y := thr.RWRead2(b)
-		if !(ShortRW2{thr}).Valid() {
-			t.Fatal("typed Valid rejected numbered opens")
-		}
-		(ShortRW2{thr}).Commit(iv(x.Uint()+1), iv(y.Uint()+1))
-		if thr.SingleRead(a) != iv(2) || thr.SingleRead(b) != iv(3) {
-			t.Fatal("mixed commit wrong")
-		}
-
-		// Open typed, finish numbered.
-		d1, x2 := thr.ShortRW1(a)
-		_ = d1
-		y2 := thr.RWRead2(b)
-		if !thr.RWValid2() {
-			t.Fatal("numbered Valid rejected typed open")
-		}
-		thr.RWCommit2(iv(x2.Uint()+1), iv(y2.Uint()+1))
-		if thr.SingleRead(a) != iv(3) || thr.SingleRead(b) != iv(4) {
-			t.Fatal("mixed commit wrong")
-		}
-	})
-}
-
 // TestShortPathsZeroAlloc is the allocation regression test for the
 // paper's core claim: the short-transaction fast paths do no dynamic
 // bookkeeping. Every commit/validate shape must run at 0 allocs/op.
@@ -292,35 +269,27 @@ func TestShortPathsZeroAlloc(t *testing.T) {
 				}
 			}
 
-			check("typed RW2 commit", func() {
+			check("RW2 commit", func() {
 				dd, x, y := thr.ShortRW2(a, b)
 				if !dd.Valid() {
 					t.Fatal("conflict single-threaded")
 				}
 				dd.Commit(x, y)
 			})
-			check("typed RW4 commit", func() {
+			check("RW4 commit", func() {
 				dd, x1, x2, x3, x4 := thr.ShortRW4(a, b, c, d)
 				if !dd.Valid() {
 					t.Fatal("conflict single-threaded")
 				}
 				dd.Commit(x1, x2, x3, x4)
 			})
-			check("numbered RW2 commit", func() {
-				x := thr.RWRead1(a)
-				y := thr.RWRead2(b)
-				if !thr.RWValid2() {
-					t.Fatal("conflict single-threaded")
-				}
-				thr.RWCommit2(x, y)
-			})
-			check("typed RO2 validate", func() {
+			check("RO2 validate", func() {
 				dd, _, _ := thr.ShortRO2(a, b)
 				if !dd.Valid() {
 					t.Fatal("conflict single-threaded")
 				}
 			})
-			check("typed RO4 validate", func() {
+			check("RO4 validate", func() {
 				dd, _, _, _, _ := thr.ShortRO4(a, b, c, d)
 				if !dd.Valid() {
 					t.Fatal("conflict single-threaded")

@@ -102,17 +102,13 @@ func NewMicroRunner(variant, op string, size int) func(i uint64) {
 		}
 	case op == "ro-2" && !full:
 		one = func(i uint64) {
-			t.RORead1(vars[i])
-			t.RORead2(vars[(i+1)&mask])
-			t.ROValid2()
+			d, _, _ := t.ShortRO2(vars[i], vars[(i+1)&mask])
+			d.Valid()
 		}
 	case op == "ro-4" && !full:
 		one = func(i uint64) {
-			t.RORead1(vars[i])
-			t.RORead2(vars[(i+1)&mask])
-			t.RORead3(vars[(i+2)&mask])
-			t.RORead4(vars[(i+3)&mask])
-			t.ROValid4()
+			d, _, _, _, _ := t.ShortRO4(vars[i], vars[(i+1)&mask], vars[(i+2)&mask], vars[(i+3)&mask])
+			d.Valid()
 		}
 	case (op == "ro-2" || op == "ro-4") && full:
 		n := uint64(2)
@@ -128,31 +124,27 @@ func NewMicroRunner(variant, op string, size int) func(i uint64) {
 		}
 	case op == "rw-1" && !full:
 		one = func(i uint64) {
-			x := t.RWRead1(vars[i])
-			if !t.RWValid1() {
+			d, x := t.ShortRW1(vars[i])
+			if !d.Valid() {
 				panic("harness: conflict in single-threaded micro")
 			}
-			t.RWCommit1(word.FromUint(x.Uint() + 1))
+			d.Commit(word.FromUint(x.Uint() + 1))
 		}
 	case op == "rw-2" && !full:
 		one = func(i uint64) {
-			x1 := t.RWRead1(vars[i])
-			x2 := t.RWRead2(vars[(i+1)&mask])
-			if !t.RWValid2() {
+			d, x1, x2 := t.ShortRW2(vars[i], vars[(i+1)&mask])
+			if !d.Valid() {
 				panic("harness: conflict in single-threaded micro")
 			}
-			t.RWCommit2(word.FromUint(x1.Uint()+1), word.FromUint(x2.Uint()+1))
+			d.Commit(word.FromUint(x1.Uint()+1), word.FromUint(x2.Uint()+1))
 		}
 	case op == "rw-4" && !full:
 		one = func(i uint64) {
-			x1 := t.RWRead1(vars[i])
-			x2 := t.RWRead2(vars[(i+1)&mask])
-			x3 := t.RWRead3(vars[(i+2)&mask])
-			x4 := t.RWRead4(vars[(i+3)&mask])
-			if !t.RWValid4() {
+			d, x1, x2, x3, x4 := t.ShortRW4(vars[i], vars[(i+1)&mask], vars[(i+2)&mask], vars[(i+3)&mask])
+			if !d.Valid() {
 				panic("harness: conflict in single-threaded micro")
 			}
-			t.RWCommit4(word.FromUint(x1.Uint()+1), word.FromUint(x2.Uint()+1),
+			d.Commit(word.FromUint(x1.Uint()+1), word.FromUint(x2.Uint()+1),
 				word.FromUint(x3.Uint()+1), word.FromUint(x4.Uint()+1))
 		}
 	case full: // rw-1/2/4 over the ordinary interface

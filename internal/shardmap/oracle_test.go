@@ -261,7 +261,6 @@ func TestOracleConcurrentCC(t *testing.T) {
 		"tvar-snap": {Layout: core.LayoutTVar, Snapshots: true},
 	}
 	if !testing.Short() {
-		cfgs["val-eager"] = core.Config{Layout: core.LayoutVal, CC: core.CCEager}
 		cfgs["orec-lazy"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLazy}
 	}
 	for name, cfg := range cfgs {

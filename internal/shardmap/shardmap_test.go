@@ -21,7 +21,6 @@ func engines() map[string]*core.Engine {
 		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec}),
 		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}),
 		"tvar-lazy":     core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLazy}),
-		"val-eager":     core.New(core.Config{Layout: core.LayoutVal, CC: core.CCEager}),
 		"tvar-snap":     core.New(core.Config{Layout: core.LayoutTVar, Snapshots: true}),
 	}
 }
@@ -226,7 +225,7 @@ func TestGetBatch(t *testing.T) {
 // the short-transaction paths and perform no dynamic allocation — under
 // every concurrency-control policy and with snapshot history on.
 func TestZeroAllocHotPaths(t *testing.T) {
-	for _, layout := range []string{"val", "tvar-g", "orec-g", "tvar-lazy", "val-eager", "tvar-snap"} {
+	for _, layout := range []string{"val", "tvar-g", "orec-g", "tvar-lazy", "tvar-snap"} {
 		t.Run(layout, func(t *testing.T) {
 			e := engines()[layout]
 			m := New(e, WithShards(4), WithInitialBuckets(64))

@@ -33,9 +33,7 @@ func WithLayout(l Layout) Option {
 //	                original protocol)
 //	CCLazy          orec and tvar only: classic TL2, as above but a
 //	                stale read aborts instead of extending
-//	CCEager         LayoutVal only: encounter-time write locking;
-//	                reads keep counter-guarded value validation
-//	CCLocal        orec and tvar only: per-orec versions, no global
+//	CCLocal         orec and tvar only: per-orec versions, no global
 //	                counter, read-set validation after every read
 //	CCNoCounter     LayoutVal only: value validation without commit
 //	                counters (sound under the paper's §2.4 special

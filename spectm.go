@@ -7,9 +7,9 @@
 // # The engine
 //
 // An Engine provides transactional words (Var) under one of three
-// meta-data layouts (LayoutOrec, LayoutTVar, LayoutVal) and one of five
-// concurrency-control policies (CCTimestampExt, CCLazy, CCEager,
-// CCLocal, CCNoCounter), selected with options at construction:
+// meta-data layouts (LayoutOrec, LayoutTVar, LayoutVal) and one of four
+// concurrency-control policies (CCTimestampExt, CCLazy, CCLocal,
+// CCNoCounter), selected with options at construction:
 //
 //	e := spectm.New(spectm.WithLayout(spectm.LayoutVal), spectm.WithCC(spectm.CCNoCounter))
 //
@@ -25,9 +25,8 @@
 //   - short transactions of statically known size ≤ 4, via typed
 //     descriptors whose arity lives in the type: Thr.ShortRW1..4 /
 //     ShortRO1..4 openers with Extend, Valid, Commit, Abort, Upgrade
-//     and LockRead, plus the DoRW*/DoRO* retry combinators (the
-//     numbered Figure-2 methods RWRead1..4, CommitRO*RW*, ... remain as
-//     thin wrappers; see DESIGN.md for the correspondence);
+//     and LockRead, plus the DoRW*/DoRO* retry combinators (see
+//     DESIGN.md for the correspondence with the paper's Figure 2);
 //   - full transactions: Thr.TxStart/TxRead/TxWrite/TxCommit, or the
 //     Thr.Atomic retry wrapper.
 //
@@ -102,7 +101,6 @@ const (
 
 	CCTimestampExt = core.CCTimestampExt
 	CCLazy         = core.CCLazy
-	CCEager        = core.CCEager
 	CCLocal        = core.CCLocal
 	CCNoCounter    = core.CCNoCounter
 )

@@ -95,7 +95,6 @@ func TestOptionsConstruction(t *testing.T) {
 		"orecbits-on-val":   {WithLayout(LayoutVal), WithOrecBits(4)},
 		"nocounter-on-tvar": {WithLayout(LayoutTVar), WithCC(CCNoCounter)},
 		"local-on-val":      {WithLayout(LayoutVal), WithCC(CCLocal)},
-		"eager-on-tvar":     {WithLayout(LayoutTVar), WithCC(CCEager)},
 		"snapshots-on-val":  {WithLayout(LayoutVal), WithSnapshots()},
 		"snapshots-local":   {WithCC(CCLocal), WithSnapshots()},
 	} {
@@ -128,48 +127,6 @@ func TestConfigIntrospection(t *testing.T) {
 	v := e.NewVar(FromUint(7))
 	if got := DoRO1(thr, v); got != FromUint(7) {
 		t.Fatalf("engine read %d, want 7", got.Uint())
-	}
-}
-
-// TestFacadeNumberedWrappers drives the legacy Figure-2 numbered methods
-// through the facade — they are wrappers over the typed descriptors and
-// must interoperate with them on the same engine.
-func TestFacadeNumberedWrappers(t *testing.T) {
-	e := New(WithLayout(LayoutTVar))
-	thr := e.Register()
-	a := e.NewVar(FromUint(10))
-	b := e.NewVar(FromUint(20))
-
-	// Numbered open, numbered commit.
-	x := thr.RWRead1(a)
-	y := thr.RWRead2(b)
-	if !thr.RWValid2() {
-		t.Fatal("numbered RW2 invalid")
-	}
-	thr.RWCommit2(FromUint(x.Uint()+1), FromUint(y.Uint()+1))
-
-	// Numbered RO + upgrade + combined commit (the DCSS shape).
-	if thr.RORead1(a) != FromUint(11) || thr.RORead2(b) != FromUint(21) {
-		t.Fatal("numbered RO reads wrong values")
-	}
-	if !thr.UpgradeRO1ToRW1() {
-		t.Fatal("upgrade failed uncontended")
-	}
-	if !thr.CommitRO2RW1(FromUint(100)) {
-		t.Fatal("combined commit failed uncontended")
-	}
-	if thr.SingleRead(a) != FromUint(100) {
-		t.Fatal("combined commit did not store")
-	}
-
-	// Typed transaction right after, on the same thread and words.
-	d, xv := thr.ShortRW1(a)
-	if !d.Valid() {
-		t.Fatal("typed RW1 invalid after numbered use")
-	}
-	d.Commit(FromUint(xv.Uint() + 1))
-	if thr.SingleRead(a) != FromUint(101) {
-		t.Fatal("typed commit did not store")
 	}
 }
 
