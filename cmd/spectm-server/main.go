@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"spectm/internal/core"
 	"spectm/internal/server"
 	"spectm/internal/wal"
 )
@@ -31,7 +30,6 @@ func main() {
 		maxConns   = flag.Int("maxconns", 256, "maximum concurrent connections")
 		shards     = flag.Int("shards", 0, "map shard count (0 = default: ≥ GOMAXPROCS)")
 		buckets    = flag.Int("buckets", 0, "initial buckets per shard (0 = default 64)")
-		layout     = flag.String("layout", "val", "engine meta-data layout: val, tvar or orec")
 		dataDir    = flag.String("data-dir", "", "persistence directory: per-shard write-ahead logs + snapshots (empty = in-memory only)")
 		fsync      = flag.String("fsync", "interval=1s", "WAL fsync policy: always, every=N or interval=DURATION")
 		replListen = flag.String("repl-listen", "", "serve WAL-shipping replication to replicas on this address (requires -data-dir; on a replica, the listener a future PROMOTE will serve)")
@@ -40,24 +38,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var l core.Layout
-	switch *layout {
-	case "val":
-		l = core.LayoutVal
-	case "tvar":
-		l = core.LayoutTVar
-	case "orec":
-		l = core.LayoutOrec
-	default:
-		fmt.Fprintf(os.Stderr, "spectm-server: unknown layout %q (known: val, tvar, orec)\n", *layout)
-		os.Exit(2)
-	}
-
 	opts := []server.Option{
 		server.WithMaxConns(*maxConns),
 		server.WithShards(*shards),
 		server.WithInitialBuckets(*buckets),
-		server.WithLayout(l),
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParsePolicy(*fsync)
@@ -82,13 +66,13 @@ func main() {
 	}
 	switch {
 	case *replicaOf != "":
-		log.Printf("spectm-server: replica of %s, listening on %s (read-only; layout=%s maxconns=%d data-dir=%q)",
-			*replicaOf, s.Addr(), *layout, *maxConns, *dataDir)
+		log.Printf("spectm-server: replica of %s, listening on %s (read-only; maxconns=%d data-dir=%q)",
+			*replicaOf, s.Addr(), *maxConns, *dataDir)
 	case *dataDir != "":
-		log.Printf("spectm-server: listening on %s (layout=%s maxconns=%d data-dir=%s fsync=%s, %d keys recovered)",
-			s.Addr(), *layout, *maxConns, *dataDir, *fsync, s.Map().Len())
+		log.Printf("spectm-server: listening on %s (maxconns=%d data-dir=%s fsync=%s, %d keys recovered)",
+			s.Addr(), *maxConns, *dataDir, *fsync, s.Map().Len())
 	default:
-		log.Printf("spectm-server: listening on %s (layout=%s maxconns=%d)", s.Addr(), *layout, *maxConns)
+		log.Printf("spectm-server: listening on %s (maxconns=%d)", s.Addr(), *maxConns)
 	}
 	if *replListen != "" {
 		log.Printf("spectm-server: replication listener on %s", s.ReplAddr())

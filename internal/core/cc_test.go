@@ -13,17 +13,15 @@ import (
 func TestConfigSpace(t *testing.T) {
 	valid := map[Config]bool{}
 	for _, l := range []Layout{LayoutOrec, LayoutTVar} {
-		for _, cc := range []CC{CCTimestampExt, CCLazy} {
-			valid[Config{Layout: l, CC: cc}] = true
-			valid[Config{Layout: l, CC: cc, Snapshots: true}] = true
-		}
+		valid[Config{Layout: l}] = true
+		valid[Config{Layout: l, Snapshots: true}] = true
 		valid[Config{Layout: l, CC: CCLocal}] = true
 	}
 	for _, cc := range []CC{CCTimestampExt, CCNoCounter} {
 		valid[Config{Layout: LayoutVal, CC: cc}] = true
 	}
-	if len(valid) != 12 {
-		t.Fatalf("valid table lists %d configurations, want 12", len(valid))
+	if len(valid) != 8 {
+		t.Fatalf("valid table lists %d configurations, want 8", len(valid))
 	}
 	for l := LayoutOrec; l <= LayoutVal+1; l++ {
 		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
@@ -105,7 +103,6 @@ func TestCCValidate(t *testing.T) {
 	bad := map[string]Config{
 		"nocounter-versioned": {Layout: LayoutTVar, CC: CCNoCounter},
 		"local-val":           {Layout: LayoutVal, CC: CCLocal},
-		"lazy-val":            {Layout: LayoutVal, CC: CCLazy},
 		"snapshots-val":       {Layout: LayoutVal, Snapshots: true},
 		"snapshots-local":     {Layout: LayoutTVar, CC: CCLocal, Snapshots: true},
 		"cc-out-of-range":     {Layout: LayoutTVar, CC: CC(97)},
@@ -116,45 +113,5 @@ func TestCCValidate(t *testing.T) {
 				t.Fatalf("NewChecked(%+v) accepted an invalid policy combination", cfg)
 			}
 		})
-	}
-}
-
-// TestLazyAbortsInsteadOfExtending is the CCLazy counterpart of
-// TestTimebaseExtension: a classic-TL2 transaction that reads a
-// location versioned past its snapshot must abort even though its
-// earlier reads still hold.
-func TestLazyAbortsInsteadOfExtending(t *testing.T) {
-	for _, layout := range []Layout{LayoutOrec, LayoutTVar} {
-		e := newTestEngine(Config{Layout: layout, CC: CCLazy})
-		reader, writer := e.Register(), e.Register()
-		a, b := e.NewVar(iv(1)), e.NewVar(iv(2))
-
-		reader.TxStart()
-		if reader.TxRead(a) != iv(1) {
-			t.Fatal("setup read")
-		}
-		// Advance the clock past the reader's snapshot by committing to
-		// an unrelated location: extension would succeed, lazy must not
-		// even try.
-		writer.SingleWrite(b, iv(3))
-		if got := reader.TxRead(b); got != 0 {
-			t.Fatalf("lazy read past snapshot returned %v, want Null", got)
-		}
-		if reader.TxOK() {
-			t.Fatal("lazy transaction survived a post-snapshot version")
-		}
-		if reader.TxCommit() {
-			t.Fatal("aborted lazy transaction committed")
-		}
-		// The retry, with a fresh snapshot, sees both values.
-		ok := reader.Atomic(func() bool {
-			if reader.TxRead(a) != iv(1) || reader.TxRead(b) != iv(3) {
-				t.Fatal("retry read wrong values")
-			}
-			return true
-		})
-		if !ok {
-			t.Fatal("uncontended lazy retry failed")
-		}
 	}
 }

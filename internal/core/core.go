@@ -72,8 +72,9 @@ func (l Layout) String() string {
 	return "unknown"
 }
 
-// CC selects the concurrency-control policy: how full (and short
-// read-only) transactions version words and keep their read sets
+// CC selects the concurrency-control policy, one of the paper's three
+// version-management schemes (§4.1): how full (and short read-only)
+// transactions version words and keep their read sets
 // consistent. Every policy locks a full transaction's write set at
 // commit time. Policies are specialized at engine construction into
 // monomorphized read/commit paths — there is no interface dispatch on
@@ -89,11 +90,6 @@ const (
 	// value-based validation guarded by per-thread commit counters
 	// (after Dalessandro et al.), which makes general transactions safe.
 	CCTimestampExt CC = iota
-	// CCLazy, for the versioned layouts (orec, tvar), is classic TL2:
-	// lazy acquisition and invisible readers, but no extension — a read
-	// that observes a post-snapshot version aborts immediately. Cheaper
-	// validation under low contention, more aborts under clock pressure.
-	CCLazy
 	// CCLocal, for the versioned layouts (orec, tvar), keeps per-orec
 	// versions and no global counter, paying for it with read-set
 	// validation after every read.
@@ -111,8 +107,6 @@ func (c CC) String() string {
 	switch c {
 	case CCTimestampExt:
 		return "ext"
-	case CCLazy:
-		return "lazy"
 	case CCLocal:
 		return "local"
 	case CCNoCounter:
@@ -189,7 +183,7 @@ func (c Config) Validate() error {
 	if c.CC == CCNoCounter && c.Layout != LayoutVal {
 		return fmt.Errorf("core: CCNoCounter requires LayoutVal (value-based validation)")
 	}
-	if (c.CC == CCLocal || c.CC == CCLazy) && c.Layout == LayoutVal {
+	if c.CC == CCLocal && c.Layout == LayoutVal {
 		return fmt.Errorf("core: the %v policy requires a versioned layout (orec or tvar)", c.CC)
 	}
 	if c.Snapshots {
@@ -226,7 +220,6 @@ type rpath uint8
 
 const (
 	rpVerExt   rpath = iota // versioned words, global clock, timebase extension
-	rpVerLazy               // versioned words, global clock, abort on stale read
 	rpVerLocal              // versioned words, per-orec versions, validate per read
 	rpValCnt                // val layout, value validation with commit counters
 	rpValNoCnt              // val layout, pure value validation
@@ -241,8 +234,6 @@ func protoPath(cfg Config) rpath {
 		return rpValCnt
 	case cfg.CC == CCLocal:
 		return rpVerLocal
-	case cfg.CC == CCLazy:
-		return rpVerLazy
 	}
 	return rpVerExt
 }

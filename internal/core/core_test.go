@@ -9,23 +9,16 @@ import (
 
 // configs returns every engine configuration exercised by the paper's
 // variant grid, keyed by a label matching the paper's naming, plus the
-// non-default concurrency-control policies. In -short mode the policy
-// matrix shrinks to one representative per policy; the full run also
-// covers the lazy policy's orec (duplicate-aliasing) form.
+// non-default concurrency-control policies.
 func configs() map[string]Config {
-	m := map[string]Config{
+	return map[string]Config{
 		"orec-g":        {Layout: LayoutOrec},
 		"orec-l":        {Layout: LayoutOrec, CC: CCLocal},
 		"tvar-g":        {Layout: LayoutTVar},
 		"tvar-l":        {Layout: LayoutTVar, CC: CCLocal},
 		"val":           {Layout: LayoutVal},
 		"val-nocounter": {Layout: LayoutVal, CC: CCNoCounter},
-		"tvar-lazy":     {Layout: LayoutTVar, CC: CCLazy},
 	}
-	if !testing.Short() {
-		m["orec-lazy"] = Config{Layout: LayoutOrec, CC: CCLazy}
-	}
-	return m
 }
 
 func forAllConfigs(t *testing.T, fn func(t *testing.T, e *Engine)) {

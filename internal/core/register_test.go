@@ -184,7 +184,6 @@ func TestSuitesAtCapacity1024(t *testing.T) {
 		{"LargeWriteSet", TestLargeWriteSet},
 		{"ReadOnlyTxnLinearizesWithWriters", TestReadOnlyTxnLinearizesWithWriters},
 		{"ConfigSpace", TestConfigSpace},
-		{"LazyAbortsInsteadOfExtending", TestLazyAbortsInsteadOfExtending},
 	} {
 		t.Run(s.name, s.fn)
 	}

@@ -65,7 +65,7 @@ func (t *Thr) beginShort() {
 	s.done = false
 	s.nr, s.nw = 0, 0
 	switch t.rp {
-	case rpVerExt, rpVerLazy:
+	case rpVerExt:
 		s.snap = t.e.global.Read()
 	case rpValCnt:
 		s.snap = t.e.stableSum()
@@ -261,8 +261,6 @@ func (t *Thr) shortRORead(i int, v Var) Value {
 	switch t.rp {
 	case rpVerExt:
 		return t.shortROReadVerExt(i, v)
-	case rpVerLazy:
-		return t.shortROReadVerLazy(i, v)
 	case rpVerLocal:
 		return t.shortROReadVerLocal(i, v)
 	case rpValCnt:
@@ -311,40 +309,6 @@ func (t *Thr) shortROReadVerExt(i int, v Var) Value {
 			return 0
 		}
 		s.snap = newSnap
-	}
-	s.rMeta[i], s.rData[i], s.rSeen[i] = v.meta, v.data, m1
-	s.nr = i + 1
-	return Value(d)
-}
-
-// shortROReadVerLazy: classic TL2 (CCLazy) — a post-snapshot version
-// aborts instead of extending.
-func (t *Thr) shortROReadVerLazy(i int, v Var) Value {
-	s := &t.short
-	var m1, d uint64
-	for iter := 0; ; iter++ {
-		m1 = vlock.Load(v.meta)
-		if vlock.IsLocked(m1) {
-			if iter >= roSpinBudget {
-				t.failShort()
-				return 0
-			}
-			spinWait(iter)
-			continue
-		}
-		d = atomic.LoadUint64(v.data)
-		if vlock.Load(v.meta) == m1 {
-			break
-		}
-		if iter >= roSpinBudget {
-			t.failShort()
-			return 0
-		}
-		spinWait(iter)
-	}
-	if vlock.Version(m1) > s.snap {
-		t.failShort()
-		return 0
 	}
 	s.rMeta[i], s.rData[i], s.rSeen[i] = v.meta, v.data, m1
 	s.nr = i + 1

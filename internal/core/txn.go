@@ -69,7 +69,7 @@ func (t *Thr) TxStart() {
 	x.reads = x.reads[:0]
 	x.writes = x.writes[:0]
 	switch t.rp {
-	case rpVerExt, rpVerLazy:
+	case rpVerExt:
 		x.snap = t.e.global.Read()
 	case rpValCnt:
 		x.snap = t.e.stableSum()
@@ -117,8 +117,6 @@ func (t *Thr) TxRead(v Var) Value {
 	switch t.rp {
 	case rpVerExt:
 		return t.txReadVerExt(v)
-	case rpVerLazy:
-		return t.txReadVerLazy(v)
 	case rpVerLocal:
 		return t.txReadVerLocal(v)
 	case rpValCnt:
@@ -169,23 +167,6 @@ func (t *Thr) txReadVerExt(v Var) Value {
 		}
 		x.snap = newSnap
 	}
-	return Value(d)
-}
-
-// txReadVerLazy: classic TL2 (CCLazy) — a read that observes a version
-// newer than the start snapshot aborts instead of extending.
-func (t *Thr) txReadVerLazy(v Var) Value {
-	x := &t.txn
-	m1, d, ok := t.txPairRead(v)
-	if !ok {
-		t.txAbortNow()
-		return 0
-	}
-	if vlock.Version(m1) > x.snap {
-		t.txAbortNow()
-		return 0
-	}
-	x.reads = append(x.reads, rdEnt{meta: v.meta, data: v.data, seen: m1})
 	return Value(d)
 }
 

@@ -424,12 +424,8 @@ func (c *conn) statsReply() {
 	appendStat("iscans", st.IScans)
 	appendStat("iscan_keys", st.IScanKeys)
 	appendStat("idx_creates", st.IdxCreates)
-	appendStat("scan_fallbacks", st.ScanFallbacks)
 	appendStat("index_searches", st.IndexSearches)
 	appendStat("index_steps", st.IndexSteps)
-	appendStat("snapshot_batches", st.SnapshotBatches)
-	appendStat("snapshot_retries", st.SnapshotRetries)
-	appendStat("snapshot_fallbacks", st.SnapshotFallbacks)
 	appendStat("shards", uint64(s.m.Shards()))
 	appendStat("conflicts", st.Conflicts)
 	appendStat("wal_bytes", uint64(s.m.LogSize()))

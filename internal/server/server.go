@@ -39,7 +39,6 @@ type config struct {
 	maxConns int
 	shards   int
 	buckets  int
-	layout   core.Layout
 	dataDir  string
 	fsync    wal.Policy
 	topo     Topology
@@ -54,10 +53,6 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithInitialBuckets sets the map's per-shard initial bucket count.
 func WithInitialBuckets(n int) Option { return func(c *config) { c.buckets = n } }
-
-// WithLayout selects the engine meta-data layout (default LayoutVal,
-// the paper's fastest for short transactions).
-func WithLayout(l core.Layout) Option { return func(c *config) { c.layout = l } }
 
 // WithPersistence makes the served map durable: mutations append to
 // per-shard write-ahead logs under dir (fsynced per policy), startup
@@ -102,7 +97,7 @@ type Server struct {
 
 // New builds a server (engine + map) without listening yet.
 func New(opts ...Option) (*Server, error) {
-	cfg := config{maxConns: 64, layout: core.LayoutVal}
+	cfg := config{maxConns: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -116,15 +111,8 @@ func New(opts ...Option) (*Server, error) {
 	// +4: accept slop, the persistence thread (recovery + snapshots) and
 	// the replication applier. This is capacity only: validation walks
 	// the descriptors actually registered (STATS engine_threads), so a
-	// generous maxConns costs idle memory, not read latency. Versioned
-	// layouts get snapshot history, which routes wide MGET (and Range)
-	// through multi-version reads — on replicas this is what keeps read
-	// serving abort-free while the applier streams the primary's writes.
-	e, err := core.NewChecked(core.Config{
-		Layout:     cfg.layout,
-		MaxThreads: cfg.maxConns + 4,
-		Snapshots:  cfg.layout != core.LayoutVal,
-	})
+	// generous maxConns costs idle memory, not read latency.
+	e, err := core.NewChecked(core.Config{Layout: core.LayoutVal, MaxThreads: cfg.maxConns + 4})
 	if err != nil {
 		return nil, err
 	}

@@ -257,11 +257,12 @@ func TestOracleConcurrent(t *testing.T) {
 // multi-version reads. -short keeps one representative per policy.
 func TestOracleConcurrentCC(t *testing.T) {
 	cfgs := map[string]core.Config{
-		"tvar-lazy": {Layout: core.LayoutTVar, CC: core.CCLazy},
-		"tvar-snap": {Layout: core.LayoutTVar, Snapshots: true},
+		"tvar-l":        {Layout: core.LayoutTVar, CC: core.CCLocal},
+		"val-nocounter": {Layout: core.LayoutVal, CC: core.CCNoCounter},
+		"tvar-snap":     {Layout: core.LayoutTVar, Snapshots: true},
 	}
 	if !testing.Short() {
-		cfgs["orec-lazy"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLazy}
+		cfgs["orec-l"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) { runOracleConcurrent(t, cfg) })

@@ -28,8 +28,10 @@ func (m *Map) Ordered() bool { return m.ordered != nil }
 // (end == "" means unbounded) in ascending order, up to limit entries
 // (limit ≤ 0 means unlimited), and returns the extended slices. Each
 // candidate from the ordered index is verified against the hash map, so
-// only currently live keys are emitted; values are read at one snapshot
-// timestamp taken at the start of the scan.
+// only currently live keys are emitted. On an engine with snapshot
+// history, values are read at one timestamp taken at the start of the
+// scan; without history, each value is the key's current one, read in
+// its own ShortRO2 with no point shared across keys.
 func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value) ([]string, []Value, error) {
 	ol := x.m.ordered
 	if ol == nil {

@@ -20,7 +20,6 @@ func engines() map[string]*core.Engine {
 		"tvar-l":        core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLocal}),
 		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec}),
 		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}),
-		"tvar-lazy":     core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLazy}),
 		"tvar-snap":     core.New(core.Config{Layout: core.LayoutTVar, Snapshots: true}),
 	}
 }
@@ -225,9 +224,8 @@ func TestGetBatch(t *testing.T) {
 // the short-transaction paths and perform no dynamic allocation — under
 // every concurrency-control policy and with snapshot history on.
 func TestZeroAllocHotPaths(t *testing.T) {
-	for _, layout := range []string{"val", "tvar-g", "orec-g", "tvar-lazy", "tvar-snap"} {
-		t.Run(layout, func(t *testing.T) {
-			e := engines()[layout]
+	for name, e := range engines() {
+		t.Run(name, func(t *testing.T) {
 			m := New(e, WithShards(4), WithInitialBuckets(64))
 			th := m.NewThread()
 			for i := 0; i < 128; i++ {

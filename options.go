@@ -31,8 +31,6 @@ func WithLayout(l Layout) Option {
 //	CCTimestampExt  commit-time locking, invisible readers, timebase
 //	                extension on reads (the default — the engine's
 //	                original protocol)
-//	CCLazy          orec and tvar only: classic TL2, as above but a
-//	                stale read aborts instead of extending
 //	CCLocal         orec and tvar only: per-orec versions, no global
 //	                counter, read-set validation after every read
 //	CCNoCounter     LayoutVal only: value validation without commit

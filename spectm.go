@@ -7,9 +7,9 @@
 // # The engine
 //
 // An Engine provides transactional words (Var) under one of three
-// meta-data layouts (LayoutOrec, LayoutTVar, LayoutVal) and one of four
-// concurrency-control policies (CCTimestampExt, CCLazy, CCLocal,
-// CCNoCounter), selected with options at construction:
+// meta-data layouts (LayoutOrec, LayoutTVar, LayoutVal) and one of three
+// concurrency-control policies (CCTimestampExt, CCLocal, CCNoCounter),
+// selected with options at construction:
 //
 //	e := spectm.New(spectm.WithLayout(spectm.LayoutVal), spectm.WithCC(spectm.CCNoCounter))
 //
@@ -100,7 +100,6 @@ const (
 	LayoutVal  = core.LayoutVal
 
 	CCTimestampExt = core.CCTimestampExt
-	CCLazy         = core.CCLazy
 	CCLocal        = core.CCLocal
 	CCNoCounter    = core.CCNoCounter
 )

@@ -85,8 +85,8 @@ func TestOptionsConstruction(t *testing.T) {
 	if ec := New(WithLayout(LayoutVal), WithCC(CCNoCounter)); ec.Config().CC != CCNoCounter {
 		t.Fatalf("WithCC(CCNoCounter) not applied: %+v", ec.Config())
 	}
-	if ec := New(WithLayout(LayoutTVar), WithCC(CCLazy), WithSnapshots()); ec.Config().CC != CCLazy || !ec.Config().Snapshots {
-		t.Fatalf("WithCC/WithSnapshots not applied: %+v", ec.Config())
+	if ec := New(WithLayout(LayoutTVar), WithSnapshots()); ec.Config().CC != CCTimestampExt || !ec.Config().Snapshots {
+		t.Fatalf("WithSnapshots not applied: %+v", ec.Config())
 	}
 
 	for name, opts := range map[string][]Option{

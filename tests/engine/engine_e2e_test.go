@@ -17,7 +17,6 @@ import (
 func configs() map[string][]spectm.Option {
 	return map[string][]spectm.Option{
 		"default":        nil,
-		"orec-lazy":      {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCLazy)},
 		"orec-local":     {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCLocal)},
 		"orec-snap":      {spectm.WithLayout(spectm.LayoutOrec), spectm.WithSnapshots()},
 		"tvar":           {spectm.WithLayout(spectm.LayoutTVar)},
