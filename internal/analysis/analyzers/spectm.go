@@ -116,20 +116,16 @@ const (
 	evUpgrade           // RO → combined: lock on success, released on failure
 	evValid             // validation: released when it reports false
 	evTerminal          // Commit/Abort/Discard/ShortDiscard: txn closed
-	evSnapshot          // SnapshotBegin/SnapshotRead: multi-version read, state-neutral
 )
 
 // The terminal set is policy-independent by construction: every
 // concurrency-control policy (see core.CC) funnels through the same
 // descriptor Commit/Abort surface. On a Thr, only the openers and
 // ShortDiscard touch the short record; everything else is a descriptor
-// method. Snapshot reads never join a read set or take locks, so they
-// get their own state-neutral event instead of falling through
-// unrecognized.
+// method.
 var (
 	thrOpenLockRe = regexp.MustCompile(`^ShortRW[1-4]$`)
 	thrOpenRORe   = regexp.MustCompile(`^ShortRO[1-4]$`)
-	thrSnapRe     = regexp.MustCompile(`^(SnapshotBegin|SnapshotRead)$`)
 	descUpgradeRe = regexp.MustCompile(`^Upgrade[1-4]?$`)
 )
 
@@ -163,8 +159,6 @@ func classifyTxnCall(info *types.Info, call *ast.CallExpr) txnEvent {
 			return evOpenRO
 		case name == "ShortDiscard":
 			return evTerminal
-		case thrSnapRe.MatchString(name):
-			return evSnapshot
 		}
 	}
 	return evNone

@@ -19,14 +19,10 @@ import (
 // themselves, so `if !d.Valid() { continue }` is a closed path. These
 // rules hold under every concurrency-control policy (core.CC): the
 // policies change how conflicts are detected, not which calls decide a
-// transaction. Snapshot reads (Thr.SnapshotBegin / Thr.SnapshotRead)
-// are state-neutral — they neither open nor close anything — but
-// running one while a lock-holding short transaction is undecided
-// stalls conflicting writers on the history search and is flagged. A
-// deferred Abort/Discard exempts the function's return paths. Functions
-// using goto or labeled branches are skipped. The defining package
-// (internal/core) is exempt — it manipulates the underlying records
-// directly.
+// transaction. A deferred Abort/Discard exempts the function's return
+// paths. Functions using goto or labeled branches are skipped. The
+// defining package (internal/core) is exempt — it manipulates the
+// underlying records directly.
 var Txnpath = &analysis.Analyzer{
 	Name: "txnpath",
 	Doc:  "every path that opens a lock-holding short transaction must Commit or Abort it",
@@ -48,9 +44,6 @@ func runTxnpath(pass *analysis.Pass) error {
 			}
 			t.onOpenWhileLock = func(pos token.Pos) {
 				pass.Reportf(pos, "%s: short transaction opened while a lock-holding one is still undecided", name)
-			}
-			t.onSnapWhileLock = func(pos token.Pos) {
-				pass.Reportf(pos, "%s: snapshot read while a lock-holding short transaction is still undecided", name)
 			}
 			t.analyze(body)
 		})

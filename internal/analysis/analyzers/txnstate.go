@@ -54,10 +54,6 @@ type txnFlow struct {
 	// onOpenWhileLock fires when a new short txn opens while a
 	// lock-holding one is still undecided.
 	onOpenWhileLock func(pos token.Pos)
-	// onSnapWhileLock fires when a snapshot read (SnapshotBegin /
-	// SnapshotRead, with its bounded ring-retry spin) runs while a
-	// lock-holding short transaction is still undecided.
-	onSnapWhileLock func(pos token.Pos)
 	// onCall fires at every call site with the state before the call's
 	// own event applies.
 	onCall func(call *ast.CallExpr, s stateSet)
@@ -500,15 +496,6 @@ func (t *txnFlow) applyCall(call *ast.CallExpr, s stateSet) stateSet {
 		return s | stNone
 	case evTerminal:
 		return stNone
-	case evSnapshot:
-		// Multi-version reads join no read set and take no locks: the
-		// txn state is untouched. Running one while write locks are
-		// held stalls every conflicting writer for the duration of the
-		// history search, so it is reported (not a leak — a hazard).
-		if s&stLock != 0 && t.onSnapWhileLock != nil {
-			t.onSnapWhileLock(call.Pos())
-		}
-		return s
 	}
 	return s
 }

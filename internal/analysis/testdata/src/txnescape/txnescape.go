@@ -126,26 +126,6 @@ func okTransitionChain(t *core.Thr, a, b core.Var) {
 	e.Commit(v, w)
 }
 
-// Snapshot reads return plain values, not descriptors: nothing to
-// escape, and mixing them with short transactions keeps the
-// use-after-terminal rules unchanged.
-func okSnapshotMix(t *core.Thr, a, b core.Var) core.Value {
-	at := t.SnapshotBegin()
-	if v, ok := t.SnapshotRead(a, at); ok {
-		return v
-	}
-	d, v := t.ShortRW1(b)
-	d.Commit(v)
-	return v
-}
-
-func useAfterCommitWithSnap(t *core.Thr, a, b core.Var, at uint64) {
-	d, v := t.ShortRW1(a)
-	d.Commit(v)
-	sv, _ := t.SnapshotRead(b, at)
-	d.Commit(sv) // want "use of short-transaction descriptor d after Commit"
-}
-
 // ---- scan-path escapes (ordered-index iteration) ----
 
 // A scan callback that captures the verifying descriptor would let the

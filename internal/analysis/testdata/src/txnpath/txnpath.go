@@ -54,31 +54,7 @@ func doubleOpen(t *core.Thr, a, b core.Var) {
 	d.Commit(v)
 }
 
-func snapUnderLock(t *core.Thr, a, b core.Var, at uint64) {
-	d, v := t.ShortRW1(a)
-	sv, _ := t.SnapshotRead(b, at) // want "snapshot read while a lock-holding short transaction is still undecided"
-	d.Commit(v + sv)
-}
-
-func snapBeginUnderLock(t *core.Thr, a core.Var) {
-	d, v := t.ShortRW1(a)
-	_ = t.SnapshotBegin() // want "snapshot read while a lock-holding short transaction is still undecided"
-	d.Commit(v)
-}
-
 // ---- legal idioms ----
-
-// Snapshot reads are state-neutral: no transaction to leak, and mixing
-// them with read-only short transactions is fine.
-func okSnapshot(t *core.Thr, a, b core.Var) core.Value {
-	at := t.SnapshotBegin()
-	v, ok := t.SnapshotRead(a, at)
-	if !ok {
-		_, w := t.ShortRO1(b)
-		return w
-	}
-	return v
-}
 
 func okCommit(t *core.Thr, a, b core.Var) {
 	d, v1, v2 := t.ShortRW2(a, b)
@@ -174,25 +150,12 @@ func scanAdvanceLeak(t *core.Thr, a core.Var) {
 	}
 }
 
-// Snapshot-probing the next entry under the current entry's lock mixes
-// the two read disciplines on one held lock.
-func scanSnapUnderLock(t *core.Thr, a, b core.Var, at uint64) {
-	d, v := t.ShortRW1(a)
-	nv, _ := t.SnapshotRead(b, at) // want "snapshot read while a lock-holding short transaction is still undecided"
-	d.Commit(v + nv)
-}
-
 // The legal scan shape: membership from lock-free navigation, each
-// candidate verified with a fresh RO pair (no locks), values from one
-// snapshot timestamp taken before any entry work.
+// candidate verified and its value read with a fresh RO pair (no locks).
 func okScanVerify(t *core.Thr, link, val core.Var) (core.Value, bool) {
-	at := t.SnapshotBegin()
-	d, lv, _ := t.ShortRO2(link, val)
+	d, lv, v := t.ShortRO2(link, val)
 	if !d.Valid() || lv == 0 {
 		return 0, false
 	}
-	if sv, ok := t.SnapshotRead(val, at); ok {
-		return sv, true
-	}
-	return 0, false
+	return v, true
 }

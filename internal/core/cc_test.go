@@ -7,42 +7,39 @@ import (
 )
 
 // TestConfigSpace pins the engine's whole option space. Every Layout × CC
-// × Snapshots combination either builds through NewChecked and conserves
+// combination either builds through NewChecked and conserves
 // money over a two-thread round of mixed short and full transfers, or is
 // rejected with an error; the valid set is exactly the one listed here.
 func TestConfigSpace(t *testing.T) {
 	valid := map[Config]bool{}
 	for _, l := range []Layout{LayoutOrec, LayoutTVar} {
 		valid[Config{Layout: l}] = true
-		valid[Config{Layout: l, Snapshots: true}] = true
 		valid[Config{Layout: l, CC: CCLocal}] = true
 	}
 	for _, cc := range []CC{CCTimestampExt, CCNoCounter} {
 		valid[Config{Layout: LayoutVal, CC: cc}] = true
 	}
-	if len(valid) != 8 {
-		t.Fatalf("valid table lists %d configurations, want 8", len(valid))
+	if len(valid) != 6 {
+		t.Fatalf("valid table lists %d configurations, want 6", len(valid))
 	}
 	for l := LayoutOrec; l <= LayoutVal+1; l++ {
 		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
-			for _, snap := range []bool{false, true} {
-				cfg := Config{Layout: l, CC: cc, Snapshots: snap}
-				t.Run(fmt.Sprintf("%v-%v-snap=%v", l, cc, snap), func(t *testing.T) {
-					run := cfg
-					run.MaxThreads = suiteMaxThreads
-					e, err := NewChecked(run)
-					if !valid[cfg] {
-						if err == nil {
-							t.Fatalf("NewChecked(%+v) built an engine outside the supported space", cfg)
-						}
-						return
+			cfg := Config{Layout: l, CC: cc}
+			t.Run(fmt.Sprintf("%v-%v", l, cc), func(t *testing.T) {
+				run := cfg
+				run.MaxThreads = suiteMaxThreads
+				e, err := NewChecked(run)
+				if !valid[cfg] {
+					if err == nil {
+						t.Fatalf("NewChecked(%+v) built an engine outside the supported space", cfg)
 					}
-					if err != nil {
-						t.Fatalf("NewChecked(%+v): %v", cfg, err)
-					}
-					transferRound(t, e)
-				})
-			}
+					return
+				}
+				if err != nil {
+					t.Fatalf("NewChecked(%+v): %v", cfg, err)
+				}
+				transferRound(t, e)
+			})
 		}
 	}
 }
@@ -103,8 +100,6 @@ func TestCCValidate(t *testing.T) {
 	bad := map[string]Config{
 		"nocounter-versioned": {Layout: LayoutTVar, CC: CCNoCounter},
 		"local-val":           {Layout: LayoutVal, CC: CCLocal},
-		"snapshots-val":       {Layout: LayoutVal, Snapshots: true},
-		"snapshots-local":     {Layout: LayoutTVar, CC: CCLocal, Snapshots: true},
 		"cc-out-of-range":     {Layout: LayoutTVar, CC: CC(97)},
 	}
 	for name, cfg := range bad {

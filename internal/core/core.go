@@ -143,12 +143,6 @@ type Config struct {
 	// set disjointness, duplicate locations, lock leaks into full
 	// transactions). See debug.go.
 	Debug bool
-
-	// Snapshots allocates the multi-version history ring that backs
-	// Thr.SnapshotRead. Requires a versioned layout (orec or tvar) and
-	// the global timebase; costs one predictable branch per commit when
-	// disabled and a bounded ring write per published word when enabled.
-	Snapshots bool
 }
 
 func (c Config) withDefaults() Config {
@@ -186,14 +180,6 @@ func (c Config) Validate() error {
 	if c.CC == CCLocal && c.Layout == LayoutVal {
 		return fmt.Errorf("core: the %v policy requires a versioned layout (orec or tvar)", c.CC)
 	}
-	if c.Snapshots {
-		if c.Layout == LayoutVal {
-			return fmt.Errorf("core: Snapshots require a versioned layout (orec or tvar)")
-		}
-		if c.CC == CCLocal {
-			return fmt.Errorf("core: Snapshots require the global timebase")
-		}
-	}
 	return nil
 }
 
@@ -202,9 +188,8 @@ func (c Config) Validate() error {
 // created against that Engine.
 type Engine struct {
 	cfg      Config
-	rp       rpath      // monomorphized read/validate path (from cfg)
-	snap     *snapTable // multi-version history ring; nil when disabled
-	orecs    []uint64   // LayoutOrec only
+	rp       rpath    // monomorphized read/validate path (from cfg)
+	orecs    []uint64 // LayoutOrec only
 	orecMask uint64
 	global   clock.Global
 	local    *clock.PerThread // commit counters; also the thread-id allocator
@@ -261,9 +246,6 @@ func NewChecked(cfg Config) (*Engine, error) {
 		local:    clock.NewPerThread(cfg.MaxThreads),
 		epochDom: epoch.NewDomain(cfg.MaxThreads),
 	}
-	if cfg.Snapshots {
-		e.snap = newSnapTable()
-	}
 	if cfg.Layout == LayoutOrec {
 		n := uint64(1) << cfg.OrecBits
 		e.orecs = make([]uint64, n)
@@ -271,10 +253,6 @@ func NewChecked(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// SnapshotsEnabled reports whether the engine maintains the version
-// history that backs Thr.SnapshotRead.
-func (e *Engine) SnapshotsEnabled() bool { return e.snap != nil }
 
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -332,13 +310,11 @@ func (e *Engine) NewVar(v Value) Var {
 
 // Stats counts per-thread transaction outcomes.
 type Stats struct {
-	Commits       uint64 // full-transaction commits
-	Aborts        uint64 // full-transaction aborts (conflicts)
-	ShortCommits  uint64 // short-transaction commits (incl. RO validations)
-	ShortAborts   uint64 // short-transaction conflicts
-	Singles       uint64 // single-location transactions
-	SnapshotReads uint64 // SnapshotRead calls
-	SnapshotMiss  uint64 // SnapshotRead history misses (caller retries)
+	Commits      uint64 // full-transaction commits
+	Aborts       uint64 // full-transaction aborts (conflicts)
+	ShortCommits uint64 // short-transaction commits (incl. RO validations)
+	ShortAborts  uint64 // short-transaction conflicts
+	Singles      uint64 // single-location transactions
 }
 
 // Add accumulates other into s.
@@ -348,8 +324,6 @@ func (s *Stats) Add(o Stats) {
 	s.ShortCommits += o.ShortCommits
 	s.ShortAborts += o.ShortAborts
 	s.Singles += o.Singles
-	s.SnapshotReads += o.SnapshotReads
-	s.SnapshotMiss += o.SnapshotMiss
 }
 
 // Thr is a registered thread: the per-thread transaction descriptor of

@@ -204,12 +204,6 @@ func (t *Thr) publishAndRelease(n int, vals [MaxShort]Value) {
 	if t.rp != rpVerLocal {
 		wv = t.e.global.Tick()
 	}
-	if st := t.e.snap; st != nil {
-		// Record overwritten values while the locks are still held.
-		for i := 0; i < n; i++ {
-			st.record(s.wData[i], vlock.Version(s.wSeen[i]), wv, atomic.LoadUint64(s.wData[i]))
-		}
-	}
 	for i := 0; i < n; i++ {
 		atomic.StoreUint64(s.wData[i], uint64(vals[i]))
 	}

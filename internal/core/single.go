@@ -60,9 +60,6 @@ func (t *Thr) SingleWrite(v Var, val Value) {
 		m := vlock.Load(v.meta)
 		if !vlock.IsLocked(m) && vlock.TryLock(v.meta, m, t.owner) {
 			wv := t.nextVersion(m)
-			if st := t.e.snap; st != nil {
-				st.record(v.data, vlock.Version(m), wv, atomic.LoadUint64(v.data))
-			}
 			atomic.StoreUint64(v.data, uint64(val))
 			vlock.Unlock(v.meta, wv)
 			return
@@ -120,9 +117,6 @@ func (t *Thr) SingleCAS(v Var, old, new Value) Value {
 			return Value(d)
 		}
 		wv := t.nextVersion(m)
-		if st := t.e.snap; st != nil {
-			st.record(v.data, vlock.Version(m), wv, d)
-		}
 		atomic.StoreUint64(v.data, uint64(new))
 		vlock.Unlock(v.meta, wv)
 		return old

@@ -369,7 +369,9 @@ func (t *Thr) txCommitVersioned() bool {
 		return false
 	}
 	// Publish and release.
-	t.txPublishVersioned(wv)
+	for i := range x.writes {
+		atomic.StoreUint64(x.writes[i].data, x.writes[i].val)
+	}
 	for i := range x.writes {
 		w := &x.writes[i]
 		if w.dup {
@@ -382,22 +384,6 @@ func (t *Thr) txCommitVersioned() bool {
 		}
 	}
 	return true
-}
-
-// txPublishVersioned stores the write set, recording overwritten values
-// into the snapshot history (while the locks are still held) when
-// multi-version reads are enabled.
-func (t *Thr) txPublishVersioned(wv uint64) {
-	x := &t.txn
-	if st := t.e.snap; st != nil {
-		for i := range x.writes {
-			w := &x.writes[i]
-			st.record(w.data, vlock.Version(w.lockSeen), wv, atomic.LoadUint64(w.data))
-		}
-	}
-	for i := range x.writes {
-		atomic.StoreUint64(x.writes[i].data, x.writes[i].val)
-	}
 }
 
 // ownWriteLock returns the index of an earlier write entry that already

@@ -5,22 +5,13 @@
 // the validated read set — runs as one ordinary read-only transaction,
 // which composes with the short-transaction hot paths on the same
 // meta-data (the paper's mixing property, §2.2/§3).
-//
-// When the engine maintains snapshot history (core.Config.Snapshots),
-// wide batches take a third route first: membership by current-time
-// chain walks, values by Thr.SnapshotRead against one timestamp. That
-// path never joins a read set, so it cannot validation-abort no matter
-// how hot the write load is; it degrades to the full-transaction path
-// only when the bounded history no longer covers the timestamp or a
-// shard resize interferes.
 package shardmap
 
 // GetBatch reads up to len(keys) keys as one atomic snapshot: vals[i] and
 // found[i] report key i as of a single linearization point. vals and
 // found must be at least as long as keys. Two distinct present keys run
-// on the 4-location short read-only path; wider batches use snapshot
-// reads when the engine records history; everything else falls back to
-// one full read-only transaction.
+// on the 4-location short read-only path; a wider batch, or one with an
+// absent key, runs as one full read-only transaction.
 func (x *Thread) GetBatch(keys []string, vals []Value, found []bool) {
 	if len(vals) < len(keys) || len(found) < len(keys) {
 		panic("shardmap: GetBatch needs vals/found at least as long as keys")
@@ -37,98 +28,8 @@ func (x *Thread) GetBatch(keys []string, vals []Value, found []bool) {
 		if keys[0] != keys[1] && x.getPair(keys, vals, found) {
 			return
 		}
-	default:
-		if x.m.snap && x.getBatchSnap(keys, vals, found) {
-			return
-		}
 	}
 	x.getBatchFull(keys, vals, found)
-}
-
-// getBatchSnap serves a wide batch at one snapshot timestamp S (taken
-// after the epoch pin — the pin is what keeps re-used nodes' stale
-// history intervals strictly below S). Present keys report their value
-// as of S, so no interleaved writer — including Swap2's combined
-// commit, which publishes both words at one write version — can be
-// observed torn. Migrated node copies are fresh words with no history,
-// so any shard resize observed before, during or after the value reads
-// reports false and hands the batch to the full-transaction path.
-func (x *Thread) getBatchSnap(keys []string, vals []Value, found []bool) bool {
-	t := x.t
-	x.ops.snapBatches.Add(1)
-	if cap(x.bstates) < len(keys) {
-		x.bstates = make([]*tables, len(keys))
-	}
-	states := x.bstates[:len(keys)]
-	t.Epoch.Enter()
-	defer t.Epoch.Exit()
-	for attempt := 1; attempt <= 4; attempt++ {
-		at := t.SnapshotBegin()
-		ok := true
-		for i, key := range keys {
-			sh := x.m.shardOf(x.m.hash(key))
-			st := sh.state.Load()
-			if st.old != nil || sh.resizedAt.Load() > at {
-				x.ops.snapFallbacks.Add(1)
-				return false // resizing, or resized since at: copies have no history
-			}
-			states[i] = st
-			v, f, good := x.snapLookup(key, at)
-			if !good {
-				ok = false
-				break
-			}
-			vals[i], found[i] = v, f
-		}
-		if ok {
-			// A resize that started mid-batch published a new tables
-			// pointer; unchanged pointers prove no migration raced the
-			// value reads.
-			for i, key := range keys {
-				sh := x.m.shardOf(x.m.hash(key))
-				if sh.state.Load() != states[i] {
-					x.ops.snapFallbacks.Add(1)
-					return false
-				}
-			}
-			return true
-		}
-		// History miss: restart with a fresh timestamp — every word
-		// whose version is ≤ the new S satisfies the fast path, so
-		// retries converge unless writers outpace the ring.
-		x.ops.snapRetries.Add(1)
-		t.Backoff(attempt)
-	}
-	x.ops.snapFallbacks.Add(1)
-	return false
-}
-
-// snapLookup resolves one key of a snapshot batch: membership with a
-// current-time walk (marked links retried like get), value at the batch
-// timestamp. good=false means the history no longer covers at.
-func (x *Thread) snapLookup(key string, at uint64) (v Value, found, good bool) {
-	h := x.m.hash(key)
-	sh := x.m.shardOf(h)
-	for attempt := 1; attempt <= 4; attempt++ {
-		tb := x.route(sh, h)
-		_, _, cur, f, ok := x.search(sh, tb, h, key)
-		if !ok {
-			continue
-		}
-		if !f {
-			return 0, false, true
-		}
-		n := sh.a.Get(cur)
-		val, ok := x.t.SnapshotRead(x.m.valVar(sh, cur, n), at)
-		if !ok {
-			return 0, false, false
-		}
-		if x.t.SingleRead(x.m.nextVar(sh, cur, n)).Marked() {
-			continue // unlinked under us; re-walk
-		}
-		return val, true, true
-	}
-	return 0, false, false
 }
 
 // getPair attempts the ShortRO4 fast path for two distinct keys. It

@@ -223,7 +223,7 @@ func TestOraclesAtCapacity1024(t *testing.T) {
 	t.Run("Sequential", TestOracleSequential)
 	t.Run("Concurrent", TestOracleConcurrent)
 	t.Run("ConcurrentCC", TestOracleConcurrentCC)
-	t.Run("SnapshotMGET", TestOracleSnapshotMGET)
+	t.Run("WideMGET", TestOracleWideMGET)
 	t.Run("Recovery", TestOracleRecovery)
 	t.Run("Scan", TestScanOracle)
 }
@@ -252,14 +252,12 @@ func TestOracleConcurrent(t *testing.T) {
 }
 
 // TestOracleConcurrentCC re-runs the concurrent oracle under each
-// non-default concurrency-control policy, plus the snapshot-recording
-// configuration that reroutes the cross-space GetBatch traffic through
-// multi-version reads. -short keeps one representative per policy.
+// non-default concurrency-control policy. -short keeps one
+// representative per policy.
 func TestOracleConcurrentCC(t *testing.T) {
 	cfgs := map[string]core.Config{
 		"tvar-l":        {Layout: core.LayoutTVar, CC: core.CCLocal},
 		"val-nocounter": {Layout: core.LayoutVal, CC: core.CCNoCounter},
-		"tvar-snap":     {Layout: core.LayoutTVar, Snapshots: true},
 	}
 	if !testing.Short() {
 		cfgs["orec-l"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}
@@ -314,8 +312,7 @@ func runOracleConcurrent(t *testing.T, cfg core.Config) {
 					// observations, only the snapshot contract is
 					// checkable — no torn values, found ⟺ some committed
 					// insert happened-before. Width 4 exercises the wide
-					// routes (snapshot reads on history-recording
-					// engines, one full RO transaction otherwise).
+					// route, one full RO transaction.
 					var keys [4]string
 					for j := range keys {
 						keys[j] = w.all[r.Intn(uint64(len(w.all)))]
@@ -360,19 +357,20 @@ func runOracleConcurrent(t *testing.T, cfg core.Config) {
 	}
 }
 
-// TestOracleSnapshotMGET is the snapshot-consistency oracle: writers
+// TestOracleWideMGET is the wide-batch atomicity oracle: writers
 // hammer Swap2 on fixed key pairs (each pair's values always {2i+1,
 // 2i+2}) plus churn traffic for resize pressure, while readers issue
-// wide 8-key batches over all pairs. A batch that observed any pair
-// torn — one half of a swap — fails; the invariant must hold on every
-// route the batch can take (snapshot reads, and the full-transaction
-// fallback under resizes). Runs on each history-recording policy.
-func TestOracleSnapshotMGET(t *testing.T) {
+// wide 8-key batches over all pairs — the route the server's MGET takes,
+// one full read-only transaction. A batch that observed any pair torn —
+// one half of a swap — fails. Runs on the val layout and on the
+// versioned layouts' global-clock policy.
+func TestOracleWideMGET(t *testing.T) {
 	cfgs := map[string]core.Config{
-		"tvar-snap": {Layout: core.LayoutTVar, Snapshots: true},
+		"val":    {Layout: core.LayoutVal},
+		"tvar-g": {Layout: core.LayoutTVar},
 	}
 	if !testing.Short() {
-		cfgs["orec-snap"] = core.Config{Layout: core.LayoutOrec, Snapshots: true}
+		cfgs["orec-g"] = core.Config{Layout: core.LayoutOrec}
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -424,8 +422,8 @@ func TestOracleSnapshotMGET(t *testing.T) {
 				}(g)
 			}
 
-			// Swap writers plus churn traffic that forces shard growth
-			// (the snapshot path's resize fallback).
+			// Swap writers plus churn traffic that forces shard growth,
+			// so batches also run across migrating buckets.
 			var wwg sync.WaitGroup
 			iters := 8000
 			if testing.Short() {
@@ -455,9 +453,8 @@ func TestOracleSnapshotMGET(t *testing.T) {
 			if atomic.LoadInt64(&torn) != 0 {
 				t.Fatalf("%d torn pair observations", torn)
 			}
-			st := m.OpStats()
-			if st.SnapshotBatches == 0 {
-				t.Fatal("wide batches never took the snapshot route")
+			if m.OpStats().Batches == 0 {
+				t.Fatal("readers never issued a wide batch")
 			}
 		})
 	}

@@ -2,10 +2,9 @@
 // index (an olist mirroring the map's key set), Scan serves range
 // queries over it. Scan semantics: membership is current — every key
 // that is live for the whole call appears, keys mutated mid-scan may or
-// may not — and values are read at one snapshot timestamp taken when
-// the scan starts (engines with snapshot history; otherwise a
-// consistent pair read per key). See DESIGN.md "Ordered indexes" for
-// the staleness trade.
+// may not — and each value is read with its key's liveness link in one
+// consistent pair read, with no point shared across keys. See DESIGN.md
+// "Ordered indexes" for the staleness trade.
 package shardmap
 
 import "errors"
@@ -28,10 +27,8 @@ func (m *Map) Ordered() bool { return m.ordered != nil }
 // (end == "" means unbounded) in ascending order, up to limit entries
 // (limit ≤ 0 means unlimited), and returns the extended slices. Each
 // candidate from the ordered index is verified against the hash map, so
-// only currently live keys are emitted. On an engine with snapshot
-// history, values are read at one timestamp taken at the start of the
-// scan; without history, each value is the key's current one, read in
-// its own ShortRO2 with no point shared across keys.
+// only currently live keys are emitted. Each value is the key's current
+// one, read in its own ShortRO2 with no point shared across keys.
 func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value) ([]string, []Value, error) {
 	ol := x.m.ordered
 	if ol == nil {
@@ -39,10 +36,6 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 	}
 	n0 := len(keys)
 	x.t.Epoch.Enter()
-	var snapAt uint64
-	if x.m.snap {
-		snapAt = x.t.SnapshotBegin()
-	}
 	ol.search(x, start)
 	e0, e1 := prefixWords(end)
 	link := x.isuccs[0]
@@ -57,7 +50,7 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 		if end != "" && !n.less(e0, e1, end) {
 			break
 		}
-		if v, ok := x.lookupLive(n.key, n.hash, snapAt); ok {
+		if v, ok := x.lookupLive(n.key, n.hash); ok {
 			keys = append(keys, n.key)
 			vals = append(vals, v)
 			if limit > 0 && len(keys)-n0 >= limit {
@@ -73,15 +66,10 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 }
 
 // lookupLive resolves key (whose map hash is h) against the hash map:
-// present right now, and if so its value — at snapAt when the engine
-// keeps snapshot history (falling back to a consistent pair read,
-// counted in ScanFallbacks), else the current committed value. A node
-// found in a shard that is resizing, or that finished a resize after
-// snapAt, may be a migrated copy: a fresh word with no version history,
-// whose snapshot read would pass off the value it was copied with as the
-// value at snapAt. Those candidates take the fallback. The caller holds
-// an epoch pin.
-func (x *Thread) lookupLive(key string, h uint64, snapAt uint64) (Value, bool) {
+// present right now, and if so its current committed value, read with
+// the node's liveness link in one ShortRO2. The caller holds an epoch
+// pin.
+func (x *Thread) lookupLive(key string, h uint64) (Value, bool) {
 	m := x.m
 	sh := m.shardOf(h)
 	for attempt := 1; ; attempt++ {
@@ -94,17 +82,6 @@ func (x *Thread) lookupLive(key string, h uint64, snapAt uint64) (Value, bool) {
 			return 0, false
 		}
 		n := sh.a.Get(cur)
-		if m.snap {
-			if nv := x.t.SingleRead(m.nextVar(sh, cur, n)); nv.Marked() {
-				continue // unlinked under our feet; re-resolve
-			}
-			if sh.state.Load().old == nil && sh.resizedAt.Load() <= snapAt {
-				if vv, snapped := x.t.SnapshotRead(m.valVar(sh, cur, n), snapAt); snapped {
-					return vv, true
-				}
-			}
-			x.ops.scanFallbacks.Add(1)
-		}
 		d, nv, vv := x.t.ShortRO2(m.nextVar(sh, cur, n), m.valVar(sh, cur, n))
 		if !d.Valid() {
 			x.t.Backoff(attempt)

@@ -263,12 +263,8 @@ func (m *Map) Close() error {
 // iteration as a whole is fuzzy under concurrent writes, and a bucket
 // whose chain mutates mid-walk is retried, which can yield a key again
 // with a newer committed value (later yields supersede earlier ones).
-// On engines with snapshot history, each shard is instead walked at one
-// snapshot timestamp — every value in the shard is consistent as of
-// that instant, with zero validation aborts; a word whose history has
-// been outrun falls back to the consistent pair read (counted in
-// OpStats.SnapshotFallbacks). Range holds each shard's resize lock
-// while walking it, so growth waits for iteration — keep f fast.
+// Range holds each shard's resize lock while walking it, so growth waits
+// for iteration — keep f fast.
 func (x *Thread) Range(f func(key string, val Value) bool) {
 	m := x.m
 	for i := range m.shards {
@@ -289,13 +285,6 @@ func (x *Thread) rangeShard(sh *shard, f func(key string, val Value) bool) bool 
 	m := x.m
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	// Snapshot timestamp for the whole shard, taken after the epoch pin
-	// (re-use safety) and under sh.mu (no resize can replace the nodes
-	// mid-walk). All of the shard's values are then consistent at snapAt.
-	var snapAt uint64
-	if m.snap {
-		snapAt = x.t.SnapshotBegin()
-	}
 	tb := sh.state.Load().cur
 	for b := range tb.buckets {
 		for attempt := 1; ; attempt++ {
@@ -310,25 +299,10 @@ func (x *Thread) rangeShard(sh *shard, f func(key string, val Value) bool) bool 
 				}
 				cur := dec(link)
 				n := sh.a.Get(cur)
-				var nv, vv Value
-				snapped := false
-				if m.snap {
-					if nv = x.t.SingleRead(m.nextVar(sh, cur, n)); nv.Marked() {
-						clean = false
-						break
-					}
-					vv, snapped = x.t.SnapshotRead(m.valVar(sh, cur, n), snapAt)
-					if !snapped {
-						x.ops.snapFallbacks.Add(1)
-					}
-				}
-				if !snapped {
-					d, nv2, vv2 := x.t.ShortRO2(m.nextVar(sh, cur, n), m.valVar(sh, cur, n))
-					if !d.Valid() || nv2.Marked() {
-						clean = false
-						break
-					}
-					nv, vv = nv2, vv2
+				d, nv, vv := x.t.ShortRO2(m.nextVar(sh, cur, n), m.valVar(sh, cur, n))
+				if !d.Valid() || nv.Marked() {
+					clean = false
+					break
 				}
 				x.rkeys = append(x.rkeys, n.key)
 				x.rvals = append(x.rvals, vv)

@@ -12,7 +12,7 @@ import (
 
 func orderedMap(t *testing.T, opts ...Option) (*Map, *Thread) {
 	t.Helper()
-	e := core.New(core.Config{MaxThreads: 64, Snapshots: true})
+	e := core.New(core.Config{MaxThreads: 64})
 	m := New(e, append([]Option{WithOrdered(), WithShards(4), WithInitialBuckets(4)}, opts...)...)
 	return m, m.NewThread()
 }
@@ -189,7 +189,7 @@ func TestPrefixIndex(t *testing.T) {
 
 func TestOrderedPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e := core.New(core.Config{MaxThreads: 64, Snapshots: true})
+	e := core.New(core.Config{MaxThreads: 64})
 	m, err := Open(e, dir, WithOrdered(), WithShards(2))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -211,7 +211,7 @@ func TestOrderedPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	e2 := core.New(core.Config{MaxThreads: 64, Snapshots: true})
+	e2 := core.New(core.Config{MaxThreads: 64})
 	m2, err := Open(e2, dir, WithOrdered(), WithShards(2))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

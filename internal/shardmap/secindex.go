@@ -173,7 +173,8 @@ func (m *Map) Indexes() [][2]string {
 // unbounded), ordered by (index key, primary key), up to limit entries.
 // Each candidate is verified against the hash map and its index key
 // re-extracted from the live value, so results always point at live
-// primary keys whose (snapshot-read) value still matches the entry.
+// primary keys whose value, read in one ShortRO2, still matches the
+// entry.
 func (x *Thread) IndexScan(name, start, end string, limit int, keys []string, vals []Value) ([]string, []Value, error) {
 	if x.m.ordered == nil {
 		return keys, vals, ErrNoOrdered
@@ -188,10 +189,6 @@ func (x *Thread) IndexScan(name, start, end string, limit int, keys []string, va
 	}
 	n0 := len(keys)
 	x.t.Epoch.Enter()
-	var snapAt uint64
-	if x.m.snap {
-		snapAt = x.t.SnapshotBegin()
-	}
 	ix.ol.search(x, start)
 	link := x.isuccs[0]
 	for !link.IsNull() {
@@ -207,7 +204,7 @@ func (x *Thread) IndexScan(name, start, end string, limit int, keys []string, va
 			break
 		}
 		pk := n.key[n.split+1:]
-		if v, ok := x.lookupLive(pk, x.m.hash(pk), snapAt); ok && ix.seckey(pk, v) == sk {
+		if v, ok := x.lookupLive(pk, x.m.hash(pk)); ok && ix.seckey(pk, v) == sk {
 			keys = append(keys, pk)
 			vals = append(vals, v)
 			if limit > 0 && len(keys)-n0 >= limit {

@@ -111,12 +111,6 @@ type shard struct {
 	idTag uint64
 	mu    sync.Mutex // serializes resizers; never taken on the hot path
 
-	// resizedAt is the snapshot clock read when the last resize finished
-	// migrating. Node copies made by a resize are fresh words with no
-	// version history, so a snapshot read at an earlier timestamp must
-	// not trust what it finds in this shard (lookupLive, getBatchSnap).
-	resizedAt atomic.Uint64
-
 	_ [pad.CacheLine]byte
 }
 
@@ -149,7 +143,6 @@ func WithInitialBuckets(n int) Option { return func(c *config) { c.buckets = n }
 // operations through it.
 type Map struct {
 	e         *core.Engine
-	snap      bool // engine maintains snapshot history (wide-batch fast path)
 	seed      maphash.Seed
 	shards    []shard
 	shardMask uint64
@@ -216,7 +209,6 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 	nb := ceilPow2(cfg.buckets)
 	m := &Map{
 		e:         e,
-		snap:      e.SnapshotsEnabled(),
 		seed:      maphash.MakeSeed(),
 		shards:    make([]shard, ns),
 		shardMask: uint64(ns - 1),
@@ -296,9 +288,6 @@ type Thread struct {
 	// Range scratch: one bucket's chain, buffered per attempt
 	rkeys []string
 	rvals []word.Value
-
-	// snapshot-batch scratch: per-key shard states for the resize check
-	bstates []*tables
 
 	// ordered-index search scratch: per-level predecessor link and the
 	// successor value it held (olist.search)

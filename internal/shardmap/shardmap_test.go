@@ -10,8 +10,7 @@ import (
 )
 
 // engines returns one engine per layout/clock/policy combination the
-// map must support. The "-snap" entry records multi-version history, so
-// wide batches and Range take the snapshot-read route.
+// map must support.
 func engines() map[string]*core.Engine {
 	return map[string]*core.Engine{
 		"val":           core.New(core.Config{Layout: core.LayoutVal}),
@@ -20,7 +19,6 @@ func engines() map[string]*core.Engine {
 		"tvar-l":        core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLocal}),
 		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec}),
 		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}),
-		"tvar-snap":     core.New(core.Config{Layout: core.LayoutTVar, Snapshots: true}),
 	}
 }
 
@@ -222,7 +220,7 @@ func TestGetBatch(t *testing.T) {
 // TestZeroAllocHotPaths is the CI regression gate for the paper's core
 // claim applied to the map: Get and single-key update Put run entirely on
 // the short-transaction paths and perform no dynamic allocation — under
-// every concurrency-control policy and with snapshot history on.
+// every concurrency-control policy.
 func TestZeroAllocHotPaths(t *testing.T) {
 	for name, e := range engines() {
 		t.Run(name, func(t *testing.T) {
@@ -261,11 +259,12 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSnapshotBatch pins the wide-batch snapshot route: an
-// 8-key GetBatch on a history-recording engine must stay allocation-free
-// (after the one-time scratch growth on first use).
-func TestZeroAllocSnapshotBatch(t *testing.T) {
-	e := core.New(core.Config{Layout: core.LayoutTVar, Snapshots: true})
+// TestZeroAllocWideBatch pins the wide-batch route the server's MGET
+// takes: an 8-key GetBatch on the val layout runs as one full read-only
+// transaction and must stay allocation-free (after the one-time read-set
+// growth on first use).
+func TestZeroAllocWideBatch(t *testing.T) {
+	e := core.New(core.Config{Layout: core.LayoutVal})
 	m := New(e, WithShards(4), WithInitialBuckets(64))
 	th := m.NewThread()
 	for i := 0; i < 128; i++ {
@@ -277,18 +276,11 @@ func TestZeroAllocSnapshotBatch(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(i * 16)
 	}
-	th.GetBatch(keys, vals, found) // warm the per-thread scratch
+	th.GetBatch(keys, vals, found) // warm the transaction's read set
 	if n := testing.AllocsPerRun(200, func() {
 		th.GetBatch(keys, vals, found)
 	}); n != 0 {
-		t.Fatalf("snapshot GetBatch allocates %.1f allocs/op, want 0", n)
-	}
-	st := th.OpStats()
-	if st.SnapshotBatches == 0 {
-		t.Fatal("wide batches never took the snapshot route")
-	}
-	if st.SnapshotFallbacks != 0 {
-		t.Fatalf("quiescent snapshot batches fell back %d times", st.SnapshotFallbacks)
+		t.Fatalf("wide GetBatch allocates %.1f allocs/op, want 0", n)
 	}
 	for i := range keys {
 		if !found[i] || vals[i].Uint() != uint64(i*16) {

@@ -24,24 +24,20 @@ type OpStats struct {
 	Batches    uint64 // GetBatch calls
 	BatchKeys  uint64 // keys read across all batches
 
-	// Snapshot-batch routing (engines with core.Config.Snapshots).
-	SnapshotBatches   uint64 // wide batches that tried the snapshot path
-	SnapshotRetries   uint64 // batch restarts with a fresh timestamp
-	SnapshotFallbacks uint64 // batches handed to the full-transaction path
-
 	// Ordered indexing (maps built with WithOrdered).
 	Scans         uint64 // Scan calls
 	ScanKeys      uint64 // keys emitted across all scans
 	IScans        uint64 // IndexScan calls
 	IScanKeys     uint64 // keys emitted across all index scans
 	IdxCreates    uint64 // CreateIndex calls that registered an index
-	ScanFallbacks uint64 // scan value reads that outran snapshot history
 	IndexSearches uint64 // skip-list searches, by mutations and scans alike
 	IndexSteps    uint64 // entries those searches visited (steps per search = cost at this key count)
 
 	Conflicts uint64 // conflicted point-op attempts, each followed by a backoff
 	// Escalations is never incremented; tests/bench/stacks.go and ladder.go are its only readers.
 	Escalations uint64
+	// SnapshotFallbacks and ScanFallbacks are never incremented; tests/bench/ladder.go is their only reader.
+	SnapshotFallbacks, ScanFallbacks uint64
 }
 
 // Add accumulates o into s.
@@ -60,15 +56,11 @@ func (s *OpStats) Add(o OpStats) {
 	s.SwapHits += o.SwapHits
 	s.Batches += o.Batches
 	s.BatchKeys += o.BatchKeys
-	s.SnapshotBatches += o.SnapshotBatches
-	s.SnapshotRetries += o.SnapshotRetries
-	s.SnapshotFallbacks += o.SnapshotFallbacks
 	s.Scans += o.Scans
 	s.ScanKeys += o.ScanKeys
 	s.IScans += o.IScans
 	s.IScanKeys += o.IScanKeys
 	s.IdxCreates += o.IdxCreates
-	s.ScanFallbacks += o.ScanFallbacks
 	s.IndexSearches += o.IndexSearches
 	s.IndexSteps += o.IndexSteps
 	s.Conflicts += o.Conflicts
@@ -91,12 +83,10 @@ type opCounters struct {
 	swaps, swapHits     atomic.Uint64
 	batches, batchKeys  atomic.Uint64
 
-	snapBatches, snapRetries, snapFallbacks atomic.Uint64
-
-	scans, scanKeys           atomic.Uint64
-	iscans, iscanKeys         atomic.Uint64
-	idxCreates, scanFallbacks atomic.Uint64
-	idxSearches, idxSteps     atomic.Uint64
+	scans, scanKeys       atomic.Uint64
+	iscans, iscanKeys     atomic.Uint64
+	idxCreates            atomic.Uint64
+	idxSearches, idxSteps atomic.Uint64
 
 	conflicts atomic.Uint64
 }
@@ -108,9 +98,8 @@ func (c *opCounters) reset() {
 		&c.gets, &c.getHits, &c.puts, &c.inserts, &c.updates, &c.updateHits,
 		&c.deletes, &c.deleteHits, &c.cas, &c.casHits, &c.swaps, &c.swapHits,
 		&c.batches, &c.batchKeys,
-		&c.snapBatches, &c.snapRetries, &c.snapFallbacks,
 		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
-		&c.idxCreates, &c.scanFallbacks, &c.idxSearches, &c.idxSteps,
+		&c.idxCreates, &c.idxSearches, &c.idxSteps,
 		&c.conflicts,
 	} {
 		a.Store(0)
@@ -126,18 +115,14 @@ func (c *opCounters) snapshot() OpStats {
 		CAS: c.cas.Load(), CASHits: c.casHits.Load(),
 		Swaps: c.swaps.Load(), SwapHits: c.swapHits.Load(),
 		Batches: c.batches.Load(), BatchKeys: c.batchKeys.Load(),
-		SnapshotBatches:   c.snapBatches.Load(),
-		SnapshotRetries:   c.snapRetries.Load(),
-		SnapshotFallbacks: c.snapFallbacks.Load(),
-		Scans:             c.scans.Load(),
-		ScanKeys:          c.scanKeys.Load(),
-		IScans:            c.iscans.Load(),
-		IScanKeys:         c.iscanKeys.Load(),
-		IdxCreates:        c.idxCreates.Load(),
-		ScanFallbacks:     c.scanFallbacks.Load(),
-		IndexSearches:     c.idxSearches.Load(),
-		IndexSteps:        c.idxSteps.Load(),
-		Conflicts:         c.conflicts.Load(),
+		Scans:         c.scans.Load(),
+		ScanKeys:      c.scanKeys.Load(),
+		IScans:        c.iscans.Load(),
+		IScanKeys:     c.iscanKeys.Load(),
+		IdxCreates:    c.idxCreates.Load(),
+		IndexSearches: c.idxSearches.Load(),
+		IndexSteps:    c.idxSteps.Load(),
+		Conflicts:     c.conflicts.Load(),
 	}
 }
 

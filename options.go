@@ -43,15 +43,6 @@ func WithCC(cc CC) Option {
 	return func(c *core.Config) { c.CC = cc }
 }
 
-// WithSnapshots enables multi-version snapshot reads (Thr.SnapshotRead):
-// every commit records the value it overwrites into a bounded history
-// ring, letting wide read-only batches run at one timestamp with zero
-// validation aborts. Requires a versioned layout (orec or tvar) and a
-// global-timebase policy.
-func WithSnapshots() Option {
-	return func(c *core.Config) { c.Snapshots = true }
-}
-
 // WithMaxThreads bounds the number of Register calls the engine accepts
 // (it sizes the per-thread counter arrays and the epoch domain). The
 // default is 128. It is capacity, not cost: commit-counter validation

@@ -13,11 +13,6 @@
 //
 //	e := spectm.New(spectm.WithLayout(spectm.LayoutVal), spectm.WithCC(spectm.CCNoCounter))
 //
-// WithSnapshots additionally enables multi-version snapshot reads
-// (Thr.SnapshotBegin/SnapshotRead) on versioned layouts, which the
-// sharded map uses to serve wide GetBatch and Range on one consistent
-// timestamp with zero validation aborts.
-//
 // Three APIs operate on the same meta-data and can be freely mixed:
 //
 //   - single-location transactions: Thr.SingleRead, SingleWrite,

@@ -85,9 +85,6 @@ func TestOptionsConstruction(t *testing.T) {
 	if ec := New(WithLayout(LayoutVal), WithCC(CCNoCounter)); ec.Config().CC != CCNoCounter {
 		t.Fatalf("WithCC(CCNoCounter) not applied: %+v", ec.Config())
 	}
-	if ec := New(WithLayout(LayoutTVar), WithSnapshots()); ec.Config().CC != CCTimestampExt || !ec.Config().Snapshots {
-		t.Fatalf("WithSnapshots not applied: %+v", ec.Config())
-	}
 
 	for name, opts := range map[string][]Option{
 		"negative-threads":  {WithMaxThreads(-1)},
@@ -95,8 +92,6 @@ func TestOptionsConstruction(t *testing.T) {
 		"orecbits-on-val":   {WithLayout(LayoutVal), WithOrecBits(4)},
 		"nocounter-on-tvar": {WithLayout(LayoutTVar), WithCC(CCNoCounter)},
 		"local-on-val":      {WithLayout(LayoutVal), WithCC(CCLocal)},
-		"snapshots-on-val":  {WithLayout(LayoutVal), WithSnapshots()},
-		"snapshots-local":   {WithCC(CCLocal), WithSnapshots()},
 	} {
 		if _, err := NewEngine(opts...); err == nil {
 			t.Errorf("%s: NewEngine accepted an invalid configuration", name)

@@ -18,9 +18,7 @@ func configs() map[string][]spectm.Option {
 	return map[string][]spectm.Option{
 		"default":        nil,
 		"orec-local":     {spectm.WithLayout(spectm.LayoutOrec), spectm.WithCC(spectm.CCLocal)},
-		"orec-snap":      {spectm.WithLayout(spectm.LayoutOrec), spectm.WithSnapshots()},
 		"tvar":           {spectm.WithLayout(spectm.LayoutTVar)},
-		"tvar-snap":      {spectm.WithLayout(spectm.LayoutTVar), spectm.WithSnapshots()},
 		"val":            {spectm.WithLayout(spectm.LayoutVal)},
 		"val-nocounter":  {spectm.WithLayout(spectm.LayoutVal), spectm.WithCC(spectm.CCNoCounter)},
 		"tiny-orec-tabl": {spectm.WithOrecBits(4)}, // forced false conflicts
