@@ -9,7 +9,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"spectm/internal/analysis"
 )
@@ -44,10 +43,6 @@ func descTypeName(t types.Type) (string, bool) {
 	return name, true
 }
 
-// lockHolding reports whether descriptor name holds write locks (any
-// RW arity, including the combined forms).
-func lockHolding(name string) bool { return strings.Contains(name, "RW") }
-
 // isThr reports whether t is core.Thr or *core.Thr.
 func isThr(t types.Type) bool {
 	t = types.Unalias(t)
@@ -60,21 +55,6 @@ func isThr(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Thr" && obj.Pkg() != nil && obj.Pkg().Path() == corePkgPath
-}
-
-// namedIn reports whether t (behind pointers/aliases) is the named type
-// pkgPath.name.
-func namedIn(t types.Type, pkgPath, name string) bool {
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // recvType returns the method receiver's type for a method call

@@ -130,7 +130,8 @@ func runWalPublishOrder(pass *analysis.Pass) {
 	}
 }
 
-// namedInSuffix is namedIn with a package-path suffix match: it
+// namedInSuffix reports whether t (behind pointers/aliases) is the
+// named type name in a package whose path ends in pathSuffix: it
 // matches the real module packages and, for "os", the standard
 // library.
 func namedInSuffix(t types.Type, pathSuffix, name string) bool {

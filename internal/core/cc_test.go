@@ -22,7 +22,7 @@ func TestConfigSpace(t *testing.T) {
 	if len(valid) != 6 {
 		t.Fatalf("valid table lists %d configurations, want 6", len(valid))
 	}
-	for l := LayoutOrec; l <= LayoutVal+1; l++ {
+	for l := LayoutVal; l <= LayoutTVar+1; l++ {
 		for cc := CCTimestampExt; cc <= CCNoCounter+1; cc++ {
 			cfg := Config{Layout: l, CC: cc}
 			t.Run(fmt.Sprintf("%v-%v", l, cc), func(t *testing.T) {

@@ -206,6 +206,32 @@ func TestUpgradeVariants(t *testing.T) {
 		if thr.SingleRead(a) != iv(100) || thr.SingleRead(b) != iv(200) {
 			t.Fatal("double-upgrade commit wrote wrong values")
 		}
+		// Upgrade the third of three reads to the first write.
+		c := e.NewVar(iv(3))
+		ro3, _, _, _ := thr.ShortRO3(a, b, c)
+		cc, ok := ro3.Upgrade3()
+		if !ok {
+			t.Fatal("RO3->RW1 upgrade of the third read failed")
+		}
+		if !cc.Commit(iv(30)) {
+			t.Fatal("commit after RO3->RW1 upgrade failed")
+		}
+		if thr.SingleRead(a) != iv(100) || thr.SingleRead(b) != iv(200) || thr.SingleRead(c) != iv(30) {
+			t.Fatal("RO3 upgrade wrote the wrong location")
+		}
+		// Upgrade the first and then the third read; the second stays read-only.
+		ro3, _, _, _ = thr.ShortRO3(a, b, c)
+		ca, ok1 := ro3.Upgrade1()
+		cac, ok2 := ca.Upgrade3()
+		if !ok1 || !ok2 {
+			t.Fatal("RO3 first-then-third upgrade failed")
+		}
+		if !cac.Commit(iv(1000), iv(3000)) {
+			t.Fatal("commit after RO3 first-then-third upgrade failed")
+		}
+		if thr.SingleRead(a) != iv(1000) || thr.SingleRead(b) != iv(200) || thr.SingleRead(c) != iv(3000) {
+			t.Fatal("RO3 first-then-third upgrade commit wrote wrong values")
+		}
 	})
 }
 

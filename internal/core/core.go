@@ -48,15 +48,15 @@ type Value = word.Value
 type Layout uint8
 
 const (
+	// LayoutVal reserves one bit of the data word as the only meta-data
+	// and validates reads by value (Fig 3c, §2.4). It is the zero value.
+	LayoutVal Layout = iota
 	// LayoutOrec uses a shared table of ownership records indexed by a
 	// hash of the word's stable identity (Fig 3a).
-	LayoutOrec Layout = iota
+	LayoutOrec
 	// LayoutTVar co-locates a private ownership record with each data
 	// word (Fig 3b).
 	LayoutTVar
-	// LayoutVal reserves one bit of the data word as the only meta-data
-	// and validates reads by value (Fig 3c, §2.4).
-	LayoutVal
 )
 
 // String implements fmt.Stringer for variant labels.
@@ -122,6 +122,8 @@ const MaxShort = 4
 
 // Config parametrizes an Engine.
 type Config struct {
+	// Layout selects the meta-data organization. The zero value is
+	// LayoutVal.
 	Layout Layout
 
 	// CC selects the concurrency-control policy. The zero value
@@ -159,7 +161,7 @@ func (c Config) withDefaults() Config {
 // engine. Zero values are valid (they select defaults); set fields must
 // be in range and consistent with the layout.
 func (c Config) Validate() error {
-	if c.Layout > LayoutVal {
+	if c.Layout > LayoutTVar {
 		return fmt.Errorf("core: unknown layout %d", c.Layout)
 	}
 	// OrecBits is ignored by the layouts it does not apply to, so it is

@@ -35,9 +35,6 @@ func (rd *Reader) Reset(src io.Reader) {
 	rd.r, rd.w = 0, 0
 }
 
-// Buffered reports how many decoded-but-unconsumed bytes are pending.
-func (rd *Reader) Buffered() int { return rd.w - rd.r }
-
 // errIncomplete signals that the buffer does not yet hold a full frame.
 var errIncomplete = fmt.Errorf("proto: incomplete frame")
 

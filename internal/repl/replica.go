@@ -29,7 +29,6 @@ type repConfig struct {
 	readTimeout     time.Duration
 	retryMin        time.Duration
 	retryMax        time.Duration
-	noCursor        bool
 	epoch           uint64
 	onEpoch         func(epoch uint64)
 	applyTh         *shardmap.Thread
@@ -44,12 +43,6 @@ func WithCheckpointBytes(n uint64) ReplicaOption {
 			c.checkpointBytes = n
 		}
 	}
-}
-
-// WithoutCursor disables cursor persistence even on a locally
-// persistent map: every restart full-syncs.
-func WithoutCursor() ReplicaOption {
-	return func(c *repConfig) { c.noCursor = true }
 }
 
 // WithReadTimeout bounds how long the replica waits for any primary
@@ -172,15 +165,13 @@ func NewReplica(m *shardmap.Map, addr string, opts ...ReplicaOption) *Replica {
 		if e := l.Epoch(); e > r.epoch.Load() {
 			r.epoch.Store(e)
 		}
-		if !cfg.noCursor {
-			r.dir = l.Dir()
-			if m.RecoveryStats().TruncatedFiles > 0 {
-				// The local tail was damaged: records below the cursor may
-				// be gone, so the cursor cannot be trusted.
-				dropCursor(r.dir)
-			} else if c, ok, _ := loadCursor(r.dir); ok {
-				r.cur, r.have = c, true
-			}
+		r.dir = l.Dir()
+		if m.RecoveryStats().TruncatedFiles > 0 {
+			// The local tail was damaged: records below the cursor may
+			// be gone, so the cursor cannot be trusted.
+			dropCursor(r.dir)
+		} else if c, ok, _ := loadCursor(r.dir); ok {
+			r.cur, r.have = c, true
 		}
 	}
 	return r

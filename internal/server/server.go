@@ -168,10 +168,6 @@ func New(opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// IsReplica reports whether the server refuses writes because it tails
-// a primary.
-func (s *Server) IsReplica() bool { return s.role.Load() == roleReplica }
-
 // Replica exposes the replication client (nil on a primary).
 func (s *Server) Replica() *repl.Replica {
 	s.mu.Lock()
@@ -290,14 +286,6 @@ func (s *Server) Serve() error {
 		s.mu.Unlock()
 		go s.serveConn(nc)
 	}
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Shutdown closes the listener and drains every connection: each one

@@ -6,9 +6,9 @@
 //	e := spectm.New(spectm.WithLayout(spectm.LayoutTVar), spectm.WithCC(spectm.CCLocal))
 //
 // — while New validates the combination before any memory is committed.
-// The zero-option call spectm.New() builds the default engine: the orec
-// layout with the timestamp-extension policy, 256k ownership records,
-// 128 threads.
+// The zero-option call spectm.New() builds the default engine: the val
+// layout with per-thread commit counters, 128 threads — the
+// configuration the server runs.
 package spectm
 
 import (
@@ -21,7 +21,7 @@ import (
 type Option func(*core.Config)
 
 // WithLayout selects the meta-data organization (paper Fig 3):
-// LayoutOrec, LayoutTVar or LayoutVal. The default is LayoutOrec.
+// LayoutVal, LayoutOrec or LayoutTVar. The default is LayoutVal.
 func WithLayout(l Layout) Option {
 	return func(c *core.Config) { c.Layout = l }
 }
@@ -54,7 +54,8 @@ func WithMaxThreads(n int) Option {
 
 // WithOrecBits sets log2 of the ownership-record table size for
 // LayoutOrec (default 18, i.e. 256k orecs). Tiny values are useful in
-// tests to force false conflicts. Ignored by the other layouts.
+// tests to force false conflicts. NewEngine rejects it on the other
+// layouts.
 func WithOrecBits(bits int) Option {
 	return func(c *core.Config) { c.OrecBits = bits }
 }

@@ -46,7 +46,6 @@ package spectm
 import (
 	"time"
 
-	"spectm/internal/btree"
 	"spectm/internal/core"
 	"spectm/internal/deque"
 	"spectm/internal/intset"
@@ -276,17 +275,6 @@ type DequeFull = deque.Full
 // per-thread accessors with Deque.NewShort and Deque.NewFull; the two
 // flavors compose on the same deque.
 func NewDeque(e *Engine, capacity int) *Deque { return deque.New(e, capacity) }
-
-// BTree is a concurrent uint64→uint64 B-link tree built in SpecTM style:
-// leaf operations are 2–3 location short transactions, splits are
-// ordinary transactions (the paper's §6 future-work structure).
-type BTree = btree.Tree
-
-// BTreeThread is a per-worker handle on a BTree.
-type BTreeThread = btree.Thread
-
-// NewBTree creates an empty tree on engine e.
-func NewBTree(e *Engine) *BTree { return btree.New(e) }
 
 // DCSS is double-compare-single-swap: if *a1 == o1 and *a2 == o2, store
 // n1 into a1. It reports whether the swap happened.

@@ -64,8 +64,8 @@ func TestFacadeQuickstart(t *testing.T) {
 // every knob, and validation failures.
 func TestOptionsConstruction(t *testing.T) {
 	// Zero options build the default engine.
-	if got := New().Layout(); got != LayoutOrec {
-		t.Fatalf("default layout = %v, want orec", got)
+	if got := New().Layout(); got != LayoutVal {
+		t.Fatalf("default layout = %v, want val", got)
 	}
 
 	e := New(

@@ -21,7 +21,7 @@ func configs() map[string][]spectm.Option {
 		"tvar":           {spectm.WithLayout(spectm.LayoutTVar)},
 		"val":            {spectm.WithLayout(spectm.LayoutVal)},
 		"val-nocounter":  {spectm.WithLayout(spectm.LayoutVal), spectm.WithCC(spectm.CCNoCounter)},
-		"tiny-orec-tabl": {spectm.WithOrecBits(4)}, // forced false conflicts
+		"tiny-orec-tabl": {spectm.WithLayout(spectm.LayoutOrec), spectm.WithOrecBits(4)}, // forced false conflicts
 	}
 }
 
