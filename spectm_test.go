@@ -88,7 +88,7 @@ func TestOptionsConstruction(t *testing.T) {
 
 	for name, opts := range map[string][]Option{
 		"negative-threads":  {WithMaxThreads(-1)},
-		"orecbits-range":    {WithOrecBits(31)},
+		"orecbits-range":    {WithLayout(LayoutOrec), WithOrecBits(31)},
 		"orecbits-on-val":   {WithLayout(LayoutVal), WithOrecBits(4)},
 		"nocounter-on-tvar": {WithLayout(LayoutTVar), WithCC(CCNoCounter)},
 		"local-on-val":      {WithLayout(LayoutVal), WithCC(CCLocal)},
