@@ -65,8 +65,7 @@ func Variants() []string {
 func IsConcurrent(variant string) bool { return variant != "sequential" }
 
 // engineFor maps variant names onto engine configurations. Unknown
-// variants and invalid capacity knobs (e.g. a negative MaxThreads)
-// surface as errors rather than panics.
+// variants surface as errors rather than panics.
 func engineFor(variant string, maxThreads int) (*core.Engine, error) {
 	cfg := core.Config{MaxThreads: maxThreads}
 	switch variant {
@@ -92,8 +91,15 @@ func engineFor(variant string, maxThreads int) (*core.Engine, error) {
 	return core.NewChecked(cfg)
 }
 
-// New builds a set.
+// New builds a set. Unknown names, a bucket count outside
+// [0, stmset.MaxBuckets] and a negative MaxThreads are errors.
 func New(c Config) (Set, error) {
+	if c.Buckets < 0 || c.Buckets > stmset.MaxBuckets {
+		return nil, fmt.Errorf("intset: bucket count %d outside [0, %d]", c.Buckets, stmset.MaxBuckets)
+	}
+	if c.MaxThreads < 0 {
+		return nil, fmt.Errorf("intset: MaxThreads %d is negative", c.MaxThreads)
+	}
 	if c.Buckets == 0 {
 		c.Buckets = 16384
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spectm/internal/rng"
+	"spectm/internal/stmset"
 )
 
 func stressIters(t *testing.T, full int) int {
@@ -94,27 +95,63 @@ func TestAllVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestFig1VariantsZeroAlloc pins the steady state of figure 1's hash
-// table at 0 allocs/op for every variant the figure plots: a lookup, a
-// remove of an absent key and an add of a present key touch no new node.
+// TestCapacityOutOfRange checks that New rejects a bucket count outside
+// [0, stmset.MaxBuckets] and a negative MaxThreads with an error, for
+// every structure and variant, instead of panicking or clamping.
+func TestCapacityOutOfRange(t *testing.T) {
+	bad := map[string]Config{
+		"buckets-over":     {Buckets: stmset.MaxBuckets + 1},
+		"buckets-negative": {Buckets: -5},
+		"threads-negative": {MaxThreads: -1},
+	}
+	for _, structure := range []string{"hash", "skip"} {
+		for _, v := range Variants() {
+			for name, c := range bad {
+				t.Run(structure+"/"+v+"/"+name, func(t *testing.T) {
+					c.Structure, c.Variant = structure, v
+					if _, err := New(c); err == nil {
+						t.Fatalf("%+v accepted", c)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFig1VariantsZeroAlloc pins the steady state at 0 allocs/op for
+// every variant figure 1 plots on the hash table and figure 6 plots on
+// the skip list: a lookup, a remove of an absent key and an add of a
+// present key touch no new node.
 func TestFig1VariantsZeroAlloc(t *testing.T) {
-	for _, v := range []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"} {
-		s, err := New(Config{Structure: "hash", Variant: v, Buckets: 256, MaxThreads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th := s.NewThread()
-		for k := uint64(0); k < 1024; k += 2 {
-			th.Add(k)
-		}
-		for name, op := range map[string]func(){
-			"contains":        func() { th.Contains(512) },
-			"remove-absent":   func() { th.Remove(513) },
-			"add-present":     func() { th.Add(514) },
-			"contains-absent": func() { th.Contains(515) },
-		} {
-			if got := testing.AllocsPerRun(200, op); got != 0 {
-				t.Errorf("%s %s: %.2f allocs/op, want 0", v, name, got)
+	figures := []struct {
+		structure string
+		variants  []string
+	}{
+		{"hash", []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"}},
+		{"skip", []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g",
+			"orec-full-g", "tvar-full-l", "orec-full-g-fine"}},
+	}
+	for _, fig := range figures {
+		for _, v := range fig.variants {
+			s, err := New(Config{Structure: fig.structure, Variant: v, Buckets: 256, MaxThreads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := s.NewThread()
+			for k := uint64(0); k < 1024; k += 2 {
+				th.Add(k)
+			}
+			for name, op := range map[string]func(){
+				"contains":        func() { th.Contains(512) },
+				"remove-absent":   func() { th.Remove(513) },
+				"add-present":     func() { th.Add(514) },
+				"contains-absent": func() { th.Contains(515) },
+			} {
+				t.Run(fig.structure+"/"+v+"/"+name, func(t *testing.T) {
+					if got := testing.AllocsPerRun(200, op); got != 0 {
+						t.Errorf("%.2f allocs/op, want 0", got)
+					}
+				})
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func newHashShared(e *core.Engine, nBuckets int) *hashShared {
 	for n < nBuckets {
 		n <<= 1
 	}
-	if n > maxHashChunk {
+	if n > MaxBuckets {
 		panic("stmset: bucket count out of range")
 	}
 	h := &hashShared{e: e, a: arena.New[hnode](), buckets: make([]core.Cell, n), mask: uint64(n - 1)}

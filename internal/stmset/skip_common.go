@@ -1,6 +1,7 @@
-// Shared skip-list machinery: towers, the iterator, the single-location
-// search of the paper's Figure 4, and the "stepper" abstraction that lets
-// the same §3 algorithm run over two kinds of mini-transactions:
+// Shared skip-list machinery: towers, the iterator, the one search of
+// the paper's Figure 4 that all three skip lists walk (SkipFull with
+// txReader, inside its transaction), and the "stepper" abstraction that
+// lets the same §3 algorithm run over two kinds of mini-transactions:
 //
 //   - shortSteps: Tx_Single_* plus short RW transactions (SpecTM proper);
 //   - fineSteps:  the same steps expressed as small ordinary
@@ -81,10 +82,15 @@ const (
 	stepConflict              // lock/validation conflict; restart the op
 )
 
+// reader is the one step a search needs: read a link word.
+type reader interface {
+	read(t *core.Thr, v core.Var) word.Value
+}
+
 // stepper abstracts the mini-transactions the skip list is built from.
 type stepper interface {
 	// read is a 1-location read-only transaction.
-	read(t *core.Thr, v core.Var) word.Value
+	reader
 	// cas is a 1-location compare-and-swap transaction; it returns the
 	// witnessed value (== old means success).
 	cas(t *core.Thr, v core.Var, old, new word.Value) word.Value
@@ -95,20 +101,20 @@ type stepper interface {
 	rmw4(t *core.Thr, v [4]core.Var, f func(x [4]word.Value) ([4]word.Value, bool)) stepOutcome
 }
 
-// search is the paper's Skiplist::Search (Fig 4): a single-location-read
-// walk from the observed head level down, unmarking deleted pointers and
-// recording the window in it. It returns the level-0 candidate. Levels
-// in [headLvl, fillTo) get head/null defaults — an inserting caller
-// passes its tower height so a head raise finds a coherent window;
-// other callers pass 0.
-func search[S stepper](s *skipShared, st S, t *core.Thr, key uint64, it *iter, fillTo int) (arena.Handle, bool) {
-	hl := int(st.read(t, s.lvlVar()).Uint())
-	if hl < 1 {
-		hl = 1
-	}
-	if hl > MaxLevel {
-		hl = MaxLevel
-	}
+// headLevel reads head.lvl, clamped to [1, MaxLevel].
+func (s *skipShared) headLevel(r reader, t *core.Thr) int {
+	return min(max(int(r.read(t, s.lvlVar()).Uint()), 1), MaxLevel)
+}
+
+// search is the paper's Skiplist::Search (Fig 4): a walk from the
+// observed head level down, unmarking deleted pointers and recording the
+// window in it. It returns the level-0 candidate. Levels in
+// [headLvl, fillTo) get head/null defaults — an inserting caller passes
+// its tower height so a head raise finds a coherent window; other
+// callers pass 0. A Null read ends the walk, so a doomed ordinary
+// transaction stops early and its caller's commit fails.
+func search(s *skipShared, r reader, t *core.Thr, key uint64, it *iter, fillTo int) (arena.Handle, bool) {
+	hl := s.headLevel(r, t)
 	it.headLvl = hl
 	for l := hl; l < fillTo; l++ {
 		it.prev[l] = s.headVar(l)
@@ -117,7 +123,7 @@ func search[S stepper](s *skipShared, st S, t *core.Thr, key uint64, it *iter, f
 	prev := arena.Handle(0) // head sentinel
 	var cur word.Value
 	for l := hl - 1; l >= 0; l-- {
-		cur = st.read(t, s.linkVar(prev, l)).WithoutMark()
+		cur = r.read(t, s.linkVar(prev, l)).WithoutMark()
 		for !cur.IsNull() {
 			c := dec(cur)
 			n := s.a.Get(c)
@@ -125,7 +131,7 @@ func search[S stepper](s *skipShared, st S, t *core.Thr, key uint64, it *iter, f
 				break
 			}
 			prev = c
-			cur = st.read(t, s.towerVar(c, n, l)).WithoutMark()
+			cur = r.read(t, s.towerVar(c, n, l)).WithoutMark()
 		}
 		it.prev[l] = s.linkVar(prev, l)
 		it.pval[l] = cur
@@ -140,17 +146,10 @@ func search[S stepper](s *skipShared, st S, t *core.Thr, key uint64, it *iter, f
 // lookup is a slim membership walk without iterator bookkeeping, for
 // Contains. Towers link and unlink at all levels atomically, so finding
 // the key via an unmarked link at any level is a valid linearization.
-func lookup[S stepper](s *skipShared, st S, t *core.Thr, key uint64) bool {
-	hl := int(st.read(t, s.lvlVar()).Uint())
-	if hl < 1 {
-		hl = 1
-	}
-	if hl > MaxLevel {
-		hl = MaxLevel
-	}
+func lookup(s *skipShared, r reader, t *core.Thr, key uint64) bool {
 	prev := arena.Handle(0)
-	for l := hl - 1; l >= 0; l-- {
-		cur := st.read(t, s.linkVar(prev, l)).WithoutMark()
+	for l := s.headLevel(r, t) - 1; l >= 0; l-- {
+		cur := r.read(t, s.linkVar(prev, l)).WithoutMark()
 		for !cur.IsNull() {
 			c := dec(cur)
 			n := s.a.Get(c)
@@ -161,7 +160,7 @@ func lookup[S stepper](s *skipShared, st S, t *core.Thr, key uint64) bool {
 				break
 			}
 			prev = c
-			cur = st.read(t, s.towerVar(c, n, l)).WithoutMark()
+			cur = r.read(t, s.towerVar(c, n, l)).WithoutMark()
 		}
 	}
 	return false

@@ -32,48 +32,10 @@ type skipFullThread struct {
 
 func (x *skipFullThread) Thr() *core.Thr { return x.t }
 
-// txSearch walks the list transactionally inside the current
-// transaction, filling the window. Levels in [headLvl, fillTo) get
-// head/null defaults for an inserting caller. When the transaction is
-// doomed the reads return Null and the walk ends early; the caller's
-// commit fails.
-func (x *skipFullThread) txSearch(key uint64, it *iter, fillTo int) (arena.Handle, bool) {
-	s := x.s
-	t := x.t
-	hl := int(t.TxRead(s.lvlVar()).Uint())
-	if hl < 1 {
-		hl = 1
-	}
-	if hl > MaxLevel {
-		hl = MaxLevel
-	}
-	it.headLvl = hl
-	for l := hl; l < fillTo; l++ {
-		it.prev[l] = s.headVar(l)
-		it.pval[l] = word.Null
-	}
-	prev := arena.Handle(0)
-	var cur word.Value
-	for l := hl - 1; l >= 0; l-- {
-		cur = t.TxRead(s.linkVar(prev, l))
-		for !cur.IsNull() && t.TxOK() {
-			c := dec(cur)
-			n := s.a.Get(c)
-			if n.key >= key {
-				break
-			}
-			prev = c
-			cur = t.TxRead(s.towerVar(c, n, l))
-		}
-		it.prev[l] = s.linkVar(prev, l)
-		it.pval[l] = cur
-	}
-	if cur.IsNull() || !t.TxOK() {
-		return 0, false
-	}
-	c := dec(cur)
-	return c, s.a.Get(c).key == key
-}
+// txReader reads inside the caller's ordinary transaction.
+type txReader struct{}
+
+func (txReader) read(t *core.Thr, v core.Var) word.Value { return t.TxRead(v) }
 
 // Contains reports membership of key.
 func (x *skipFullThread) Contains(key uint64) bool {
@@ -81,7 +43,7 @@ func (x *skipFullThread) Contains(key uint64) bool {
 	defer x.t.Epoch.Exit()
 	for attempt := 1; ; attempt++ {
 		x.t.TxStart()
-		_, found := x.txSearch(key, &x.it, 0)
+		_, found := search(x.s, txReader{}, x.t, key, &x.it, 0)
 		if x.t.TxCommit() {
 			return found
 		}
@@ -100,7 +62,7 @@ func (x *skipFullThread) Add(key uint64) bool {
 	var spare arena.Handle
 	for attempt := 1; ; attempt++ {
 		t.TxStart()
-		_, found := x.txSearch(key, it, lvl)
+		_, found := search(s, txReader{}, t, key, it, lvl)
 		if found {
 			if t.TxCommit() {
 				if !spare.IsNil() {
@@ -143,7 +105,7 @@ func (x *skipFullThread) Remove(key uint64) bool {
 	it := &x.it
 	for attempt := 1; ; attempt++ {
 		t.TxStart()
-		cur, found := x.txSearch(key, it, 0)
+		cur, found := search(s, txReader{}, t, key, it, 0)
 		if !found {
 			if t.TxCommit() {
 				return false

@@ -4,7 +4,7 @@
 // back to ordinary transactions on the same engine. This mixing is the
 // paper's headline compositionality property.
 //
-// The same implementation, instantiated with fineSteps, becomes the
+// The same implementation, driven by fineSteps, becomes the
 // "orec-full-g (fine)" variant of Fig 6(a): identical structure, every
 // step an ordinary transaction.
 package stmset
@@ -15,42 +15,42 @@ import (
 	"spectm/internal/word"
 )
 
-// SkipSM is the mixed short/full-transaction skip list, parameterized
-// by the mini-transaction flavor so the hot walks dispatch statically.
-type SkipSM[S stepper] struct {
+// SkipSM is the mixed short/full-transaction skip list; st is the
+// mini-transaction flavor its steps run as.
+type SkipSM struct {
 	s  *skipShared
-	st S
+	st stepper
 }
 
 // NewSkipShort builds the paper's SpecTM skip list over engine e
 // (instantiate e with LayoutVal for the val-short variant, LayoutTVar
 // for tvar-short-*, and so on).
-func NewSkipShort(e *core.Engine) *SkipSM[shortSteps] {
-	return &SkipSM[shortSteps]{s: newSkipShared(e)}
+func NewSkipShort(e *core.Engine) *SkipSM {
+	return &SkipSM{s: newSkipShared(e), st: shortSteps{}}
 }
 
 // NewSkipFine builds the fine-grained ordinary-transaction control
 // variant (Fig 6(a), "orec-full-g (fine)").
-func NewSkipFine(e *core.Engine) *SkipSM[fineSteps] {
-	return &SkipSM[fineSteps]{s: newSkipShared(e)}
+func NewSkipFine(e *core.Engine) *SkipSM {
+	return &SkipSM{s: newSkipShared(e), st: fineSteps{}}
 }
 
 // NewThread registers a worker.
-func (sk *SkipSM[S]) NewThread() Thread {
-	return &skipSMThread[S]{s: sk.s, st: sk.st, t: sk.s.e.Register()}
+func (sk *SkipSM) NewThread() Thread {
+	return &skipSMThread{s: sk.s, st: sk.st, t: sk.s.e.Register()}
 }
 
-type skipSMThread[S stepper] struct {
+type skipSMThread struct {
 	s  *skipShared
-	st S
+	st stepper
 	t  *core.Thr
 	it iter // reused search window
 }
 
-func (x *skipSMThread[S]) Thr() *core.Thr { return x.t }
+func (x *skipSMThread) Thr() *core.Thr { return x.t }
 
 // Contains searches with single-location reads.
-func (x *skipSMThread[S]) Contains(key uint64) bool {
+func (x *skipSMThread) Contains(key uint64) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	return lookup(x.s, x.st, x.t, key)
@@ -59,7 +59,7 @@ func (x *skipSMThread[S]) Contains(key uint64) bool {
 // Add inserts key; false if present. Height-1 towers link with a single
 // CAS transaction, height-2 towers with one short RW2 transaction, and
 // taller towers with an ordinary transaction (paper lines 39–44).
-func (x *skipSMThread[S]) Add(key uint64) bool {
+func (x *skipSMThread) Add(key uint64) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	s := x.s
@@ -93,12 +93,14 @@ func (x *skipSMThread[S]) Add(key uint64) bool {
 		case lvl == 2 && it.headLvl >= 2:
 			n.next[0].Init(it.pval[0])
 			n.next[1].Init(it.pval[1])
+			// Captured by value, so spare stays off the heap.
+			link := enc(spare)
 			out := x.st.rmw2(x.t, it.prev[0], it.prev[1],
 				func(x0, x1 word.Value) (word.Value, word.Value, bool) {
 					if x0 != it.pval[0] || x1 != it.pval[1] {
 						return 0, 0, false // window moved; restart
 					}
-					return enc(spare), enc(spare), true
+					return link, link, true
 				})
 			if out == stepCommitted {
 				return true
@@ -116,7 +118,7 @@ func (x *skipSMThread[S]) Add(key uint64) bool {
 
 // addLevelN links a tall tower inside one ordinary transaction. It
 // returns false when the operation must be restarted from the search.
-func (x *skipSMThread[S]) addLevelN(h arena.Handle, lvl int, it *iter) bool {
+func (x *skipSMThread) addLevelN(h arena.Handle, lvl int, it *iter) bool {
 	s := x.s
 	t := x.t
 	n := s.a.Get(h)
@@ -152,7 +154,7 @@ func (x *skipSMThread[S]) addLevelN(h arena.Handle, lvl int, it *iter) bool {
 // Remove deletes key; false if absent. Height-1 towers unlink with one
 // short RW2 transaction (mark + splice atomically), height-2 towers with
 // one RW4 transaction, and taller towers with an ordinary transaction.
-func (x *skipSMThread[S]) Remove(key uint64) bool {
+func (x *skipSMThread) Remove(key uint64) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	s := x.s
@@ -223,7 +225,7 @@ func (x *skipSMThread[S]) Remove(key uint64) bool {
 
 // removeLevelN unlinks a tall tower inside one ordinary transaction.
 // done=false means restart from the search.
-func (x *skipSMThread[S]) removeLevelN(cur arena.Handle, n *tower, lvl int, it *iter) (done, removed bool) {
+func (x *skipSMThread) removeLevelN(cur arena.Handle, n *tower, lvl int, it *iter) (done, removed bool) {
 	s := x.s
 	t := x.t
 	t.TxStart()

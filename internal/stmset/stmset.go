@@ -30,13 +30,14 @@ func dec(v word.Value) arena.Handle { return arena.Handle(v.WithoutMark().Uint()
 // construction (collisions through the orec hash remain possible, which
 // is the point of the orec layout).
 const (
-	idBucketBase  = uint64(1) << 52
-	idHeadBase    = uint64(1) << 53
-	idHeadLvl     = uint64(1) << 54
-	idNodeShift   = 6
-	maxHashChunk  = 1 << 20 // sanity bound on bucket counts
-	maxSetThreads = 256
+	idBucketBase = uint64(1) << 52
+	idHeadBase   = uint64(1) << 53
+	idHeadLvl    = uint64(1) << 54
+	idNodeShift  = 6
 )
+
+// MaxBuckets bounds a hash table's bucket count, rounded up to a power of 2.
+const MaxBuckets = 1 << 20
 
 // Thread is the per-worker view of a set. Implementations are not safe
 // for concurrent use by multiple goroutines.

@@ -152,7 +152,7 @@ func TestReclamation(t *testing.T) {
 	}
 
 	sk := NewSkipShort(core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter}))
-	st := sk.NewThread().(*skipSMThread[shortSteps])
+	st := sk.NewThread().(*skipSMThread)
 	for i := uint64(0); i < 500; i++ {
 		if !st.Add(i) {
 			t.Fatal("skip add failed")
@@ -175,7 +175,7 @@ func TestTallTowers(t *testing.T) {
 	for ename, eng := range engines() {
 		t.Run(ename, func(t *testing.T) {
 			sk := NewSkipShort(eng())
-			th := sk.NewThread().(*skipSMThread[shortSteps])
+			th := sk.NewThread().(*skipSMThread)
 			const n = 2000
 			for i := uint64(0); i < n; i++ {
 				if !th.Add(i) {
