@@ -1,97 +1,74 @@
 // Benchmarks regenerating the paper's evaluation through testing.B —
-// one Benchmark per figure. Each sub-benchmark is one series of the
-// corresponding figure; ns/op is the metric (the figures' ops/s is its
-// inverse). cmd/spectm-bench produces the same data as formatted tables.
+// one Benchmark per figure. The figures, series and variants come from
+// internal/figures' table and the workloads from internal/harness, the
+// same definitions cmd/spectm-bench runs. Each sub-benchmark is one
+// series of the corresponding figure; ns/op is the metric (the figures'
+// ops/s is its inverse). cmd/spectm-bench produces the same data as
+// formatted tables and sweeps thread counts beyond GOMAXPROCS.
 //
-// Naming: BenchmarkFigN/<sub>/<variant>[/t<threads>].
+// Naming: BenchmarkFigN/<sub>/<variant>. The integer-set benchmarks run
+// one worker per GOMAXPROCS, so -cpu N sets the worker count.
 package spectm
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"spectm/internal/figures"
 	"spectm/internal/harness"
-	"spectm/internal/intset"
 	"spectm/internal/rng"
 )
 
-// benchSet builds and half-fills a set for the standard workload.
-func benchSet(b *testing.B, structure, variant string, buckets int, keyRange uint64) intset.Set {
-	b.Helper()
-	s, err := intset.New(intset.Config{
-		Structure:  structure,
-		Variant:    variant,
-		Buckets:    buckets,
-		MaxThreads: 4*runtime.GOMAXPROCS(0) + 4,
-	})
+// benchFigure runs every series of the named figure as sub-benchmarks.
+func benchFigure(b *testing.B, name string) {
+	i := slices.IndexFunc(figures.Figures, func(f figures.Figure) bool { return f.Name == name })
+	for _, s := range figures.Figures[i].Series {
+		series := func(b *testing.B) {
+			for _, v := range s.Variants {
+				b.Run(v, func(b *testing.B) { benchWorkload(b, s.Workload(v)) })
+			}
+		}
+		if s.Sub == "" {
+			series(b)
+		} else {
+			b.Run(s.Sub, series)
+		}
+	}
+}
+
+// benchWorkload drives the §4.4 workload mix under RunParallel.
+func benchWorkload(b *testing.B, w harness.Workload) {
+	w.Threads = runtime.GOMAXPROCS(0)
+	set, err := w.Prefill()
 	if err != nil {
 		b.Fatal(err)
 	}
-	th := s.NewThread()
-	r := rng.New(0xC0FFEE)
-	for inserted := uint64(0); inserted < keyRange/2; {
-		if th.Add(r.Intn(keyRange)) {
-			inserted++
-		}
-	}
-	return s
-}
-
-// runSetBench drives the §4.4 workload mix under RunParallel.
-func runSetBench(b *testing.B, structure, variant string, buckets int, lookupPct int, keyRange uint64) {
-	s := benchSet(b, structure, variant, buckets, keyRange)
-	insertPct := (100 - lookupPct) / 2
 	var seed atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		th := s.NewThread()
+		th := set.NewThread()
 		r := rng.New(seed.Add(1) * 0x9e3779b97f4a7c15)
 		for pb.Next() {
-			key := r.Intn(keyRange)
-			pick := int(r.Intn(100))
-			switch {
-			case pick < lookupPct:
-				th.Contains(key)
-			case pick < lookupPct+insertPct:
-				th.Add(key)
-			default:
-				th.Remove(key)
-			}
+			w.Op(th, r)
 		}
 	})
 }
 
-// figSeries runs one figure's variant list as sub-benchmarks.
-func figSeries(b *testing.B, structure string, lookupPct, buckets int, variants []string) {
-	for _, v := range variants {
-		b.Run(v, func(b *testing.B) {
-			runSetBench(b, structure, v, buckets, lookupPct, 65536)
-		})
-	}
-}
-
 // BenchmarkFig1 — hash table, 90% lookups, headline variants (Figure 1).
-func BenchmarkFig1(b *testing.B) {
-	figSeries(b, "hash", 90, 16384,
-		[]string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"})
-}
+func BenchmarkFig1(b *testing.B) { benchFigure(b, "1") }
 
 // BenchmarkFig5 — single-threaded short-transaction shapes (Figure 5).
-// Sub-benchmark names follow size<items>/<op>/<variant>; compare against
-// the sequential series for the paper's normalization.
+// Sub-benchmark names follow size<items>/<op>/<variant>; the first of
+// harness.MicroVariants is the unsynchronized baseline the paper
+// normalizes against.
 func BenchmarkFig5(b *testing.B) {
 	for _, size := range harness.MicroSizes() {
 		for _, op := range harness.MicroOps() {
 			for _, v := range harness.MicroVariants() {
 				b.Run(fmt.Sprintf("size%d/%s/%s", size, op, v), func(b *testing.B) {
-					if v == "sequential" {
-						// Measure via the calibrated loop once; report
-						// its ns/op for b.N iterations.
-						benchSequentialMicro(b, op, size)
-						return
-					}
 					one := harness.NewMicroRunner(v, op, size)
 					r := rng.New(42)
 					mask := uint64(size - 1)
@@ -105,84 +82,17 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-var benchSink uint64
-
-// benchSequentialMicro is the unsynchronized baseline loop for Fig 5.
-func benchSequentialMicro(b *testing.B, op string, size int) {
-	items := make([]uint64, size*8) // one word per cache line
-	mask := uint64(size - 1)
-	r := rng.New(42)
-	var acc uint64
-	b.ResetTimer()
-	switch op {
-	case "read-1":
-		for i := 0; i < b.N; i++ {
-			acc += items[(r.Next()&mask)*8]
-		}
-	case "ro-2":
-		for i := 0; i < b.N; i++ {
-			j := r.Next() & mask
-			acc += items[j*8] + items[((j+1)&mask)*8]
-		}
-	case "ro-4":
-		for i := 0; i < b.N; i++ {
-			j := r.Next() & mask
-			acc += items[j*8] + items[((j+1)&mask)*8] + items[((j+2)&mask)*8] + items[((j+3)&mask)*8]
-		}
-	case "rw-1", "rw-2", "rw-4":
-		n := uint64(1)
-		if op == "rw-2" {
-			n = 2
-		} else if op == "rw-4" {
-			n = 4
-		}
-		for i := 0; i < b.N; i++ {
-			j := r.Next() & mask
-			for k := uint64(0); k < n; k++ {
-				p := &items[((j+k)&mask)*8]
-				old := atomic.LoadUint64(p)
-				atomic.CompareAndSwapUint64(p, old, old+1)
-			}
-		}
-	}
-	benchSink += acc
-}
-
 // BenchmarkFig6 — skip list, 90%/10% lookups (Figure 6).
-func BenchmarkFig6(b *testing.B) {
-	variants := []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g",
-		"orec-full-g", "tvar-full-l", "orec-full-g-fine"}
-	b.Run("a-90pct", func(b *testing.B) { figSeries(b, "skip", 90, 0, variants) })
-	b.Run("b-10pct", func(b *testing.B) { figSeries(b, "skip", 10, 0, variants) })
-}
+func BenchmarkFig6(b *testing.B) { benchFigure(b, "6") }
 
 // BenchmarkFig7 — hash table, 90%/10% lookups (Figure 7).
-func BenchmarkFig7(b *testing.B) {
-	variants := []string{"lock-free", "val-short", "tvar-short-g", "tvar-short-l",
-		"orec-short-l", "orec-full-g", "orec-full-l"}
-	b.Run("a-90pct", func(b *testing.B) { figSeries(b, "hash", 90, 16384, variants) })
-	b.Run("b-10pct", func(b *testing.B) { figSeries(b, "hash", 10, 16384, variants) })
-}
-
-var bench128Variants = []string{"lock-free", "val-short", "tvar-short-l", "orec-short-l",
-	"orec-full-l", "tvar-full-l"}
+func BenchmarkFig7(b *testing.B) { benchFigure(b, "7") }
 
 // BenchmarkFig8 — skip list, 98/90/10% lookups, "128-way" series (Figure 8).
-func BenchmarkFig8(b *testing.B) {
-	b.Run("a-98pct", func(b *testing.B) { figSeries(b, "skip", 98, 0, bench128Variants) })
-	b.Run("b-90pct", func(b *testing.B) { figSeries(b, "skip", 90, 0, bench128Variants) })
-	b.Run("c-10pct", func(b *testing.B) { figSeries(b, "skip", 10, 0, bench128Variants) })
-}
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "8") }
 
 // BenchmarkFig9 — hash table, 98/90/10% lookups, "128-way" series (Figure 9).
-func BenchmarkFig9(b *testing.B) {
-	b.Run("a-98pct", func(b *testing.B) { figSeries(b, "hash", 98, 16384, bench128Variants) })
-	b.Run("b-90pct", func(b *testing.B) { figSeries(b, "hash", 90, 16384, bench128Variants) })
-	b.Run("c-10pct", func(b *testing.B) { figSeries(b, "hash", 10, 16384, bench128Variants) })
-}
+func BenchmarkFig9(b *testing.B) { benchFigure(b, "9") }
 
 // BenchmarkFig10 — hash table with 0.5-entry and 32-entry chains (Figure 10).
-func BenchmarkFig10(b *testing.B) {
-	b.Run("a-98pct-64kbuckets", func(b *testing.B) { figSeries(b, "hash", 98, 65536, bench128Variants) })
-	b.Run("b-90pct-1kbuckets", func(b *testing.B) { figSeries(b, "hash", 90, 1024, bench128Variants) })
-}
+func BenchmarkFig10(b *testing.B) { benchFigure(b, "10") }

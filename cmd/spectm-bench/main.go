@@ -36,8 +36,13 @@ func parseThreads(s string) ([]int, error) {
 }
 
 func main() {
+	var names []string
+	for _, f := range figures.Figures {
+		names = append(names, f.Name)
+	}
+	names = append(names, "all")
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, or all")
+		figure   = flag.String("figure", "all", "figure to regenerate: "+strings.Join(names, ", "))
 		duration = flag.Duration("duration", time.Second, "measurement time per experiment point")
 		threads  = flag.String("threads", "", "comma-separated thread counts; sorted and de-duplicated (default 1..2*GOMAXPROCS)")
 		keyrange = flag.Uint64("keyrange", 65536, "integer-set key range")
@@ -67,23 +72,12 @@ func main() {
 		}
 	}
 
-	runners := map[string]func(figures.Options) error{
-		"1": figures.Fig1, "5": figures.Fig5, "6": figures.Fig6,
-		"7": figures.Fig7, "8": figures.Fig8, "9": figures.Fig9,
-		"10": figures.Fig10, "all": figures.All,
-	}
-	run, ok := runners[*figure]
-	if !ok {
-		known := make([]string, 0, len(runners))
-		for name := range runners {
-			known = append(known, name)
-		}
-		slices.Sort(known)
+	if !slices.Contains(names, *figure) {
 		fmt.Fprintf(os.Stderr, "spectm-bench: unknown figure %q (known figures: %s)\n",
-			*figure, strings.Join(known, ", "))
+			*figure, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	if err := run(opts); err != nil {
+	if err := figures.Run(opts, *figure); err != nil {
 		fmt.Fprintf(os.Stderr, "spectm-bench: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,8 +1,9 @@
-// Package figures regenerates every table and figure of the paper's
-// evaluation (§4). Each FigN function prints the same series the paper
+// Package figures defines the paper's evaluation (§4) once, as the
+// Figures table, and regenerates it. Run prints the series the paper
 // plots — throughput per thread count per variant for the integer-set
 // experiments, normalized single-thread execution times for the
-// microbenchmark — and optionally writes CSV files.
+// microbenchmark — and optionally writes CSV files. The root package's
+// BenchmarkFigN benchmarks run the same table under testing.B.
 //
 // The paper's 16-way and 128-way testbeds become thread sweeps on the
 // host; shapes (variant ranking, relative factors) are the reproduction
@@ -27,7 +28,7 @@ type Options struct {
 	CSVDir   string        // when set, write figN.csv files here
 	Threads  []int         // thread counts (default 1..2*GOMAXPROCS)
 	Duration time.Duration // per experiment point (default 1s)
-	KeyRange uint64        // default 65536
+	KeyRange uint64        // 0 = harness's default
 	Seed     uint64
 }
 
@@ -44,40 +45,129 @@ func (o Options) withDefaults() Options {
 	if o.Duration == 0 {
 		o.Duration = time.Second
 	}
-	if o.KeyRange == 0 {
-		o.KeyRange = 65536
-	}
 	return o
 }
 
-// series describes one integer-set sub-figure.
-type series struct {
-	fig       string // e.g. "fig6a"
-	title     string
-	structure string
-	lookupPct int
-	buckets   int
-	variants  []string
+// Figure is one figure of the paper's evaluation.
+type Figure struct {
+	Name   string   // "1", "5", …, "10"
+	Series []Series // nil for Figure 5, which has its own runner
+}
+
+// Series is one integer-set sub-figure: every variant runs the §4.4
+// workload on the same structure and mix.
+type Series struct {
+	Tag       string // printed tag and CSV file name, e.g. "fig6a"
+	Sub       string // sub-benchmark name under BenchmarkFigN ("" for Figure 1)
+	Structure string // "hash" or "skip"
+	LookupPct int
+	Buckets   int    // hash only
+	Title     string // printed after the structure and key range
+	Variants  []string
+}
+
+// The variant lists the paper plots. The "128-way" figures show the
+// local-version variants, which dominate at that scale.
+var (
+	fig1Variants = []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"}
+	fig6Variants = []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g", "tvar-full-l", "orec-full-g-fine"}
+	fig7Variants = []string{"lock-free", "val-short", "tvar-short-g", "tvar-short-l", "orec-short-l", "orec-full-g", "orec-full-l"}
+	way128       = []string{"lock-free", "val-short", "tvar-short-l", "orec-short-l", "orec-full-l", "tvar-full-l"}
+)
+
+// Figures is the paper's evaluation in the paper's order, one row per
+// series. Both cmd/spectm-bench and the BenchmarkFigN benchmarks run it.
+var Figures = []Figure{
+	{"1", []Series{
+		{"fig1", "", "hash", 90, 16384, "16k buckets, 90% lookups (normalized to sequential)", fig1Variants},
+	}},
+	{"5", nil},
+	{"6", []Series{
+		{"fig6a", "a-90pct", "skip", 90, 0, "90% lookups", fig6Variants},
+		{"fig6b", "b-10pct", "skip", 10, 0, "10% lookups", fig6Variants},
+	}},
+	{"7", []Series{
+		{"fig7a", "a-90pct", "hash", 90, 16384, "16k buckets, 90% lookups", fig7Variants},
+		{"fig7b", "b-10pct", "hash", 10, 16384, "16k buckets, 10% lookups", fig7Variants},
+	}},
+	{"8", []Series{
+		{"fig8a", "a-98pct", "skip", 98, 0, "98% lookups (128-way series)", way128},
+		{"fig8b", "b-90pct", "skip", 90, 0, "90% lookups (128-way series)", way128},
+		{"fig8c", "c-10pct", "skip", 10, 0, "10% lookups (128-way series)", way128},
+	}},
+	{"9", []Series{
+		{"fig9a", "a-98pct", "hash", 98, 16384, "16k buckets, 98% lookups (128-way series)", way128},
+		{"fig9b", "b-90pct", "hash", 90, 16384, "16k buckets, 90% lookups (128-way series)", way128},
+		{"fig9c", "c-10pct", "hash", 10, 16384, "16k buckets, 10% lookups (128-way series)", way128},
+	}},
+	{"10", []Series{
+		{"fig10a", "a-98pct-64kbuckets", "hash", 98, 65536, "64k buckets, 98% lookups (0.5-entry chains at 64k keys)", way128},
+		{"fig10b", "b-90pct-1kbuckets", "hash", 90, 1024, "1k buckets, 90% lookups (32-entry chains at 64k keys)", way128},
+	}},
+}
+
+// Run regenerates the named figure, or every figure for "all".
+func Run(o Options, name string) error {
+	o = o.withDefaults()
+	found := false
+	for _, f := range Figures {
+		if name != "all" && name != f.Name {
+			continue
+		}
+		found = true
+		if f.Series == nil {
+			if err := fig5(o); err != nil {
+				return err
+			}
+		}
+		for _, s := range f.Series {
+			if err := runSeries(o, s); err != nil {
+				return err
+			}
+		}
+	}
+	if !found {
+		return fmt.Errorf("figures: unknown figure %q", name)
+	}
+	return nil
+}
+
+// Workload is the §4.4 workload of one variant of s.
+func (s Series) Workload(variant string) harness.Workload {
+	return harness.Workload{Structure: s.Structure, Variant: variant, Buckets: s.Buckets, LookupPct: s.LookupPct}
+}
+
+// structureNames are the paper's names for the structures.
+var structureNames = map[string]string{"hash": "hash table", "skip": "skip list"}
+
+// keyCount writes a key count the way the titles do: 65536 as "64k".
+func keyCount(n uint64) string {
+	if n >= 1024 && n%1024 == 0 {
+		return fmt.Sprintf("%dk", n/1024)
+	}
+	return fmt.Sprint(n)
 }
 
 // runSeries executes one sub-figure: a sequential 1-thread baseline,
 // then every (threads, variant) point.
-func runSeries(o Options, s series) error {
-	fmt.Fprintf(o.Out, "\n== %s: %s ==\n", s.fig, s.title)
-	base, err := harness.Run(harness.Workload{
-		Structure: s.structure, Variant: "sequential", Buckets: s.buckets,
-		KeyRange: o.KeyRange, LookupPct: s.lookupPct, Threads: 1,
-		Duration: o.Duration, Seed: o.Seed,
-	})
+func runSeries(o Options, s Series) error {
+	point := func(variant string, threads int) (harness.Result, error) {
+		w := s.Workload(variant)
+		w.KeyRange, w.Threads, w.Duration, w.Seed = o.KeyRange, threads, o.Duration, o.Seed
+		return harness.Run(w)
+	}
+	base, err := point("sequential", 1)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(o.Out, "\n== %s: %s, %s keys, %s ==\n",
+		s.Tag, structureNames[s.Structure], keyCount(base.Workload.KeyRange), s.Title)
 	fmt.Fprintf(o.Out, "sequential baseline: %.0f ops/s (normalization = 1.0)\n", base.OpsPerSec)
 	fmt.Fprintf(o.Out, "%-8s %-18s %14s %10s %12s\n", "threads", "variant", "ops/s", "vs-seq", "aborts")
 
 	var csv *os.File
 	if o.CSVDir != "" {
-		f, err := os.Create(filepath.Join(o.CSVDir, s.fig+".csv"))
+		f, err := os.Create(filepath.Join(o.CSVDir, s.Tag+".csv"))
 		if err != nil {
 			return err
 		}
@@ -88,12 +178,8 @@ func runSeries(o Options, s series) error {
 	}
 
 	for _, th := range o.Threads {
-		for _, v := range s.variants {
-			res, err := harness.Run(harness.Workload{
-				Structure: s.structure, Variant: v, Buckets: s.buckets,
-				KeyRange: o.KeyRange, LookupPct: s.lookupPct, Threads: th,
-				Duration: o.Duration, Seed: o.Seed,
-			})
+		for _, v := range s.Variants {
+			res, err := point(v, th)
 			if err != nil {
 				return err
 			}
@@ -108,22 +194,9 @@ func runSeries(o Options, s series) error {
 	return nil
 }
 
-// Fig1 regenerates Figure 1: hash table, 90% lookups, normalized
-// throughput of the headline variants.
-func Fig1(o Options) error {
-	o = o.withDefaults()
-	return runSeries(o, series{
-		fig:       "fig1",
-		title:     "hash table, 64k keys, 16k buckets, 90% lookups (normalized to sequential)",
-		structure: "hash", lookupPct: 90, buckets: 16384,
-		variants: []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g", "orec-full-g"},
-	})
-}
-
-// Fig5 regenerates Figure 5(a–c): single-threaded execution time of the
+// fig5 regenerates Figure 5(a–c): single-threaded execution time of the
 // short-transaction shapes, normalized to sequential code.
-func Fig5(o Options) error {
-	o = o.withDefaults()
+func fig5(o Options) error {
 	perCell := o.Duration / 4
 	if perCell < 20*time.Millisecond {
 		perCell = 20 * time.Millisecond
@@ -160,107 +233,6 @@ func Fig5(o Options) error {
 				}
 			}
 			fmt.Fprintln(o.Out)
-		}
-	}
-	return nil
-}
-
-// Fig6 regenerates Figure 6(a,b): skip list on the "16-way" workload.
-func Fig6(o Options) error {
-	o = o.withDefaults()
-	variants := []string{"lock-free", "val-short", "tvar-short-g", "orec-short-g",
-		"orec-full-g", "tvar-full-l", "orec-full-g-fine"}
-	if err := runSeries(o, series{
-		fig: "fig6a", title: "skip list, 64k keys, 90% lookups",
-		structure: "skip", lookupPct: 90, variants: variants,
-	}); err != nil {
-		return err
-	}
-	return runSeries(o, series{
-		fig: "fig6b", title: "skip list, 64k keys, 10% lookups",
-		structure: "skip", lookupPct: 10, variants: variants,
-	})
-}
-
-// Fig7 regenerates Figure 7(a,b): hash table on the "16-way" workload.
-func Fig7(o Options) error {
-	o = o.withDefaults()
-	variants := []string{"lock-free", "val-short", "tvar-short-g", "tvar-short-l",
-		"orec-short-l", "orec-full-g", "orec-full-l"}
-	if err := runSeries(o, series{
-		fig: "fig7a", title: "hash table, 64k keys, 16k buckets, 90% lookups",
-		structure: "hash", lookupPct: 90, buckets: 16384, variants: variants,
-	}); err != nil {
-		return err
-	}
-	return runSeries(o, series{
-		fig: "fig7b", title: "hash table, 64k keys, 16k buckets, 10% lookups",
-		structure: "hash", lookupPct: 10, buckets: 16384, variants: variants,
-	})
-}
-
-// fig89Variants are the series shown for the "128-way" experiments,
-// where local-version variants dominate.
-var fig89Variants = []string{"lock-free", "val-short", "tvar-short-l", "orec-short-l",
-	"orec-full-l", "tvar-full-l"}
-
-// Fig8 regenerates Figure 8(a–c): skip list on the "128-way" workload.
-func Fig8(o Options) error {
-	o = o.withDefaults()
-	for _, p := range []struct {
-		sub string
-		pct int
-	}{{"a", 98}, {"b", 90}, {"c", 10}} {
-		if err := runSeries(o, series{
-			fig:       "fig8" + p.sub,
-			title:     fmt.Sprintf("skip list, 64k keys, %d%% lookups (128-way series)", p.pct),
-			structure: "skip", lookupPct: p.pct, variants: fig89Variants,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Fig9 regenerates Figure 9(a–c): hash table on the "128-way" workload.
-func Fig9(o Options) error {
-	o = o.withDefaults()
-	for _, p := range []struct {
-		sub string
-		pct int
-	}{{"a", 98}, {"b", 90}, {"c", 10}} {
-		if err := runSeries(o, series{
-			fig:       "fig9" + p.sub,
-			title:     fmt.Sprintf("hash table, 64k keys, 16k buckets, %d%% lookups (128-way series)", p.pct),
-			structure: "hash", lookupPct: p.pct, buckets: 16384, variants: fig89Variants,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Fig10 regenerates Figure 10(a,b): hash tables with short (0.5-entry)
-// and long (32-entry) bucket chains.
-func Fig10(o Options) error {
-	o = o.withDefaults()
-	if err := runSeries(o, series{
-		fig: "fig10a", title: "hash table, 98% lookups, 64k buckets (0.5-entry chains)",
-		structure: "hash", lookupPct: 98, buckets: 65536, variants: fig89Variants,
-	}); err != nil {
-		return err
-	}
-	return runSeries(o, series{
-		fig: "fig10b", title: "hash table, 90% lookups, 1k buckets (32-entry chains)",
-		structure: "hash", lookupPct: 90, buckets: 1024, variants: fig89Variants,
-	})
-}
-
-// All runs every figure.
-func All(o Options) error {
-	for _, f := range []func(Options) error{Fig1, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10} {
-		if err := f(o); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ import (
 type Workload struct {
 	Structure string        // "hash" or "skip"
 	Variant   string        // intset variant name
-	Buckets   int           // hash only (default 16384)
+	Buckets   int           // hash only (0 = intset's default)
 	KeyRange  uint64        // default 65536 (the paper's 0–65535)
 	LookupPct int           // 0..100; the rest splits evenly into add/remove
 	Threads   int           // concurrent workers
@@ -29,9 +29,6 @@ type Workload struct {
 }
 
 func (w Workload) withDefaults() Workload {
-	if w.Buckets == 0 {
-		w.Buckets = 16384
-	}
 	if w.KeyRange == 0 {
 		w.KeyRange = 65536
 	}
@@ -61,24 +58,24 @@ type thrStats interface {
 	Thr() *core.Thr
 }
 
-// Run executes the workload and reports throughput.
-func Run(w Workload) (Result, error) {
-	w = w.withDefaults()
+// Prefill applies the defaults to w, builds its set and inserts random
+// keys until the set holds half the key range (§4.4 "the set is
+// initialized by inserting half of the elements from the key range").
+// The set has room for w.Threads workers plus the filling thread.
+func (w *Workload) Prefill() (intset.Set, error) {
+	*w = w.withDefaults()
 	if w.Variant == "sequential" && w.Threads != 1 {
-		return Result{}, fmt.Errorf("harness: sequential variant requires exactly 1 thread")
+		return nil, fmt.Errorf("harness: sequential variant requires exactly 1 thread")
 	}
 	set, err := intset.New(intset.Config{
-		Structure: w.Structure,
-		Variant:   w.Variant,
-		Buckets:   w.Buckets,
+		Structure:  w.Structure,
+		Variant:    w.Variant,
+		Buckets:    w.Buckets,
+		MaxThreads: w.Threads + 1,
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-
-	// Initialization: insert random keys until the set holds half the
-	// key range (§4.4 "the set is initialized by inserting half of the
-	// elements from the key range").
 	init := set.NewThread()
 	r := rng.New(w.Seed)
 	for inserted := uint64(0); inserted < w.KeyRange/2; {
@@ -86,33 +83,40 @@ func Run(w Workload) (Result, error) {
 			inserted++
 		}
 	}
+	return set, nil
+}
 
-	insertPct := (100 - w.LookupPct) / 2
+// Op performs one operation of the mix on th: a lookup, insert or
+// remove of a key drawn uniformly from the range. w must be prefilled.
+func (w *Workload) Op(th intset.Thread, r *rng.State) {
+	key := r.Intn(w.KeyRange)
+	switch pick := int(r.Intn(100)); {
+	case pick < w.LookupPct:
+		th.Contains(key)
+	case pick < w.LookupPct+(100-w.LookupPct)/2:
+		th.Add(key)
+	default:
+		th.Remove(key)
+	}
+}
+
+// Run executes the workload and reports throughput.
+func Run(w Workload) (Result, error) {
+	set, err := w.Prefill()
+	if err != nil {
+		return Result{}, err
+	}
 	ops, stats, elapsed, _ := runWorkers(w.Threads, w.Duration, func(id int) workerBody {
-		var th intset.Thread
-		if w.Threads == 1 && w.Variant == "sequential" {
-			th = init // sequential sets share the underlying structure anyway
-		} else {
-			th = set.NewThread()
-		}
+		th := set.NewThread()
 		wr := rng.New(w.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
 		return func(stop *atomic.Bool) (uint64, core.Stats) {
 			var ops uint64
 			for !stop.Load() {
 				// Batch the stop check to keep the loop tight.
 				for k := 0; k < 64; k++ {
-					key := wr.Intn(w.KeyRange)
-					pick := int(wr.Intn(100))
-					switch {
-					case pick < w.LookupPct:
-						th.Contains(key)
-					case pick < w.LookupPct+insertPct:
-						th.Add(key)
-					default:
-						th.Remove(key)
-					}
-					ops++
+					w.Op(th, wr)
 				}
+				ops += 64
 			}
 			if st, ok := th.(thrStats); ok && st.Thr() != nil {
 				return ops, st.Thr().Stats

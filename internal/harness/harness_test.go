@@ -39,6 +39,29 @@ func TestRunSmokeAllVariants(t *testing.T) {
 	}
 }
 
+// The paper's "128-way" series: 128 workers plus the filling thread
+// must all fit in the set's thread capacity.
+func TestRun128Threads(t *testing.T) {
+	for _, structure := range []string{"hash", "skip"} {
+		for _, v := range []string{"val-short", "tvar-full-l", "lock-free"} {
+			res, err := Run(Workload{
+				Structure: structure,
+				Variant:   v,
+				KeyRange:  256,
+				LookupPct: 90,
+				Threads:   128,
+				Duration:  20 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", structure, v, err)
+			}
+			if res.Ops == 0 {
+				t.Fatalf("%s/%s: zero ops", structure, v)
+			}
+		}
+	}
+}
+
 func TestSequentialRequiresOneThread(t *testing.T) {
 	_, err := Run(Workload{Structure: "hash", Variant: "sequential", Threads: 2, Duration: time.Millisecond})
 	if err == nil {

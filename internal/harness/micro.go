@@ -59,25 +59,18 @@ func microEngine(variant string) *core.Engine {
 // MicroBench measures one (variant, op, size) cell of Fig 5 and returns
 // nanoseconds per operation. It runs for at least minTime.
 func MicroBench(variant, op string, size int, minTime time.Duration) float64 {
-	if size&(size-1) != 0 {
-		panic("harness: micro array size must be a power of two")
-	}
-	mask := uint64(size - 1)
-	r := rng.New(42)
-
-	if variant == "sequential" {
-		return microSequential(op, size, mask, r, minTime)
-	}
-	one := NewMicroRunner(variant, op, size)
-	return timeLoop(one, r, mask, minTime)
+	return timeLoop(NewMicroRunner(variant, op, size), rng.New(42), uint64(size-1), minTime)
 }
 
-// NewMicroRunner builds the per-operation closure for one non-sequential
-// Fig 5 cell, for use by testing.B benchmarks. The argument is a random
-// index (masked to the array size by the caller).
+// NewMicroRunner builds the per-operation closure for one Fig 5 cell,
+// the sequential baseline included. The argument is a random index
+// (masked to the array size by the caller).
 func NewMicroRunner(variant, op string, size int) func(i uint64) {
 	if size&(size-1) != 0 {
 		panic("harness: micro array size must be a power of two")
+	}
+	if variant == "sequential" {
+		return microSequential(op, size)
 	}
 	mask := uint64(size - 1)
 	e := microEngine(variant)
@@ -178,23 +171,22 @@ func NewMicroRunner(variant, op string, size int) func(i uint64) {
 
 var microSink uint64
 
-// microSequential measures the unsynchronized baseline: plain loads for
+// microSequential builds the unsynchronized baseline: plain loads for
 // reads, one single-word CAS per item for writes (§4.3).
-func microSequential(op string, size int, mask uint64, r *rng.State, minTime time.Duration) float64 {
+func microSequential(op string, size int) func(i uint64) {
+	mask := uint64(size - 1)
 	items := make([]paddedWord, size)
 	for i := range items {
 		items[i].w = uint64(i)
 	}
-	var acc uint64 // local accumulator; flushed to microSink at the end
-	var one func(i uint64)
 	switch op {
 	case "read-1":
-		one = func(i uint64) { acc += items[i].w }
+		return func(i uint64) { microSink += items[i].w }
 	case "ro-2":
-		one = func(i uint64) { acc += items[i].w + items[(i+1)&mask].w }
+		return func(i uint64) { microSink += items[i].w + items[(i+1)&mask].w }
 	case "ro-4":
-		one = func(i uint64) {
-			acc += items[i].w + items[(i+1)&mask].w + items[(i+2)&mask].w + items[(i+3)&mask].w
+		return func(i uint64) {
+			microSink += items[i].w + items[(i+1)&mask].w + items[(i+2)&mask].w + items[(i+3)&mask].w
 		}
 	case "rw-1", "rw-2", "rw-4":
 		var n uint64
@@ -206,19 +198,15 @@ func microSequential(op string, size int, mask uint64, r *rng.State, minTime tim
 		default:
 			n = 4
 		}
-		one = func(i uint64) {
+		return func(i uint64) {
 			for k := uint64(0); k < n; k++ {
 				p := &items[(i+k)&mask].w
 				old := atomic.LoadUint64(p)
 				atomic.CompareAndSwapUint64(p, old, old+1)
 			}
 		}
-	default:
-		panic(fmt.Sprintf("harness: unknown micro op %q", op))
 	}
-	ns := timeLoop(one, r, mask, minTime)
-	microSink += acc
-	return ns
+	panic(fmt.Sprintf("harness: unknown micro op %q", op))
 }
 
 // timeLoop runs op in batches until minTime has elapsed and returns

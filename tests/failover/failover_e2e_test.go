@@ -139,6 +139,14 @@ func runSeed(t *testing.T, seed int64) {
 			acked[i]++
 		}
 	}
+	// The election below expects B ahead of C. Replication is
+	// asynchronous, so let the tail reach B before the primary dies.
+	if pos, err = ca.ReplPos(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.WaitOff(pos, 30*time.Second); err != nil {
+		t.Fatalf("B never received the tail: %v", err)
+	}
 	a.Kill9(t)
 	pc.Heal()
 
