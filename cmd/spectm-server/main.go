@@ -30,7 +30,7 @@ func main() {
 		maxConns   = flag.Int("maxconns", 256, "maximum concurrent connections")
 		shards     = flag.Int("shards", 0, "map shard count (0 = default: ≥ GOMAXPROCS)")
 		buckets    = flag.Int("buckets", 0, "initial buckets per shard (0 = default 64)")
-		dataDir    = flag.String("data-dir", "", "persistence directory: per-shard write-ahead logs + snapshots (empty = in-memory only)")
+		dataDir    = flag.String("data-dir", "", "persistence directory: write-ahead log + snapshots (empty = in-memory only)")
 		fsync      = flag.String("fsync", "interval=1s", "WAL fsync policy: always, every=N or interval=DURATION")
 		replListen = flag.String("repl-listen", "", "serve WAL-shipping replication to replicas on this address (requires -data-dir; on a replica, the listener a future PROMOTE will serve)")
 		replicaOf  = flag.String("replica-of", "", "run as a read-only replica of the primary whose -repl-listen is at host:port")

@@ -11,14 +11,15 @@ import (
 // Walorder enforces the durability ordering around the WAL:
 //
 //  1. In internal/shardmap, a WAL append (wal.Log Put/Delete/CAS/
-//     Swap2/SwapHalf, or a Thread.log* post-commit hook) must not run
+//     Swap2, or a Thread.log* post-commit hook) must not run
 //     while a short transaction is open — the record describes a
 //     committed mutation, so it must be emitted strictly after the
 //     owning commit. Appending from inside the transaction would
 //     persist a value that may still abort.
 //
-//  2. In internal/wal, within any function that both writes shard
-//     files and publishes the frontier, the publication
+//  2. In internal/wal, within any function that both writes the log
+//     file (through *os.File or the package's File interface) and
+//     publishes the frontier, the publication
 //     (advanceCursor / rotateCursor / notifyLocked) must come after
 //     the file write, and the durable watermark (advanceDurable) must
 //     come after the fsync — replication ships only written bytes, and
@@ -56,7 +57,7 @@ func isWalAppendCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	if namedInSuffix(recv, "internal/wal", "Log") {
 		switch name {
-		case "Put", "Delete", "CAS", "Swap2", "SwapHalf", "append":
+		case "Put", "Delete", "CAS", "Swap2", "append":
 			return true
 		}
 		return false
@@ -96,11 +97,11 @@ func runWalPublishOrder(pass *analysis.Pass) {
 				callee := calleeName(call)
 				recv := recvType(pass.Info, call)
 				switch {
-				case recv != nil && namedInSuffix(recv, "os", "File") && callee == "Write":
+				case isLogFile(recv) && callee == "Write":
 					if firstWrite == nil {
 						firstWrite = call
 					}
-				case recv != nil && namedInSuffix(recv, "os", "File") && callee == "Sync":
+				case isLogFile(recv) && callee == "Sync":
 					if firstSync == nil {
 						firstSync = call
 					}
@@ -120,7 +121,7 @@ func runWalPublishOrder(pass *analysis.Pass) {
 			})
 			if firstWrite != nil && firstPublish != nil && firstPublish.Pos() < firstWrite.Pos() {
 				pass.Reportf(firstPublish.Pos(),
-					"%s: frontier published before the shard file write — replication would ship bytes that are not in the files yet", name)
+					"%s: frontier published before the log file write — replication would ship bytes that are not in the file yet", name)
 			}
 			if firstSync != nil && firstDurable != nil && firstDurable.Pos() < firstSync.Pos() {
 				pass.Reportf(firstDurable.Pos(),
@@ -128,6 +129,13 @@ func runWalPublishOrder(pass *analysis.Pass) {
 			}
 		})
 	}
+}
+
+// isLogFile reports whether t is a log file handle the syncer writes
+// through: *os.File, or internal/wal's File interface (the WrapFile
+// seam every real log file sits behind).
+func isLogFile(t types.Type) bool {
+	return t != nil && (namedInSuffix(t, "os", "File") || namedInSuffix(t, "internal/wal", "File"))
 }
 
 // namedInSuffix reports whether t (behind pointers/aliases) is the

@@ -14,7 +14,7 @@ import (
 func TestDiskFaultsTornWriteWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	df := &DiskFaults{}
-	l, err := wal.Open(dir, 1, wal.Options{
+	l, err := wal.Open(dir, wal.Options{
 		Policy:   wal.EveryN(1),
 		WrapFile: func(f wal.File) wal.File { return df.Wrap(f) },
 	})
@@ -23,8 +23,8 @@ func TestDiskFaultsTornWriteWALRecovery(t *testing.T) {
 	}
 
 	// An intact prefix, flushed to disk.
-	l.Put(0, "a", 1)
-	l.Put(0, "b", 2)
+	l.Put("a", 1)
+	l.Put("b", 2)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestDiskFaultsTornWriteWALRecovery(t *testing.T) {
 	// "disk" fails — the syncer latches the error and the record is
 	// torn on disk.
 	df.ArmTorn()
-	l.Put(0, "c", 3)
+	l.Put("c", 3)
 	if err := l.Flush(); !errors.Is(err, ErrTorn) {
 		t.Fatalf("Flush over a torn write = %v, want ErrTorn", err)
 	}
@@ -47,7 +47,7 @@ func TestDiskFaultsTornWriteWALRecovery(t *testing.T) {
 	state := map[string]uint64{}
 	st, err := wal.Replay(dir, func(r wal.Record) error {
 		switch r.Op {
-		case wal.OpPut, wal.OpCAS, wal.OpSwapHalf:
+		case wal.OpPut, wal.OpCAS:
 			state[string(r.Key)] = r.Val
 		case wal.OpDelete:
 			delete(state, string(r.Key))
@@ -73,7 +73,7 @@ func TestDiskFaultsTornWriteWALRecovery(t *testing.T) {
 func TestDiskFaultsFailingSyncSurfacesError(t *testing.T) {
 	dir := t.TempDir()
 	df := &DiskFaults{}
-	l, err := wal.Open(dir, 1, wal.Options{
+	l, err := wal.Open(dir, wal.Options{
 		Policy:   wal.EveryN(1),
 		WrapFile: func(f wal.File) wal.File { return df.Wrap(f) },
 	})
@@ -83,7 +83,7 @@ func TestDiskFaultsFailingSyncSurfacesError(t *testing.T) {
 	defer l.Close()
 
 	df.FailSyncs(true)
-	l.Put(0, "k", 1)
+	l.Put("k", 1)
 	if err := l.Flush(); !errors.Is(err, ErrSyncFailed) {
 		t.Fatalf("Flush with failing fsync = %v, want ErrSyncFailed", err)
 	}

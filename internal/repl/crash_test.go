@@ -43,7 +43,7 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// foldDir decodes every shard log in dir (all generations, in order,
+// foldDir decodes every log file in dir (all generations, in order,
 // over the newest valid snapshot) into the reference state — what a
 // correct recovery must produce.
 func foldDir(t *testing.T, dir string) map[string]uint64 {
@@ -126,7 +126,7 @@ func TestReplPrimaryCrashMidStream(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		p.th.Put(fmt.Sprintf("k%03d", rnd.Intn(256)), word.FromUint(rnd.Next()>>3))
 	}
-	// Crash: sever the links, image the files, tear one shard's tail.
+	// Crash: sever the links, image the files, tear a log file's tail.
 	p.src.Close()
 	crash := copyDir(t, dir)
 	p.m.Close() // hygiene only; the original dir is dead to the test

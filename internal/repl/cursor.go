@@ -1,5 +1,5 @@
-// The persisted replication cursor. A replica checkpoints (gen,
-// per-shard applied offsets, absolute position) into its local data
+// The persisted replication cursor. A replica checkpoints (gen, applied
+// offset, absolute position) into its local data
 // directory — always after flushing its own write-ahead log, so the
 // cursor never claims records the local disk does not hold. On restart
 // the cursor is trusted only when local recovery was clean: a damaged
@@ -22,26 +22,20 @@ import (
 const cursorName = "repl-cursor.json"
 
 // cursorFile is the persisted cursor: where the replication stream
-// resumes (Gen, Offs — always record-aligned applied boundaries) and
-// the absolute primary position those offsets correspond to.
+// resumes (Gen, Off — always a record-aligned applied boundary) and the
+// absolute primary position that offset corresponds to.
 type cursorFile struct {
-	Gen   uint64  `json:"gen"`
-	Offs  []int64 `json:"offs"`
-	Recs  uint64  `json:"recs"`
-	Bytes uint64  `json:"bytes"`
+	Gen   uint64 `json:"gen"`
+	Off   int64  `json:"off"`
+	Recs  uint64 `json:"recs"`
+	Bytes uint64 `json:"bytes"`
 }
 
-// valid sanity-checks a loaded cursor.
+// valid sanity-checks a loaded cursor. A file without "off" — one
+// checkpointed by the retired per-shard layout — fails, and the
+// replica full-syncs.
 func (c *cursorFile) valid() bool {
-	if c.Gen == 0 || len(c.Offs) == 0 || len(c.Offs) > MaxShards {
-		return false
-	}
-	for _, off := range c.Offs {
-		if off < wal.LogHeaderSize {
-			return false
-		}
-	}
-	return true
+	return c.Gen != 0 && c.Off >= wal.LogHeaderSize
 }
 
 // saveCursor atomically replaces dir's cursor file.

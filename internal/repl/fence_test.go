@@ -65,13 +65,12 @@ func TestFenceRule2ReplicaRejectsStaleStream(t *testing.T) {
 				}
 				// FULL at epoch 0 — below the replica's 5.
 				w := proto.NewWriter(nc)
-				w.Array(7)
+				w.Array(6)
 				w.Arg("FULL")
 				w.ArgUint(1) // gen
-				w.ArgUint(1) // nshards
 				w.ArgUint(0) // recs
 				w.ArgUint(0) // bytes
-				w.ArgBytes(appendOffs(nil, []int64{wal.LogHeaderSize}))
+				w.ArgUint(wal.LogHeaderSize)
 				w.ArgUint(0) // epoch: stale
 				w.Flush()
 				// The replica must hang up on us rather than sync.

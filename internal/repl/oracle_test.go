@@ -1,11 +1,10 @@
 // The replication consistency oracle: seedable model-based checking of
 // the two guarantees DESIGN.md promises for replicas.
 //
-//   - Prefix consistency: at any batch boundary, each replica's state
-//     restricted to one primary shard equals the fold of some prefix of
-//     that shard's WAL record stream. The WAL files themselves are the
-//     history — the checker decodes them and searches for a satisfying
-//     cut.
+//   - Prefix consistency: at every batch boundary, the whole replica
+//     equals the fold of one prefix of the primary's log — the prefix
+//     ending at the replica's applied offset. The log file itself is the
+//     history: the checker decodes it up to that offset.
 //   - Monotonic reads: a reader pinned to one replica never observes a
 //     key's version going backwards.
 //
@@ -37,146 +36,43 @@ import (
 
 const oracleSeed = 0x0D15EA5E
 
-// histRec is one decoded history record.
-type histRec struct {
-	op   byte
-	key  string
-	val  uint64 // payload (word >> 2)
-	key2 string
-	val2 uint64
+// logModel folds the primary's generation-1 log file, read
+// incrementally, into the state a replica must hold at each applied
+// offset.
+type logModel struct {
+	f     *os.File
+	off   int64
+	state map[string]uint64 // key → version payload (word >> 2)
 }
 
-// decodeHistories reads every shard log of the (single) generation in
-// dir, cut at the frontier offsets — whole records by construction.
-func decodeHistories(t *testing.T, dir string, cur *wal.Cursor) [][]histRec {
-	t.Helper()
-	hists := make([][]histRec, len(cur.Offs))
-	for shard := range cur.Offs {
-		path := filepath.Join(dir, wal.LogName(cur.Gen, shard))
-		data, err := os.ReadFile(path)
+// advance folds the records in [m.off, to) into the state. The range
+// ends on an applied record boundary, so it holds whole records only.
+func (m *logModel) advance(to int64) error {
+	if to < m.off {
+		return fmt.Errorf("applied offset went back from %d to %d", m.off, to)
+	}
+	buf := make([]byte, to-m.off)
+	if _, err := m.f.ReadAt(buf, m.off); err != nil {
+		return fmt.Errorf("reading the log at %d: %w", m.off, err)
+	}
+	for p := buf; len(p) > 0; {
+		rec, n, err := wal.DecodeRecord(p)
 		if err != nil {
-			t.Fatalf("reading %s: %v", path, err)
+			return fmt.Errorf("record at offset %d: %w", to-int64(len(p)), err)
 		}
-		limit := cur.Offs[shard]
-		if int64(len(data)) < limit {
-			t.Fatalf("%s holds %d bytes, frontier says %d", path, len(data), limit)
+		switch rec.Op {
+		case wal.OpDelete:
+			delete(m.state, string(rec.Key))
+		case wal.OpSwap2:
+			m.state[string(rec.Key)] = rec.Val >> 2
+			m.state[string(rec.Key2)] = rec.Val2 >> 2
+		default:
+			m.state[string(rec.Key)] = rec.Val >> 2
 		}
-		p := data[wal.LogHeaderSize:limit]
-		for len(p) > 0 {
-			rec, n, err := wal.DecodeRecord(p)
-			if err != nil {
-				t.Fatalf("%s: record at offset %d: %v", path, limit-int64(len(p)), err)
-			}
-			hists[shard] = append(hists[shard], histRec{
-				op: rec.Op, key: string(rec.Key), val: rec.Val >> 2,
-				key2: string(rec.Key2), val2: rec.Val2 >> 2,
-			})
-			p = p[n:]
-		}
+		p = p[n:]
 	}
-	return hists
-}
-
-// foldInto applies one history record to a state map.
-func (h histRec) foldInto(state map[string]uint64) {
-	switch h.op {
-	case wal.OpDelete:
-		delete(state, h.key)
-	case wal.OpSwap2:
-		state[h.key] = h.val
-		state[h.key2] = h.val2
-	default:
-		state[h.key] = h.val
-	}
-}
-
-// touches reports whether h writes k, and the value it assigns.
-func (h histRec) touches(k string) (uint64, bool) {
-	if h.op != wal.OpDelete && h.key == k {
-		return h.val, true
-	}
-	if h.op == wal.OpSwap2 && h.key2 == k {
-		return h.val2, true
-	}
-	return 0, false
-}
-
-// checkPrefix verifies that replica state restricted to one shard's
-// keys equals the fold of some prefix of that shard's history. Values
-// are key-unique, so the last history record producing a value the
-// replica still holds is the earliest possible cut; the checker folds
-// up to it and then walks forward looking for an exact match.
-func checkPrefix(t *testing.T, shard int, hist []histRec, replica map[string]uint64) {
-	t.Helper()
-	shardKeys := map[string]struct{}{}
-	written := map[string]map[uint64]struct{}{} // key → set of values its history assigned
-	note := func(k string, v uint64) {
-		vs, ok := written[k]
-		if !ok {
-			vs = map[uint64]struct{}{}
-			written[k] = vs
-		}
-		vs[v] = struct{}{}
-	}
-	lastIdx := -1
-	for i, h := range hist {
-		shardKeys[h.key] = struct{}{}
-		if h.op == wal.OpSwap2 {
-			shardKeys[h.key2] = struct{}{}
-		}
-		for _, k := range [2]string{h.key, h.key2} {
-			if k == "" {
-				continue
-			}
-			if v, ok := h.touches(k); ok {
-				note(k, v)
-				if rv, had := replica[k]; had && rv == v && i > lastIdx {
-					lastIdx = i
-				}
-			}
-		}
-	}
-	// Every replica value for a shard key must appear in that key's
-	// history.
-	for k := range shardKeys {
-		rv, ok := replica[k]
-		if !ok {
-			continue
-		}
-		if _, ok := written[k][rv]; !ok {
-			t.Errorf("shard %d: replica holds %q=%d, never written in its history", shard, k, rv)
-			return
-		}
-	}
-
-	// Fold the mandatory prefix, then search forward for a cut whose
-	// fold matches the replica exactly (restricted to this shard).
-	state := map[string]uint64{}
-	for i := 0; i <= lastIdx; i++ {
-		hist[i].foldInto(state)
-	}
-	mismatch := func() int {
-		n := 0
-		for k := range shardKeys {
-			sv, sok := state[k]
-			rv, rok := replica[k]
-			if sok != rok || (sok && sv != rv) {
-				n++
-			}
-		}
-		return n
-	}
-	if mismatch() == 0 {
-		return
-	}
-	for c := lastIdx + 1; c < len(hist); c++ {
-		hist[c].foldInto(state)
-		if mismatch() == 0 {
-			return
-		}
-	}
-	t.Errorf("shard %d: replica state matches no prefix of the %d-record history (mandatory cut %d)",
-		shard, len(hist), lastIdx)
+	m.off = to
+	return nil
 }
 
 // oracleWriter owns one key space and mirrors every operation, so each
@@ -249,39 +145,6 @@ func (w *oracleWriter) step(t *testing.T, step int) {
 	}
 }
 
-// pausedRep is one replica plus the freeze plumbing for consistent
-// mid-stream state reads.
-type pausedRep struct {
-	r     *Replica
-	th    *shardmap.Thread // cached state-dump thread
-	pause chan chan func()
-}
-
-// freeze asks the applier to stop at its next batch boundary, returning
-// a resume func, or nil when the applier is idle/unreachable right now.
-func (rp *pausedRep) freeze() func() {
-	req := make(chan func(), 1)
-	select {
-	case rp.pause <- req:
-	default:
-		return nil // a previous request is still pending
-	}
-	select {
-	case resume := <-req:
-		return resume
-	case <-time.After(2 * time.Second):
-	}
-	// Withdraw, unless the applier grabbed the request in the window.
-	select {
-	case <-rp.pause:
-		return nil
-	case resume := <-req:
-		return resume
-	case <-time.After(30 * time.Second):
-		return nil // applier's own timeout will release it
-	}
-}
-
 // dump reads a map's contents through a cached thread.
 func dumpMap(th *shardmap.Thread) map[string]uint64 {
 	got := map[string]uint64{}
@@ -293,10 +156,10 @@ func dumpMap(th *shardmap.Thread) map[string]uint64 {
 }
 
 // TestOracleReplication is the acceptance-criteria oracle: mixed writes
-// on the primary, concurrent reads on 2 replicas, periodic frozen
-// prefix-consistency checks, monotonic-read checking throughout, exact
-// convergence at the end. ≥1000 iterations per writer even under
-// -short.
+// on the primary, concurrent reads on 2 replicas, a prefix check of
+// each whole replica at every batch boundary, monotonic-read checking
+// throughout, exact convergence at the end. ≥1000 iterations per writer
+// even under -short.
 func TestOracleReplication(t *testing.T) {
 	const writers = 3
 	const nkeys = 96
@@ -314,7 +177,7 @@ func TestOracleReplication(t *testing.T) {
 	m, err := shardmap.Open(e, dir,
 		shardmap.WithPersistence(dir, wal.EveryN(4)),
 		shardmap.WithShards(2), shardmap.WithInitialBuckets(8),
-		shardmap.WithCompactAfter(-1)) // single generation: the files are the full history
+		shardmap.WithCompactAfter(-1)) // single generation: the file is the full history
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,32 +195,62 @@ func TestOracleReplication(t *testing.T) {
 		m.Close()
 	}()
 
-	reps := make([]*pausedRep, 2)
+	// Each replica checks itself from its applier goroutine, which is
+	// the only writer of its cursor and, between batches, of its map.
+	reps := make([]*Replica, 2)
+	var checks atomic.Int64
 	for i := range reps {
 		rm := shardmap.New(valEngine(t), shardmap.WithShards(2), shardmap.WithInitialBuckets(8))
-		rp := &pausedRep{pause: make(chan chan func(), 1)}
-		rp.r = NewReplica(rm, ln.Addr().String(), WithReadTimeout(5*time.Second))
-		rp.th = rm.NewThread()
-		rp.r.onBatch = func() {
-			select {
-			case req := <-rp.pause:
-				resume := make(chan struct{})
-				req <- func() { close(resume) }
-				select {
-				case <-resume:
-				case <-time.After(30 * time.Second): // checker died; self-release
-				}
-			default:
-			}
+		f, err := os.Open(filepath.Join(dir, wal.LogName(1)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		go rp.r.Run()
-		reps[i] = rp
+		defer f.Close()
+		model := &logModel{f: f, off: wal.LogHeaderSize, state: map[string]uint64{}}
+		r := NewReplica(rm, ln.Addr().String(), WithReadTimeout(5*time.Second))
+		th := rm.NewThread()
+		r.onBatch = func() {
+			if t.Failed() {
+				return
+			}
+			if r.cur.Gen != 1 {
+				t.Errorf("replica %d: oracle expects a single generation, cursor is at %d", i, r.cur.Gen)
+				return
+			}
+			if n := r.fullSyncs.Load(); n != 1 {
+				t.Errorf("replica %d: %d full syncs; the stream must bootstrap once and resume after that", i, n)
+				return
+			}
+			if err := model.advance(r.cur.Off); err != nil {
+				t.Errorf("replica %d: %v", i, err)
+				return
+			}
+			if got := dumpMap(th); !mapsEqual(got, model.state) {
+				requireEqualMaps(t, got, model.state,
+					fmt.Sprintf("replica %d vs the log prefix ending at offset %d", i, r.cur.Off))
+				return
+			}
+			checks.Add(1)
+		}
+		go r.Run()
+		reps[i] = r
 	}
 	defer func() {
-		for _, rp := range reps {
-			rp.r.Close()
+		for _, r := range reps {
+			r.Close()
 		}
 	}()
+	// Bootstrap from the empty primary before any write, so the
+	// snapshot is empty and every later state is a pure log prefix.
+	for i, r := range reps {
+		deadline := time.Now().Add(30 * time.Second)
+		for r.Status().State != "streaming" {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d never started streaming: %+v", i, r.Status())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 
 	// Writers.
 	var wg sync.WaitGroup
@@ -374,17 +267,12 @@ func TestOracleReplication(t *testing.T) {
 				w.step(t, s)
 				if s%40 == 39 {
 					// Pace the run so the stream stays live across many
-					// checker rounds instead of finishing in one burst.
+					// batches instead of finishing in one burst.
 					time.Sleep(time.Millisecond)
 				}
 			}
 		}(i, w)
 	}
-	writersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(writersDone)
-	}()
 
 	// Monotonic readers: one per replica, over every writer's key
 	// space, tracking each key's highest observed version.
@@ -393,11 +281,7 @@ func TestOracleReplication(t *testing.T) {
 	for _, w := range ws {
 		allKeys = append(allKeys, w.keys...)
 	}
-	readerThr := make([]*shardmap.Thread, len(reps))
-	for ri := range reps {
-		readerThr[ri] = reps[ri].r.Map().NewThread()
-	}
-	for ri := range reps {
+	for ri, r := range reps {
 		rwg.Add(1)
 		go func(ri int, th *shardmap.Thread) {
 			defer rwg.Done()
@@ -413,78 +297,14 @@ func TestOracleReplication(t *testing.T) {
 					seen[k] = v.Uint()
 				}
 			}
-		}(ri, readerThr[ri])
+		}(ri, r.Map().NewThread())
 	}
-
-	// Frozen prefix checks on the main goroutine while the writers run.
-	checks := 0
-	for running := true; running; {
-		select {
-		case <-writersDone:
-			running = false
-		case <-time.After(100 * time.Millisecond):
-			for ri, rp := range reps {
-				resume := rp.freeze()
-				if resume == nil {
-					continue
-				}
-				state := dumpMap(rp.th)
-				var cur wal.Cursor
-				m.Log().Cursor(&cur)
-				resume()
-				if cur.Gen != 1 {
-					t.Fatalf("oracle expects a single generation, log is at %d", cur.Gen)
-				}
-				hists := decodeHistories(t, dir, &cur)
-				keyShard := map[string]int{}
-				for s, hist := range hists {
-					for _, h := range hist {
-						keyShard[h.key] = s
-						if h.op == wal.OpSwap2 {
-							keyShard[h.key2] = s
-						}
-					}
-				}
-				perShard := make([]map[string]uint64, len(hists))
-				for i := range perShard {
-					perShard[i] = map[string]uint64{}
-				}
-				for k, v := range state {
-					s, ok := keyShard[k]
-					if !ok {
-						t.Errorf("replica %d: key %q not in any shard history", ri, k)
-						continue
-					}
-					perShard[s][k] = v
-				}
-				for s := range hists {
-					checkPrefix(t, s, hists[s], perShard[s])
-				}
-				checks++
-			}
-			if t.Failed() {
-				stop.Store(true)
-				<-writersDone
-				running = false
-			}
-		}
-	}
+	wg.Wait()
 	stop.Store(true)
 	rwg.Wait()
-	// Unstick any pause request a racing applier may still deliver.
-	for _, rp := range reps {
-		select {
-		case <-rp.pause:
-		default:
-		}
-	}
 	if t.Failed() {
 		return
 	}
-	if checks == 0 {
-		t.Error("the run finished without a single frozen prefix check")
-	}
-	t.Logf("%d frozen prefix checks", checks)
 
 	// Quiesce and converge: every replica must equal the primary, which
 	// must equal the union of the writer mirrors.
@@ -496,10 +316,14 @@ func TestOracleReplication(t *testing.T) {
 	}
 	requireEqualMaps(t, dumpMap(m.NewThread()), want, "primary vs mirrors")
 	pos := src.Position()
-	for ri, rp := range reps {
-		if !rp.r.WaitApplied(pos, 30*time.Second) {
-			t.Fatalf("replica %d stuck at %d, primary at %d", ri, rp.r.AppliedPos(), pos)
+	for ri, r := range reps {
+		if !r.WaitApplied(pos, 30*time.Second) {
+			t.Fatalf("replica %d stuck at %d, primary at %d", ri, r.AppliedPos(), pos)
 		}
-		requireEqualMaps(t, dumpMap(rp.th), want, fmt.Sprintf("replica %d final", ri))
+		requireEqualMaps(t, dumpMap(r.Map().NewThread()), want, fmt.Sprintf("replica %d final", ri))
 	}
+	if checks.Load() == 0 {
+		t.Error("the run finished without a single prefix check")
+	}
+	t.Logf("%d prefix checks at batch boundaries", checks.Load())
 }

@@ -18,9 +18,9 @@
 // Both directions use the internal/proto command framing (arrays of
 // bulk strings); neither side sends replies. The replica speaks first:
 //
-//	SYNC   [epoch]                   full bootstrap requested
-//	PSYNC  gen nshards blob [epoch]  resume from a persisted cursor
-//	ACK    recs bytes                cumulative applied, stream-relative
+//	SYNC   [epoch]            full bootstrap requested
+//	PSYNC  gen off [epoch]    resume from a persisted cursor
+//	ACK    recs bytes         cumulative applied, stream-relative
 //
 // The optional trailing epoch is the replica's cluster epoch (0 when
 // absent); a primary whose own epoch is lower refuses the link — it has
@@ -28,39 +28,39 @@
 //
 // The primary answers with exactly one of
 //
-//	FULL   gen nshards recs bytes blob [epoch]   snapshot bootstrap
-//	                                     begins; (recs, bytes) is the
-//	                                     absolute base position
-//	CONT   gen nshards recs bytes blob [epoch]   resume accepted at the
-//	                                     echoed cursor, base as above
+//	FULL   gen recs bytes off [epoch]   snapshot bootstrap begins;
+//	                                    (recs, bytes) is the absolute
+//	                                    base position of (gen, off)
+//	CONT   gen recs bytes off [epoch]   resume accepted at the echoed
+//	                                    cursor, base as above
 //
 // and then streams
 //
-//	SNAP    payload                  snapshot chunk (FULL only)
-//	SNAPEND                          snapshot complete, tailing begins
-//	BATCH   shard gen off payload    contiguous log-file bytes for one
-//	                                     shard at byte offset off; frames
-//	                                     need not end on record
-//	                                     boundaries, the replica
-//	                                     reassembles
-//	ROTATE  gen                      generation switch, offsets reset
-//	PING    recs bytes               idle heartbeat with the primary's
-//	                                     current absolute position
+//	SNAP    payload           snapshot chunk (FULL only)
+//	SNAPEND                   snapshot complete, tailing begins
+//	BATCH   gen off payload   contiguous log-file bytes at byte offset
+//	                          off; frames need not end on record
+//	                          boundaries, the replica reassembles
+//	ROTATE  gen               generation switch, offset reset
+//	PING    recs bytes        idle heartbeat with the primary's current
+//	                          absolute position
 //
-// The cursor blob is a compact binary vector: nshards uvarint-encoded
-// per-shard byte offsets into the generation's log files (see wire.go).
+// A cursor is a plain (gen, off): a generation of the primary's log and
+// a byte offset into its one file. The file layout stays inside
+// internal/wal.
 //
 // # What is guaranteed, and what is traded away
 //
 // Replication is asynchronous: a write is acknowledged by the primary
-// before any replica has seen it. Each replica applies every shard's
-// records in primary log order, so a replica's state per shard is
-// always the effect of a prefix of the primary's history (prefix
-// consistency), converging to the primary when writes pause. Reads on
-// one replica connection are monotonic per shard. Cross-shard cuts,
-// read-your-writes (without the WAITOFF gate) and synchronous
-// durability on the replica quorum are deliberately not offered — see
-// DESIGN.md "Replication".
+// before any replica has seen it. A replica applies the log's records
+// in primary log order, so at every record boundary its state is the
+// fold of a prefix of the primary's whole log (prefix consistency),
+// converging to the primary when writes pause. A SWAP2 record is still
+// applied as two assignments, so a concurrent reader on the replica can
+// observe it half-applied. Reads on one replica connection are
+// monotonic. Read-your-writes (without the WAITOFF gate) and
+// synchronous durability on the replica quorum are deliberately not
+// offered — see DESIGN.md "Replication".
 //
 // # Fencing
 //
@@ -101,10 +101,6 @@ const (
 
 // Limits and defaults.
 const (
-	// MaxShards bounds the shard count a handshake may claim; a blob
-	// above it is a protocol error, not an allocation request.
-	MaxShards = 4096
-
 	// maxBatch bounds one BATCH payload (whole records only). It must
 	// stay at or below proto.MaxBulk.
 	maxBatch = 256 << 10

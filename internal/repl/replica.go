@@ -118,8 +118,8 @@ type Replica struct {
 
 	// apply-loop scratch
 	msg      message
-	pending  [][]byte // per-shard partial record reassembly
-	relRecs  uint64   // applied since handshake (ACK coordinates)
+	pending  []byte // partial record reassembly
+	relRecs  uint64 // applied since handshake (ACK coordinates)
 	relBytes uint64
 	unacked  uint64 // bytes applied since the last ACK
 	unsaved  uint64 // bytes applied since the last checkpoint
@@ -307,8 +307,7 @@ func (r *Replica) session() error {
 	r.mu.Lock()
 	if r.have {
 		h.psync = true
-		h.gen = r.cur.Gen
-		h.offs = append([]int64(nil), r.cur.Offs...)
+		h.gen, h.off = r.cur.Gen, r.cur.Off
 	}
 	r.mu.Unlock()
 	sendHello(wr, h)
@@ -392,19 +391,16 @@ func (r *Replica) session() error {
 func (r *Replica) resume(m *message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.have || m.gen != r.cur.Gen || len(m.offs) != len(r.cur.Offs) {
-		return fmt.Errorf("%w: CONT does not match the offered cursor", ErrWire)
-	}
-	for i, off := range m.offs {
-		if off != r.cur.Offs[i] {
-			return fmt.Errorf("%w: CONT shard %d offset %d, cursor says %d", ErrWire, i, off, r.cur.Offs[i])
-		}
+	if !r.have || m.gen != r.cur.Gen || m.off != r.cur.Off {
+		return fmt.Errorf("%w: CONT at %d/%d does not match the offered cursor %d/%d",
+			ErrWire, m.gen, m.off, r.cur.Gen, r.cur.Off)
 	}
 	// Absolute positions are primary-process-local: adopt the base the
 	// primary computed for our cursor.
 	r.cur.Recs, r.cur.Bytes = m.baseRecs, m.baseBytes
 	r.synced = true
-	r.resizePendingLocked(len(m.offs))
+	// A new session never inherits half a record from a dropped link.
+	r.pending = r.pending[:0]
 	r.cond.Broadcast()
 	return nil
 }
@@ -421,13 +417,8 @@ func (r *Replica) fullSync(nc net.Conn, rd *proto.Reader, m *message) error {
 	}
 	r.mu.Lock()
 	r.have = false
-	r.cur = cursorFile{
-		Gen:   m.gen,
-		Offs:  append(r.cur.Offs[:0], m.offs...),
-		Recs:  m.baseRecs,
-		Bytes: m.baseBytes,
-	}
-	r.resizePendingLocked(len(m.offs))
+	r.cur = cursorFile{Gen: m.gen, Off: m.off, Recs: m.baseRecs, Bytes: m.baseBytes}
+	r.pending = r.pending[:0]
 	r.mu.Unlock()
 
 	keep := make(map[string]struct{}, 1024)
@@ -524,27 +515,19 @@ func (s *snapFrameReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// applyBatch reassembles one shard's byte range, applies every whole
+// applyBatch reassembles the log's byte range, applies every whole
 // record, and advances the cursor to the applied (record-aligned)
 // boundary.
 func (r *Replica) applyBatch(m *message, wr *proto.Writer) error {
-	r.mu.Lock()
-	nshards := len(r.cur.Offs)
-	if m.shard >= nshards {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: batch for shard %d of %d", ErrWire, m.shard, nshards)
-	}
+	// Only this goroutine writes r.cur, so reading it needs no lock.
 	if m.gen != r.cur.Gen {
-		r.mu.Unlock()
 		return fmt.Errorf("%w: batch generation %d, cursor at %d", ErrWire, m.gen, r.cur.Gen)
 	}
-	expect := r.cur.Offs[m.shard] + int64(len(r.pending[m.shard]))
-	r.mu.Unlock()
-	if m.off != expect {
+	if expect := r.cur.Off + int64(len(r.pending)); m.off != expect {
 		return fmt.Errorf("%w: batch offset %d, expected %d (gap or replay)", ErrWire, m.off, expect)
 	}
 
-	buf := append(r.pending[m.shard], m.payload...)
+	buf := append(r.pending, m.payload...)
 	consumed, applied := 0, 0
 	for {
 		rec, n, err := wal.DecodeRecord(buf[consumed:])
@@ -564,10 +547,10 @@ func (r *Replica) applyBatch(m *message, wr *proto.Writer) error {
 		consumed += n
 		applied++
 	}
-	r.pending[m.shard] = append(buf[:0], buf[consumed:]...)
+	r.pending = append(buf[:0], buf[consumed:]...)
 
 	r.mu.Lock()
-	r.cur.Offs[m.shard] += int64(consumed)
+	r.cur.Off += int64(consumed)
 	r.cur.Recs += uint64(applied)
 	r.cur.Bytes += uint64(consumed)
 	r.cond.Broadcast()
@@ -587,24 +570,18 @@ func (r *Replica) applyBatch(m *message, wr *proto.Writer) error {
 	return nil
 }
 
-// rotate switches the cursor to the next generation. Every pending
-// partial record must have completed: generations end on record
-// boundaries.
+// rotate switches the cursor to the next generation. A pending partial
+// record must have completed: generations end on record boundaries.
 func (r *Replica) rotate(m *message) error {
-	for i, p := range r.pending {
-		if len(p) != 0 {
-			return fmt.Errorf("%w: rotation with %d unframed bytes on shard %d", ErrWire, len(p), i)
-		}
+	if len(r.pending) != 0 {
+		return fmt.Errorf("%w: rotation with %d unframed bytes", ErrWire, len(r.pending))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m.gen != r.cur.Gen+1 {
 		return fmt.Errorf("%w: rotation to %d from %d", ErrWire, m.gen, r.cur.Gen)
 	}
-	r.cur.Gen = m.gen
-	for i := range r.cur.Offs {
-		r.cur.Offs[i] = wal.LogHeaderSize
-	}
+	r.cur.Gen, r.cur.Off = m.gen, wal.LogHeaderSize
 	return nil
 }
 
@@ -627,13 +604,7 @@ func (r *Replica) checkpoint() {
 		return
 	}
 	r.mu.Lock()
-	ok := r.have
-	snap := cursorFile{
-		Gen:   r.cur.Gen,
-		Offs:  append([]int64(nil), r.cur.Offs...),
-		Recs:  r.cur.Recs,
-		Bytes: r.cur.Bytes,
-	}
+	ok, snap := r.have, r.cur
 	r.mu.Unlock()
 	if !ok {
 		return
@@ -644,18 +615,6 @@ func (r *Replica) checkpoint() {
 		}
 	}
 	saveCursor(r.dir, &snap)
-}
-
-// resizePendingLocked sizes the per-shard reassembly buffers and
-// empties them — a new session must never inherit half a record from a
-// dropped link.
-func (r *Replica) resizePendingLocked(n int) {
-	if len(r.pending) != n {
-		r.pending = make([][]byte, n)
-	}
-	for i := range r.pending {
-		r.pending[i] = r.pending[i][:0]
-	}
 }
 
 // WaitApplied blocks until the replica has applied at least pos records

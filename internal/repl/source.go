@@ -1,7 +1,7 @@
 // The primary side. A Source owns a listener-worth of replica links;
 // each link gets one sender goroutine (handshake → optional snapshot →
 // log tailing) plus one ACK-reader goroutine. Senders read record bytes
-// straight from the write-ahead-log files at cursor offsets and learn
+// straight from the write-ahead-log file at a cursor offset and learn
 // about fresh batches from the log's frontier subscription, so the
 // map's mutation hot paths gain no new locks and keep their 0-alloc
 // steady state.
@@ -169,11 +169,12 @@ type srcConn struct {
 	ackBytes  atomic.Uint64
 	lastAck   atomic.Int64 // UnixNano of the newest ACK
 
-	// Sender cursor into the log files.
-	gen   uint64
-	offs  []int64
-	files []*os.File
-	buf   []byte
+	// Sender cursor into the log: generation gen's file, open as f
+	// (nil until first read), shipped up to off.
+	gen uint64
+	off int64
+	f   *os.File
+	buf []byte
 }
 
 // HandleConn serves one replica link synchronously: handshake, optional
@@ -186,7 +187,7 @@ func (s *Source) HandleConn(nc net.Conn) {
 		rd: proto.NewReader(nc), wr: proto.NewWriter(nc),
 	}
 	defer nc.Close()
-	defer c.closeFiles()
+	defer c.closeFile()
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
@@ -295,19 +296,16 @@ func (c *srcConn) serve() {
 func (c *srcConn) fullSync(cur *wal.Cursor) bool {
 	c.s.fullSyncs.Add(1)
 	c.state.Store(stateSnapshot)
-	c.gen = cur.Gen
-	c.offs = append(c.offs[:0], cur.Offs...)
+	c.gen, c.off = cur.Gen, cur.Off
 	c.baseRecs.Store(cur.Recs)
 	c.baseBytes.Store(cur.Bytes)
 
-	c.buf = appendOffs(c.buf[:0], cur.Offs)
-	c.wr.Array(7)
+	c.wr.Array(6)
 	c.wr.Arg(cmdFull)
 	c.wr.ArgUint(cur.Gen)
-	c.wr.ArgUint(uint64(len(cur.Offs)))
 	c.wr.ArgUint(cur.Recs)
 	c.wr.ArgUint(cur.Bytes)
-	c.wr.ArgBytes(c.buf)
+	c.wr.ArgUint(uint64(cur.Off))
 	c.wr.ArgUint(c.s.log.Epoch())
 	if c.flush() != nil {
 		return false
@@ -343,28 +341,25 @@ func (w *snapChunker) Write(p []byte) (int, error) {
 // resume: CONT with the absolute base position of the replica's cursor,
 // computed by frame-walking the pending ranges once.
 func (c *srcConn) tryResume(h hello, cur *wal.Cursor) bool {
-	log := c.s.log
-	if len(h.offs) != log.Shards() || h.gen > cur.Gen || h.gen == 0 {
+	if h.gen > cur.Gen || h.gen == 0 {
 		return false
 	}
 	var pendRecs, pendBytes uint64
 	for g := h.gen; g <= cur.Gen; g++ {
-		for i := 0; i < log.Shards(); i++ {
-			start := int64(wal.LogHeaderSize)
-			if g == h.gen {
-				start = h.offs[i]
-			}
-			limit, ok := c.rangeLimit(g, i, cur)
-			if !ok || start > limit {
-				return false
-			}
-			recs, ok := c.countRange(g, i, start, limit)
-			if !ok {
-				return false
-			}
-			pendRecs += uint64(recs)
-			pendBytes += uint64(limit - start)
+		start := int64(wal.LogHeaderSize)
+		if g == h.gen {
+			start = h.off
 		}
+		limit, ok := c.rangeLimit(g, cur)
+		if !ok || start > limit {
+			return false
+		}
+		recs, ok := c.countRange(g, start, limit)
+		if !ok {
+			return false
+		}
+		pendRecs += uint64(recs)
+		pendBytes += uint64(limit - start)
 	}
 
 	// The frontier totals are process-local (they restart at zero with
@@ -379,49 +374,46 @@ func (c *srcConn) tryResume(h hello, cur *wal.Cursor) bool {
 		return false
 	}
 
-	c.gen = h.gen
-	c.offs = append(c.offs[:0], h.offs...)
+	c.gen, c.off = h.gen, h.off
 	c.baseRecs.Store(cur.Recs - pendRecs)
 	c.baseBytes.Store(cur.Bytes - pendBytes)
 
-	c.buf = appendOffs(c.buf[:0], h.offs)
-	c.wr.Array(7)
+	c.wr.Array(6)
 	c.wr.Arg(cmdCont)
 	c.wr.ArgUint(h.gen)
-	c.wr.ArgUint(uint64(len(h.offs)))
 	c.wr.ArgUint(c.baseRecs.Load())
 	c.wr.ArgUint(c.baseBytes.Load())
-	c.wr.ArgBytes(c.buf)
+	c.wr.ArgUint(uint64(h.off))
 	c.wr.ArgUint(c.s.log.Epoch())
 	return c.flush() == nil
 }
 
-// rangeLimit resolves how far generation g, shard i reaches: the live
+// rangeLimit resolves how far generation g's file reaches: the live
 // frontier for the current generation, the final file size for a closed
 // one. ok=false means the file is gone (pruned) or unreadable.
-func (c *srcConn) rangeLimit(g uint64, i int, cur *wal.Cursor) (int64, bool) {
+func (c *srcConn) rangeLimit(g uint64, cur *wal.Cursor) (int64, bool) {
 	if g == cur.Gen {
-		return cur.Offs[i], true
+		return cur.Off, true
 	}
-	fi, err := os.Stat(c.path(g, i))
+	fi, err := os.Stat(c.path(g))
 	if err != nil {
 		return 0, false
 	}
 	return fi.Size(), true
 }
 
-// countRange frame-walks [start, limit) of one shard file, counting
+// countRange frame-walks [start, limit) of generation g's file, counting
 // records. The range must hold whole, plausible frames — the replica's
 // cursor always sits on a record boundary, so anything else means the
 // cursor (or the file) cannot be trusted.
-func (c *srcConn) countRange(g uint64, i int, start, limit int64) (int, bool) {
+func (c *srcConn) countRange(g uint64, start, limit int64) (int, bool) {
 	if start == limit {
 		return 0, true
 	}
 	if start < wal.LogHeaderSize {
 		return 0, false
 	}
-	f, err := os.Open(c.path(g, i))
+	f, err := os.Open(c.path(g))
 	if err != nil {
 		return 0, false
 	}
@@ -459,24 +451,20 @@ func (c *srcConn) countRange(g uint64, i int, start, limit int64) (int, bool) {
 func (c *srcConn) ship(cur *wal.Cursor) (bool, error) {
 	progressed := false
 	for c.gen < cur.Gen {
-		// Finish the closed generation at its final file sizes, then
+		// Finish the closed generation at its final file size, then
 		// announce the switch.
-		for i := range c.offs {
-			fi, err := os.Stat(c.path(c.gen, i))
-			if err != nil {
-				return progressed, err // pruned under us: force a resync
-			}
-			sent, err := c.shipRange(i, fi.Size())
-			progressed = progressed || sent
-			if err != nil {
-				return progressed, err
-			}
+		fi, err := os.Stat(c.path(c.gen))
+		if err != nil {
+			return progressed, err // pruned under us: force a resync
 		}
-		c.closeFiles()
+		sent, err := c.shipRange(fi.Size())
+		progressed = progressed || sent
+		if err != nil {
+			return progressed, err
+		}
+		c.closeFile()
 		c.gen++
-		for i := range c.offs {
-			c.offs[i] = wal.LogHeaderSize
-		}
+		c.off = wal.LogHeaderSize
 		c.wr.Array(2)
 		c.wr.Arg(cmdRotate)
 		c.wr.ArgUint(c.gen)
@@ -485,46 +473,39 @@ func (c *srcConn) ship(cur *wal.Cursor) (bool, error) {
 		}
 		progressed = true
 	}
-	for i := range c.offs {
-		sent, err := c.shipRange(i, cur.Offs[i])
-		progressed = progressed || sent
-		if err != nil {
-			return progressed, err
-		}
-	}
-	return progressed, nil
+	sent, err := c.shipRange(cur.Off)
+	return progressed || sent, err
 }
 
-// shipRange streams shard i of the sender's generation up to limit, in
-// BATCH frames of at most maxBatch bytes. Frames need not end on record
+// shipRange streams the sender's generation up to limit, in BATCH
+// frames of at most maxBatch bytes. Frames need not end on record
 // boundaries — the replica reassembles.
 //
 //spectm:noalloc
-func (c *srcConn) shipRange(i int, limit int64) (bool, error) {
-	if c.offs[i] >= limit {
+func (c *srcConn) shipRange(limit int64) (bool, error) {
+	if c.off >= limit {
 		return false, nil
 	}
-	f, err := c.file(i)
+	f, err := c.file()
 	if err != nil {
 		return false, err
 	}
 	buf := c.growBuf(maxBatch)
 	sent := false
-	for c.offs[i] < limit {
-		n := min(limit-c.offs[i], int64(len(buf)))
-		if _, err := f.ReadAt(buf[:n], c.offs[i]); err != nil {
+	for c.off < limit {
+		n := min(limit-c.off, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], c.off); err != nil {
 			return sent, err
 		}
-		c.wr.Array(5)
+		c.wr.Array(4)
 		c.wr.Arg(cmdBatch)
-		c.wr.ArgUint(uint64(i))
 		c.wr.ArgUint(c.gen)
-		c.wr.ArgUint(uint64(c.offs[i]))
+		c.wr.ArgUint(uint64(c.off))
 		c.wr.ArgBytes(buf[:n])
 		if err := c.flush(); err != nil {
 			return sent, err
 		}
-		c.offs[i] += n
+		c.off += n
 		c.sentBytes.Add(uint64(n))
 		sent = true
 	}
@@ -540,36 +521,30 @@ func (c *srcConn) flush() error {
 	return err
 }
 
-func (c *srcConn) path(gen uint64, shard int) string {
-	return filepath.Join(c.s.log.Dir(), wal.LogName(gen, shard))
+func (c *srcConn) path(gen uint64) string {
+	return filepath.Join(c.s.log.Dir(), wal.LogName(gen))
 }
 
-// file returns the open handle for the sender's generation of shard i.
-// Handles (and the table holding them) are opened once per generation,
-// then reused for every subsequent ship.
+// file returns the open handle for the sender's generation, opened once
+// per generation and reused for every subsequent ship.
 //
 //spectm:coldpath
-func (c *srcConn) file(i int) (*os.File, error) {
-	if c.files == nil {
-		c.files = make([]*os.File, len(c.offs))
+func (c *srcConn) file() (*os.File, error) {
+	if c.f != nil {
+		return c.f, nil
 	}
-	if c.files[i] != nil {
-		return c.files[i], nil
-	}
-	f, err := os.Open(c.path(c.gen, i))
+	f, err := os.Open(c.path(c.gen))
 	if err != nil {
 		return nil, err
 	}
-	c.files[i] = f
+	c.f = f
 	return f, nil
 }
 
-func (c *srcConn) closeFiles() {
-	for i, f := range c.files {
-		if f != nil {
-			f.Close()
-			c.files[i] = nil
-		}
+func (c *srcConn) closeFile() {
+	if c.f != nil {
+		c.f.Close()
+		c.f = nil
 	}
 }
 

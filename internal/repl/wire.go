@@ -36,109 +36,75 @@ func parseUint(b []byte) (uint64, error) {
 	return n, nil
 }
 
-// parseCount parses a small decimal argument bounded by max.
-func parseCount(b []byte, max int) (int, error) {
-	n, err := parseUint(b)
+// parseOff parses a log-file byte offset: it must cover at least the
+// file header and fit an int64.
+func parseOff(b []byte) (int64, error) {
+	off, err := parseUint(b)
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(max) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d", ErrWire, n, max)
+	if off < wal.LogHeaderSize || off > 1<<62 {
+		return 0, fmt.Errorf("%w: offset %d out of range", ErrWire, off)
 	}
-	return int(n), nil
+	return int64(off), nil
 }
 
-// appendOffs encodes a per-shard offset vector as the cursor blob:
-// len(offs) uvarints.
-func appendOffs(dst []byte, offs []int64) []byte {
-	for _, off := range offs {
-		dst = binary.AppendUvarint(dst, uint64(off))
+// parseGen parses a generation number, which is never 0.
+func parseGen(b []byte) (uint64, error) {
+	gen, err := parseUint(b)
+	if err != nil {
+		return 0, err
 	}
-	return dst
-}
-
-// parseOffs decodes a cursor blob of exactly nshards offsets into dst
-// (reused). Every offset must cover at least the log file header and
-// fit an int64.
-func parseOffs(dst []int64, blob []byte, nshards int) ([]int64, error) {
-	dst = dst[:0]
-	for i := 0; i < nshards; i++ {
-		v, n := binary.Uvarint(blob)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: cursor blob truncated at shard %d", ErrWire, i)
-		}
-		if v < wal.LogHeaderSize || v > 1<<62 {
-			return nil, fmt.Errorf("%w: cursor offset %d out of range", ErrWire, v)
-		}
-		dst = append(dst, int64(v))
-		blob = blob[n:]
+	if gen == 0 {
+		return 0, fmt.Errorf("%w: generation 0", ErrWire)
 	}
-	if len(blob) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing cursor blob bytes", ErrWire, len(blob))
-	}
-	return dst, nil
+	return gen, nil
 }
 
 // hello is a parsed replica handshake.
 type hello struct {
 	psync bool
 	gen   uint64
-	offs  []int64 // nil for SYNC
-	epoch uint64  // replica's cluster epoch (fencing)
+	off   int64  // 0 for SYNC
+	epoch uint64 // replica's cluster epoch (fencing)
 }
 
 // parseHello decodes the replica's first command: "SYNC [epoch]" or
-// "PSYNC gen nshards blob [epoch]". The trailing epoch is optional for
+// "PSYNC gen off [epoch]". The trailing epoch is optional for
 // compatibility with pre-failover replicas, which are epoch 0.
 func parseHello(args [][]byte) (hello, error) {
 	if len(args) == 0 {
 		return hello{}, fmt.Errorf("%w: empty handshake", ErrWire)
 	}
+	var h hello
+	var err error
+	epochArg := 1 // index of the optional trailing epoch
 	switch {
 	case proto.CmdEq(args[0], cmdSync):
 		if len(args) != 1 && len(args) != 2 {
 			return hello{}, fmt.Errorf("%w: SYNC takes at most an epoch", ErrWire)
 		}
-		var h hello
-		if len(args) == 2 {
-			var err error
-			if h.epoch, err = parseUint(args[1]); err != nil {
-				return hello{}, err
-			}
-		}
-		return h, nil
 	case proto.CmdEq(args[0], cmdPSync):
-		if len(args) != 4 && len(args) != 5 {
-			return hello{}, fmt.Errorf("%w: PSYNC wants gen, nshards, blob [, epoch]", ErrWire)
+		if len(args) != 3 && len(args) != 4 {
+			return hello{}, fmt.Errorf("%w: PSYNC wants gen, off [, epoch]", ErrWire)
 		}
-		gen, err := parseUint(args[1])
-		if err != nil {
+		h.psync = true
+		if h.gen, err = parseGen(args[1]); err != nil {
 			return hello{}, err
 		}
-		if gen == 0 {
-			return hello{}, fmt.Errorf("%w: PSYNC generation 0", ErrWire)
-		}
-		nshards, err := parseCount(args[2], MaxShards)
-		if err != nil {
+		if h.off, err = parseOff(args[2]); err != nil {
 			return hello{}, err
 		}
-		if nshards == 0 {
-			return hello{}, fmt.Errorf("%w: PSYNC with 0 shards", ErrWire)
-		}
-		offs, err := parseOffs(nil, args[3], nshards)
-		if err != nil {
-			return hello{}, err
-		}
-		h := hello{psync: true, gen: gen, offs: offs}
-		if len(args) == 5 {
-			if h.epoch, err = parseUint(args[4]); err != nil {
-				return hello{}, err
-			}
-		}
-		return h, nil
+		epochArg = 3
 	default:
 		return hello{}, fmt.Errorf("%w: unexpected handshake command %q", ErrWire, args[0])
 	}
+	if len(args) > epochArg {
+		if h.epoch, err = parseUint(args[epochArg]); err != nil {
+			return hello{}, err
+		}
+	}
+	return h, nil
 }
 
 // sendHello writes the replica's handshake.
@@ -149,12 +115,10 @@ func sendHello(w *proto.Writer, h hello) {
 		w.ArgUint(h.epoch)
 		return
 	}
-	blob := appendOffs(nil, h.offs)
-	w.Array(5)
+	w.Array(4)
 	w.Arg(cmdPSync)
 	w.ArgUint(h.gen)
-	w.ArgUint(uint64(len(h.offs)))
-	w.ArgBytes(blob)
+	w.ArgUint(uint64(h.off))
 	w.ArgUint(h.epoch)
 }
 
@@ -176,69 +140,55 @@ func parseAck(args [][]byte) (recs, bytes uint64, err error) {
 type message struct {
 	kind byte // 'F', 'C', 'S', 'E', 'B', 'R', 'P'
 	gen  uint64
+	off  int64 // FULL / CONT cursor, BATCH start
 
 	// FULL / CONT
-	offs      []int64 // reused across calls
 	baseRecs  uint64
 	baseBytes uint64
 	epoch     uint64 // primary's cluster epoch (fencing)
 
 	// SNAP / BATCH
 	payload []byte // aliases the reader's buffer
-	shard   int
-	off     int64
 
 	// PING
 	recs  uint64
 	bytes uint64
 }
 
-// parseMessage decodes one primary→replica message into m, reusing
-// m.offs. m.payload aliases args and is valid only until the reader's
-// next frame.
+// parseMessage decodes one primary→replica message into m. m.payload
+// aliases args and is valid only until the reader's next frame.
 func parseMessage(args [][]byte, m *message) error {
 	if len(args) == 0 {
 		return fmt.Errorf("%w: empty message", ErrWire)
 	}
+	var err error
 	switch {
 	case proto.CmdEq(args[0], cmdFull), proto.CmdEq(args[0], cmdCont):
 		m.kind = 'F'
 		if proto.CmdEq(args[0], cmdCont) {
 			m.kind = 'C'
 		}
-		if len(args) != 6 && len(args) != 7 {
-			return fmt.Errorf("%w: %s wants gen, nshards, recs, bytes, blob [, epoch]", ErrWire, args[0])
+		if len(args) != 5 && len(args) != 6 {
+			return fmt.Errorf("%w: %s wants gen, recs, bytes, off [, epoch]", ErrWire, args[0])
 		}
-		gen, err := parseUint(args[1])
-		if err != nil {
+		if m.gen, err = parseGen(args[1]); err != nil {
 			return err
 		}
-		if gen == 0 {
-			return fmt.Errorf("%w: generation 0", ErrWire)
-		}
-		nshards, err := parseCount(args[2], MaxShards)
-		if err != nil {
+		if m.baseRecs, err = parseUint(args[2]); err != nil {
 			return err
 		}
-		if nshards == 0 {
-			return fmt.Errorf("%w: 0 shards", ErrWire)
-		}
-		if m.baseRecs, err = parseUint(args[3]); err != nil {
+		if m.baseBytes, err = parseUint(args[3]); err != nil {
 			return err
 		}
-		if m.baseBytes, err = parseUint(args[4]); err != nil {
-			return err
-		}
-		if m.offs, err = parseOffs(m.offs, args[5], nshards); err != nil {
+		if m.off, err = parseOff(args[4]); err != nil {
 			return err
 		}
 		m.epoch = 0
-		if len(args) == 7 {
-			if m.epoch, err = parseUint(args[6]); err != nil {
+		if len(args) == 6 {
+			if m.epoch, err = parseUint(args[5]); err != nil {
 				return err
 			}
 		}
-		m.gen = gen
 		return nil
 	case proto.CmdEq(args[0], cmdSnap):
 		m.kind = 'S'
@@ -255,51 +205,32 @@ func parseMessage(args [][]byte, m *message) error {
 		return nil
 	case proto.CmdEq(args[0], cmdBatch):
 		m.kind = 'B'
-		if len(args) != 5 {
-			return fmt.Errorf("%w: BATCH wants shard, gen, off, payload", ErrWire)
+		if len(args) != 4 {
+			return fmt.Errorf("%w: BATCH wants gen, off, payload", ErrWire)
 		}
-		shard, err := parseCount(args[1], MaxShards-1)
-		if err != nil {
+		if m.gen, err = parseGen(args[1]); err != nil {
 			return err
 		}
-		if m.gen, err = parseUint(args[2]); err != nil {
+		if m.off, err = parseOff(args[2]); err != nil {
 			return err
 		}
-		if m.gen == 0 {
-			return fmt.Errorf("%w: generation 0", ErrWire)
-		}
-		off, err := parseUint(args[3])
-		if err != nil {
-			return err
-		}
-		if off < wal.LogHeaderSize || off > 1<<62 {
-			return fmt.Errorf("%w: batch offset %d out of range", ErrWire, off)
-		}
-		if len(args[4]) == 0 {
+		if len(args[3]) == 0 {
 			return fmt.Errorf("%w: empty batch", ErrWire)
 		}
-		m.shard, m.off, m.payload = shard, int64(off), args[4]
+		m.payload = args[3]
 		return nil
 	case proto.CmdEq(args[0], cmdRotate):
 		m.kind = 'R'
 		if len(args) != 2 {
 			return fmt.Errorf("%w: ROTATE wants a generation", ErrWire)
 		}
-		gen, err := parseUint(args[1])
-		if err != nil {
-			return err
-		}
-		if gen == 0 {
-			return fmt.Errorf("%w: generation 0", ErrWire)
-		}
-		m.gen = gen
-		return nil
+		m.gen, err = parseGen(args[1])
+		return err
 	case proto.CmdEq(args[0], cmdPing):
 		m.kind = 'P'
 		if len(args) != 3 {
 			return fmt.Errorf("%w: PING wants recs, bytes", ErrWire)
 		}
-		var err error
 		if m.recs, err = parseUint(args[1]); err != nil {
 			return err
 		}

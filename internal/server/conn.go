@@ -24,7 +24,7 @@ import (
 //	MGET k1 k2       ShortRO4 (both keys present and distinct)
 //	MGET k1..kn      one full read-only transaction
 //	SCAN s e n       ordered walk; one SingleRead per link + one
-//	                 snapshot read (or ShortRO2 fallback) per live key
+//	                 ShortRO2 per live key
 //	ISCAN ix s e n   same, over a secondary index's composite entries
 //	IDXCREATE ix k   cold path: registers + backfills a secondary index
 //	STATS, PING      no transaction

@@ -54,8 +54,8 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // WithInitialBuckets sets the map's per-shard initial bucket count.
 func WithInitialBuckets(n int) Option { return func(c *config) { c.buckets = n } }
 
-// WithPersistence makes the served map durable: mutations append to
-// per-shard write-ahead logs under dir (fsynced per policy), startup
+// WithPersistence makes the served map durable: mutations append to a
+// write-ahead log under dir (fsynced per policy), startup
 // recovers the logged state, BGSAVE snapshots and compacts, and
 // Shutdown flushes and closes the log after the connection drain.
 func WithPersistence(dir string, policy wal.Policy) Option {

@@ -40,7 +40,7 @@ func (x *Thread) Apply(r wal.Record) error {
 			return err
 		}
 		return x.applyAssign(r.Key2, r.Val2)
-	case wal.OpPut, wal.OpCAS, wal.OpSwapHalf:
+	case wal.OpPut, wal.OpCAS:
 		return x.applyAssign(r.Key, r.Val)
 	case wal.OpEpoch:
 		// Fencing metadata, not a mutation. Streams that care about the

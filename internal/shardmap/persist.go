@@ -1,23 +1,23 @@
-// Durability. A persistent Map logs every committed mutation to a
-// per-shard write-ahead log (internal/wal) from the operation's
-// post-commit path and can snapshot its full contents; Open rebuilds a
-// map from the newest snapshot plus the surviving log tails.
+// Durability. A persistent Map logs every committed mutation to one
+// write-ahead log (internal/wal) from the operation's post-commit path
+// and can snapshot its full contents; Open rebuilds a map from the
+// newest snapshot plus the surviving log tail. The shards are STM and
+// resize domains only; the log does not see them.
 //
 // The hot paths stay allocation-free: a log append encodes the typed
-// record into the shard's reused buffer under a short per-shard mutex,
-// and the wal syncer goroutine recycles those buffers forever. Under the
-// EveryN and Interval fsync policies the mutating operation never
-// blocks; under Always it waits for the group commit covering its
-// record.
+// record into the log's reused buffer under a short mutex, and the wal
+// syncer goroutine recycles that buffer forever. Under the EveryN and
+// Interval fsync policies the mutating operation never blocks; under
+// Always it waits for the group commit covering its record.
 //
-// Durable ordering is the per-shard append order. Appends happen after
-// the STM commit, serialized by the shard's log mutex, so two writers
-// racing on the same key in the same instant may persist in either
-// order — recovery then holds one of the two committed values. This is
-// the paper's trade in one more guise: a strictly commit-ordered log
-// would need sequencing inside the commit critical section (and its
-// cost on every operation); the specialized map gives that generality
-// up. See DESIGN.md "Durability" for the full invariant.
+// Durable ordering is the append order. Appends happen after the STM
+// commit, serialized by the log mutex, so two writers racing on the
+// same key in the same instant may persist in either order — recovery
+// then holds one of the two committed values. This is the paper's trade
+// in one more guise: a strictly commit-ordered log would need
+// sequencing inside the commit critical section (and its cost on every
+// operation); the specialized map gives that generality up. See
+// DESIGN.md "Durability" for the full invariant.
 package shardmap
 
 import (
@@ -30,7 +30,7 @@ import (
 )
 
 // WithPersistence makes the map durable: mutations append typed records
-// to per-shard logs under dir, fsynced per policy (the zero Policy means
+// to a write-ahead log under dir, fsynced per policy (the zero Policy means
 // wal.DefaultPolicy, interval=1s). Construction replays any existing
 // state in dir first. Use Open for the error-returning form.
 func WithPersistence(dir string, policy wal.Policy) Option {
@@ -84,7 +84,7 @@ func (m *Map) openPersistence(cfg config) error {
 	}
 	m.replay = st
 	th.ops.reset() // replay traffic is not serving traffic
-	l, err := wal.Open(cfg.dir, len(m.shards), wal.Options{
+	l, err := wal.Open(cfg.dir, wal.Options{
 		Policy:       cfg.policy,
 		CompactAfter: cfg.compactAfter,
 		StartGen:     st.MaxGen + 1,
@@ -100,7 +100,7 @@ func (m *Map) openPersistence(cfg config) error {
 }
 
 // Log exposes the live write-ahead log (nil without persistence) — the
-// replication source tails its files and subscribes to its frontier.
+// replication source tails its file and subscribes to its frontier.
 func (m *Map) Log() *wal.Log { return m.wal }
 
 // RecoveryStats reports what Open's replay found. A replica uses
@@ -111,41 +111,30 @@ func (m *Map) RecoveryStats() wal.ReplayStats { return m.replay }
 // ---- post-commit logging (the wal == nil checks keep the in-memory
 // map free of any persistence cost) ----
 
-func (m *Map) shardIdx(h uint64) int { return int(h & m.shardMask) }
-
-func (x *Thread) logPut(h uint64, key string, val Value) {
+func (x *Thread) logPut(key string, val Value) {
 	if w := x.m.wal; w != nil {
-		w.Put(x.m.shardIdx(h), key, uint64(val))
+		w.Put(key, uint64(val))
 	}
 }
 
-func (x *Thread) logDelete(h uint64, key string) {
+func (x *Thread) logDelete(key string) {
 	if w := x.m.wal; w != nil {
-		w.Delete(x.m.shardIdx(h), key)
+		w.Delete(key)
 	}
 }
 
-func (x *Thread) logCAS(h uint64, key string, val Value) {
+func (x *Thread) logCAS(key string, val Value) {
 	if w := x.m.wal; w != nil {
-		w.CAS(x.m.shardIdx(h), key, uint64(val))
+		w.CAS(key, uint64(val))
 	}
 }
 
-// logSwap2 emits a successful swap: one atomic record when both keys
-// share a shard log, otherwise one half-record per shard (durable
-// independently — see the package comment).
-func (x *Thread) logSwap2(h1 uint64, k1 string, v1 Value, h2 uint64, k2 string, v2 Value) {
-	w := x.m.wal
-	if w == nil {
-		return
+// logSwap2 emits a successful swap as one atomic record, whichever
+// shards the keys live in.
+func (x *Thread) logSwap2(k1 string, v1 Value, k2 string, v2 Value) {
+	if w := x.m.wal; w != nil {
+		w.Swap2(k1, uint64(v1), k2, uint64(v2))
 	}
-	i1, i2 := x.m.shardIdx(h1), x.m.shardIdx(h2)
-	if i1 == i2 {
-		w.Swap2(i1, k1, uint64(v1), k2, uint64(v2))
-		return
-	}
-	w.SwapHalf(i1, k1, uint64(v1))
-	w.SwapHalf(i2, k2, uint64(v2))
 }
 
 // ---- snapshots ----

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,7 +189,7 @@ func TestPersistAutoCompaction(t *testing.T) {
 	requireEqual(t, contents(t, m2), want)
 }
 
-// TestPersistCrashTruncatedTail cuts the single shard's log at random
+// TestPersistCrashTruncatedTail cuts the log at random
 // byte offsets and asserts recovery lands exactly on the state of the
 // surviving record prefix — the records themselves are the oracle.
 func TestPersistCrashTruncatedTail(t *testing.T) {
@@ -249,7 +250,7 @@ func TestPersistCrashTruncatedTail(t *testing.T) {
 // plain map — the reference recovery semantics.
 func replayPrefix(t *testing.T, data []byte) map[string]uint64 {
 	t.Helper()
-	const hdr = 20
+	const hdr = wal.LogHeaderSize
 	want := map[string]uint64{}
 	if len(data) < hdr {
 		return want
@@ -306,7 +307,7 @@ func TestPersistCrashCorruptRecord(t *testing.T) {
 		offsets = 5
 	}
 	for c := 0; c < offsets; c++ {
-		off := 20 + int(r.Intn(uint64(len(data)-20)))
+		off := wal.LogHeaderSize + int(r.Intn(uint64(len(data)-wal.LogHeaderSize)))
 		mut := bytes.Clone(data)
 		mut[off] ^= 0x80
 		sub := t.TempDir()
@@ -347,8 +348,8 @@ func TestPersistTornLength(t *testing.T) {
 	}
 	data, _ := os.ReadFile(logPath)
 	// Find the last record's offset by walking the stream.
-	p, last := data[20:], -1
-	off := 20
+	p, last := data[wal.LogHeaderSize:], -1
+	off := wal.LogHeaderSize
 	for len(p) > 0 {
 		_, n, err := wal.DecodeRecord(p)
 		if err != nil {
@@ -422,5 +423,158 @@ func TestPersistZeroAllocHotPaths(t *testing.T) {
 				t.Errorf("persistent CAS allocates %.2f/op, want 0", n)
 			}
 		})
+	}
+}
+
+// TestPersistSwap2CrossShardAtomic: a Swap2 whose keys live on
+// different shards is durable as a unit. The pairs are snapshotted with
+// distinct values, each pair is swapped once, and the log is cut at
+// seeded random byte offsets: every recovered pair holds either both
+// old values or both swapped ones, never one of each.
+func TestPersistSwap2CrossShardAtomic(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(valEngine(t), dir, WithPersistence(dir, wal.EveryN(1)), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := m.NewThread()
+	type pair struct {
+		k1, k2 string
+		v1, v2 uint64
+	}
+	var pairs []pair
+	lone := ""
+	for i := 0; len(pairs) < 64; i++ {
+		k := fmt.Sprintf("p%04d", i)
+		if lone == "" {
+			lone = k
+			continue
+		}
+		if m.hash(k)&m.shardMask == m.hash(lone)&m.shardMask {
+			continue
+		}
+		n := uint64(len(pairs))
+		pairs = append(pairs, pair{lone, k, 2*n + 1, 2*n + 2})
+		lone = ""
+	}
+	for _, p := range pairs {
+		th.Put(p.k1, word.FromUint(p.v1))
+		th.Put(p.k2, word.FromUint(p.v2))
+	}
+	// The snapshot holds the old values; the live log holds the swaps.
+	if err := m.Save(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		if !th.Swap2(p.k1, p.k2) {
+			t.Fatalf("Swap2(%q, %q) failed", p.k1, p.k2)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	files := map[string][]byte{}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	r := rng.New(0x5A7E)
+	cuts := 20
+	if testing.Short() {
+		cuts = 5
+	}
+	for c := 0; c < cuts; c++ {
+		sub := t.TempDir()
+		for name, data := range files {
+			if strings.HasPrefix(name, "wal-") {
+				data = data[:r.Intn(uint64(len(data))+1)]
+			}
+			if err := os.WriteFile(filepath.Join(sub, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m2, err := Open(valEngine(t), sub)
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", c, err)
+		}
+		got := contents(t, m2)
+		m2.Close()
+		for _, p := range pairs {
+			a, b := got[p.k1], got[p.k2]
+			if (a != p.v1 || b != p.v2) && (a != p.v2 || b != p.v1) {
+				t.Fatalf("cut %d: pair (%q, %q) recovered as (%d, %d), want (%d, %d) or (%d, %d)",
+					c, p.k1, p.k2, a, b, p.v1, p.v2, p.v2, p.v1)
+			}
+		}
+	}
+}
+
+// syncerProbe counts the log syncer's writes and fsyncs and can hold
+// the syncer inside one write.
+type syncerProbe struct {
+	writes, syncs atomic.Int64
+	hold          atomic.Bool // the next Write blocks until release closes
+	entered       chan struct{}
+	release       chan struct{}
+}
+
+type probedFile struct {
+	wal.File
+	p *syncerProbe
+}
+
+func (f probedFile) Write(b []byte) (int, error) {
+	f.p.writes.Add(1)
+	if f.p.hold.CompareAndSwap(true, false) {
+		f.p.entered <- struct{}{}
+		<-f.p.release
+	}
+	return f.File.Write(b)
+}
+
+func (f probedFile) Sync() error {
+	f.p.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestPersistGroupCommitOneWriteOneSync: one group commit over writes
+// that landed on every shard is one file write and one fsync. The
+// syncer is held inside an earlier write while the records accumulate,
+// so a single round picks them all up.
+func TestPersistGroupCommitOneWriteOneSync(t *testing.T) {
+	dir := t.TempDir()
+	probe := &syncerProbe{entered: make(chan struct{}), release: make(chan struct{})}
+	m, err := Open(valEngine(t), dir, WithPersistence(dir, wal.Interval(time.Hour)), WithShards(8),
+		WithLogWrap(func(f wal.File) wal.File { return probedFile{f, probe} }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	th := m.NewThread()
+	probe.hold.Store(true)
+	th.Put("first", word.FromUint(1))
+	select {
+	case <-probe.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the syncer never wrote the first record")
+	}
+	writes0, syncs0 := probe.writes.Load(), probe.syncs.Load()
+	hit := map[uint64]bool{}
+	for i := 0; len(hit) < m.Shards(); i++ {
+		k := fmt.Sprintf("k%03d", i)
+		th.Put(k, word.FromUint(uint64(i)))
+		hit[m.hash(k)&m.shardMask] = true
+	}
+	close(probe.release)
+	if err := m.Log().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := probe.writes.Load()-writes0, probe.syncs.Load()-syncs0; w != 1 || s != 1 {
+		t.Fatalf("group commit over %d shards made %d writes and %d fsyncs, want 1 and 1", m.Shards(), w, s)
 	}
 }

@@ -139,7 +139,7 @@ func (x *Thread) CreateIndex(name, kind string) error {
 	m.indexes.Store(next)
 	m.idxMu.Unlock()
 	if w := m.wal; w != nil {
-		w.IdxCreate(m.shardIdx(m.hash(name)), name, kind)
+		w.IdxCreate(name, kind)
 		w.Flush()
 	}
 	// Backfill after publication: mutations from here on maintain the

@@ -434,7 +434,7 @@ func (x *Thread) Put(key string, val Value) bool {
 	} else if !spare.IsNil() {
 		sh.a.Free(spare) // lost the insert race; never published
 	}
-	x.logPut(h, key, val)
+	x.logPut(key, val)
 	x.secUpdate(key, old, !inserted, val, true)
 	count(&x.ops.puts, &x.ops.inserts, inserted)
 	return inserted
@@ -453,7 +453,7 @@ func (x *Thread) Update(key string, val Value) bool {
 	h := x.m.hash(key)
 	ok, old := x.update(h, key, val)
 	if ok {
-		x.logPut(h, key, val)
+		x.logPut(key, val)
 		x.secUpdate(key, old, true, val, true)
 	}
 	count(&x.ops.updates, &x.ops.updateHits, ok)
@@ -559,7 +559,7 @@ func (x *Thread) Delete(key string) bool {
 	h := x.m.hash(key)
 	ok, old := x.del(h, key)
 	if ok {
-		x.logDelete(h, key)
+		x.logDelete(key)
 		x.secUpdate(key, old, true, 0, false)
 	}
 	count(&x.ops.deletes, &x.ops.deleteHits, ok)
@@ -621,7 +621,7 @@ func (x *Thread) CompareAndSwap(key string, old, new Value) bool {
 	h := x.m.hash(key)
 	ok := x.cas(h, key, old, new)
 	if ok {
-		x.logCAS(h, key, new)
+		x.logCAS(key, new)
 		x.secUpdate(key, old, true, new, true)
 	}
 	count(&x.ops.cas, &x.ops.casHits, ok)
@@ -683,7 +683,7 @@ func (x *Thread) swap2(k1, k2 string) bool {
 	nv1, nv2, ok := x.swap2Loop(h1, h2, k1, k2)
 	x.t.Epoch.Exit()
 	if ok {
-		x.logSwap2(h1, k1, nv1, h2, k2, nv2)
+		x.logSwap2(k1, nv1, k2, nv2)
 		// A swap's old values are the other key's new ones.
 		x.secUpdate(k1, nv2, true, nv1, true)
 		x.secUpdate(k2, nv1, true, nv2, true)

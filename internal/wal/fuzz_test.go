@@ -21,7 +21,7 @@ func FuzzRecordDecode(f *testing.F) {
 	seed(Record{Op: OpDelete, Key: []byte("gone")})
 	seed(Record{Op: OpCAS, Key: []byte("c"), Val: 1 << 61})
 	seed(Record{Op: OpSwap2, Key: []byte("a"), Val: 1, Key2: []byte("b"), Val2: 2})
-	seed(Record{Op: OpSwapHalf, Key: []byte("half"), Val: 9})
+	seed(Record{Op: OpEpoch, Val: 9})
 	seed(Record{Op: OpIdxCreate, Key: []byte("byval"), Key2: []byte("value")})
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))

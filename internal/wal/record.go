@@ -1,14 +1,15 @@
-// Package wal implements the durability subsystem behind spectm.Map: a
-// per-shard append-only write-ahead log with batched group commit, plus
+// Package wal implements the durability subsystem behind spectm.Map: one
+// append-only write-ahead log per map with batched group commit, plus
 // snapshot files and prefix-consistent recovery.
 //
 // The package stands alone — it knows nothing about the map. The map's
 // post-commit paths emit typed mutation records (Put, Delete, CAS,
-// Swap2, SwapHalf) into per-shard in-memory buffers; a single background
-// syncer goroutine writes and fsyncs the buffers according to the
-// configured Policy (Always / EveryN / Interval). Recovery replays the
-// newest complete snapshot and then every log generation at or above it,
-// handing each surviving record to the caller.
+// Swap2) into one in-memory buffer; a single background syncer
+// goroutine writes and fsyncs it according to the configured Policy
+// (Always / EveryN / Interval). Each generation is one file,
+// wal-<gen>.log. Recovery replays the newest complete snapshot and then
+// every log generation at or above it, handing each surviving record to
+// the caller.
 //
 // # Record format
 //
@@ -23,11 +24,11 @@
 // with op-specific fields (uvarint lengths, raw key bytes, uvarint
 // values):
 //
-//	OpPut, OpCAS, OpSwapHalf   klen | key | val
-//	OpDelete                   klen | key
-//	OpSwap2                    k1len | k1 | v1 | k2len | k2 | v2
-//	OpEpoch                    klen=0 | epoch
-//	OpIdxCreate                nlen | name | 0 | klen | kind | 0
+//	OpPut, OpCAS   klen | key | val
+//	OpDelete       klen | key
+//	OpSwap2        k1len | k1 | v1 | k2len | k2 | v2
+//	OpEpoch        klen=0 | epoch
+//	OpIdxCreate    nlen | name | 0 | klen | kind | 0
 //
 // A decoder that hits a short frame, a CRC mismatch, an unknown op or
 // trailing garbage stops: everything before the bad frame is the
@@ -45,11 +46,10 @@ import (
 // torn-write analysis; replay treats every op except OpDelete as an
 // absolute "key now holds val" assignment.
 const (
-	OpPut      = byte(1) // Put or Update: key ← val
-	OpDelete   = byte(2) // Delete: key removed
-	OpCAS      = byte(3) // CompareAndSwap succeeded: key ← new val
-	OpSwap2    = byte(4) // same-shard Swap2: k1 ← v1 and k2 ← v2 atomically
-	OpSwapHalf = byte(5) // one shard's half of a cross-shard Swap2: key ← val
+	OpPut    = byte(1) // Put or Update: key ← val
+	OpDelete = byte(2) // Delete: key removed
+	OpCAS    = byte(3) // CompareAndSwap succeeded: key ← new val
+	OpSwap2  = byte(4) // Swap2: k1 ← v1 and k2 ← v2 atomically
 	// OpEpoch records a cluster-epoch bump (failover fencing): Val holds
 	// the new epoch, Key is empty. It is log metadata, not a mutation —
 	// recovery and replication track it but never hand it to the map.
@@ -128,7 +128,7 @@ func appendRecord[S byteseq](dst []byte, op byte, k1 S, v1 uint64, k2 S, v2 uint
 // map's hot path uses the typed Log methods instead.
 func EncodeRecord(dst []byte, r Record) ([]byte, error) {
 	switch r.Op {
-	case OpPut, OpDelete, OpCAS, OpSwap2, OpSwapHalf, OpEpoch, OpIdxCreate:
+	case OpPut, OpDelete, OpCAS, OpSwap2, OpEpoch, OpIdxCreate:
 	default:
 		return nil, fmt.Errorf("%w: unknown op %d", ErrCorrupt, r.Op)
 	}
@@ -176,7 +176,7 @@ func decodeBody(body []byte) (Record, error) {
 	}
 	switch r.Op {
 	case OpDelete:
-	case OpPut, OpCAS, OpSwapHalf, OpEpoch:
+	case OpPut, OpCAS, OpEpoch:
 		if r.Val, p, err = takeUvarint(p); err != nil {
 			return Record{}, err
 		}

@@ -13,7 +13,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Op: OpDelete, Key: []byte("gone")},
 		{Op: OpCAS, Key: []byte("counter"), Val: 1 << 61},
 		{Op: OpSwap2, Key: []byte("a"), Val: 7, Key2: []byte("b"), Val2: 9},
-		{Op: OpSwapHalf, Key: []byte("x"), Val: 3},
+		{Op: OpEpoch, Val: 3},
 		{Op: OpPut, Key: bytes.Repeat([]byte("K"), 4096), Val: 5},
 	}
 	var buf []byte
@@ -107,31 +107,31 @@ func TestParsePolicy(t *testing.T) {
 
 func TestParseName(t *testing.T) {
 	cases := []struct {
-		name  string
-		gen   uint64
-		shard int
-		kind  int
+		name string
+		gen  uint64
+		kind int
 	}{
-		{"wal-00000001-s0000.log", 1, 0, fileLog},
-		{"wal-00000042-s0013.log", 42, 13, fileLog},
-		{"snap-00000007.db", 7, 0, fileSnap},
-		{"wal-xx-s0.log", 0, 0, fileOther},
-		{"snap-.db", 0, 0, fileOther},
-		{"MANIFEST", 0, 0, fileOther},
-		{"tmp-snap-123", 0, 0, fileOther},
+		{"wal-00000001.log", 1, fileLog},
+		{"wal-00000042.log", 42, fileLog},
+		{"snap-00000007.db", 7, fileSnap},
+		{"wal-00000001-s0000.log", 0, fileShardLog},
+		{"wal-xx.log", 0, fileOther},
+		{"snap-.db", 0, fileOther},
+		{"MANIFEST", 0, fileOther},
+		{"tmp-snap-123", 0, fileOther},
 	}
 	for _, c := range cases {
-		gen, shard, kind := parseName(c.name)
-		if gen != c.gen || shard != c.shard || kind != c.kind {
-			t.Errorf("parseName(%q) = (%d,%d,%d), want (%d,%d,%d)",
-				c.name, gen, shard, kind, c.gen, c.shard, c.kind)
+		gen, kind := parseName(c.name)
+		if gen != c.gen || kind != c.kind {
+			t.Errorf("parseName(%q) = (%d,%d), want (%d,%d)",
+				c.name, gen, kind, c.gen, c.kind)
 		}
 	}
 	// Generated names must parse back.
-	if gen, shard, kind := parseName(logName(9, 3)); gen != 9 || shard != 3 || kind != fileLog {
-		t.Errorf("logName round-trip failed: %d %d %d", gen, shard, kind)
+	if gen, kind := parseName(logName(9)); gen != 9 || kind != fileLog {
+		t.Errorf("logName round-trip failed: %d %d", gen, kind)
 	}
-	if gen, _, kind := parseName(snapName(12)); gen != 12 || kind != fileSnap {
+	if gen, kind := parseName(snapName(12)); gen != 12 || kind != fileSnap {
 		t.Errorf("snapName round-trip failed: %d %d", gen, kind)
 	}
 }

@@ -1,16 +1,14 @@
 // Recovery. Replay scans a log directory, loads the newest snapshot
 // whose trailer validates, and then replays every log generation at or
 // above the snapshot's, handing each surviving record to the caller.
-// Within one generation the shard files are independent streams (a key
-// lives in exactly one shard per generation); across generations replay
-// is ordered, so records always apply oldest-generation-first.
+// Each generation is one file; generations replay oldest first, so
+// records always apply in log order.
 //
 // A log tail that ends mid-record — truncated by a crash, torn by a
 // partial sector write, or failing its CRC — marks the end of that
 // file's trustworthy prefix: replay stops there and reports the file as
 // truncated. Recovery therefore yields exactly the prefix-consistent
-// state: for every shard, the effects of a prefix of its emitted
-// records.
+// state: the effects of a prefix of the emitted records.
 package wal
 
 import (
@@ -29,32 +27,30 @@ const (
 	fileOther = iota
 	fileLog
 	fileSnap
+	fileShardLog // wal-<gen>-s<shard>.log: the retired per-shard layout
 )
 
-// parseName classifies a directory entry: wal-<gen>-s<shard>.log,
-// snap-<gen>.db or other.
-func parseName(name string) (gen uint64, shard int, kind int) {
+// parseName classifies a directory entry: wal-<gen>.log, snap-<gen>.db,
+// a per-shard log of the retired layout, or other.
+func parseName(name string) (gen uint64, kind int) {
 	switch {
 	case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 		mid := name[4 : len(name)-4]
-		i := strings.IndexByte(mid, '-')
-		if i < 0 || len(mid) < i+2 || mid[i+1] != 's' {
-			return 0, 0, fileOther
+		if g, err := strconv.ParseUint(mid, 10, 64); err == nil {
+			return g, fileLog
 		}
-		g, err1 := strconv.ParseUint(mid[:i], 10, 64)
-		s, err2 := strconv.ParseUint(mid[i+2:], 10, 32)
-		if err1 != nil || err2 != nil {
-			return 0, 0, fileOther
+		if strings.Contains(mid, "-s") {
+			return 0, fileShardLog
 		}
-		return g, int(s), fileLog
+		return 0, fileOther
 	case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".db"):
 		g, err := strconv.ParseUint(name[5:len(name)-3], 10, 64)
 		if err != nil {
-			return 0, 0, fileOther
+			return 0, fileOther
 		}
-		return g, 0, fileSnap
+		return g, fileSnap
 	default:
-		return 0, 0, fileOther
+		return 0, fileOther
 	}
 }
 
@@ -75,6 +71,9 @@ type ReplayStats struct {
 // Stale temporary snapshot files are removed. The returned stats'
 // MaxGen+1 is the StartGen a subsequent Open must use. OpEpoch records
 // are metadata: they raise the stats' Epoch and are not handed to apply.
+// A directory holding per-shard log files (wal-<gen>-s<shard>.log) is
+// refused: that layout is no longer read, and skipping its files would
+// silently drop their records.
 func Replay(dir string, apply func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	ents, err := os.ReadDir(dir)
@@ -86,19 +85,22 @@ func Replay(dir string, apply func(Record) error) (ReplayStats, error) {
 	}
 
 	var snaps []uint64
-	logsByGen := map[uint64][]string{}
+	logs := map[uint64]string{}
 	for _, ent := range ents {
 		name := ent.Name()
 		if strings.HasPrefix(name, "tmp-snap-") {
 			os.Remove(filepath.Join(dir, name)) // crashed snapshot writer
 			continue
 		}
-		gen, _, kind := parseName(name)
+		gen, kind := parseName(name)
 		switch kind {
 		case fileSnap:
 			snaps = append(snaps, gen)
 		case fileLog:
-			logsByGen[gen] = append(logsByGen[gen], name)
+			logs[gen] = name
+		case fileShardLog:
+			return st, fmt.Errorf("wal: %s: per-shard log layout is no longer read (one log file per generation)",
+				filepath.Join(dir, name))
 		default:
 			continue
 		}
@@ -144,25 +146,21 @@ func Replay(dir string, apply func(Record) error) (ReplayStats, error) {
 	}
 
 	var gens []uint64
-	for gen := range logsByGen {
+	for gen := range logs {
 		if gen >= snapGen {
 			gens = append(gens, gen)
 		}
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	for _, gen := range gens {
-		files := logsByGen[gen]
-		sort.Strings(files)
-		for _, name := range files {
-			n, truncated, err := replayLog(filepath.Join(dir, name), gen, applyRec)
-			if err != nil {
-				return st, err
-			}
-			st.LogFiles++
-			st.Records += n
-			if truncated {
-				st.TruncatedFiles++
-			}
+		n, truncated, err := replayLog(filepath.Join(dir, logs[gen]), gen, applyRec)
+		if err != nil {
+			return st, err
+		}
+		st.LogFiles++
+		st.Records += n
+		if truncated {
+			st.TruncatedFiles++
 		}
 	}
 	return st, nil

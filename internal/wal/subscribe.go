@@ -1,55 +1,44 @@
-// The shipping frontier. Replication tails the same per-shard files the
-// syncer writes, so the log exposes exactly two things beyond the files
-// themselves: a consistent snapshot of how far the files reach (Cursor)
-// and a way to learn that the frontier moved without polling
-// (Subscribe). Both are fed by the syncer goroutine once per
-// group-commit batch — the hot append path is untouched, which is how
-// replication stays off the map's 0-alloc steady state.
+// The shipping frontier. Replication tails the same file the syncer
+// writes, so the log exposes exactly two things beyond the file itself:
+// a consistent snapshot of how far the file reaches (Cursor) and a way
+// to learn that the frontier moved without polling (Subscribe). Both
+// are fed by the syncer goroutine once per group-commit batch — the hot
+// append path is untouched, which is how replication stays off the
+// map's 0-alloc steady state.
 package wal
 
 // Cursor is a consistent snapshot of the log's written frontier: every
-// byte below it is a whole record that a reader of the shard files will
-// see. Recs, Bytes and Batch are monotonic across rotations (process
-// lifetime); Offs are the byte sizes of the current generation's files,
-// including their LogHeaderSize header.
+// byte of the current generation's file below Off is a whole record
+// that a reader of the file will see. Off includes the LogHeaderSize
+// header; Recs, Bytes and Batch are monotonic across rotations (process
+// lifetime).
 type Cursor struct {
 	Gen   uint64
-	Offs  []int64
+	Off   int64
 	Recs  uint64 // records written since Open
 	Bytes uint64 // record bytes written since Open (headers excluded)
 	Batch uint64 // group-commit batches published since Open
 }
 
-// Mark is one subscription notification: the frontier totals after a
-// group-commit batch (or a rotation). It deliberately omits the
-// per-shard offsets so marks are plain values — receivers that need the
-// offsets call Cursor.
-type Mark struct {
-	Gen   uint64
-	Recs  uint64
-	Bytes uint64
-	Batch uint64
-}
-
-// Sub is one frontier subscription. C carries the latest Mark with
+// Sub is one frontier subscription. C carries the latest frontier with
 // latest-wins coalescing: the syncer never blocks on a slow or absent
-// receiver, and a receiver that keeps up sees exactly one mark per
+// receiver, and a receiver that keeps up sees exactly one value per
 // group-commit batch.
 type Sub struct {
-	C chan Mark
+	C chan Cursor
 }
 
 // Subscribe registers a frontier subscription. Unsubscribe it when done;
 // subscriptions on a closed log simply never fire again.
 func (l *Log) Subscribe() *Sub {
-	s := &Sub{C: make(chan Mark, 1)}
+	s := &Sub{C: make(chan Cursor, 1)}
 	l.curMu.Lock()
 	l.subs = append(l.subs, s)
 	l.curMu.Unlock()
 	return s
 }
 
-// Unsubscribe removes s. Its channel is left open (a pending mark stays
+// Unsubscribe removes s. Its channel is left open (a pending value stays
 // readable); it just stops receiving.
 func (l *Log) Unsubscribe(s *Sub) {
 	l.curMu.Lock()
@@ -63,55 +52,35 @@ func (l *Log) Unsubscribe(s *Sub) {
 	l.curMu.Unlock()
 }
 
-// Cursor copies the current frontier into c, reusing c.Offs.
+// Cursor copies the current frontier into c.
 func (l *Log) Cursor(c *Cursor) {
 	l.curMu.Lock()
-	c.Gen = l.cur.Gen
-	c.Recs = l.cur.Recs
-	c.Bytes = l.cur.Bytes
-	c.Batch = l.cur.Batch
-	c.Offs = append(c.Offs[:0], l.cur.Offs...)
+	*c = l.cur
 	l.curMu.Unlock()
 }
 
 // Seq returns the number of records appended so far — the acknowledged
 // write position, ahead of the written frontier by whatever sits in the
-// in-memory shard buffers. This is the position REPLPOS hands to
+// in-memory buffer. This is the position REPLPOS hands to
 // read-your-writes clients: once a replica has applied Seq records, it
 // holds every write acknowledged before the call.
 func (l *Log) Seq() uint64 { return l.seq.Load() }
 
-// Shards returns the number of per-shard log files.
-func (l *Log) Shards() int { return len(l.shards) }
+// LogName returns the file name of generation gen's log — the file a
+// replication sender reads at a cursor's offset.
+func LogName(gen uint64) string { return logName(gen) }
 
-// LogName returns the file name of generation gen, shard s — the file a
-// replication sender reads at a cursor's offsets.
-func LogName(gen uint64, shard int) string { return logName(gen, shard) }
-
-// LogHeaderSize is the fixed per-file header every shard log starts
-// with; a fresh generation's cursor offsets all equal it.
+// LogHeaderSize is the fixed header every log file starts with; a fresh
+// generation's cursor offset equals it.
 const LogHeaderSize = logHeaderSize
 
-// initCursor seeds the frontier at Open.
-func (l *Log) initCursor(gen uint64) {
-	l.cur.Gen = gen
-	l.cur.Offs = make([]int64, len(l.shards))
-	for i := range l.cur.Offs {
-		l.cur.Offs[i] = logHeaderSize
-	}
-}
-
-// advanceCursor publishes one group-commit batch: wrote[i] bytes
-// appended to shard i, recs records in total. Called only by the syncer.
-func (l *Log) advanceCursor(wrote []int64, recs int) {
+// advanceCursor publishes one group-commit batch: n bytes holding recs
+// records appended to the file. Called only by the syncer.
+func (l *Log) advanceCursor(n int64, recs int) {
 	l.curMu.Lock()
-	var sum int64
-	for i, n := range wrote {
-		l.cur.Offs[i] += n
-		sum += n
-	}
+	l.cur.Off += n
 	l.cur.Recs += uint64(recs)
-	l.cur.Bytes += uint64(sum)
+	l.cur.Bytes += uint64(n)
 	l.cur.Batch++
 	l.notifyLocked()
 	l.curMu.Unlock()
@@ -121,9 +90,7 @@ func (l *Log) advanceCursor(wrote []int64, recs int) {
 func (l *Log) rotateCursor(gen uint64) {
 	l.curMu.Lock()
 	l.cur.Gen = gen
-	for i := range l.cur.Offs {
-		l.cur.Offs[i] = logHeaderSize
-	}
+	l.cur.Off = logHeaderSize
 	l.cur.Batch++
 	l.notifyLocked()
 	l.curMu.Unlock()
@@ -131,13 +98,12 @@ func (l *Log) rotateCursor(gen uint64) {
 
 // notifyLocked fans the current frontier out to every subscription,
 // never blocking: a full channel is drained and refilled so the pending
-// mark is always the newest.
+// value is always the newest.
 func (l *Log) notifyLocked() {
-	m := Mark{Gen: l.cur.Gen, Recs: l.cur.Recs, Bytes: l.cur.Bytes, Batch: l.cur.Batch}
 	for _, s := range l.subs {
 		for {
 			select {
-			case s.C <- m:
+			case s.C <- l.cur:
 			default:
 				select {
 				case <-s.C:

@@ -10,7 +10,7 @@ import (
 // subscriber that keeps up receives exactly one mark per batch, with
 // strictly increasing batch numbers and running record totals.
 func TestSubscribeOncePerBatch(t *testing.T) {
-	l, err := Open(t.TempDir(), 2, Options{Policy: Always()})
+	l, err := Open(t.TempDir(), Options{Policy: Always()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestSubscribeOncePerBatch(t *testing.T) {
 	const n = 50
 	var lastBatch, lastRecs uint64
 	for i := 0; i < n; i++ {
-		l.Put(i%2, "key", uint64(i)<<2)
+		l.Put("key", uint64(i)<<2)
 		// The append returned, so the group commit covering it has run
 		// and published; its mark must be waiting.
 		select {
@@ -52,15 +52,9 @@ func TestSubscribeOncePerBatch(t *testing.T) {
 	if c.Recs != n {
 		t.Fatalf("cursor says %d records, want %d", c.Recs, n)
 	}
-	var sum int64
-	for _, off := range c.Offs {
-		if off < LogHeaderSize {
-			t.Fatalf("cursor offset %d below the file header", off)
-		}
-		sum += off - LogHeaderSize
-	}
-	if uint64(sum) != c.Bytes {
-		t.Fatalf("cursor offsets cover %d record bytes, totals say %d", sum, c.Bytes)
+	if c.Off < LogHeaderSize || uint64(c.Off-LogHeaderSize) != c.Bytes {
+		t.Fatalf("cursor offset %d covers %d record bytes, totals say %d",
+			c.Off, c.Off-LogHeaderSize, c.Bytes)
 	}
 }
 
@@ -68,7 +62,7 @@ func TestSubscribeOncePerBatch(t *testing.T) {
 // coalesce latest-wins and appends keep completing, so the syncer never
 // waits on a slow receiver.
 func TestSubscribeNeverBlocksSyncer(t *testing.T) {
-	l, err := Open(t.TempDir(), 1, Options{Policy: Always()})
+	l, err := Open(t.TempDir(), Options{Policy: Always()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +74,7 @@ func TestSubscribeNeverBlocksSyncer(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 500; i++ {
-			l.Put(0, "k", uint64(i)<<2)
+			l.Put("k", uint64(i)<<2)
 		}
 	}()
 	select {
@@ -103,13 +97,13 @@ func TestSubscribeNeverBlocksSyncer(t *testing.T) {
 // TestSubscribeRotation: a rotation publishes the new generation with
 // reset offsets while the monotonic totals carry over.
 func TestSubscribeRotation(t *testing.T) {
-	l, err := Open(t.TempDir(), 2, Options{Policy: EveryN(1)})
+	l, err := Open(t.TempDir(), Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	for i := 0; i < 10; i++ {
-		l.Put(i%2, "k", uint64(i)<<2)
+		l.Put("k", uint64(i)<<2)
 	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
@@ -142,10 +136,8 @@ func TestSubscribeRotation(t *testing.T) {
 	if after.Gen != gen {
 		t.Fatalf("cursor generation %d, want %d", after.Gen, gen)
 	}
-	for i, off := range after.Offs {
-		if off != LogHeaderSize {
-			t.Fatalf("shard %d offset %d after rotation, want %d", i, off, LogHeaderSize)
-		}
+	if after.Off != LogHeaderSize {
+		t.Fatalf("offset %d after rotation, want %d", after.Off, LogHeaderSize)
 	}
 	if l.Seq() != 10 {
 		t.Fatalf("Seq = %d, want 10", l.Seq())

@@ -1,11 +1,11 @@
-// The live log. A Log owns one append-only file per map shard plus a
+// The live log. A Log owns one append-only file per generation plus a
 // single background syncer goroutine — the only goroutine that ever
-// touches the files. Mutating map operations append framed records to
-// per-shard in-memory buffers under a per-shard mutex (no allocation in
-// the steady state: the two buffers per shard are recycled forever) and
-// kick the syncer; the syncer swaps the buffers out, writes them, and
-// fsyncs according to the Policy. Under Always the appending operation
-// blocks until the group commit that covers its record has fsynced.
+// touches the file. Mutating map operations append framed records to
+// one in-memory buffer under one mutex (no allocation in the steady
+// state: the buffer and its spare are recycled forever) and kick the
+// syncer; the syncer swaps the buffer out, writes it, and fsyncs
+// according to the Policy. Under Always the appending operation blocks
+// until the group commit that covers its record has fsynced.
 package wal
 
 import (
@@ -16,8 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"spectm/internal/pad"
 )
 
 // Policy selects when appended records are fsynced.
@@ -98,7 +96,7 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// File is the syncer's view of one shard's log file. *os.File satisfies
+// File is the syncer's view of a log file. *os.File satisfies
 // it; fault-injection harnesses (internal/nemesis) wrap it to simulate
 // torn writes, slow disks and write errors without touching the kernel.
 type File interface {
@@ -112,16 +110,16 @@ type File interface {
 type Options struct {
 	// Policy is the fsync policy (default: Interval(1s)).
 	Policy Policy
-	// CompactAfter triggers the OnFull callback once the live log files
-	// exceed this many bytes (default 128 MiB; <0 disables).
+	// CompactAfter triggers the OnFull callback once the live log file
+	// exceeds this many bytes (default 128 MiB; <0 disables).
 	CompactAfter int64
 	// OnFull is called (from its own goroutine, never concurrently with
-	// itself) when the logs exceed CompactAfter. The map hooks its
+	// itself) when the log exceeds CompactAfter. The map hooks its
 	// snapshot-and-prune here.
 	OnFull func()
-	// StartGen is the generation the fresh log files are created under.
-	// Recovery passes maxGen+1 so every generation's shard layout is
-	// immutable. Zero means 1.
+	// StartGen is the generation the fresh log file is created under.
+	// Recovery passes maxGen+1 so no existing file is ever reopened for
+	// writing. Zero means 1.
 	StartGen uint64
 	// Epoch seeds the cluster epoch (failover fencing). Recovery passes
 	// ReplayStats.Epoch; zero means the log starts at epoch 0 until an
@@ -133,29 +131,24 @@ type Options struct {
 	WrapFile func(File) File
 }
 
-// walShard is one shard's append state. Only buf, recs and the file
-// rotation are guarded by mu; spare and the file are owned by the
-// syncer. The pad keeps neighboring shards' mutexes apart.
-type walShard struct {
+// Log is a live write-ahead log. All methods are safe for concurrent
+// use; the typed append methods are allocation-free in the steady
+// state.
+type Log struct {
+	dir  string
+	opts Options
+
+	// Append state: buf, recs and the seq assignment are guarded by mu;
+	// spare and f are owned by the syncer.
 	mu    sync.Mutex
 	buf   []byte
 	recs  int
 	spare []byte
-	f     File // current generation file; swapped only by the syncer
-	_     [pad.CacheLine]byte
-}
-
-// Log is a live per-shard write-ahead log. All methods are safe for
-// concurrent use; the typed append methods are allocation-free in the
-// steady state.
-type Log struct {
-	dir    string
-	opts   Options
-	shards []walShard
+	f     File // current generation's file
 
 	gen   atomic.Uint64 // current generation
 	seq   atomic.Uint64 // global append sequence (Always group commit)
-	size  atomic.Int64  // bytes across live log files (rotation trigger)
+	size  atomic.Int64  // bytes in the live log file (rotation trigger)
 	epoch atomic.Uint64 // cluster epoch (failover fencing)
 
 	// Always-policy group commit: waiters block until durableSeq covers
@@ -173,7 +166,6 @@ type Log struct {
 	curMu sync.Mutex
 	cur   Cursor
 	subs  []*Sub
-	wrote []int64 // per-shard bytes of the batch in flight (syncer scratch)
 
 	kick     chan struct{}
 	flushReq chan chan error
@@ -188,29 +180,26 @@ type rotResult struct {
 	err error
 }
 
-// logName is the file name of generation gen, shard s.
-func logName(gen uint64, shard int) string {
-	return fmt.Sprintf("wal-%08d-s%04d.log", gen, shard)
-}
+// logName is the file name of generation gen's log.
+func logName(gen uint64) string { return fmt.Sprintf("wal-%08d.log", gen) }
 
 // snapName is the file name of generation gen's snapshot.
 func snapName(gen uint64) string { return fmt.Sprintf("snap-%08d.db", gen) }
 
 var walMagic = [8]byte{'S', 'P', 'T', 'M', 'W', 'A', 'L', '1'}
 
-const logHeaderSize = 20 // magic + gen(8) + shard(4)
+const logHeaderSize = 16 // magic + gen(8)
 
 // appendLogHeader frames a log file header.
-func appendLogHeader(dst []byte, gen uint64, shard int) []byte {
+func appendLogHeader(dst []byte, gen uint64) []byte {
 	dst = append(dst, walMagic[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, gen)
-	return binary.LittleEndian.AppendUint32(dst, uint32(shard))
+	return binary.LittleEndian.AppendUint64(dst, gen)
 }
 
-// createLogFile creates one shard's log file for gen, writes its header
+// createLogFile creates generation gen's log file, writes its header
 // and applies the WrapFile hook.
-func createLogFile(dir string, gen uint64, shard int, wrap func(File) File) (File, error) {
-	osf, err := os.OpenFile(filepath.Join(dir, logName(gen, shard)),
+func createLogFile(dir string, gen uint64, wrap func(File) File) (File, error) {
+	osf, err := os.OpenFile(filepath.Join(dir, logName(gen)),
 		os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -219,7 +208,7 @@ func createLogFile(dir string, gen uint64, shard int, wrap func(File) File) (Fil
 	if wrap != nil {
 		f = wrap(f)
 	}
-	if _, err := f.Write(appendLogHeader(nil, gen, shard)); err != nil {
+	if _, err := f.Write(appendLogHeader(nil, gen)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -237,13 +226,10 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Open creates a Log over dir with one file per shard at opts.StartGen
-// and starts the syncer. The caller replays existing state first (see
+// Open creates a Log over dir with a fresh file at opts.StartGen and
+// starts the syncer. The caller replays existing state first (see
 // Replay) and passes a StartGen above every existing generation.
-func Open(dir string, shards int, opts Options) (*Log, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("wal: shard count %d < 1", shards)
-	}
+func Open(dir string, opts Options) (*Log, error) {
 	if opts.Policy.kind == kindUnset {
 		opts.Policy = DefaultPolicy()
 	}
@@ -259,7 +245,6 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 	l := &Log{
 		dir:      dir,
 		opts:     opts,
-		shards:   make([]walShard, shards),
 		kick:     make(chan struct{}, 1),
 		flushReq: make(chan chan error),
 		rotReq:   make(chan chan rotResult),
@@ -269,25 +254,17 @@ func Open(dir string, shards int, opts Options) (*Log, error) {
 	l.syncCond = sync.NewCond(&l.syncMu)
 	l.gen.Store(opts.StartGen)
 	l.epoch.Store(opts.Epoch)
-	l.initCursor(opts.StartGen)
-	l.wrote = make([]int64, shards)
-	for i := range l.shards {
-		f, err := createLogFile(dir, opts.StartGen, i, opts.WrapFile)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				l.shards[j].f.Close()
-			}
-			return nil, err
-		}
-		l.shards[i].f = f
-		l.size.Add(logHeaderSize)
-	}
-	if err := syncDir(dir); err != nil {
-		for i := range l.shards {
-			l.shards[i].f.Close()
-		}
+	l.cur = Cursor{Gen: opts.StartGen, Off: logHeaderSize}
+	f, err := createLogFile(dir, opts.StartGen, opts.WrapFile)
+	if err != nil {
 		return nil, err
 	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	l.f = f
+	l.size.Store(logHeaderSize)
 	go l.run()
 	return l, nil
 }
@@ -298,7 +275,7 @@ func (l *Log) Dir() string { return l.dir }
 // Gen returns the current generation.
 func (l *Log) Gen() uint64 { return l.gen.Load() }
 
-// Size returns the byte size of the live log files (excluding
+// Size returns the byte size of the live log file (excluding
 // snapshots), the rotation trigger.
 func (l *Log) Size() int64 { return l.size.Load() }
 
@@ -310,50 +287,41 @@ func (l *Log) Err() error {
 	return l.ioErr
 }
 
-// Put appends a "key ← val" record to shard's log.
-func (l *Log) Put(shard int, key string, val uint64) {
-	l.append(shard, OpPut, key, val, "", 0)
+// Put appends a "key ← val" record.
+func (l *Log) Put(key string, val uint64) {
+	l.append(OpPut, key, val, "", 0)
 }
 
 // Delete appends a removal record.
-func (l *Log) Delete(shard int, key string) {
-	l.append(shard, OpDelete, key, 0, "", 0)
+func (l *Log) Delete(key string) {
+	l.append(OpDelete, key, 0, "", 0)
 }
 
 // CAS appends a successful compare-and-swap record (key ← new value).
-func (l *Log) CAS(shard int, key string, val uint64) {
-	l.append(shard, OpCAS, key, val, "", 0)
+func (l *Log) CAS(key string, val uint64) {
+	l.append(OpCAS, key, val, "", 0)
 }
 
-// Swap2 appends one atomic same-shard swap record: k1 ← v1, k2 ← v2.
-func (l *Log) Swap2(shard int, k1 string, v1 uint64, k2 string, v2 uint64) {
-	l.append(shard, OpSwap2, k1, v1, k2, v2)
-}
-
-// SwapHalf appends one shard's half of a cross-shard swap (key ← val).
-// The two halves live in different shard logs and are durable
-// independently: a crash between their fsyncs can persist one half only
-// (see the recovery invariants in DESIGN.md).
-func (l *Log) SwapHalf(shard int, key string, val uint64) {
-	l.append(shard, OpSwapHalf, key, val, "", 0)
+// Swap2 appends one atomic swap record: k1 ← v1, k2 ← v2.
+func (l *Log) Swap2(k1 string, v1 uint64, k2 string, v2 uint64) {
+	l.append(OpSwap2, k1, v1, k2, v2)
 }
 
 // IdxCreate appends a secondary-index definition record (name, extractor
-// kind) to shard's log. Index creation is a cold control-plane operation:
-// callers that must not acknowledge it before it is durable follow with
-// Flush.
-func (l *Log) IdxCreate(shard int, name, kind string) {
-	l.append(shard, OpIdxCreate, name, 0, kind, 0)
+// kind). Index creation is a cold control-plane operation: callers that
+// must not acknowledge it before it is durable follow with Flush.
+func (l *Log) IdxCreate(name, kind string) {
+	l.append(OpIdxCreate, name, 0, kind, 0)
 }
 
 // Epoch returns the current cluster epoch.
 func (l *Log) Epoch() uint64 { return l.epoch.Load() }
 
 // AppendEpoch records a cluster-epoch bump: an OpEpoch record is
-// appended to shard 0's log (so recovery and downstream replicas learn
-// the epoch) and the live epoch is raised. Bumps are monotonic — a stale
-// epoch is ignored. Callers that must not acknowledge writes under the
-// new epoch before it is durable follow with Flush.
+// appended (so recovery and downstream replicas learn the epoch) and
+// the live epoch is raised. Bumps are monotonic — a stale epoch is
+// ignored. Callers that must not acknowledge writes under the new epoch
+// before it is durable follow with Flush.
 func (l *Log) AppendEpoch(e uint64) {
 	for {
 		cur := l.epoch.Load()
@@ -364,20 +332,19 @@ func (l *Log) AppendEpoch(e uint64) {
 			break
 		}
 	}
-	l.append(0, OpEpoch, "", e, "", 0)
+	l.append(OpEpoch, "", e, "", 0)
 }
 
 //spectm:noalloc
-func (l *Log) append(shard int, op byte, k1 string, v1 uint64, k2 string, v2 uint64) {
+func (l *Log) append(op byte, k1 string, v1 uint64, k2 string, v2 uint64) {
 	if l.closed.Load() {
 		return
 	}
-	s := &l.shards[shard]
-	s.mu.Lock()
-	s.buf = appendRecord(s.buf, op, k1, v1, k2, v2)
-	s.recs++
+	l.mu.Lock()
+	l.buf = appendRecord(l.buf, op, k1, v1, k2, v2)
+	l.recs++
 	seq := l.seq.Add(1)
-	s.mu.Unlock()
+	l.mu.Unlock()
 
 	select {
 	case l.kick <- struct{}{}:
@@ -415,10 +382,9 @@ func (l *Log) Flush() error {
 	}
 }
 
-// Rotate flushes the current generation, fsyncs and closes its files,
-// and switches every shard to a fresh generation. It returns the new
-// generation — the one a snapshot taken after the rotation must be
-// tagged with.
+// Rotate flushes the current generation, fsyncs and closes its file,
+// and switches to a fresh generation. It returns the new generation —
+// the one a snapshot taken after the rotation must be tagged with.
 func (l *Log) Rotate() (uint64, error) {
 	ch := make(chan rotResult, 1)
 	select {
@@ -434,7 +400,7 @@ func (l *Log) Rotate() (uint64, error) {
 	}
 }
 
-// Close flushes and fsyncs everything, closes the files and stops the
+// Close flushes and fsyncs everything, closes the file and stops the
 // syncer. Appends after Close are dropped.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
@@ -482,71 +448,46 @@ func (l *Log) run() {
 	}
 }
 
-// gatherWrite swaps out every shard's pending buffer, writes the data,
-// and fsyncs when the policy (or force) says so.
+// gatherWrite swaps out the pending buffer, writes it, and fsyncs when
+// the policy (or force) says so.
 func (l *Log) gatherWrite(force bool, lastSync *time.Time) {
 	if l.Err() != nil {
 		// Durability already lost; drop buffered data so memory stays
 		// bounded.
-		for i := range l.shards {
-			s := &l.shards[i]
-			s.mu.Lock()
-			s.buf, s.recs = s.buf[:0], 0
-			s.mu.Unlock()
-		}
+		l.mu.Lock()
+		l.buf, l.recs = l.buf[:0], 0
+		l.mu.Unlock()
 		return
 	}
-	batchSeq := l.seq.Load() // see the durability watermark proof below
 	if testHookBatchSeq != nil {
 		testHookBatchSeq()
 	}
-	wrote := 0
-	clear(l.wrote)
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		b, n := s.buf, s.recs
-		if len(b) > 0 {
-			s.buf = s.spare[:0]
-			s.spare = nil
-			s.recs = 0
-		}
-		s.mu.Unlock()
-		if len(b) == 0 {
-			continue
-		}
-		if _, err := s.f.Write(b); err != nil {
-			l.fail(fmt.Errorf("wal: writing %s: %w", s.f.Name(), err))
+	// The watermark is read in the same critical section as the swap,
+	// and every append assigns its seq under mu: each record with seq <=
+	// batchSeq is in this round's buffer or an earlier round's.
+	l.mu.Lock()
+	b, n, batchSeq := l.buf, l.recs, l.seq.Load()
+	if len(b) > 0 {
+		l.buf, l.spare, l.recs = l.spare[:0], nil, 0
+	}
+	l.mu.Unlock()
+	if len(b) > 0 {
+		if _, err := l.f.Write(b); err != nil {
+			l.fail(fmt.Errorf("wal: writing %s: %w", l.f.Name(), err))
 			return
 		}
 		l.size.Add(int64(len(b)))
-		l.wrote[i] = int64(len(b))
-		s.spare = b[:0]
-		wrote += n
-	}
-	if wrote > 0 {
+		l.spare = b[:0]
 		// Publish the frontier as soon as the bytes are readable from
-		// the files — replication ships written records; fsync below
+		// the file — replication ships written records; fsync below
 		// only decides the primary's own durability.
-		l.advanceCursor(l.wrote, wrote)
+		l.advanceCursor(int64(len(b)), n)
 	}
-	pending := l.unsynced.Add(int64(wrote))
-
-	p := l.opts.Policy
+	pending := l.unsynced.Add(int64(n))
 	if pending == 0 {
-		// Nothing awaits fsync, but the watermark must still advance:
-		// every record with seq <= batchSeq was swapped by this or an
-		// earlier round (see the proof below) and, with the unsynced
-		// counter drained, has also been fsynced. Skipping this leaves
-		// a waiter sleeping forever when its record was covered by a
-		// round whose batchSeq snapshot was below its seq and traffic
-		// then quiesces — no later round would ever broadcast.
-		if p.kind == kindAlways {
-			//lint:ignore walorder records below batchSeq were fsynced by earlier rounds: unsynced==0 proves no written byte awaits sync
-			l.advanceDurable(batchSeq)
-		}
 		return
 	}
+	p := l.opts.Policy
 	doSync := force ||
 		p.kind == kindAlways ||
 		(p.kind == kindEveryN && pending >= int64(p.n)) ||
@@ -554,23 +495,14 @@ func (l *Log) gatherWrite(force bool, lastSync *time.Time) {
 	if !doSync {
 		return
 	}
-	for i := range l.shards {
-		if err := l.shards[i].f.Sync(); err != nil {
-			l.fail(fmt.Errorf("wal: fsync %s: %w", l.shards[i].f.Name(), err))
-			return
-		}
+	if err := l.f.Sync(); err != nil {
+		l.fail(fmt.Errorf("wal: fsync %s: %w", l.f.Name(), err))
+		return
 	}
 	l.unsynced.Add(-pending)
 	*lastSync = time.Now()
-
-	// Durability watermark: every record with seq <= batchSeq is now on
-	// disk. Proof: seq is assigned inside the shard's append critical
-	// section; if that assignment happened before the batchSeq load,
-	// the whole critical section — including the buffer append — is
-	// serialized before this round's swap of the same shard's buffer
-	// (both run under the shard mutex, and the swap started after the
-	// load). So the record was in a swapped buffer of this round or an
-	// earlier one, and every file was just fsynced.
+	// Every record with seq <= batchSeq was written by this round or an
+	// earlier one, and the file was just fsynced.
 	l.advanceDurable(batchSeq)
 
 	if l.opts.CompactAfter > 0 && l.opts.OnFull != nil &&
@@ -583,9 +515,9 @@ func (l *Log) gatherWrite(force bool, lastSync *time.Time) {
 	}
 }
 
-// testHookBatchSeq, when set by a test before Open, runs right after
-// the watermark snapshot — widening the snapshot→swap window that a
-// racing append can land in.
+// testHookBatchSeq, when set by a test before Open, runs at the start
+// of every syncer round — widening the kick→swap window that a racing
+// append can land in.
 var testHookBatchSeq func()
 
 // advanceDurable raises the group-commit watermark and wakes waiters.
@@ -613,59 +545,35 @@ func (l *Log) rotate(lastSync *time.Time) (uint64, error) {
 		return 0, err
 	}
 	newGen := l.gen.Load() + 1
-	files := make([]File, len(l.shards))
-	for i := range l.shards {
-		f, err := createLogFile(l.dir, newGen, i, l.opts.WrapFile)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				files[j].Close()
-				os.Remove(files[j].Name())
-			}
-			return 0, err
-		}
-		files[i] = f
-	}
-	if err := syncDir(l.dir); err != nil {
-		for i := range files {
-			files[i].Close()
-			os.Remove(files[i].Name())
-		}
+	f, err := createLogFile(l.dir, newGen, l.opts.WrapFile)
+	if err != nil {
 		return 0, err
 	}
-	// Point of no return: once any shard writes to a new-generation
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return 0, err
+	}
+	// Point of no return: once the syncer writes to the new-generation
 	// file, the generation counter must advance with it — otherwise a
-	// later Rotate would recompute the same newGen and O_TRUNC files
+	// later Rotate would recompute the same newGen and O_TRUNC a file
 	// holding live (possibly fsynced and acknowledged) records. So the
-	// swap, the counter and the size reset happen before the old files'
-	// fallible closes.
-	olds := make([]File, len(l.shards))
-	for i := range l.shards {
-		s := &l.shards[i]
-		olds[i] = s.f
-		s.mu.Lock()
-		s.f = files[i]
-		s.mu.Unlock()
-	}
+	// swap, the counter and the size reset happen before the old file's
+	// fallible close.
+	old := l.f
+	l.f = f
 	l.gen.Store(newGen)
-	l.size.Store(int64(len(l.shards)) * logHeaderSize)
+	l.size.Store(logHeaderSize)
 	l.rotateCursor(newGen)
-	var firstErr error
-	for _, old := range olds {
-		if err := old.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return 0, firstErr
+	if err := old.Close(); err != nil {
+		return 0, err
 	}
 	return newGen, nil
 }
 
 // finalClose runs after the last gatherWrite on shutdown.
 func (l *Log) finalClose() {
-	for i := range l.shards {
-		l.shards[i].f.Close()
-	}
+	l.f.Close()
 	// Everything appended before Close is durable; release waiters.
 	l.syncMu.Lock()
 	l.durableSeq = l.seq.Load()
@@ -726,8 +634,8 @@ func (l *Log) prune(keep uint64) error {
 	}
 	var firstErr error
 	for _, ent := range ents {
-		gen, _, kind := parseName(ent.Name())
-		if kind == fileOther || gen >= keep {
+		gen, kind := parseName(ent.Name())
+		if (kind != fileLog && kind != fileSnap) || gen >= keep {
 			continue
 		}
 		if err := os.Remove(filepath.Join(l.dir, ent.Name())); err != nil && firstErr == nil {

@@ -36,17 +36,17 @@ func replayAll(t *testing.T, dir string) (map[string]uint64, ReplayStats) {
 
 func TestLogWriteFlushReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 4, Options{Policy: EveryN(1000)})
+	l, err := Open(dir, Options{Policy: EveryN(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put(0, "a", 1)
-	l.Put(1, "b", 2)
-	l.CAS(1, "b", 3)
-	l.Delete(2, "never-existed")
-	l.Put(3, "c", 4)
-	l.Swap2(3, "c", 5, "d", 6)
-	l.SwapHalf(0, "a", 7)
+	l.Put("a", 1)
+	l.Put("b", 2)
+	l.CAS("b", 3)
+	l.Delete("never-existed")
+	l.Put("c", 4)
+	l.Swap2("c", 5, "d", 6)
+	l.Put("a", 7)
 	if err := l.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -70,12 +70,12 @@ func TestLogWriteFlushReplay(t *testing.T) {
 
 func TestCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 2, Options{Policy: Interval(time.Hour)})
+	l, err := Open(dir, Options{Policy: Interval(time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		l.Put(i%2, fmt.Sprintf("k%03d", i), uint64(i))
+		l.Put(fmt.Sprintf("k%03d", i), uint64(i))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestCloseFlushes(t *testing.T) {
 
 func TestAlwaysPolicyBlocksUntilDurable(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 2, Options{Policy: Always()})
+	l, err := Open(dir, Options{Policy: Always()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAlwaysPolicyBlocksUntilDurable(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				l.Put(g%2, fmt.Sprintf("g%d-%03d", g, i), uint64(i))
+				l.Put(fmt.Sprintf("g%d-%03d", g, i), uint64(i))
 			}
 		}(g)
 	}
@@ -113,22 +113,20 @@ func TestAlwaysPolicyBlocksUntilDurable(t *testing.T) {
 }
 
 // TestAlwaysWatermarkAdvancesAfterQuiesce regresses a liveness bug: an
-// append racing into the window between the syncer's watermark snapshot
-// and its buffer swap gets written and fsynced by that round, but the
-// watermark only reaches the pre-append snapshot — and if traffic then
-// stops, no later round may ever re-advance it, leaving the Always
-// waiter asleep forever. The hook widens the window so the race hits
-// reliably; each single append must still return.
+// append racing into a syncer round gets written and fsynced by that
+// round, but if the round's watermark does not cover it and traffic
+// then stops, no later round re-advances it, leaving the Always waiter
+// asleep forever. The hook widens the window so the race hits reliably;
+// each single append must still return.
 func TestAlwaysWatermarkAdvancesAfterQuiesce(t *testing.T) {
-	// Widen the snapshot→swap window so the second append of each pair
+	// Widen the kick→swap window so the second append of each pair
 	// reliably lands inside the first append's syncer round: its record
-	// is written and fsynced by that round, but the round's watermark
-	// snapshot predates it — and with no further traffic, only the
-	// pending==0 advance can ever release it.
+	// is written and fsynced by that round, and with no further traffic
+	// only that round's watermark can release it.
 	testHookBatchSeq = func() { time.Sleep(2 * time.Millisecond) }
 	defer func() { testHookBatchSeq = nil }()
 	dir := t.TempDir()
-	l, err := Open(dir, 2, Options{Policy: Always()})
+	l, err := Open(dir, Options{Policy: Always()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +136,12 @@ func TestAlwaysWatermarkAdvancesAfterQuiesce(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			l.Put(0, fmt.Sprintf("a%02d", i), uint64(i))
+			l.Put(fmt.Sprintf("a%02d", i), uint64(i))
 		}()
 		go func() {
 			defer wg.Done()
 			time.Sleep(time.Millisecond) // land mid-round of the first append
-			l.Put(1, fmt.Sprintf("b%02d", i), uint64(i))
+			l.Put(fmt.Sprintf("b%02d", i), uint64(i))
 		}()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
@@ -157,12 +155,12 @@ func TestAlwaysWatermarkAdvancesAfterQuiesce(t *testing.T) {
 
 func TestRotateAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 2, Options{Policy: EveryN(1)})
+	l, err := Open(dir, Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put(0, "old", 1)
-	l.Put(1, "both", 2)
+	l.Put("old", 1)
+	l.Put("both", 2)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +172,7 @@ func TestRotateAndSnapshot(t *testing.T) {
 		t.Fatalf("first rotation produced generation %d, want 2", gen)
 	}
 	// Records after the rotation land in the new generation's logs.
-	l.Put(1, "new", 3)
+	l.Put("new", 3)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func TestRotateAndSnapshot(t *testing.T) {
 	// Old-generation files must be gone.
 	ents, _ := os.ReadDir(dir)
 	for _, e := range ents {
-		if g, _, kind := parseName(e.Name()); kind != fileOther && g < gen {
+		if g, kind := parseName(e.Name()); kind != fileOther && g < gen {
 			t.Errorf("stale file %s survived pruning", e.Name())
 		}
 	}
@@ -213,17 +211,17 @@ func TestRotateAndSnapshot(t *testing.T) {
 
 func TestReplayTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 1, Options{Policy: EveryN(1)})
+	l, err := Open(dir, Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		l.Put(0, fmt.Sprintf("k%02d", i), uint64(i))
+		l.Put(fmt.Sprintf("k%02d", i), uint64(i))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, logName(1, 0))
+	path := filepath.Join(dir, logName(1))
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +231,7 @@ func TestReplayTruncatedTail(t *testing.T) {
 	// and recover exactly the records that fully survive.
 	for cut := 0; cut <= len(full); cut++ {
 		sub := t.TempDir()
-		if err := os.WriteFile(filepath.Join(sub, logName(1, 0)), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(sub, logName(1)), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		state, st := replayAll(t, sub)
@@ -267,17 +265,17 @@ func countRecords(data []byte) int {
 
 func TestReplayCorruptMiddle(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 1, Options{Policy: EveryN(1)})
+	l, err := Open(dir, Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		l.Put(0, fmt.Sprintf("k%02d", i), uint64(i))
+		l.Put(fmt.Sprintf("k%02d", i), uint64(i))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, logName(1, 0))
+	path := filepath.Join(dir, logName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -307,11 +305,11 @@ func TestReplayCorruptMiddle(t *testing.T) {
 
 func TestReplayRejectsAllCorruptSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 1, Options{Policy: EveryN(1)})
+	l, err := Open(dir, Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put(0, "a", 1)
+	l.Put("a", 1)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +375,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestAutoCompactionCallback(t *testing.T) {
 	dir := t.TempDir()
 	fired := make(chan struct{}, 1)
-	l, err := Open(dir, 1, Options{
+	l, err := Open(dir, Options{
 		Policy:       EveryN(1),
 		CompactAfter: 256,
 		OnFull: func() {
@@ -392,7 +390,7 @@ func TestAutoCompactionCallback(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 100; i++ {
-		l.Put(0, fmt.Sprintf("key-%032d", i), uint64(i))
+		l.Put(fmt.Sprintf("key-%032d", i), uint64(i))
 	}
 	l.Flush()
 	select {
@@ -404,17 +402,43 @@ func TestAutoCompactionCallback(t *testing.T) {
 
 func TestAppendAfterCloseIsDropped(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 1, Options{Policy: EveryN(1)})
+	l, err := Open(dir, Options{Policy: EveryN(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Put(0, "kept", 1)
+	l.Put("kept", 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l.Put(0, "dropped", 2) // must not panic or block
+	l.Put("dropped", 2) // must not panic or block
 	state, _ := replayAll(t, dir)
 	if _, ok := state["dropped"]; ok || state["kept"] != 1 {
 		t.Fatalf("state %v, want only kept=1", state)
+	}
+}
+
+// TestReplayRefusesPerShardLayout: a directory written in the retired
+// per-shard layout (wal-<gen>-s<shard>.log) must be refused by name,
+// not skipped — skipping would silently drop every record it holds.
+func TestReplayRefusesPerShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	data := append([]byte(nil), walMagic[:]...)
+	data = append(data, 1, 0, 0, 0, 0, 0, 0, 0) // generation 1
+	data = append(data, 3, 0, 0, 0)             // shard 3
+	data, err := EncodeRecord(data, Record{Op: OpPut, Key: []byte("k"), Val: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "wal-00000001-s0003.log"
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	applied := 0
+	_, err = Replay(dir, func(Record) error { applied++; return nil })
+	if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "per-shard") {
+		t.Fatalf("Replay over a per-shard log = %v, want an error naming %s and the per-shard layout", err, name)
+	}
+	if applied != 0 {
+		t.Fatalf("Replay applied %d records before refusing", applied)
 	}
 }

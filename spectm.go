@@ -227,7 +227,7 @@ func FsyncInterval(d time.Duration) FsyncPolicy { return wal.Interval(d) }
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // WithPersistence makes the map durable: every committed mutation is
-// appended to a per-shard write-ahead log under dir (fsynced per
+// appended to the map's write-ahead log under dir (fsynced per
 // policy; the zero FsyncPolicy means interval=1s) and construction
 // replays any state already there. NewMap panics if dir cannot be
 // opened; OpenMap reports it as an error instead.
