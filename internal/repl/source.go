@@ -264,6 +264,10 @@ func (c *srcConn) serve() {
 	c.state.Store(stateStreaming)
 	sub := c.s.log.Subscribe()
 	defer c.s.log.Unsubscribe(sub)
+	// One heartbeat timer per link, re-armed before each idle wait: with
+	// Go 1.23 timers, Reset discards a fire the last wait did not take.
+	idle := time.NewTimer(c.s.cfg.heartbeat)
+	defer idle.Stop()
 	for {
 		c.s.log.Cursor(&cur)
 		progressed, err := c.ship(&cur)
@@ -273,11 +277,12 @@ func (c *srcConn) serve() {
 		if progressed {
 			continue
 		}
+		idle.Reset(c.s.cfg.heartbeat)
 		select {
 		case <-sub.C:
 		case <-ackDone:
 			return
-		case <-time.After(c.s.cfg.heartbeat):
+		case <-idle.C:
 			c.wr.Array(3)
 			c.wr.Arg(cmdPing)
 			c.wr.ArgUint(c.s.log.Seq())

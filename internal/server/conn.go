@@ -18,14 +18,18 @@ import (
 //	SET k v, update  ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	SET k v, insert  chain walk + SingleCAS (clones the key: the only
 //	                 hot command that must retain bytes beyond the call)
-//	DEL k            ShortRW2 mark + unlink
+//	DEL k            ShortRW2 mark + unlink (ShortRW3 with an ordered
+//	                 index: the unlink also clears the entry's hint)
 //	CAS k old new    ShortRO2 + Upgrade2 → ShortRO2RW1 combined commit
 //	SWAP2 k1 k2      ShortRO2 + LockRead×2 → ShortRO2RW2 combined commit
 //	MGET k1 k2       ShortRO4 (both keys present and distinct)
 //	MGET k1..kn      one full read-only transaction
 //	SCAN s e n       ordered walk; one SingleRead per link + one
-//	                 ShortRO2 per live key
-//	ISCAN ix s e n   same, over a secondary index's composite entries
+//	                 ShortRO3 (hint, node.next, node.val) per candidate;
+//	                 a missing or stale hint costs a hash lookup
+//	                 (ShortRO2) and a ShortRO1RW1 hint refresh
+//	ISCAN ix s e n   ordered walk over a secondary index's composite
+//	                 entries; a hash lookup (ShortRO2) per candidate
 //	IDXCREATE ix k   cold path: registers + backfills a secondary index
 //	STATS, PING      no transaction
 //
@@ -421,6 +425,7 @@ func (c *conn) statsReply() {
 	appendStat("mget_keys", st.BatchKeys)
 	appendStat("scans", st.Scans)
 	appendStat("scan_keys", st.ScanKeys)
+	appendStat("scan_fallbacks", st.ScanFallbacks)
 	appendStat("iscans", st.IScans)
 	appendStat("iscan_keys", st.IScanKeys)
 	appendStat("idx_creates", st.IdxCreates)

@@ -98,6 +98,11 @@ func TestScanCommands(t *testing.T) {
 	if stats["scan_keys"] != 23 {
 		t.Fatalf("STATS scan_keys=%d, want 23", stats["scan_keys"])
 	}
+	// The first SCAN found every key by hash lookup and left a hint in
+	// its index entry; the second read its 3 keys through those hints.
+	if stats["scan_fallbacks"] != 20 {
+		t.Fatalf("STATS scan_fallbacks=%d, want 20", stats["scan_fallbacks"])
+	}
 	// Every insert and scan above descended the index at least once, and
 	// no descent of a non-empty index visits nothing.
 	if stats["index_searches"] == 0 || stats["index_steps"] < stats["index_searches"] {

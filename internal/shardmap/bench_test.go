@@ -11,9 +11,9 @@ import (
 )
 
 // benchMap builds a pre-populated map for the hot-path benchmarks.
-func benchMap(nkeys int) (*Map, []string) {
+func benchMap(nkeys int, opts ...Option) (*Map, []string) {
 	e := core.New(core.Config{Layout: core.LayoutVal})
-	m := New(e, WithInitialBuckets(nkeys/8))
+	m := New(e, append([]Option{WithInitialBuckets(nkeys / 8)}, opts...)...)
 	th := m.NewThread()
 	keys := make([]string, nkeys)
 	for i := range keys {
@@ -62,6 +62,26 @@ func BenchmarkMapGetBatch2(b *testing.B) {
 		pair[0] = keys[r.Intn(uint64(len(keys)))]
 		pair[1] = keys[r.Intn(uint64(len(keys)))]
 		th.GetBatch(pair, vals, found)
+	}
+}
+
+// BenchmarkMapScan32 is one 32-key Scan from a random start, its
+// candidates read through their hints (the first pass over the map
+// fills them).
+func BenchmarkMapScan32(b *testing.B) {
+	m, keys := benchMap(1<<14, WithOrdered())
+	th := m.NewThread()
+	r := rng.New(1)
+	sk := make([]string, 0, 32)
+	sv := make([]Value, 0, 32)
+	sk, sv, _ = th.Scan("", "", 0, sk, sv)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk, sv, _ = th.Scan(keys[r.Intn(uint64(len(keys)))], "", 32, sk[:0], sv[:0])
+		if len(sk) == 0 {
+			b.Fatal("empty scan")
+		}
 	}
 }
 

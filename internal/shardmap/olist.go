@@ -75,19 +75,22 @@ const (
 	// per-structure <<55 tag space; handle<<5|field picks the cell.
 	idIndexBit    = uint64(1) << 54
 	idxFieldShift = 5
-	idxFieldCnt   = 0 // field 0: refcount; field 1+L: next[L]
+	idxFieldCnt   = 0               // field 0: refcount; field 1+L: next[L]
+	idxFieldHint  = 1 + idxMaxLevel // the primary index's hash-node hint
 )
 
-// inode is one index entry. Everything but cnt and next, the
+// inode is one index entry. Everything but cnt, hint and next, the
 // transactional words, is immutable after publication. The prefix words
 // sit against the tower because those are what a search step reads: p0,
 // p1 and next[lv] are 40 contiguous bytes at level 0 and 56 at level 1;
-// key and hash, which a scan reads with next[0], come just before them.
-// With the arena's generation word an entry is 232 B (TestInodeLayout).
+// hint, key and hash, which a scan reads with next[0], come just before
+// them. With the arena's generation word an entry is 248 B
+// (TestInodeLayout).
 type inode struct {
 	split  int32 // secondary entries: length of the index-key half of key
 	lvl    int32
 	cnt    core.Cell
+	hint   core.Cell // primary index: the key's hash node, or empty (see ordered.go)
 	key    string
 	hash   uint64 // primary index: the key's map hash, for Scan's verification
 	p0, p1 uint64 // prefixWords(key)
@@ -149,6 +152,10 @@ func (ol *olist) nextVar(h arena.Handle, n *inode, lv int) core.Var {
 
 func (ol *olist) cntVar(h arena.Handle, n *inode) core.Var {
 	return ol.m.e.VarOf(&n.cnt, ol.idTag|uint64(h)<<idxFieldShift|idxFieldCnt)
+}
+
+func (ol *olist) hintVar(h arena.Handle, n *inode) core.Var {
+	return ol.m.e.VarOf(&n.hint, ol.idTag|uint64(h)<<idxFieldShift|idxFieldHint)
 }
 
 // search descends the list for the first entry ≥ key, filling the
@@ -305,29 +312,41 @@ func (ol *olist) raise(x *Thread, h arena.Handle, n *inode) {
 // secondary maintenance can race removals). The caller holds an epoch
 // pin.
 func (ol *olist) drop(x *Thread, key string) {
+	if h, found := ol.search(x, key); found {
+		ol.release(x, key, h)
+	}
+}
+
+// release is drop after the search: h is key's entry as a search just
+// found it, and that search's predecessors are in the thread's scratch,
+// which the level-0 unlink of an entry of height one commits against
+// (see remove). It searches again only when the entry turns out to be
+// removed or resurrected under it.
+func (ol *olist) release(x *Thread, key string, h arena.Handle) {
 	for attempt := 1; ; attempt++ {
-		h, found := ol.search(x, key)
-		if !found {
-			return
-		}
 		n := ol.a.Get(h)
 		ro, nv := x.t.ShortRO1(ol.nextVar(h, n, 0))
 		if nv.Marked() {
 			ro.Discard()
-			continue // removal committed under us; re-resolve
-		}
-		c, cv := ro.LockRead(ol.cntVar(h, n))
-		if cv.Uint() > 1 {
-			if c.Commit(word.FromUint(cv.Uint() - 1)) {
+		} else {
+			c, cv := ro.LockRead(ol.cntVar(h, n))
+			if cv.Uint() > 1 {
+				if c.Commit(word.FromUint(cv.Uint() - 1)) {
+					return
+				}
+				x.t.Backoff(attempt)
+				continue
+			}
+			// Ours is the last reference (a conflicted read can land here
+			// spuriously; remove revalidates cnt == 1 transactionally).
+			c.Discard()
+			if ol.remove(x, h, n) {
 				return
 			}
-			x.t.Backoff(attempt)
-			continue
 		}
-		// Ours is the last reference (a conflicted read can land here
-		// spuriously; remove revalidates cnt == 1 transactionally).
-		c.Discard()
-		if ol.remove(x, h, n) {
+		// Removed or resurrected under us; re-resolve.
+		var found bool
+		if h, found = ol.search(x, key); !found {
 			return
 		}
 	}
@@ -341,12 +360,13 @@ func (ol *olist) drop(x *Thread, key string) {
 // False means a concurrent add resurrected the entry (the caller then
 // retries its drop against the raised count).
 //
-// An entry of height one unlinks against the level-0 predecessor drop's
-// search found, and searches again only if the commit finds that link
-// moved: as in raise, the ShortRW3 validates everything it trusts (an
-// unmarked level-0 link is a linked predecessor, because level 0 is
-// marked and spliced in one commit). A taller entry must search after
-// its upper levels are marked, whatever drop found: that descent is the
+// An entry of height one unlinks against the level-0 predecessor the
+// releasing search found (drop's, or the map delete's), and searches
+// again only if the commit finds that link moved: as in raise, the
+// ShortRW3 validates everything it trusts (an unmarked level-0 link is a
+// linked predecessor, because level 0 is marked and spliced in one
+// commit). A taller entry must search after its upper levels are
+// marked, whatever that search found: that descent is the
 // pass that help-splices the entry out of every level it was linked at,
 // and it has to finish before Retire hands the slot to the arena.
 func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {

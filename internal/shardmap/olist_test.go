@@ -60,15 +60,18 @@ func FuzzPrefixOrder(f *testing.F) {
 }
 
 // TestInodeLayout pins what DESIGN.md's cost model rests on: the entry
-// size (bytes_per_key), and the words a search step reads lying side by
-// side.
+// size (bytes_per_key), the words a search step reads lying side by
+// side, and the hint a scan reads sitting next to the key and hash.
 func TestInodeLayout(t *testing.T) {
 	var n inode
-	if got := unsafe.Sizeof(n) + 8; got != 232 { // + the arena's generation word
-		t.Errorf("arena entry is %d B, want 232", got)
+	if got := unsafe.Sizeof(n) + 8; got != 248 { // + the arena's generation word
+		t.Errorf("arena entry is %d B, want 248", got)
 	}
 	if p, nx := unsafe.Offsetof(n.p0), unsafe.Offsetof(n.next); nx-p != 16 {
 		t.Errorf("prefix words at %d, tower at %d: want them adjacent", p, nx)
+	}
+	if hi, k := unsafe.Offsetof(n.hint), unsafe.Offsetof(n.key); k-hi != 16 {
+		t.Errorf("hint at %d, key at %d: want them adjacent", hi, k)
 	}
 }
 

@@ -34,7 +34,7 @@ func (x *Thread) maybeGrow(sh *shard) {
 //
 //spectm:coldpath
 func (x *Thread) grow(sh *shard, old *table) {
-	nt := x.m.newTable(2 * len(old.buckets))
+	nt := x.m.newTable(2*len(old.buckets), old.seq+1)
 	sh.state.Store(&tables{cur: nt, old: old})
 	for b := range old.buckets {
 		x.migrateBucket(sh, old, nt, uint64(b))

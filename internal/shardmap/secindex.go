@@ -204,7 +204,7 @@ func (x *Thread) IndexScan(name, start, end string, limit int, keys []string, va
 			break
 		}
 		pk := n.key[n.split+1:]
-		if v, ok := x.lookupLive(pk, x.m.hash(pk)); ok && ix.seckey(pk, v) == sk {
+		if v, _, _, ok := x.lookupLive(pk, x.m.hash(pk)); ok && ix.seckey(pk, v) == sk {
 			keys = append(keys, pk)
 			vals = append(vals, v)
 			if limit > 0 && len(keys)-n0 >= limit {

@@ -7,6 +7,7 @@
 //	Put (update)       ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	Put (insert)       chain walk of Tx_Single_Reads + one Tx_Single_CAS
 //	Delete             ShortRW2 over (node.next, prev link): mark + unlink
+//	                   (ShortRW3 with the ordered index's hint word; see del)
 //	CompareAndSwap     ShortRO2 + Upgrade2 → ShortRO2RW1 combined commit
 //	Swap2              ShortRO2 + LockRead×2 → ShortRO2RW2 combined commit
 //	GetBatch (2 keys)  ShortRO4 over both (next, val) pairs
@@ -93,6 +94,7 @@ type table struct {
 	buckets []core.Cell
 	mask    uint64
 	idBase  uint64 // orec identity base for bucket links
+	seq     uint64 // 1 for a shard's first table, +1 per grow (Scan's hints name it)
 }
 
 // tables is a shard's current view: old is non-nil only during a resize.
@@ -219,7 +221,7 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		sh := &m.shards[i]
 		sh.a = arena.New[node]()
 		sh.idTag = (uint64(i) + 1) << idShardShift
-		st := &tables{cur: m.newTable(nb)}
+		st := &tables{cur: m.newTable(nb, 1)}
 		sh.state.Store(st)
 	}
 	if cfg.ordered {
@@ -234,11 +236,12 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 }
 
 // newTable allocates a bucket array with a fresh identity range.
-func (m *Map) newTable(n int) *table {
+func (m *Map) newTable(n int, seq uint64) *table {
 	t := &table{
 		buckets: make([]core.Cell, n),
 		mask:    uint64(n - 1),
 		idBase:  idBucketBase + m.idSeq.Add(uint64(n)) - uint64(n),
+		seq:     seq,
 	}
 	for i := range t.buckets {
 		t.buckets[i].Init(word.Null)
@@ -550,9 +553,10 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 }
 
 // Delete removes key, reporting whether it was present. Removal is the
-// paper's §3 mark-and-unlink as one 2-location short read-write
-// transaction: the node's own link is marked (so concurrent walkers
-// restart) in the same commit that splices it out of the chain.
+// paper's §3 mark-and-unlink as one short read-write transaction: the
+// node's own link is marked (so concurrent walkers restart) in the same
+// commit that splices it out of the chain and, with the ordered index
+// on, clears the hint Scan keeps in the key's index entry.
 //
 //spectm:noalloc
 func (x *Thread) Delete(key string) bool {
@@ -569,8 +573,18 @@ func (x *Thread) Delete(key string) bool {
 // del unlinks key, reporting its final value (for secondary-index
 // maintenance). The ordered-index reference is released after the
 // unlink commit — the index entry outlives the key, never the reverse.
+//
+// With the ordered index on, each attempt whose hash search hits also
+// searches the index for key's entry, and the unlink commit is a
+// ShortRW3 that writes the entry's hint empty. The entry found is the
+// one the node holds its reference on: the commit proves the node still
+// linked, so it was linked when the index search ran, and a key's entry
+// cannot be removed while a node of the key is linked. The release then
+// commits against the predecessors that search left in the scratch, so
+// a delete still makes one index search.
 func (x *Thread) del(h uint64, key string) (bool, Value) {
 	sh := x.m.shardOf(h)
+	ol := x.m.ordered
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for attempt := 1; ; attempt++ {
@@ -583,28 +597,46 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 			return false, 0
 		}
 		n := sh.a.Get(cur)
-		d, nv, pv := x.t.ShortRW2(x.m.nextVar(sh, cur, n), prev)
-		if !d.Valid() {
-			x.conflict(attempt)
-			continue
+		var eh arena.Handle
+		if ol == nil {
+			d, nv, pv := x.t.ShortRW2(x.m.nextVar(sh, cur, n), prev)
+			if !d.Valid() {
+				x.conflict(attempt)
+				continue
+			}
+			if nv.Marked() || pv != link {
+				// The node was unlinked (removed or migrated) or the chain
+				// moved; either way the search result is stale.
+				d.Abort()
+				continue
+			}
+			d.Commit(nv.WithMark(), nv)
+		} else {
+			var efound bool
+			if eh, efound = ol.search(x, key); !efound {
+				continue // the node was removed since the hash search
+			}
+			d, nv, pv, _ := x.t.ShortRW3(x.m.nextVar(sh, cur, n), prev, ol.hintVar(eh, ol.a.Get(eh)))
+			if !d.Valid() {
+				x.conflict(attempt)
+				continue
+			}
+			if nv.Marked() || pv != link {
+				d.Abort()
+				continue
+			}
+			d.Commit(nv.WithMark(), nv, word.Null)
 		}
-		if nv.Marked() || pv != link {
-			// The node was unlinked (removed or migrated) or the chain
-			// moved; either way the search result is stale.
-			d.Abort()
-			continue
-		}
-		d.Commit(nv.WithMark(), nv)
 		sh.size.Add(^uint64(0))
 		var old Value
-		if x.m.ordered != nil {
+		if ol != nil {
 			// The unlinked node is unreachable to writers, so its value
 			// word is final; the epoch pin keeps it readable until Exit.
 			old = x.t.SingleRead(x.m.valVar(sh, cur, n))
 		}
 		x.t.Epoch.Retire(sh.a, uint64(cur))
-		if x.m.ordered != nil {
-			x.m.ordered.drop(x, key)
+		if ol != nil {
+			ol.release(x, key, eh)
 		}
 		return true, old
 	}

@@ -27,6 +27,7 @@ type OpStats struct {
 	// Ordered indexing (maps built with WithOrdered).
 	Scans         uint64 // Scan calls
 	ScanKeys      uint64 // keys emitted across all scans
+	ScanFallbacks uint64 // Scan candidates read through a hash lookup: empty or stale hint
 	IScans        uint64 // IndexScan calls
 	IScanKeys     uint64 // keys emitted across all index scans
 	IdxCreates    uint64 // CreateIndex calls that registered an index
@@ -36,8 +37,8 @@ type OpStats struct {
 	Conflicts uint64 // conflicted point-op attempts, each followed by a backoff
 	// Escalations is never incremented; tests/bench/stacks.go and ladder.go are its only readers.
 	Escalations uint64
-	// SnapshotFallbacks and ScanFallbacks are never incremented; tests/bench/ladder.go is their only reader.
-	SnapshotFallbacks, ScanFallbacks uint64
+	// SnapshotFallbacks is never incremented; tests/bench/ladder.go is its only reader.
+	SnapshotFallbacks uint64
 }
 
 // Add accumulates o into s.
@@ -58,6 +59,7 @@ func (s *OpStats) Add(o OpStats) {
 	s.BatchKeys += o.BatchKeys
 	s.Scans += o.Scans
 	s.ScanKeys += o.ScanKeys
+	s.ScanFallbacks += o.ScanFallbacks
 	s.IScans += o.IScans
 	s.IScanKeys += o.IScanKeys
 	s.IdxCreates += o.IdxCreates
@@ -84,6 +86,7 @@ type opCounters struct {
 	batches, batchKeys  atomic.Uint64
 
 	scans, scanKeys       atomic.Uint64
+	scanFallbacks         atomic.Uint64
 	iscans, iscanKeys     atomic.Uint64
 	idxCreates            atomic.Uint64
 	idxSearches, idxSteps atomic.Uint64
@@ -98,7 +101,7 @@ func (c *opCounters) reset() {
 		&c.gets, &c.getHits, &c.puts, &c.inserts, &c.updates, &c.updateHits,
 		&c.deletes, &c.deleteHits, &c.cas, &c.casHits, &c.swaps, &c.swapHits,
 		&c.batches, &c.batchKeys,
-		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
+		&c.scans, &c.scanKeys, &c.scanFallbacks, &c.iscans, &c.iscanKeys,
 		&c.idxCreates, &c.idxSearches, &c.idxSteps,
 		&c.conflicts,
 	} {
@@ -117,6 +120,7 @@ func (c *opCounters) snapshot() OpStats {
 		Batches: c.batches.Load(), BatchKeys: c.batchKeys.Load(),
 		Scans:         c.scans.Load(),
 		ScanKeys:      c.scanKeys.Load(),
+		ScanFallbacks: c.scanFallbacks.Load(),
 		IScans:        c.iscans.Load(),
 		IScanKeys:     c.iscanKeys.Load(),
 		IdxCreates:    c.idxCreates.Load(),
