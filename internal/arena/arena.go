@@ -61,14 +61,19 @@ func makeHandle(slot, gen uint64) Handle {
 	return Handle(slot | (gen&genMask)<<genShift)
 }
 
-type entry[T any] struct {
-	gen uint64 // next generation to mint; written only while slot is free
-	val T
+// chunk is one block of slots. gens[i] is the next generation to mint
+// for slot i, written only while the slot is free. Keeping generations
+// in a side array makes a slot exactly one T, and a chunk is one large
+// allocation that starts on a page boundary, so a T whose size is a
+// multiple of 64 B never straddles a cache line.
+type chunk[T any] struct {
+	vals [chunkSize]T
+	gens [chunkSize]uint16
 }
 
 // Arena is a chunked generational arena of T.
 type Arena[T any] struct {
-	chunks []atomic.Pointer[[]entry[T]]
+	chunks []atomic.Pointer[chunk[T]]
 
 	// next is the bump cursor over never-yet-used slot numbers.
 	next atomic.Uint64
@@ -84,7 +89,7 @@ type Arena[T any] struct {
 // New returns an empty arena. Slot number 0 is permanently reserved so
 // that Handle(0) can serve as nil.
 func New[T any]() *Arena[T] {
-	a := &Arena[T]{chunks: make([]atomic.Pointer[[]entry[T]], maxChunks)}
+	a := &Arena[T]{chunks: make([]atomic.Pointer[chunk[T]], maxChunks)}
 	a.next.Store(1)
 	return a
 }
@@ -103,10 +108,10 @@ func (a *Arena[T]) Alloc() (Handle, *T) {
 			a.free = a.free[:n-1]
 			a.nfree.Store(int64(n - 1))
 			a.mu.Unlock()
-			e := a.entryOf(h.slot())
+			c, i := a.chunkOf(h.slot())
 			var zero T
-			e.val = zero
-			return h, &e.val
+			c.vals[i] = zero
+			return h, &c.vals[i]
 		}
 		a.mu.Unlock()
 	}
@@ -115,8 +120,8 @@ func (a *Arena[T]) Alloc() (Handle, *T) {
 	if slot >= uint64(maxChunks)*chunkSize {
 		panic("arena: exhausted")
 	}
-	e := a.entryOf(slot) // installs the chunk if needed
-	return makeHandle(slot, e.gen), &e.val
+	c, i := a.chunkOf(slot) // installs the chunk if needed
+	return makeHandle(slot, uint64(c.gens[i])), &c.vals[i]
 }
 
 // Get resolves a handle to its slot. Get does not validate the
@@ -124,7 +129,8 @@ func (a *Arena[T]) Alloc() (Handle, *T) {
 // protocol violation that epoch-based reclamation exists to prevent. Use
 // Validate in assertions and tests.
 func (a *Arena[T]) Get(h Handle) *T {
-	return &a.entryOf(h.slot()).val
+	c, i := a.chunkOf(h.slot())
+	return &c.vals[i]
 }
 
 // Validate reports whether h currently names a live slot of the right
@@ -138,7 +144,8 @@ func (a *Arena[T]) Validate(h Handle) bool {
 	if slot >= a.next.Load() {
 		return false
 	}
-	return a.entryOf(slot).gen == h.Gen()
+	c, i := a.chunkOf(slot)
+	return uint64(c.gens[i]) == h.Gen()
 }
 
 // Free recycles the slot named by h. The caller must guarantee that no
@@ -149,15 +156,15 @@ func (a *Arena[T]) Free(h Handle) {
 	if h.IsNil() {
 		panic("arena: free of nil handle")
 	}
-	e := a.entryOf(h.slot())
-	if e.gen != h.Gen() {
+	c, i := a.chunkOf(h.slot())
+	if uint64(c.gens[i]) != h.Gen() {
 		panic(fmt.Sprintf("arena: double free or stale free of %#x (slot gen %d, handle gen %d)",
-			uint64(h), e.gen, h.Gen()))
+			uint64(h), c.gens[i], h.Gen()))
 	}
-	e.gen = (e.gen + 1) & genMask
+	c.gens[i]++ // a uint16: wraps at genMask
 	a.frees.Add(1)
 	a.mu.Lock()
-	a.free = append(a.free, makeHandle(h.slot(), e.gen))
+	a.free = append(a.free, makeHandle(h.slot(), uint64(c.gens[i])))
 	a.nfree.Store(int64(len(a.free)))
 	a.mu.Unlock()
 }
@@ -169,17 +176,18 @@ func (a *Arena[T]) Reclaim(h uint64) { a.Free(Handle(h)) }
 // Live returns the number of currently allocated slots.
 func (a *Arena[T]) Live() uint64 { return a.allocs.Load() - a.frees.Load() }
 
-// entryOf resolves a slot number, installing its chunk on first touch.
-func (a *Arena[T]) entryOf(slot uint64) *entry[T] {
+// chunkOf resolves a slot number to its chunk and index there,
+// installing the chunk on first touch.
+func (a *Arena[T]) chunkOf(slot uint64) (*chunk[T], uint64) {
 	ci := slot >> chunkShift
 	p := a.chunks[ci].Load()
 	if p == nil {
-		fresh := make([]entry[T], chunkSize)
-		if a.chunks[ci].CompareAndSwap(nil, &fresh) {
-			p = &fresh
+		fresh := new(chunk[T])
+		if a.chunks[ci].CompareAndSwap(nil, fresh) {
+			p = fresh
 		} else {
 			p = a.chunks[ci].Load()
 		}
 	}
-	return &(*p)[slot&idxMask]
+	return p, slot & idxMask
 }

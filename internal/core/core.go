@@ -280,6 +280,14 @@ func (c *Cell) Init(v Value) {
 	atomic.StoreUint64(&c.data, uint64(v))
 }
 
+// Touch loads the cell's data word with one atomic read, outside any
+// transaction. Under LayoutVal the word may be a writer's lock word
+// (word.Locked). Multi-key readers touch the cells their transactions
+// are about to read, so that independent cache misses overlap instead of
+// being taken one after another; the transaction re-reads every cell it
+// uses.
+func (c *Cell) Touch() uint64 { return atomic.LoadUint64(&c.data) }
+
 // Var addresses one transactional word: the data word plus the location
 // of its meta-data under the engine's layout.
 type Var struct {

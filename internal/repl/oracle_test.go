@@ -7,6 +7,9 @@
 //     history: the checker decodes it up to that offset.
 //   - Monotonic reads: a reader pinned to one replica never observes a
 //     key's version going backwards.
+//   - Atomic SWAP2: a replica applies a swap record in one commit, so a
+//     replica MGET of a swapped pair never sees one key swapped and the
+//     other not.
 //
 // Writers own disjoint key spaces (uniform + zipf pickers within each),
 // so per-key version order equals per-key WAL order — racing writers on
@@ -157,9 +160,9 @@ func dumpMap(th *shardmap.Thread) map[string]uint64 {
 
 // TestOracleReplication is the acceptance-criteria oracle: mixed writes
 // on the primary, concurrent reads on 2 replicas, a prefix check of
-// each whole replica at every batch boundary, monotonic-read checking
-// throughout, exact convergence at the end. ≥1000 iterations per writer
-// even under -short.
+// each whole replica at every batch boundary, monotonic-read and
+// untorn-swap checking throughout, exact convergence at the end. ≥1000
+// iterations per writer even under -short.
 func TestOracleReplication(t *testing.T) {
 	const writers = 3
 	const nkeys = 96
@@ -274,6 +277,35 @@ func TestOracleReplication(t *testing.T) {
 		}(i, w)
 	}
 
+	// A swapper owns a few key pairs, each holding two distinct values,
+	// and swaps them. Its pairs are written only by Swap2 once created.
+	const pairs = 4
+	pairKeys := func(i int) []string { return []string{fmt.Sprintf("p%d-a", i), fmt.Sprintf("p%d-b", i)} }
+	pairVal := func(i, j int) uint64 { return uint64(10*i + j + 1) }
+	swapMirror := map[string]uint64{}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		th := m.NewThread()
+		for i := 0; i < pairs; i++ {
+			for j, k := range pairKeys(i) {
+				th.Put(k, word.FromUint(pairVal(i, j)))
+				swapMirror[k] = pairVal(i, j)
+			}
+		}
+		for s := 0; s < steps && !t.Failed(); s++ {
+			ks := pairKeys(s % pairs)
+			if !th.Swap2(ks[0], ks[1]) {
+				t.Errorf("swap %d: Swap2(%q, %q) found a key absent", s, ks[0], ks[1])
+				return
+			}
+			swapMirror[ks[0]], swapMirror[ks[1]] = swapMirror[ks[1]], swapMirror[ks[0]]
+			if s%40 == 39 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
 	// Monotonic readers: one per replica, over every writer's key
 	// space, tracking each key's highest observed version.
 	var rwg sync.WaitGroup
@@ -299,6 +331,28 @@ func TestOracleReplication(t *testing.T) {
 			}
 		}(ri, r.Map().NewThread())
 	}
+	// Swap readers: one per replica, MGETting a pair at a time. Once
+	// both keys exist the pair must hold its two values, one each.
+	for ri, r := range reps {
+		rwg.Add(1)
+		go func(ri int, th *shardmap.Thread) {
+			defer rwg.Done()
+			vals := make([]shardmap.Value, 2)
+			found := make([]bool, 2)
+			for n := 0; !stop.Load() && !t.Failed(); n++ {
+				i := n % pairs
+				th.GetBatch(pairKeys(i), vals, found)
+				if !found[0] || !found[1] {
+					continue
+				}
+				a, b := vals[0].Uint(), vals[1].Uint()
+				if a == b || a+b != pairVal(i, 0)+pairVal(i, 1) || (a != pairVal(i, 0) && a != pairVal(i, 1)) {
+					t.Errorf("replica %d: MGET of pair %d read (%d, %d): a torn SWAP2", ri, i, a, b)
+					return
+				}
+			}
+		}(ri, r.Map().NewThread())
+	}
 	wg.Wait()
 	stop.Store(true)
 	rwg.Wait()
@@ -313,6 +367,9 @@ func TestOracleReplication(t *testing.T) {
 		for k, v := range w.mirror {
 			want[k] = v
 		}
+	}
+	for k, v := range swapMirror {
+		want[k] = v
 	}
 	requireEqualMaps(t, dumpMap(m.NewThread()), want, "primary vs mirrors")
 	pos := src.Position()

@@ -17,17 +17,21 @@ import (
 //	GET k            ShortRO2 (node.next, node.val)
 //	SET k v, update  ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	SET k v, insert  chain walk + SingleCAS (clones the key: the only
-//	                 hot command that must retain bytes beyond the call)
+//	                 hot command that must retain bytes beyond the call);
+//	                 ShortRW2 (pred link, entry.hint) with an ordered
+//	                 index: the publish also sets the entry's hint
 //	DEL k            ShortRW2 mark + unlink (ShortRW3 with an ordered
 //	                 index: the unlink also clears the entry's hint)
 //	CAS k old new    ShortRO2 + Upgrade2 → ShortRO2RW1 combined commit
 //	SWAP2 k1 k2      ShortRO2 + LockRead×2 → ShortRO2RW2 combined commit
 //	MGET k1 k2       ShortRO4 (both keys present and distinct)
-//	MGET k1..kn      one full read-only transaction
-//	SCAN s e n       ordered walk; one SingleRead per link + one
-//	                 ShortRO3 (hint, node.next, node.val) per candidate;
-//	                 a missing or stale hint costs a hash lookup
-//	                 (ShortRO2) and a ShortRO1RW1 hint refresh
+//	MGET k1..kn      bucket heads and first nodes touched, then one
+//	                 full read-only transaction
+//	SCAN s e n       a hash lookup to a live start key's entry (a
+//	                 descent otherwise), then an ordered walk: two
+//	                 SingleReads (link, hint) per entry, the hinted nodes
+//	                 touched a page at a time, and one ShortRO3 (hint,
+//	                 node.next, node.val) per candidate
 //	ISCAN ix s e n   ordered walk over a secondary index's composite
 //	                 entries; a hash lookup (ShortRO2) per candidate
 //	IDXCREATE ix k   cold path: registers + backfills a secondary index

@@ -36,10 +36,7 @@ func (x *Thread) Apply(r wal.Record) error {
 		x.Delete(borrow(r.Key))
 		return nil
 	case wal.OpSwap2:
-		if err := x.applyAssign(r.Key, r.Val); err != nil {
-			return err
-		}
-		return x.applyAssign(r.Key2, r.Val2)
+		return x.applySwap2(r)
 	case wal.OpPut, wal.OpCAS:
 		return x.applyAssign(r.Key, r.Val)
 	case wal.OpEpoch:
@@ -56,6 +53,36 @@ func (x *Thread) Apply(r wal.Record) error {
 	default:
 		return fmt.Errorf("%w: unknown record op %d", wal.ErrCorrupt, r.Op)
 	}
+}
+
+// applySwap2 applies a SWAP2 record — both keys' new values — as one
+// ShortRO2RW2 commit, logged as one OpSwap2 record, so a concurrent
+// reader never sees half of it. The keys were both present when the
+// swap ran; if one is absent here (a replica whose snapshot bootstrap
+// raced the swap, or a replay over a fuzzy snapshot) the record falls
+// back to two assignments.
+func (x *Thread) applySwap2(r wal.Record) error {
+	if r.Val&3 != 0 || r.Val2&3 != 0 {
+		return fmt.Errorf("%w: swap values %#x, %#x have reserved bits set", wal.ErrCorrupt, r.Val, r.Val2)
+	}
+	k1, k2 := borrow(r.Key), borrow(r.Key2)
+	v1, v2 := word.Value(r.Val), word.Value(r.Val2)
+	if k1 != k2 {
+		x.t.Epoch.Enter()
+		old1, old2, ok := x.set2(x.m.hash(k1), x.m.hash(k2), k1, k2, false, v1, v2)
+		x.t.Epoch.Exit()
+		if ok {
+			x.logSwap2(k1, v1, k2, v2)
+			x.secUpdate(k1, old1, true, v1, true)
+			x.secUpdate(k2, old2, true, v2, true)
+			count(&x.ops.swaps, &x.ops.swapHits, true)
+			return nil
+		}
+	}
+	if err := x.applyAssign(r.Key, r.Val); err != nil {
+		return err
+	}
+	return x.applyAssign(r.Key2, r.Val2)
 }
 
 // applyAssign sets key ← val, updating in place when the key exists

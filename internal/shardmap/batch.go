@@ -4,8 +4,13 @@
 // batch that must prove a key's absence, which needs the walk's links in
 // the validated read set — runs as one ordinary read-only transaction,
 // which composes with the short-transaction hot paths on the same
-// meta-data (the paper's mixing property, §2.2/§3).
+// meta-data (the paper's mixing property, §2.2/§3). Before a batch wider
+// than two keys starts its transaction it touches every key's bucket
+// head and then every chain's first node, so those independent cache
+// misses overlap instead of being taken one key at a time.
 package shardmap
+
+import "spectm/internal/word"
 
 // GetBatch reads up to len(keys) keys as one atomic snapshot: vals[i] and
 // found[i] report key i as of a single linearization point. vals and
@@ -78,11 +83,18 @@ func (x *Thread) getBatchFull(keys []string, vals []Value, found []bool) {
 	t := x.t
 	t.Epoch.Enter()
 	defer t.Epoch.Exit()
+	x.bhash = x.bhash[:0]
+	for _, key := range keys {
+		x.bhash = append(x.bhash, x.m.hash(key))
+	}
+	if len(keys) > 2 {
+		x.touchBatch()
+	}
 	for attempt := 1; ; attempt++ {
 		t.TxStart()
 		stale := false
 		for i, key := range keys {
-			v, f, ok := x.txLookup(key)
+			v, f, ok := x.txLookup(key, x.bhash[i])
 			if !ok {
 				stale = true
 				break
@@ -99,12 +111,30 @@ func (x *Thread) getBatchFull(keys []string, vals []Value, found []bool) {
 	}
 }
 
-// txLookup resolves one key inside the open full transaction. ok=false
-// means a marked (unlinked or migrated) link was crossed and the whole
-// batch must restart.
-func (x *Thread) txLookup(key string) (Value, bool, bool) {
+// touchBatch touches, for every hash in x.bhash, the key's bucket head
+// in its shard's current table, and then the first node of every chain
+// that is not empty. Each loop's loads are independent of one another.
+// The transaction re-reads everything it uses, so a touch that misses
+// the key's chain (a resize in flight) costs only the load. The caller
+// holds an epoch pin, which keeps any node a head names allocated.
+func (x *Thread) touchBatch() {
+	x.bhead = x.bhead[:0]
+	for _, h := range x.bhash {
+		tb := x.m.shardOf(h).state.Load().cur
+		x.bhead = append(x.bhead, tb.buckets[x.m.bidx(tb, h)].Touch())
+	}
+	for i, w := range x.bhead {
+		if v := word.Value(w); !word.Locked(w) && !v.Marked() && !v.IsNull() {
+			x.sink += x.m.shardOf(x.bhash[i]).a.Get(dec(v)).next.Touch()
+		}
+	}
+}
+
+// txLookup resolves one key (whose map hash is h) inside the open full
+// transaction. ok=false means a marked (unlinked or migrated) link was
+// crossed and the whole batch must restart.
+func (x *Thread) txLookup(key string, h uint64) (Value, bool, bool) {
 	t := x.t
-	h := x.m.hash(key)
 	sh := x.m.shardOf(h)
 	st := sh.state.Load()
 	tb := st.cur

@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -65,22 +66,74 @@ func BenchmarkMapGetBatch2(b *testing.B) {
 	}
 }
 
-// BenchmarkMapScan32 is one 32-key Scan from a random start, its
-// candidates read through their hints (the first pass over the map
-// fills them).
+// BenchmarkMapScan32 is one 32-key Scan from a random live start key,
+// every candidate read through its hint.
 func BenchmarkMapScan32(b *testing.B) {
 	m, keys := benchMap(1<<14, WithOrdered())
+	benchScan32(b, m, keys)
+}
+
+func benchScan32(b *testing.B, m *Map, keys []string) {
 	th := m.NewThread()
 	r := rng.New(1)
 	sk := make([]string, 0, 32)
 	sv := make([]Value, 0, 32)
-	sk, sv, _ = th.Scan("", "", 0, sk, sv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk, sv, _ = th.Scan(keys[r.Intn(uint64(len(keys)))], "", 32, sk[:0], sv[:0])
 		if len(sk) == 0 {
 			b.Fatal("empty scan")
+		}
+	}
+}
+
+// largeMap is an ordered map of 1 Mi keys, inserted in scrambled order
+// so that neither the hash nodes nor the index entries lie in key order
+// in memory. At this size (about 350 MB) a scan's or a batch's reads
+// miss the caches, as they do in the server under the wire-read
+// workload. It is built once per test binary.
+var largeMap = sync.OnceValues(func() (*Map, []string) {
+	const n = 1 << 20
+	e := core.New(core.Config{Layout: core.LayoutVal})
+	m := New(e, WithOrdered(), WithInitialBuckets(n/8))
+	th := m.NewThread()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%012d", i)
+	}
+	for i := uint64(0); i < n; i++ {
+		j := i * 0x9e3779b97f4a7c15 & (n - 1) // odd multiplier: a bijection on [0, n)
+		th.Put(keys[j], word.FromUint(j))
+	}
+	return m, keys
+})
+
+// BenchmarkMapScan32Large is BenchmarkMapScan32 on the 1 Mi-key map.
+func BenchmarkMapScan32Large(b *testing.B) {
+	m, keys := largeMap()
+	benchScan32(b, m, keys)
+}
+
+// BenchmarkMapGetBatch8Large is one 8-key GetBatch of random keys on
+// the 1 Mi-key map: a full read-only transaction after the batch's
+// bucket heads and first nodes are touched.
+func BenchmarkMapGetBatch8Large(b *testing.B) {
+	m, keys := largeMap()
+	th := m.NewThread()
+	r := rng.New(1)
+	batch := make([]string, 8)
+	vals := make([]Value, 8)
+	found := make([]bool, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j] = keys[r.Intn(uint64(len(keys)))]
+		}
+		th.GetBatch(batch, vals, found)
+		if !found[0] {
+			b.Fatal("miss")
 		}
 	}
 }

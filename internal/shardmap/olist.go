@@ -37,6 +37,8 @@
 //	search step        Tx_Single_Read (+ Tx_Single_CAS helping)
 //	take reference     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
 //	insert (publish)   Tx_Single_CAS on the predecessor's level-0 link
+//	                   (the map's own insert then publishes the key's
+//	                   hash node with ShortRW2(pred link, entry.hint))
 //	insert (raise)     ShortRW2 over (node.nextL, pred.nextL) per level
 //	drop (cnt > 1)     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
 //	drop (mark level)  ShortRW2 over (cnt, node.nextL) per level
@@ -84,13 +86,13 @@ const (
 // sit against the tower because those are what a search step reads: p0,
 // p1 and next[lv] are 40 contiguous bytes at level 0 and 56 at level 1;
 // hint, key and hash, which a scan reads with next[0], come just before
-// them. With the arena's generation word an entry is 248 B
-// (TestInodeLayout).
+// them. An entry is 240 B; the arena keeps its generation in a side
+// array (TestInodeLayout).
 type inode struct {
 	split  int32 // secondary entries: length of the index-key half of key
 	lvl    int32
 	cnt    core.Cell
-	hint   core.Cell // primary index: the key's hash node, or empty (see ordered.go)
+	hint   core.Cell // primary index: the key's hash node, empty iff the key is not live (see ordered.go)
 	key    string
 	hash   uint64 // primary index: the key's map hash, for Scan's verification
 	p0, p1 uint64 // prefixWords(key)
@@ -222,10 +224,10 @@ restart:
 }
 
 // add takes one reference on key's entry, inserting the entry at a
-// geometric random level when absent. hash (the primary index's cached
-// map hash) and split (secondary composite keys) are recorded on a fresh
-// entry. The caller holds an epoch pin.
-func (ol *olist) add(x *Thread, key string, hash uint64, split int) {
+// geometric random level when absent, and returns the entry. hash (the
+// primary index's cached map hash) and split (secondary composite keys)
+// are recorded on a fresh entry. The caller holds an epoch pin.
+func (ol *olist) add(x *Thread, key string, hash uint64, split int) arena.Handle {
 	var spare arena.Handle
 	for attempt := 1; ; attempt++ {
 		h, found := ol.search(x, key)
@@ -241,7 +243,7 @@ func (ol *olist) add(x *Thread, key string, hash uint64, split int) {
 				if !spare.IsNil() {
 					ol.a.Free(spare) // lost an earlier insert race; never published
 				}
-				return
+				return h
 			}
 			x.t.Backoff(attempt)
 			continue
@@ -260,7 +262,7 @@ func (ol *olist) add(x *Thread, key string, hash uint64, split int) {
 			continue // publish race; retry from a fresh search
 		}
 		ol.raise(x, spare, n)
-		return
+		return spare
 	}
 }
 

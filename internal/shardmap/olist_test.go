@@ -60,12 +60,13 @@ func FuzzPrefixOrder(f *testing.F) {
 }
 
 // TestInodeLayout pins what DESIGN.md's cost model rests on: the entry
-// size (bytes_per_key), the words a search step reads lying side by
-// side, and the hint a scan reads sitting next to the key and hash.
+// size (bytes_per_key; the arena keeps generations in a side array), the
+// words a search step reads lying side by side, and the hint a scan
+// reads sitting next to the key and hash.
 func TestInodeLayout(t *testing.T) {
 	var n inode
-	if got := unsafe.Sizeof(n) + 8; got != 248 { // + the arena's generation word
-		t.Errorf("arena entry is %d B, want 248", got)
+	if got := unsafe.Sizeof(n); got != 240 {
+		t.Errorf("entry is %d B, want 240", got)
 	}
 	if p, nx := unsafe.Offsetof(n.p0), unsafe.Offsetof(n.next); nx-p != 16 {
 		t.Errorf("prefix words at %d, tower at %d: want them adjacent", p, nx)

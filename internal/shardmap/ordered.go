@@ -8,41 +8,36 @@
 //
 // # Hash-node hints
 //
-// Every primary entry carries a transactional hint word naming the
-// key's hash node and the sequence number of the shard table that node
-// was found in. Scan reads a candidate through it as one ShortRO3 over
-// (entry.hint, node.next, node.val), with no hash-chain walk, and falls
-// back to lookupLive when the hint is empty or stale. The invariant:
+// Every primary entry carries a transactional hint word, and every hash
+// node of an ordered map the immutable handle of its key's entry
+// (node.ent). The hint is exact:
 //
-//	hint = (h, s), s the shard's current table, no resize in flight
-//	  ⟹  h is linked
+//	hint = h  ⟺  h ≠ 0, h linked, h's key the entry's key
+//	hint = 0  ⟺  the key is not live
 //
-// Three rules keep it. Delete writes the hint empty in the commit that
-// unlinks the node (see del). A grow starts a table with the next
-// sequence number, and migration unlinks nodes only during a grow. Only
-// Scan writes hints, after a fallback lookup: ShortRO1(node.next) +
-// LockRead(entry.hint) → ShortRO1RW1, whose commit validates the node
-// still linked. A refresh that loses is dropped, not retried. Put writes
-// no hint, so inserts pay nothing.
+// Every commit that changes which node of a key is linked writes the
+// hint: an insert publishes with ShortRW2(pred link, entry.hint) (see
+// putLoop), a delete unlinks with ShortRW3(node.next, prev, entry.hint)
+// (see del), and migration writes each copy into its entry's hint in
+// the full transaction that marks the originals (see migrateBucket).
+// Nothing else links or unlinks a node, and a fresh entry's hint is
+// empty, so every commit preserves the invariant.
 //
-// Safety comes from the epoch pin, not from arena generations. Scan
-// checks the shard state after reading the hint; a hint read as a
-// committed value under the pin, and passing that check, names a node
-// that was linked at the read, so it cannot have been retired before
-// the pin began and its slot is not recycled before the pin ends. (An
-// entry that is removed can still take a refresh from a scan that was
-// already on it, naming a node of a later incarnation of the key; that
-// node was linked after the entry was marked, and every scan that can
-// still reach the entry pinned before that.) The three reads then
-// validate together: an unmarked link read with the hint is the key
-// live with that value.
+// Scan reads a candidate as one ShortRO3 over (entry.hint, node.next,
+// node.val), with no hash-chain walk: an empty hint is the key not live,
+// and a validated snapshot with hint = h has h linked, so node.next is
+// unmarked and node.val is the key's value at that point. The node is
+// safe to dereference under the epoch pin: a hint read as a committed
+// value names a node linked at the read, which cannot have been retired
+// before the pin began. From a live start key a scan also skips the
+// index descent: one hash lookup finds the key's node, and the node's
+// entry is where the walk begins.
 package shardmap
 
 import (
 	"errors"
 
 	"spectm/internal/arena"
-	"spectm/internal/core"
 	"spectm/internal/word"
 )
 
@@ -60,31 +55,26 @@ func WithOrdered() Option { return func(c *config) { c.ordered = true } }
 // Ordered reports whether the map maintains the ordered index.
 func (m *Map) Ordered() bool { return m.ordered != nil }
 
-// hintSeqBits is the width of a hint's table sequence number, below the
-// 48-bit arena handle. A shard's table doubles per grow, so its
-// sequence number never comes near 2^14.
-const hintSeqBits = 14
+// scanPage is how many candidates Scan collects from one level-0 walk
+// before it reads them (see Scan).
+const scanPage = 32
 
-func encHint(h arena.Handle, seq uint64) word.Value {
-	return word.FromUint(uint64(h)<<hintSeqBits | seq)
-}
-
-func decHint(v word.Value) (arena.Handle, uint64) {
-	u := v.Uint()
-	return arena.Handle(u >> hintSeqBits), u & (1<<hintSeqBits - 1)
-}
-
-// scanRefreshHook, when a test sets it, runs inside a hint refresh,
-// between the read of the node's link and the lock of the hint.
-var scanRefreshHook func()
+// scanReadHook, when a test sets it, runs inside scanRead between the
+// read of a key's hint and the reads of the node it names.
+var scanReadHook func(key string)
 
 // Scan appends to keys and vals every live key k with start ≤ k < end
 // (end == "" means unbounded) in ascending order, up to limit entries
 // (limit ≤ 0 means unlimited), and returns the extended slices. Each
-// candidate from the ordered index is verified against the hash map, so
-// only currently live keys are emitted. Each value is the key's current
-// one, read with the key's liveness link in one short transaction (see
-// scanRead) with no point shared across keys.
+// candidate from the ordered index is verified against the hash map
+// through its entry's hint, so only currently live keys are emitted.
+// Each value is the key's current one, read with the key's liveness
+// link in one short transaction (see scanRead) with no point shared
+// across keys.
+//
+// The walk runs in pages. A page walks level 0 and collects up to
+// scanPage entries with their hints, touches the hinted nodes so their
+// cache misses overlap, and only then reads each candidate.
 func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value) ([]string, []Value, error) {
 	ol := x.m.ordered
 	if ol == nil {
@@ -92,28 +82,47 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 	}
 	n0 := len(keys)
 	x.t.Epoch.Enter()
-	ol.search(x, start)
 	e0, e1 := prefixWords(end)
-	link := x.isuccs[0]
+	link := x.scanStart(ol, start)
 	for !link.IsNull() {
-		h := dec(link)
-		n := ol.a.Get(h)
-		nv := x.t.SingleRead(ol.nextVar(h, n, 0))
-		if nv.Marked() {
-			link = nv.WithoutMark() // dead entry, already spliced; skip
-			continue
+		want := scanPage
+		if limit > 0 && limit-(len(keys)-n0) < want {
+			want = limit - (len(keys) - n0)
 		}
-		if end != "" && !n.less(e0, e1, end) {
-			break
-		}
-		if v, ok := x.scanRead(ol, h, n); ok {
-			keys = append(keys, n.key)
-			vals = append(vals, v)
-			if limit > 0 && len(keys)-n0 >= limit {
+		np := 0
+		for np < want && !link.IsNull() {
+			h := dec(link)
+			n := ol.a.Get(h)
+			nv := x.t.SingleRead(ol.nextVar(h, n, 0))
+			if nv.Marked() {
+				link = nv.WithoutMark() // dead entry, already spliced; skip
+				continue
+			}
+			if end != "" && !n.less(e0, e1, end) {
+				link = word.Null
 				break
 			}
+			x.sents[np], x.shints[np] = h, x.t.SingleRead(ol.hintVar(h, n))
+			np++
+			link = nv
 		}
-		link = nv
+		for i := 0; i < np; i++ {
+			if hint := x.shints[i]; !hint.IsNull() {
+				sh := x.m.shardOf(ol.a.Get(x.sents[i]).hash)
+				x.sink += sh.a.Get(dec(hint)).next.Touch()
+			}
+		}
+		for i := 0; i < np; i++ {
+			h := x.sents[i]
+			n := ol.a.Get(h)
+			if v, ok := x.scanRead(ol, h, n); ok {
+				keys = append(keys, n.key)
+				vals = append(vals, v)
+			}
+		}
+		if limit > 0 && len(keys)-n0 >= limit {
+			break
+		}
 	}
 	x.t.Epoch.Exit()
 	x.ops.scans.Add(1)
@@ -121,23 +130,58 @@ func (x *Thread) Scan(start, end string, limit int, keys []string, vals []Value)
 	return keys, vals, nil
 }
 
+// scanStart returns the level-0 link a scan from start begins at. When
+// start is live, that is start's own entry, found through its hash node
+// (node.ent) with no index descent; otherwise it is the first entry
+// ≥ start, found by a descent. The caller holds an epoch pin, and the
+// entry is safe to dereference under it: the node was linked when the
+// lookup read it, and an entry is removed only after its key's node is
+// unlinked.
+func (x *Thread) scanStart(ol *olist, start string) word.Value {
+	if start != "" {
+		h := x.m.hash(start)
+		sh := x.m.shardOf(h)
+		for {
+			_, _, cur, found, ok := x.search(sh, x.route(sh, h), h, start)
+			if !ok {
+				continue
+			}
+			if found {
+				eh := sh.a.Get(cur).ent
+				if !x.t.SingleRead(ol.nextVar(eh, ol.a.Get(eh), 0)).Marked() {
+					return enc(eh)
+				}
+			}
+			break
+		}
+	}
+	ol.search(x, start)
+	return x.isuccs[0]
+}
+
 // scanRead resolves the primary entry e (handle eh) against the hash
-// map: present right now, and if so its current value. A usable hint
-// reads both in ShortRO1(e.hint) → Extend(node.next) → Extend(node.val);
-// an empty or stale one, or a node a grow has since migrated, falls
-// back to lookupLive and one hint refresh. The caller holds an epoch
-// pin.
+// map: present right now, and if so its current value, read as
+// ShortRO1(e.hint) → Extend(node.next) → Extend(node.val). The hint is
+// exact (see the file comment), so an empty one is the key not live and
+// a validated read never finds the node unlinked. The caller holds an
+// epoch pin.
 func (x *Thread) scanRead(ol *olist, eh arena.Handle, e *inode) (Value, bool) {
 	m := x.m
 	sh := m.shardOf(e.hash)
 	hv := ol.hintVar(eh, e)
 	for attempt := 1; ; attempt++ {
 		ro, hint := x.t.ShortRO1(hv)
-		h, seq := decHint(hint)
-		if st := sh.state.Load(); h.IsNil() || st.old != nil || st.cur.seq != seq {
-			ro.Discard()
-			break
+		if hint.IsNull() {
+			if ro.Valid() {
+				return 0, false
+			}
+			x.t.Backoff(attempt)
+			continue
 		}
+		if scanReadHook != nil {
+			scanReadHook(e.key)
+		}
+		h := dec(hint)
 		n := sh.a.Get(h)
 		ro2, nv := ro.Extend(m.nextVar(sh, h, n))
 		ro3, v := ro2.Extend(m.valVar(sh, h, n))
@@ -146,42 +190,17 @@ func (x *Thread) scanRead(ol *olist, eh arena.Handle, e *inode) (Value, bool) {
 			continue
 		}
 		if nv.Marked() {
-			break // migrated by a grow that began after the state check
+			panic("shardmap: an entry's hint names an unlinked node")
 		}
 		return v, true
 	}
-	x.ops.scanFallbacks.Add(1)
-	v, h, seq, ok := x.lookupLive(e.key, e.hash)
-	if ok {
-		x.refreshHint(hv, sh, h, seq)
-	}
-	return v, ok
-}
-
-// refreshHint points the hint hv at node h, which lookupLive just found
-// live in sh's table seq: ShortRO1(node.next) + LockRead(hint) →
-// ShortRO1RW1, so the commit fails if the node was unlinked since. A
-// lost refresh is dropped; the next scan of the entry falls back again.
-func (x *Thread) refreshHint(hv core.Var, sh *shard, h arena.Handle, seq uint64) {
-	n := sh.a.Get(h)
-	ro, nv := x.t.ShortRO1(x.m.nextVar(sh, h, n))
-	if nv.Marked() {
-		ro.Discard()
-		return
-	}
-	if scanRefreshHook != nil {
-		scanRefreshHook()
-	}
-	c, _ := ro.LockRead(hv)
-	c.Commit(encHint(h, seq))
 }
 
 // lookupLive resolves key (whose map hash is h) against the hash map:
 // present right now, and if so its current committed value, read with
-// the node's liveness link in one ShortRO2, plus the node's handle and
-// the sequence number of the table it was found in. The caller holds an
-// epoch pin.
-func (x *Thread) lookupLive(key string, h uint64) (Value, arena.Handle, uint64, bool) {
+// the node's liveness link in one ShortRO2. IndexScan verifies its
+// candidates with it. The caller holds an epoch pin.
+func (x *Thread) lookupLive(key string, h uint64) (Value, bool) {
 	m := x.m
 	sh := m.shardOf(h)
 	for attempt := 1; ; attempt++ {
@@ -191,7 +210,7 @@ func (x *Thread) lookupLive(key string, h uint64) (Value, arena.Handle, uint64, 
 			continue
 		}
 		if !found {
-			return 0, 0, 0, false
+			return 0, false
 		}
 		n := sh.a.Get(cur)
 		d, nv, vv := x.t.ShortRO2(m.nextVar(sh, cur, n), m.valVar(sh, cur, n))
@@ -202,6 +221,6 @@ func (x *Thread) lookupLive(key string, h uint64) (Value, arena.Handle, uint64, 
 		if nv.Marked() {
 			continue
 		}
-		return vv, cur, tb.seq, true
+		return vv, true
 	}
 }

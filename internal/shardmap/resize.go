@@ -34,7 +34,7 @@ func (x *Thread) maybeGrow(sh *shard) {
 //
 //spectm:coldpath
 func (x *Thread) grow(sh *shard, old *table) {
-	nt := x.m.newTable(2*len(old.buckets), old.seq+1)
+	nt := x.m.newTable(2 * len(old.buckets))
 	sh.state.Store(&tables{cur: nt, old: old})
 	for b := range old.buckets {
 		x.migrateBucket(sh, old, nt, uint64(b))
@@ -46,13 +46,16 @@ func (x *Thread) grow(sh *shard, old *table) {
 // full transaction: it snapshots the chain, builds fresh copies of every
 // node split across the two target buckets, publishes the copies, marks
 // every old link and installs the marked-null sentinel as the old head.
-// Operations that raced the commit fail their CAS or validation against
-// the marked links and re-route.
+// With the ordered index on, the same commit points each key's hint at
+// its copy, so a hint never names a migrated node. Operations that raced
+// the commit fail their CAS or validation against the marked links and
+// re-route.
 func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 	t := x.t
 	t.Epoch.Enter()
 	defer t.Epoch.Exit()
 	oldHead := x.m.bucketVar(old, b)
+	ol := x.m.ordered
 	for attempt := 1; ; attempt++ {
 		// Drop copies built by a failed previous attempt.
 		for _, h := range x.mcopy {
@@ -86,6 +89,15 @@ func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 			continue
 		}
 
+		if ol != nil {
+			// The commit locks and writes every entry's hint, one after
+			// another. Touch them first, in a loop whose loads do not
+			// wait for each other, so their misses overlap.
+			for _, h := range x.mchain {
+				x.sink += ol.a.Get(sh.a.Get(h).ent).hint.Touch()
+			}
+		}
+
 		// Build the two split chains back-to-front; the old chain is
 		// sorted by (hash, key) and splitting preserves order.
 		var heads [2]word.Value
@@ -96,11 +108,14 @@ func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 				idx = 1
 			}
 			nh, nn := sh.a.Alloc()
-			nn.hash, nn.key = on.hash, on.key
+			nn.hash, nn.key, nn.ent = on.hash, on.key, on.ent
 			nn.val.Init(x.mvals[i])
 			nn.next.Init(heads[idx])
 			heads[idx] = enc(nh)
 			x.mcopy = append(x.mcopy, nh)
+			if ol != nil {
+				t.TxWrite(ol.hintVar(on.ent, ol.a.Get(on.ent)), enc(nh))
+			}
 		}
 		t.TxWrite(x.m.bucketVar(nt, b), heads[0])
 		t.TxWrite(x.m.bucketVar(nt, b+uint64(len(old.buckets))), heads[1])

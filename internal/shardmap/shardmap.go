@@ -6,12 +6,15 @@
 //	Get                ShortRO2 over (node.next, node.val)
 //	Put (update)       ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	Put (insert)       chain walk of Tx_Single_Reads + one Tx_Single_CAS
+//	                   (ShortRW2 over (pred link, entry.hint) with the
+//	                   ordered index; see putLoop)
 //	Delete             ShortRW2 over (node.next, prev link): mark + unlink
 //	                   (ShortRW3 with the ordered index's hint word; see del)
 //	CompareAndSwap     ShortRO2 + Upgrade2 → ShortRO2RW1 combined commit
 //	Swap2              ShortRO2 + LockRead×2 → ShortRO2RW2 combined commit
 //	GetBatch (2 keys)  ShortRO4 over both (next, val) pairs
-//	GetBatch (n keys)  one full transaction (read-only)
+//	GetBatch (n keys)  one full transaction (read-only), after touching
+//	                   every key's bucket head and first node
 //
 // Only the per-shard incremental resize falls back to full transactions:
 // each bucket chain is migrated in one ordinary transaction, so growth
@@ -80,13 +83,16 @@ const (
 // maxLoad is the average chain length that triggers a shard resize.
 const maxLoad = 4
 
-// node is one key/value pair. val and next are transactional words; key
-// and hash are immutable after publication.
+// node is one key/value pair. val and next are transactional words;
+// hash, key and ent are immutable after publication. A node is 64 B, so
+// in its page-aligned arena chunk it is exactly one cache line
+// (TestNodeLayout).
 type node struct {
 	hash uint64
 	key  string
 	val  core.Cell
 	next core.Cell
+	ent  arena.Handle // the key's primary index entry (ordered maps; see ordered.go)
 }
 
 // table is one bucket array generation of a shard.
@@ -94,7 +100,6 @@ type table struct {
 	buckets []core.Cell
 	mask    uint64
 	idBase  uint64 // orec identity base for bucket links
-	seq     uint64 // 1 for a shard's first table, +1 per grow (Scan's hints name it)
 }
 
 // tables is a shard's current view: old is non-nil only during a resize.
@@ -221,7 +226,7 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		sh := &m.shards[i]
 		sh.a = arena.New[node]()
 		sh.idTag = (uint64(i) + 1) << idShardShift
-		st := &tables{cur: m.newTable(nb, 1)}
+		st := &tables{cur: m.newTable(nb)}
 		sh.state.Store(st)
 	}
 	if cfg.ordered {
@@ -236,12 +241,11 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 }
 
 // newTable allocates a bucket array with a fresh identity range.
-func (m *Map) newTable(n int, seq uint64) *table {
+func (m *Map) newTable(n int) *table {
 	t := &table{
 		buckets: make([]core.Cell, n),
 		mask:    uint64(n - 1),
 		idBase:  idBucketBase + m.idSeq.Add(uint64(n)) - uint64(n),
-		seq:     seq,
 	}
 	for i := range t.buckets {
 		t.buckets[i].Init(word.Null)
@@ -291,6 +295,18 @@ type Thread struct {
 	// Range scratch: one bucket's chain, buffered per attempt
 	rkeys []string
 	rvals []word.Value
+
+	// GetBatch scratch: the keys' hashes and bucket-head words (touchBatch)
+	bhash []uint64
+	bhead []uint64
+
+	// Scan scratch: one page of candidate entries and the hints read
+	// with them (see Scan)
+	sents  [scanPage]arena.Handle
+	shints [scanPage]word.Value
+
+	// sink consumes the words a touch loads
+	sink uint64
 
 	// ordered-index search scratch: per-level predecessor link and the
 	// successor value it held (olist.search)
@@ -513,11 +529,14 @@ func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) (
 
 // putLoop inserts or updates key, reporting (inserted, replaced value).
 // With the ordered index on, a reference on key's index entry is taken
-// before the publishing CAS — so a scan can never miss a live key — and
-// released again if the insert loses to a concurrent writer and
-// degrades into an update.
+// before the node is published — so a scan can never miss a live key —
+// and released again if the insert loses to a concurrent writer and
+// degrades into an update. The node records the entry (node.ent), and
+// the publish is a ShortRW2 that writes the entry's hint in the same
+// commit as the predecessor link (see ordered.go, "Hash-node hints").
 func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *arena.Handle) (bool, Value) {
-	added := false
+	ol := x.m.ordered
+	var eh arena.Handle // key's index entry, once a reference is held
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		prev, link, cur, found, ok := x.search(sh, tb, h, key)
@@ -527,8 +546,8 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 		if found {
 			st, old := x.writeVal(sh, cur, val, attempt)
 			if st == writeDone {
-				if added {
-					x.m.ordered.drop(x, key) // insert lost; release the provisional reference
+				if !eh.IsNil() {
+					ol.drop(x, key) // insert lost; release the provisional reference
 				}
 				return false, old
 			}
@@ -539,16 +558,30 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			*spare, n = sh.a.Alloc()
 			n.hash, n.key = h, key
 		}
-		if x.m.ordered != nil && !added {
-			x.m.ordered.add(x, key, h, 0)
-			added = true
-		}
 		n := sh.a.Get(*spare)
 		n.val.Init(val)
 		n.next.Init(link)
-		if x.t.SingleCAS(prev, link, enc(*spare)) == link {
-			return true, 0
+		if ol == nil {
+			if x.t.SingleCAS(prev, link, enc(*spare)) == link {
+				return true, 0
+			}
+			continue
 		}
+		if eh.IsNil() {
+			eh = ol.add(x, key, h, 0)
+			n.ent = eh
+		}
+		d, pv, _ := x.t.ShortRW2(prev, ol.hintVar(eh, ol.a.Get(eh)))
+		if !d.Valid() {
+			x.conflict(attempt)
+			continue
+		}
+		if pv != link {
+			d.Abort() // the chain moved since the search
+			continue
+		}
+		d.Commit(enc(*spare), enc(*spare))
+		return true, 0
 	}
 }
 
@@ -556,7 +589,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 // paper's §3 mark-and-unlink as one short read-write transaction: the
 // node's own link is marked (so concurrent walkers restart) in the same
 // commit that splices it out of the chain and, with the ordered index
-// on, clears the hint Scan keeps in the key's index entry.
+// on, empties the hint in the key's index entry.
 //
 //spectm:noalloc
 func (x *Thread) Delete(key string) bool {
@@ -571,17 +604,11 @@ func (x *Thread) Delete(key string) bool {
 }
 
 // del unlinks key, reporting its final value (for secondary-index
-// maintenance). The ordered-index reference is released after the
-// unlink commit — the index entry outlives the key, never the reverse.
-//
-// With the ordered index on, each attempt whose hash search hits also
-// searches the index for key's entry, and the unlink commit is a
-// ShortRW3 that writes the entry's hint empty. The entry found is the
-// one the node holds its reference on: the commit proves the node still
-// linked, so it was linked when the index search ran, and a key's entry
-// cannot be removed while a node of the key is linked. The release then
-// commits against the predecessors that search left in the scratch, so
-// a delete still makes one index search.
+// maintenance). With the ordered index on, the unlink commit is a
+// ShortRW3 that also writes the hint of the node's entry (node.ent)
+// empty, and the node's reference on that entry is released after the
+// commit: the index entry outlives the key, never the reverse. The
+// release's search is the delete's one index search.
 func (x *Thread) del(h uint64, key string) (bool, Value) {
 	sh := x.m.shardOf(h)
 	ol := x.m.ordered
@@ -597,7 +624,6 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 			return false, 0
 		}
 		n := sh.a.Get(cur)
-		var eh arena.Handle
 		if ol == nil {
 			d, nv, pv := x.t.ShortRW2(x.m.nextVar(sh, cur, n), prev)
 			if !d.Valid() {
@@ -612,11 +638,7 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 			}
 			d.Commit(nv.WithMark(), nv)
 		} else {
-			var efound bool
-			if eh, efound = ol.search(x, key); !efound {
-				continue // the node was removed since the hash search
-			}
-			d, nv, pv, _ := x.t.ShortRW3(x.m.nextVar(sh, cur, n), prev, ol.hintVar(eh, ol.a.Get(eh)))
+			d, nv, pv, _ := x.t.ShortRW3(x.m.nextVar(sh, cur, n), prev, ol.hintVar(n.ent, ol.a.Get(n.ent)))
 			if !d.Valid() {
 				x.conflict(attempt)
 				continue
@@ -636,7 +658,7 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 		}
 		x.t.Epoch.Retire(sh.a, uint64(cur))
 		if ol != nil {
-			ol.release(x, key, eh)
+			ol.drop(x, key)
 		}
 		return true, old
 	}
@@ -712,21 +734,24 @@ func (x *Thread) swap2(k1, k2 string) bool {
 	}
 	h1, h2 := x.m.hash(k1), x.m.hash(k2)
 	x.t.Epoch.Enter()
-	nv1, nv2, ok := x.swap2Loop(h1, h2, k1, k2)
+	v1, v2, ok := x.set2(h1, h2, k1, k2, true, 0, 0)
 	x.t.Epoch.Exit()
 	if ok {
-		x.logSwap2(k1, nv1, k2, nv2)
-		// A swap's old values are the other key's new ones.
-		x.secUpdate(k1, nv2, true, nv1, true)
-		x.secUpdate(k2, nv1, true, nv2, true)
+		// A swap's new values are the other key's old ones.
+		x.logSwap2(k1, v2, k2, v1)
+		x.secUpdate(k1, v1, true, v2, true)
+		x.secUpdate(k2, v2, true, v1, true)
 	}
 	return ok
 }
 
-// swap2Loop performs the swap and, on success, reports the values the
-// keys now hold (k1 holds the first, k2 the second) for the durability
-// log.
-func (x *Thread) swap2Loop(h1, h2 uint64, k1, k2 string) (Value, Value, bool) {
+// set2 writes two distinct present keys in one combined short
+// transaction: both liveness links validate read-only while both value
+// words are locked and rewritten (ShortRO2RW2). With swap the keys
+// exchange values and v1, v2 are ignored; otherwise k1 gets v1 and k2
+// gets v2. It reports the values the commit replaced, or false when
+// either key is absent. The caller holds an epoch pin.
+func (x *Thread) set2(h1, h2 uint64, k1, k2 string, swap bool, v1, v2 Value) (Value, Value, bool) {
 	s1, s2 := x.m.shardOf(h1), x.m.shardOf(h2)
 	for attempt := 1; ; attempt++ {
 		_, _, c1, found1, ok1 := x.search(s1, x.route(s1, h1), h1, k1)
@@ -747,10 +772,13 @@ func (x *Thread) swap2Loop(h1, h2 uint64, k1, k2 string) (Value, Value, bool) {
 			d2.Discard()
 			continue
 		}
-		w1, v1 := d2.LockRead(x.m.valVar(s1, c1, n1))
-		w2, v2 := w1.LockRead(x.m.valVar(s2, c2, n2))
-		if w2.Commit(v2, v1) {
-			return v2, v1, true
+		w1, old1 := d2.LockRead(x.m.valVar(s1, c1, n1))
+		w2, old2 := w1.LockRead(x.m.valVar(s2, c2, n2))
+		if swap {
+			v1, v2 = old2, old1
+		}
+		if w2.Commit(v1, v2) {
+			return old1, old2, true
 		}
 		// A cross-shard op conflicts on its first key's shard: one shard
 		// keeps the thread's ticket count at most one (no queue deadlock).

@@ -25,9 +25,11 @@ type OpStats struct {
 	BatchKeys  uint64 // keys read across all batches
 
 	// Ordered indexing (maps built with WithOrdered).
-	Scans         uint64 // Scan calls
-	ScanKeys      uint64 // keys emitted across all scans
-	ScanFallbacks uint64 // Scan candidates read through a hash lookup: empty or stale hint
+	Scans    uint64 // Scan calls
+	ScanKeys uint64 // keys emitted across all scans
+	// ScanFallbacks is never incremented: a hint is exact, so Scan has no
+	// fallback. tests/bench/ladder.go and the server's STATS read it.
+	ScanFallbacks uint64
 	IScans        uint64 // IndexScan calls
 	IScanKeys     uint64 // keys emitted across all index scans
 	IdxCreates    uint64 // CreateIndex calls that registered an index
@@ -86,7 +88,6 @@ type opCounters struct {
 	batches, batchKeys  atomic.Uint64
 
 	scans, scanKeys       atomic.Uint64
-	scanFallbacks         atomic.Uint64
 	iscans, iscanKeys     atomic.Uint64
 	idxCreates            atomic.Uint64
 	idxSearches, idxSteps atomic.Uint64
@@ -101,7 +102,7 @@ func (c *opCounters) reset() {
 		&c.gets, &c.getHits, &c.puts, &c.inserts, &c.updates, &c.updateHits,
 		&c.deletes, &c.deleteHits, &c.cas, &c.casHits, &c.swaps, &c.swapHits,
 		&c.batches, &c.batchKeys,
-		&c.scans, &c.scanKeys, &c.scanFallbacks, &c.iscans, &c.iscanKeys,
+		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
 		&c.idxCreates, &c.idxSearches, &c.idxSteps,
 		&c.conflicts,
 	} {
@@ -120,7 +121,6 @@ func (c *opCounters) snapshot() OpStats {
 		Batches: c.batches.Load(), BatchKeys: c.batchKeys.Load(),
 		Scans:         c.scans.Load(),
 		ScanKeys:      c.scanKeys.Load(),
-		ScanFallbacks: c.scanFallbacks.Load(),
 		IScans:        c.iscans.Load(),
 		IScanKeys:     c.iscanKeys.Load(),
 		IdxCreates:    c.idxCreates.Load(),
