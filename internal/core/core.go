@@ -280,13 +280,25 @@ func (c *Cell) Init(v Value) {
 	atomic.StoreUint64(&c.data, uint64(v))
 }
 
-// Touch loads the cell's data word with one atomic read, outside any
-// transaction. Under LayoutVal the word may be a writer's lock word
-// (word.Locked). Multi-key readers touch the cells their transactions
-// are about to read, so that independent cache misses overlap instead of
-// being taken one after another; the transaction re-reads every cell it
-// uses.
-func (c *Cell) Touch() uint64 { return atomic.LoadUint64(&c.data) }
+// Word is a transactional word with no co-located meta-data: 8 bytes,
+// the footprint the val layout defines (Fig 3c). Under LayoutOrec its
+// meta-data is the shared orec table; LayoutTVar, which co-locates an
+// orec with every word, cannot bind one (see WordVar). Data structures
+// that run only on those two layouts embed Words instead of Cells.
+type Word struct {
+	data uint64
+}
+
+// Init (re)initializes the word to hold v. Like Cell.Init, it is for
+// construction of not-yet-published nodes.
+func (w *Word) Init(v Value) { atomic.StoreUint64(&w.data, uint64(v)) }
+
+// Touch loads the word with one atomic read, outside any transaction.
+// Under LayoutVal the word may be a writer's lock word (word.Locked).
+// Multi-key readers touch the words their transactions are about to
+// read, so that independent cache misses overlap instead of being taken
+// one after another; the transaction re-reads every word it uses.
+func (w *Word) Touch() uint64 { return atomic.LoadUint64(&w.data) }
 
 // Var addresses one transactional word: the data word plus the location
 // of its meta-data under the engine's layout.
@@ -308,6 +320,18 @@ func (e *Engine) VarOf(c *Cell, id uint64) Var {
 	default: // LayoutVal
 		return Var{data: &c.data}
 	}
+}
+
+// WordVar binds a Word to its meta-data, as VarOf does a Cell. It
+// panics on a LayoutTVar engine, whose meta-data lives in the Cell.
+func (e *Engine) WordVar(w *Word, id uint64) Var {
+	switch e.cfg.Layout {
+	case LayoutOrec:
+		return Var{meta: &e.orecs[rng.Mix(id)&e.orecMask], data: &w.data}
+	case LayoutVal:
+		return Var{data: &w.data}
+	}
+	panic("core: a Word has no orec of its own; LayoutTVar needs a Cell")
 }
 
 // NewVar allocates a standalone transactional variable initialized to v.

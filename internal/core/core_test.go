@@ -56,6 +56,37 @@ func TestSingleReadWrite(t *testing.T) {
 	})
 }
 
+// TestWordVar: an 8-byte Word carries single-location and short
+// transactions on every layout but LayoutTVar, whose WordVar panics;
+// Touch sees committed values.
+func TestWordVar(t *testing.T) {
+	forAllConfigs(t, func(t *testing.T, e *Engine) {
+		var w [2]Word
+		w[0].Init(iv(1))
+		w[1].Init(iv(2))
+		if e.Layout() == LayoutTVar {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("WordVar on a tvar engine did not panic")
+				}
+			}()
+		}
+		a, b := e.WordVar(&w[0], 1), e.WordVar(&w[1], 2)
+		thr := e.Register()
+		if thr.SingleCAS(a, iv(1), iv(3)) != iv(1) {
+			t.Fatal("SingleCAS on a Word failed")
+		}
+		d, va, vb := thr.ShortRW2(a, b)
+		if !d.Valid() || va != iv(3) || vb != iv(2) {
+			t.Fatalf("ShortRW2 read %v, %v (valid %v), want 3, 2", va.Uint(), vb.Uint(), d.Valid())
+		}
+		d.Commit(vb, va)
+		if w[0].Touch() != uint64(iv(2)) || w[1].Touch() != uint64(iv(3)) {
+			t.Fatalf("Touch after the swap = %#x, %#x", w[0].Touch(), w[1].Touch())
+		}
+	})
+}
+
 func TestSingleCAS(t *testing.T) {
 	forAllConfigs(t, func(t *testing.T, e *Engine) {
 		thr := e.Register()

@@ -145,6 +145,54 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// onceReader hands over its bytes in one Read and fails the test on any
+// later Read.
+type onceReader struct {
+	t    *testing.T
+	data []byte
+}
+
+func (o *onceReader) Read(p []byte) (int, error) {
+	if o.data == nil {
+		o.t.Fatalf("NextBuffered read from the stream")
+	}
+	n := copy(p, o.data)
+	o.data = nil
+	return n, nil
+}
+
+// TestNextBufferedNeverReads: NextBuffered hands out only commands that
+// are already buffered, never reads, and never moves the window, so a
+// partial frame leaves the input as it was and views handed out
+// earlier keep their bytes.
+func TestNextBufferedNeverReads(t *testing.T) {
+	in := "GET a\r\n*2\r\n$3\r\nGET\r\n$2\r\nbb\r\n*2\r\n$3\r\nGET\r\n$3\r\ncc"
+	rd := NewReader(&onceReader{t: t, data: []byte(in)})
+	first, err := rd.Next()
+	if err != nil || len(first) != 2 {
+		t.Fatalf("Next = %q, %v", first, err)
+	}
+	a := first[1]
+	second, ok := rd.NextBuffered()
+	if !ok || len(second) != 2 || string(second[1]) != "bb" {
+		t.Fatalf("NextBuffered = %q, %v; want GET bb", second, ok)
+	}
+	b := second[1]
+	r, w := rd.r, rd.w
+	window := string(rd.buf[r:w])
+	for i := 0; i < 2; i++ {
+		if got, ok := rd.NextBuffered(); ok {
+			t.Fatalf("NextBuffered on a partial frame = %q, true", got)
+		}
+	}
+	if rd.r != r || rd.w != w || string(rd.buf[r:w]) != window {
+		t.Fatalf("partial frame moved the window: [%d:%d] %q, was [%d:%d] %q", rd.r, rd.w, rd.buf[rd.r:rd.w], r, w, window)
+	}
+	if string(a) != "a" || string(b) != "bb" {
+		t.Fatalf("earlier views changed: %q, %q", a, b)
+	}
+}
+
 func TestOnFillFlushHook(t *testing.T) {
 	// A server-shaped loop: the reader's fill hook flushes the writer,
 	// so a blocked read never strands buffered replies.

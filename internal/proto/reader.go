@@ -160,6 +160,24 @@ func (rd *Reader) Next() ([][]byte, error) {
 	}
 }
 
+// NextBuffered returns the next command only when it is already fully
+// buffered. It never reads from the stream and never moves the buffered
+// window — only fill does — so byte slices returned by earlier Next and
+// NextBuffered calls stay valid; the argument vector itself is reused
+// by every call. ok is false when the buffer holds no complete command
+// or the next frame is malformed; the input is then left untouched, and
+// Next reports the error.
+//
+//spectm:noalloc
+func (rd *Reader) NextBuffered() (args [][]byte, ok bool) {
+	args, adv, err := rd.parseCommand()
+	if err != nil {
+		return nil, false
+	}
+	rd.r += adv
+	return args, true
+}
+
 // parseCommand attempts to decode one command from the buffered window.
 // It returns the argument vector and the number of bytes consumed, or
 // errIncomplete when more input is needed.

@@ -4,69 +4,45 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
-	"spectm/internal/proto"
 )
 
 // TestPerCommandZeroAlloc pins the acceptance criterion: executing a
-// steady-state pipeline of GET / SET (existing key) / CAS — the full
-// decode → short transaction → encode path through reused connection
-// buffers — performs zero heap allocations per command.
+// steady-state pipeline of GET / SET (existing key) / CAS and a run of
+// eight GETs — the full decode → short transaction → encode path
+// through reused connection buffers, driven by the loop step serveConn
+// runs — performs zero heap allocations per command.
 func TestPerCommandZeroAlloc(t *testing.T) {
 	s, err := New(WithMaxConns(4))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	th, ok := s.getThread()
-	if !ok {
-		t.Fatalf("no thread")
-	}
-	c := &conn{s: s, th: th}
+	c := testConn(t, s, io.Discard)
 
-	// Build one pipelined frame. SET hits the update path (the key is
+	// One pipelined frame. SET hits the update path (the key is
 	// inserted by the warm-up run), both CAS transitions succeed, and
-	// the frame ends back at value 1 so every run is identical.
-	var cmds bytes.Buffer
-	enc := proto.NewWriter(&cmds)
-	set := func(k string, v uint64) {
-		enc.Array(3)
-		enc.Arg("SET")
-		enc.Arg(k)
-		enc.ArgUint(v)
+	// the frame ends back at value 1 so every run is identical. The
+	// eight GETs behind the CASes form one GET run (getRun).
+	cmds := [][]string{
+		{"SET", "key-0001", "1"},
+		{"GET", "key-0001"},
+		{"CAS", "key-0001", "1", "2"},
+		{"CAS", "key-0001", "2", "1"},
 	}
-	set("key-0001", 1)
-	enc.Array(2)
-	enc.Arg("GET")
-	enc.Arg("key-0001")
-	enc.Array(4)
-	enc.Arg("CAS")
-	enc.Arg("key-0001")
-	enc.ArgUint(1)
-	enc.ArgUint(2)
-	enc.Array(4)
-	enc.Arg("CAS")
-	enc.Arg("key-0001")
-	enc.ArgUint(2)
-	enc.ArgUint(1)
-	if err := enc.Flush(); err != nil {
-		t.Fatalf("build frame: %v", err)
+	for i := 0; i < 8; i++ {
+		cmds = append(cmds, []string{"GET", []string{"key-0001", "missing"}[i%2]})
 	}
-	frame := cmds.Bytes()
-	const cmdsPerFrame = 4
-
+	frame := encodeCmds(t, cmds)
 	src := bytes.NewReader(frame)
-	c.rd = proto.NewReader(src)
-	c.wr = proto.NewWriter(io.Discard)
 
 	runFrame := func() {
 		src.Reset(frame)
 		c.rd.Reset(src)
-		for i := 0; i < cmdsPerFrame; i++ {
-			args, err := c.rd.Next()
-			if err != nil {
-				t.Fatalf("Next: %v", err)
-			}
-			c.execute(args)
+		var err error
+		for err == nil {
+			err = c.step()
+		}
+		if err != io.EOF {
+			t.Fatalf("step: %v", err)
 		}
 		if err := c.wr.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -74,7 +50,7 @@ func TestPerCommandZeroAlloc(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(300, runFrame)
-	if perCmd := allocs / cmdsPerFrame; perCmd != 0 {
-		t.Fatalf("GET/SET/CAS execution allocates %.2f allocs/op, want 0", perCmd)
+	if perCmd := allocs / float64(len(cmds)); perCmd != 0 {
+		t.Fatalf("GET/SET/CAS/GET-run execution allocates %.2f allocs/op, want 0", perCmd)
 	}
 }

@@ -14,7 +14,9 @@ import (
 
 // Command → short-transaction arity (the spectm.Map hot paths):
 //
-//	GET k            ShortRO2 (node.next, node.val)
+//	GET k            ShortRO2 (node.next, node.val); a run of up to 64
+//	                 buffered GETs is answered by one GetEach, which
+//	                 walks the run's chains together first (getRun)
 //	SET k v, update  ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	SET k v, insert  chain walk + SingleCAS (clones the key: the only
 //	                 hot command that must retain bytes beyond the call);
@@ -47,6 +49,10 @@ type conn struct {
 	wr *proto.Writer
 	th *shardmap.Thread
 
+	// reused GET-run scratch (getRun)
+	gkeys  [maxGetRun]string
+	gvals  [maxGetRun]shardmap.Value
+	gfound [maxGetRun]bool
 	// reused MGET scratch
 	mkeys  []string
 	mvals  []shardmap.Value
@@ -102,8 +108,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	c.rd.OnFill = c.wr.Flush
 
 	for {
-		args, err := c.rd.Next()
-		if err != nil {
+		if err := c.step(); err != nil {
 			// EOF, peer reset, protocol error, or the Shutdown read
 			// deadline. Everything read so far has been executed —
 			// Next only fails once the buffered input is exhausted —
@@ -111,10 +116,79 @@ func (s *Server) serveConn(nc net.Conn) {
 			c.wr.Flush()
 			return
 		}
-		if len(args) == 0 {
-			continue // blank inline line
-		}
+	}
+}
+
+// maxGetRun caps how many pipelined GETs one GetEach answers.
+const maxGetRun = 64
+
+// step executes the next command, blocking until one is buffered. A
+// well-formed GET starts a run: the consecutive well-formed GETs already
+// buffered behind it, up to maxGetRun, are answered together (getRun),
+// and the command that ended the run executes after the run's replies
+// are written, so replies keep the order of the commands.
+func (c *conn) step() error {
+	args, err := c.rd.Next()
+	if err != nil {
+		return err
+	}
+	if isGet(args) {
+		args = c.getRun(args)
+	}
+	if len(args) > 0 { // zero: a blank inline line, or a run that ended unbuffered
 		c.execute(args)
+	}
+	return nil
+}
+
+// isGet reports whether args is a well-formed GET.
+func isGet(args [][]byte) bool {
+	return len(args) == 2 && proto.CmdEq(args[0], "GET")
+}
+
+// getRun answers the GET in first and every well-formed GET buffered
+// right behind it, up to maxGetRun, with one GetEach. Each GET still
+// reads at its own linearization point, in order (see
+// shardmap.Thread.GetEach); no other command runs between them, so the
+// replies are the ones one-at-a-time execution gives. The keys are views
+// of the read buffer, which NextBuffered never moves. getRun returns
+// the buffered command that ended the run, for the caller to execute,
+// or nil.
+//
+//spectm:noalloc
+func (c *conn) getRun(first [][]byte) [][]byte {
+	c.gkeys[0] = bstr(first[1])
+	n := 1
+	var next [][]byte
+	for n < maxGetRun {
+		args, ok := c.rd.NextBuffered()
+		if !ok {
+			break
+		}
+		if !isGet(args) {
+			next = args
+			break
+		}
+		c.gkeys[n] = bstr(args[1])
+		n++
+	}
+	c.answerGets(n)
+	return next
+}
+
+// answerGets reads the first n keys of the run scratch with one GetEach
+// and writes their replies in order.
+//
+//spectm:noalloc
+func (c *conn) answerGets(n int) {
+	vals, found := c.gvals[:n], c.gfound[:n]
+	c.th.GetEach(c.gkeys[:n], vals, found)
+	for i := range vals {
+		if found[i] {
+			c.wr.Uint(vals[i].Uint())
+		} else {
+			c.wr.Null()
+		}
 	}
 }
 
@@ -202,7 +276,8 @@ func (c *conn) execute(args [][]byte) {
 	}
 }
 
-// getCmd answers GET: the steady-state read path must not allocate.
+// getCmd answers a GET that step did not: a wrong-arity one, or one
+// passed to execute directly, which is a run of one.
 //
 //spectm:noalloc
 func (c *conn) getCmd(args [][]byte) {
@@ -210,11 +285,8 @@ func (c *conn) getCmd(args [][]byte) {
 		c.wr.Error("ERR wrong number of arguments for 'GET'")
 		return
 	}
-	if v, ok := c.th.Get(bstr(args[0])); ok {
-		c.wr.Uint(v.Uint())
-	} else {
-		c.wr.Null()
-	}
+	c.gkeys[0] = bstr(args[0])
+	c.answerGets(1)
 }
 
 // setCmd answers SET. The update fast path is allocation-free; a first

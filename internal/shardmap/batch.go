@@ -5,9 +5,9 @@
 // the validated read set — runs as one ordinary read-only transaction,
 // which composes with the short-transaction hot paths on the same
 // meta-data (the paper's mixing property, §2.2/§3). Before a batch wider
-// than two keys starts its transaction it touches every key's bucket
-// head and then every chain's first node, so those independent cache
-// misses overlap instead of being taken one key at a time.
+// than two keys starts its transaction it walks every key's chain in
+// rounds (touchChains), so those independent cache misses overlap
+// instead of being taken one key at a time.
 package shardmap
 
 import "spectm/internal/word"
@@ -83,12 +83,9 @@ func (x *Thread) getBatchFull(keys []string, vals []Value, found []bool) {
 	t := x.t
 	t.Epoch.Enter()
 	defer t.Epoch.Exit()
-	x.bhash = x.bhash[:0]
-	for _, key := range keys {
-		x.bhash = append(x.bhash, x.m.hash(key))
-	}
+	x.hashKeys(keys)
 	if len(keys) > 2 {
-		x.touchBatch()
+		x.touchChains()
 	}
 	for attempt := 1; ; attempt++ {
 		t.TxStart()
@@ -111,21 +108,46 @@ func (x *Thread) getBatchFull(keys []string, vals []Value, found []bool) {
 	}
 }
 
-// touchBatch touches, for every hash in x.bhash, the key's bucket head
-// in its shard's current table, and then the first node of every chain
-// that is not empty. Each loop's loads are independent of one another.
-// The transaction re-reads everything it uses, so a touch that misses
-// the key's chain (a resize in flight) costs only the load. The caller
-// holds an epoch pin, which keeps any node a head names allocated.
-func (x *Thread) touchBatch() {
+// hashKeys hashes every key once into x.bhash.
+func (x *Thread) hashKeys(keys []string) {
+	x.bhash = x.bhash[:0]
+	for _, key := range keys {
+		x.bhash = append(x.bhash, x.m.hash(key))
+	}
+}
+
+// touchChains walks, for every hash h in x.bhash, h's chain in its
+// shard's current table up to the first node whose hash is ≥ h: the
+// node a lookup of the key stops at. The walks advance together, one
+// node each per round — first every bucket head, then every walk's next
+// node — so the loads within a round do not wait for each other and the
+// chains' cache misses overlap. They are only touches: the lookups
+// re-read everything they use, so a walk that stops early (a link
+// locked or marked under a commit) or follows the wrong table (a resize
+// in flight) costs only its loads. A walk ends, because every link
+// names a node ordered after the one holding it. The caller holds an
+// epoch pin, which keeps every node a walk reaches allocated.
+func (x *Thread) touchChains() {
 	x.bhead = x.bhead[:0]
 	for _, h := range x.bhash {
 		tb := x.m.shardOf(h).state.Load().cur
 		x.bhead = append(x.bhead, tb.buckets[x.m.bidx(tb, h)].Touch())
 	}
-	for i, w := range x.bhead {
-		if v := word.Value(w); !word.Locked(w) && !v.Marked() && !v.IsNull() {
-			x.sink += x.m.shardOf(x.bhash[i]).a.Get(dec(v)).next.Touch()
+	for more := true; more; {
+		more = false
+		for i, w := range x.bhead {
+			v := word.Value(w)
+			if word.Locked(w) || v.Marked() || v.IsNull() {
+				continue
+			}
+			h := x.bhash[i]
+			n := x.m.shardOf(h).a.Get(dec(v))
+			if n.hash >= h {
+				x.bhead[i] = uint64(word.Null)
+				continue
+			}
+			x.bhead[i] = n.next.Touch()
+			more = true
 		}
 	}
 }
@@ -144,6 +166,7 @@ func (x *Thread) txLookup(key string, h uint64) (Value, bool, bool) {
 			tb = st.old
 		}
 	}
+	p0, p1 := prefixWords(key)
 	link := t.TxRead(x.m.bucketVar(tb, x.m.bidx(tb, h)))
 	for {
 		if link.Marked() {
@@ -154,8 +177,8 @@ func (x *Thread) txLookup(key string, h uint64) (Value, bool, bool) {
 		}
 		cur := dec(link)
 		n := sh.a.Get(cur)
-		if !keyLess(n.hash, n.key, h, key) {
-			if n.hash != h || n.key != key {
+		if c := n.cmp(h, p0, p1, key); c >= 0 {
+			if c > 0 {
 				return 0, false, true
 			}
 			if t.TxRead(x.m.nextVar(sh, cur, n)).Marked() {

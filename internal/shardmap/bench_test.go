@@ -115,9 +115,48 @@ func BenchmarkMapScan32Large(b *testing.B) {
 	benchScan32(b, m, keys)
 }
 
+// BenchmarkMapGet16Large is 16 Gets of random keys on the 1 Mi-key
+// map, one after another: each lookup's chain misses are taken in
+// turn. BenchmarkMapGetEach16Large is the same 16 keys through one
+// GetEach.
+func BenchmarkMapGet16Large(b *testing.B) {
+	benchGet16Large(b, func(th *Thread, batch []string, vals []Value, found []bool) {
+		for j, k := range batch {
+			vals[j], found[j] = th.Get(k)
+		}
+	})
+}
+
+// BenchmarkMapGetEach16Large is one 16-key GetEach of random keys on
+// the 1 Mi-key map: every key's chain walked in rounds, then 16
+// independent lookups.
+func BenchmarkMapGetEach16Large(b *testing.B) {
+	benchGet16Large(b, (*Thread).GetEach)
+}
+
+func benchGet16Large(b *testing.B, get func(*Thread, []string, []Value, []bool)) {
+	m, keys := largeMap()
+	th := m.NewThread()
+	r := rng.New(1)
+	batch := make([]string, 16)
+	vals := make([]Value, 16)
+	found := make([]bool, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j] = keys[r.Intn(uint64(len(keys)))]
+		}
+		get(th, batch, vals, found)
+		if !found[0] {
+			b.Fatal("miss")
+		}
+	}
+}
+
 // BenchmarkMapGetBatch8Large is one 8-key GetBatch of random keys on
 // the 1 Mi-key map: a full read-only transaction after the batch's
-// bucket heads and first nodes are touched.
+// chains are walked in rounds.
 func BenchmarkMapGetBatch8Large(b *testing.B) {
 	m, keys := largeMap()
 	th := m.NewThread()

@@ -84,19 +84,19 @@ const (
 // inode is one index entry. Everything but cnt, hint and next, the
 // transactional words, is immutable after publication. The prefix words
 // sit against the tower because those are what a search step reads: p0,
-// p1 and next[lv] are 40 contiguous bytes at level 0 and 56 at level 1;
+// p1 and next[lv] are 24 contiguous bytes at level 0 and 32 at level 1;
 // hint, key and hash, which a scan reads with next[0], come just before
-// them. An entry is 240 B; the arena keeps its generation in a side
-// array (TestInodeLayout).
+// them. With 8-byte words an entry is 144 B; the arena keeps its
+// generation in a side array (TestInodeLayout).
 type inode struct {
 	split  int32 // secondary entries: length of the index-key half of key
 	lvl    int32
-	cnt    core.Cell
-	hint   core.Cell // primary index: the key's hash node, empty iff the key is not live (see ordered.go)
+	cnt    core.Word
+	hint   core.Word // primary index: the key's hash node, empty iff the key is not live (see ordered.go)
 	key    string
 	hash   uint64 // primary index: the key's map hash, for Scan's verification
 	p0, p1 uint64 // prefixWords(key)
-	next   [idxMaxLevel]core.Cell
+	next   [idxMaxLevel]core.Word
 }
 
 // prefixWords returns key[0:8] and key[8:16] as big-endian words, zero
@@ -128,7 +128,7 @@ type olist struct {
 	a     *arena.Arena[inode]
 	idTag uint64
 	level func(*rng.State) int // draws a fresh entry's height; tests force tall towers
-	head  [idxMaxLevel]core.Cell
+	head  [idxMaxLevel]core.Word
 }
 
 func newOlist(m *Map, seq *atomic.Uint64) *olist {
@@ -145,19 +145,19 @@ func newOlist(m *Map, seq *atomic.Uint64) *olist {
 }
 
 func (ol *olist) headVar(lv int) core.Var {
-	return ol.m.e.VarOf(&ol.head[lv], ol.idTag|uint64(1+lv))
+	return ol.m.e.WordVar(&ol.head[lv], ol.idTag|uint64(1+lv))
 }
 
 func (ol *olist) nextVar(h arena.Handle, n *inode, lv int) core.Var {
-	return ol.m.e.VarOf(&n.next[lv], ol.idTag|uint64(h)<<idxFieldShift|uint64(1+lv))
+	return ol.m.e.WordVar(&n.next[lv], ol.idTag|uint64(h)<<idxFieldShift|uint64(1+lv))
 }
 
 func (ol *olist) cntVar(h arena.Handle, n *inode) core.Var {
-	return ol.m.e.VarOf(&n.cnt, ol.idTag|uint64(h)<<idxFieldShift|idxFieldCnt)
+	return ol.m.e.WordVar(&n.cnt, ol.idTag|uint64(h)<<idxFieldShift|idxFieldCnt)
 }
 
 func (ol *olist) hintVar(h arena.Handle, n *inode) core.Var {
-	return ol.m.e.VarOf(&n.hint, ol.idTag|uint64(h)<<idxFieldShift|idxFieldHint)
+	return ol.m.e.WordVar(&n.hint, ol.idTag|uint64(h)<<idxFieldShift|idxFieldHint)
 }
 
 // search descends the list for the first entry ≥ key, filling the

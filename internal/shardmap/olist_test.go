@@ -65,13 +65,13 @@ func FuzzPrefixOrder(f *testing.F) {
 // reads sitting next to the key and hash.
 func TestInodeLayout(t *testing.T) {
 	var n inode
-	if got := unsafe.Sizeof(n); got != 240 {
-		t.Errorf("entry is %d B, want 240", got)
+	if got := unsafe.Sizeof(n); got != 144 {
+		t.Errorf("entry is %d B, want 144", got)
 	}
 	if p, nx := unsafe.Offsetof(n.p0), unsafe.Offsetof(n.next); nx-p != 16 {
 		t.Errorf("prefix words at %d, tower at %d: want them adjacent", p, nx)
 	}
-	if hi, k := unsafe.Offsetof(n.hint), unsafe.Offsetof(n.key); k-hi != 16 {
+	if hi, k := unsafe.Offsetof(n.hint), unsafe.Offsetof(n.key); k-hi != 8 {
 		t.Errorf("hint at %d, key at %d: want them adjacent", hi, k)
 	}
 }

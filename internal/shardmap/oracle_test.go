@@ -252,15 +252,11 @@ func TestOracleConcurrent(t *testing.T) {
 }
 
 // TestOracleConcurrentCC re-runs the concurrent oracle under each
-// non-default concurrency-control policy. -short keeps one
-// representative per policy.
+// non-default concurrency-control policy the map supports.
 func TestOracleConcurrentCC(t *testing.T) {
 	cfgs := map[string]core.Config{
-		"tvar-l":        {Layout: core.LayoutTVar, CC: core.CCLocal},
 		"val-nocounter": {Layout: core.LayoutVal, CC: core.CCNoCounter},
-	}
-	if !testing.Short() {
-		cfgs["orec-l"] = core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}
+		"orec-l":        {Layout: core.LayoutOrec, CC: core.CCLocal},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) { runOracleConcurrent(t, cfg) })
@@ -362,15 +358,12 @@ func runOracleConcurrent(t *testing.T, cfg core.Config) {
 // 2i+2}) plus churn traffic for resize pressure, while readers issue
 // wide 8-key batches over all pairs — the route the server's MGET takes,
 // one full read-only transaction. A batch that observed any pair torn —
-// one half of a swap — fails. Runs on the val layout and on the
-// versioned layouts' global-clock policy.
+// one half of a swap — fails. Runs on the val layout and on the orec
+// layout's global-clock policy.
 func TestOracleWideMGET(t *testing.T) {
 	cfgs := map[string]core.Config{
 		"val":    {Layout: core.LayoutVal},
-		"tvar-g": {Layout: core.LayoutTVar},
-	}
-	if !testing.Short() {
-		cfgs["orec-g"] = core.Config{Layout: core.LayoutOrec}
+		"orec-g": {Layout: core.LayoutOrec},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

@@ -195,32 +195,3 @@ func (x *Thread) scanRead(ol *olist, eh arena.Handle, e *inode) (Value, bool) {
 		return v, true
 	}
 }
-
-// lookupLive resolves key (whose map hash is h) against the hash map:
-// present right now, and if so its current committed value, read with
-// the node's liveness link in one ShortRO2. IndexScan verifies its
-// candidates with it. The caller holds an epoch pin.
-func (x *Thread) lookupLive(key string, h uint64) (Value, bool) {
-	m := x.m
-	sh := m.shardOf(h)
-	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		_, _, cur, found, ok := x.search(sh, tb, h, key)
-		if !ok {
-			continue
-		}
-		if !found {
-			return 0, false
-		}
-		n := sh.a.Get(cur)
-		d, nv, vv := x.t.ShortRO2(m.nextVar(sh, cur, n), m.valVar(sh, cur, n))
-		if !d.Valid() {
-			x.t.Backoff(attempt)
-			continue
-		}
-		if nv.Marked() {
-			continue
-		}
-		return vv, true
-	}
-}

@@ -108,7 +108,7 @@ func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 				idx = 1
 			}
 			nh, nn := sh.a.Alloc()
-			nn.hash, nn.key, nn.ent = on.hash, on.key, on.ent
+			nn.hash, nn.key, nn.p0, nn.p1, nn.ent = on.hash, on.key, on.p0, on.p1, on.ent
 			nn.val.Init(x.mvals[i])
 			nn.next.Init(heads[idx])
 			heads[idx] = enc(nh)

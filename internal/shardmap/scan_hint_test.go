@@ -94,11 +94,16 @@ func requireExactHints(t *testing.T, x *Thread, want map[string]uint64, when str
 }
 
 // TestNodeLayout pins the hash node at 64 B, one cache line of its
-// page-aligned arena chunk, with the entry handle that Scan's start and
-// migration read.
+// page-aligned arena chunk, with the key's prefix words that a chain
+// compare reads and the entry handle that Scan's start and migration
+// read.
 func TestNodeLayout(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 64 {
+	var n node
+	if got := unsafe.Sizeof(n); got != 64 {
 		t.Errorf("node is %d B, want 64", got)
+	}
+	if h, p := unsafe.Offsetof(n.hash), unsafe.Offsetof(n.p0); p-h != 24 {
+		t.Errorf("hash at %d, prefix words at %d: want only the key header between them", h, p)
 	}
 	a := arena.New[node]()
 	for i := 0; i < 3; i++ {

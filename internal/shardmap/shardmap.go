@@ -4,6 +4,8 @@
 // statically sized short transaction:
 //
 //	Get                ShortRO2 over (node.next, node.val)
+//	GetEach (n keys)   n independent Gets under one epoch pin, after
+//	                   walking every key's chain in rounds (touchChains)
 //	Put (update)       ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	Put (insert)       chain walk of Tx_Single_Reads + one Tx_Single_CAS
 //	                   (ShortRW2 over (pred link, entry.hint) with the
@@ -13,8 +15,8 @@
 //	CompareAndSwap     ShortRO2 + Upgrade2 → ShortRO2RW1 combined commit
 //	Swap2              ShortRO2 + LockRead×2 → ShortRO2RW2 combined commit
 //	GetBatch (2 keys)  ShortRO4 over both (next, val) pairs
-//	GetBatch (n keys)  one full transaction (read-only), after touching
-//	                   every key's bucket head and first node
+//	GetBatch (n keys)  one full transaction (read-only), after walking
+//	                   every key's chain in rounds (touchChains)
 //
 // Only the per-shard incremental resize falls back to full transactions:
 // each bucket chain is migrated in one ordinary transaction, so growth
@@ -26,7 +28,13 @@
 // shard, the next bits pick a bucket in the shard's table. Buckets are
 // sorted chains of arena nodes ordered by (hash, key), exactly like the
 // paper's §3 hash table, with bit 1 of every link reserved as the
-// "deleted" mark. A marked link always means "this node has been
+// "deleted" mark. Every transactional word of the map — bucket heads,
+// node links and values, index-entry cells — is an 8-byte core.Word,
+// which binds no meta-data under LayoutVal and the shared orec table
+// under LayoutOrec; a LayoutTVar engine is rejected (ErrTVarLayout).
+// A node carries its key's first 16 bytes as two words next to the
+// hash, so a chain step orders and a hit matches inside the node (see
+// node.cmp). A marked link always means "this node has been
 // atomically unlinked (removed or migrated); restart the operation" —
 // restarting re-reads the shard's table pointer, which is how operations
 // discover an in-progress resize.
@@ -45,6 +53,7 @@
 package shardmap
 
 import (
+	"errors"
 	"hash/maphash"
 	"runtime"
 	"sync"
@@ -84,20 +93,56 @@ const (
 const maxLoad = 4
 
 // node is one key/value pair. val and next are transactional words;
-// hash, key and ent are immutable after publication. A node is 64 B, so
-// in its page-aligned arena chunk it is exactly one cache line
+// everything else is immutable after publication. p0 and p1 are the
+// key's first 16 bytes (prefixWords), so a chain step compares inside
+// the node and reads the separately allocated key bytes only past byte
+// 16 or on a 64-bit hash tie (see cmp). A node is 64 B, so in its
+// page-aligned arena chunk it is exactly one cache line
 // (TestNodeLayout).
 type node struct {
-	hash uint64
-	key  string
-	val  core.Cell
-	next core.Cell
-	ent  arena.Handle // the key's primary index entry (ordered maps; see ordered.go)
+	hash   uint64
+	key    string
+	p0, p1 uint64 // prefixWords(key)
+	val    core.Word
+	next   core.Word
+	ent    arena.Handle // the key's primary index entry (ordered maps; see ordered.go)
+}
+
+// cmp places node n against the key (h, key), whose prefix words are
+// p0 and p1, in chain order — by hash, then by key: negative when n
+// comes first, zero when n holds key, positive when n comes after. The
+// hash, the prefix words and the key's length sit in the node; the key
+// bytes are read only when the keys are longer than 16 bytes or, on a
+// 64-bit hash tie, share their first 16. Comparing prefix words first
+// orders exactly as comparing keys does (see prefixWords).
+func (n *node) cmp(h, p0, p1 uint64, key string) int {
+	switch {
+	case n.hash != h:
+		if n.hash < h {
+			return -1
+		}
+		return 1
+	case n.p0 != p0:
+		if n.p0 < p0 {
+			return -1
+		}
+		return 1
+	case n.p1 != p1:
+		if n.p1 < p1 {
+			return -1
+		}
+		return 1
+	case len(n.key) == len(key) && (len(key) <= 16 || n.key[16:] == key[16:]):
+		return 0
+	case n.key < key:
+		return -1
+	}
+	return 1
 }
 
 // table is one bucket array generation of a shard.
 type table struct {
-	buckets []core.Cell
+	buckets []core.Word
 	mask    uint64
 	idBase  uint64 // orec identity base for bucket links
 }
@@ -186,19 +231,28 @@ func ceilPow2(n int) int {
 	return p
 }
 
+// ErrTVarLayout is returned by Open, and New panics with it, for an
+// engine with LayoutTVar: the map's words are 8-byte core.Words, which
+// have no room for the orec that layout co-locates with every word.
+var ErrTVarLayout = errors.New("shardmap: the map needs a LayoutVal or LayoutOrec engine, not LayoutTVar")
+
 // New creates a map over engine e. All Threads of one Map share e's
 // meta-data, so map operations compose with any other transaction on the
-// same engine. New panics when a persistence option fails to open its
-// directory (a configuration error); use Open to handle it as an error.
+// same engine. New panics on a LayoutTVar engine (ErrTVarLayout) and
+// when a persistence option fails to open its directory (a
+// configuration error); use Open to handle either as an error.
 func New(e *core.Engine, opts ...Option) *Map {
 	m, err := newMap(e, opts...)
 	if err != nil {
-		panic("shardmap: " + err.Error())
+		panic(err.Error())
 	}
 	return m
 }
 
 func newMap(e *core.Engine, opts ...Option) (*Map, error) {
+	if e.Layout() == core.LayoutTVar {
+		return nil, ErrTVarLayout
+	}
 	cfg := config{buckets: 64}
 	for _, o := range opts {
 		o(&cfg)
@@ -243,7 +297,7 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 // newTable allocates a bucket array with a fresh identity range.
 func (m *Map) newTable(n int) *table {
 	t := &table{
-		buckets: make([]core.Cell, n),
+		buckets: make([]core.Word, n),
 		mask:    uint64(n - 1),
 		idBase:  idBucketBase + m.idSeq.Add(uint64(n)) - uint64(n),
 	}
@@ -296,7 +350,8 @@ type Thread struct {
 	rkeys []string
 	rvals []word.Value
 
-	// GetBatch scratch: the keys' hashes and bucket-head words (touchBatch)
+	// GetEach/GetBatch scratch: the keys' hashes and each chain walk's
+	// next link (touchChains)
 	bhash []uint64
 	bhead []uint64
 
@@ -338,17 +393,17 @@ func (x *Thread) conflict(attempt int) {
 
 // bucketVar returns the Var of bucket b's head link in table tb.
 func (m *Map) bucketVar(tb *table, b uint64) core.Var {
-	return m.e.VarOf(&tb.buckets[b], tb.idBase+b)
+	return m.e.WordVar(&tb.buckets[b], tb.idBase+b)
 }
 
 // nextVar returns the Var of a node's chain link.
 func (m *Map) nextVar(sh *shard, h arena.Handle, n *node) core.Var {
-	return m.e.VarOf(&n.next, sh.idTag|uint64(h)<<idNodeShift|fieldNext)
+	return m.e.WordVar(&n.next, sh.idTag|uint64(h)<<idNodeShift|fieldNext)
 }
 
 // valVar returns the Var of a node's value word.
 func (m *Map) valVar(sh *shard, h arena.Handle, n *node) core.Var {
-	return m.e.VarOf(&n.val, sh.idTag|uint64(h)<<idNodeShift|fieldVal)
+	return m.e.WordVar(&n.val, sh.idTag|uint64(h)<<idNodeShift|fieldVal)
 }
 
 // route resolves which table currently owns h's bucket: the old table
@@ -364,11 +419,6 @@ func (x *Thread) route(sh *shard, h uint64) *table {
 	return st.cur
 }
 
-// keyLess orders chain entries by (hash, key).
-func keyLess(h1 uint64, k1 string, h2 uint64, k2 string) bool {
-	return h1 < h2 || (h1 == h2 && k1 < k2)
-}
-
 // search walks key's chain in tb with single-location reads. It returns
 // the link Var to update for an insert/remove, that link's observed
 // value, the candidate node and whether the key was found. ok=false means
@@ -376,6 +426,7 @@ func keyLess(h1 uint64, k1 string, h2 uint64, k2 string) bool {
 // migrated) node or a migrated bucket — and the operation must restart
 // from route.
 func (x *Thread) search(sh *shard, tb *table, h uint64, key string) (prev core.Var, link word.Value, cur arena.Handle, found, ok bool) {
+	p0, p1 := prefixWords(key)
 	prev = x.m.bucketVar(tb, x.m.bidx(tb, h))
 	link = x.t.SingleRead(prev)
 	for {
@@ -387,8 +438,8 @@ func (x *Thread) search(sh *shard, tb *table, h uint64, key string) (prev core.V
 		}
 		cur = dec(link)
 		n := sh.a.Get(cur)
-		if !keyLess(n.hash, n.key, h, key) {
-			return prev, link, cur, n.hash == h && n.key == key, true
+		if c := n.cmp(h, p0, p1, key); c >= 0 {
+			return prev, link, cur, c == 0, true
 		}
 		prev = x.m.nextVar(sh, cur, n)
 		link = x.t.SingleRead(prev)
@@ -408,9 +459,42 @@ func (x *Thread) Get(key string) (Value, bool) {
 
 func (x *Thread) get(key string) (Value, bool) {
 	h := x.m.hash(key)
-	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
+	return x.lookup(key, h)
+}
+
+// GetEach runs len(keys) independent Gets under one epoch pin: vals[i]
+// and found[i] report key i as Get(keys[i]) would. vals and found must
+// be at least as long as keys. Each key is read with its own ShortRO2
+// at its own linearization point, in order, so the results are not one
+// snapshot; GetBatch is the atomic multi-key read. With two or more
+// keys, every key's chain is walked first (touchChains), so their cache
+// misses overlap instead of being taken one key after another.
+//
+//spectm:noalloc
+func (x *Thread) GetEach(keys []string, vals []Value, found []bool) {
+	if len(vals) < len(keys) || len(found) < len(keys) {
+		panic("shardmap: GetEach needs vals/found at least as long as keys")
+	}
+	x.t.Epoch.Enter()
+	x.hashKeys(keys)
+	if len(keys) > 1 {
+		x.touchChains()
+	}
+	for i, key := range keys {
+		vals[i], found[i] = x.lookup(key, x.bhash[i])
+		count(&x.ops.gets, &x.ops.getHits, found[i])
+	}
+	x.t.Epoch.Exit()
+}
+
+// lookup resolves key (whose map hash is h): present right now, and if
+// so its current value, read with the node's liveness link in one
+// ShortRO2, so a concurrent update, removal or migration can never
+// produce a torn observation. The caller holds an epoch pin.
+func (x *Thread) lookup(key string, h uint64) (Value, bool) {
+	sh := x.m.shardOf(h)
 	for attempt := 1; ; attempt++ {
 		tb := x.route(sh, h)
 		_, _, cur, found, ok := x.search(sh, tb, h, key)
@@ -557,6 +641,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			var n *node
 			*spare, n = sh.a.Alloc()
 			n.hash, n.key = h, key
+			n.p0, n.p1 = prefixWords(key)
 		}
 		n := sh.a.Get(*spare)
 		n.val.Init(val)

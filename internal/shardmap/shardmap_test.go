@@ -10,13 +10,11 @@ import (
 )
 
 // engines returns one engine per layout/clock/policy combination the
-// map must support.
+// map must support: every one but LayoutTVar's (see ErrTVarLayout).
 func engines() map[string]*core.Engine {
 	return map[string]*core.Engine{
 		"val":           core.New(core.Config{Layout: core.LayoutVal}),
 		"val-nocounter": core.New(core.Config{Layout: core.LayoutVal, CC: core.CCNoCounter}),
-		"tvar-g":        core.New(core.Config{Layout: core.LayoutTVar}),
-		"tvar-l":        core.New(core.Config{Layout: core.LayoutTVar, CC: core.CCLocal}),
 		"orec-g":        core.New(core.Config{Layout: core.LayoutOrec}),
 		"orec-l":        core.New(core.Config{Layout: core.LayoutOrec, CC: core.CCLocal}),
 	}

@@ -25,7 +25,7 @@ func stressDuration() time.Duration {
 // value encodes its key's index, so any cross-key tearing, lost update or
 // stale-node read surfaces as a decode mismatch.
 func TestStressLinearizable(t *testing.T) {
-	for _, layout := range []string{"val", "tvar-g", "orec-l"} {
+	for _, layout := range []string{"val", "orec-g", "orec-l"} {
 		t.Run(layout, func(t *testing.T) {
 			e := engines()[layout]
 			m := New(e, WithShards(4), WithInitialBuckets(8))

@@ -202,7 +202,9 @@ func WithInitialBuckets(n int) MapOption { return shardmap.WithInitialBuckets(n)
 
 // NewMap creates a sharded transactional map over engine e. Map
 // operations share e's meta-data, so they compose with every other
-// transaction on the engine.
+// transaction on the engine. The map's words are 8 bytes, so e must use
+// LayoutVal or LayoutOrec: NewMap panics on a LayoutTVar engine, and
+// OpenMap returns an error.
 func NewMap(e *Engine, opts ...MapOption) *Map { return shardmap.New(e, opts...) }
 
 // FsyncPolicy selects when a persistent map's write-ahead log fsyncs:
