@@ -118,8 +118,9 @@ type Replica struct {
 
 	// apply-loop scratch
 	msg      message
-	pending  []byte // partial record reassembly
-	relRecs  uint64 // applied since handshake (ACK coordinates)
+	pending  []byte       // partial record reassembly
+	recs     []wal.Record // one batch's decoded records, for ApplyEach
+	relRecs  uint64       // applied since handshake (ACK coordinates)
 	relBytes uint64
 	unacked  uint64 // bytes applied since the last ACK
 	unsaved  uint64 // bytes applied since the last checkpoint
@@ -517,7 +518,11 @@ func (s *snapFrameReader) Read(p []byte) (int, error) {
 
 // applyBatch reassembles the log's byte range, applies every whole
 // record, and advances the cursor to the applied (record-aligned)
-// boundary.
+// boundary. The records are decoded once and applied in stream order
+// through Thread.ApplyEach, which walks the chains of a window of
+// records' keys together before it applies them, so the batch takes its
+// cache misses overlapped; an epoch record splits the batch, taking
+// effect after the records before it and before the ones after it.
 func (r *Replica) applyBatch(m *message, wr *proto.Writer) error {
 	// Only this goroutine writes r.cur, so reading it needs no lock.
 	if m.gen != r.cur.Gen {
@@ -529,23 +534,34 @@ func (r *Replica) applyBatch(m *message, wr *proto.Writer) error {
 
 	buf := append(r.pending, m.payload...)
 	consumed, applied := 0, 0
+	r.recs = r.recs[:0]
 	for {
 		rec, n, err := wal.DecodeRecord(buf[consumed:])
 		if err != nil {
 			if errors.Is(err, wal.ErrCorrupt) {
+				if err := r.th.ApplyEach(r.recs); err != nil {
+					return err
+				}
 				return fmt.Errorf("repl: corrupt record in stream: %w", err)
 			}
 			break // short: the tail continues in the next batch
 		}
-		if rec.Op == wal.OpEpoch {
-			// A mid-stream promotion on the primary (or an epoch it
-			// itself adopted): fencing metadata, not a mutation.
-			r.adoptEpoch(rec.Val)
-		} else if err := r.th.Apply(rec); err != nil {
-			return err
-		}
 		consumed += n
 		applied++
+		if rec.Op != wal.OpEpoch {
+			r.recs = append(r.recs, rec)
+			continue
+		}
+		// A mid-stream promotion on the primary (or an epoch it itself
+		// adopted): fencing metadata, not a mutation.
+		if err := r.th.ApplyEach(r.recs); err != nil {
+			return err
+		}
+		r.recs = r.recs[:0]
+		r.adoptEpoch(rec.Val)
+	}
+	if err := r.th.ApplyEach(r.recs); err != nil {
+		return err
 	}
 	r.pending = append(buf[:0], buf[consumed:]...)
 

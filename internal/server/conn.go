@@ -14,9 +14,8 @@ import (
 
 // Command → short-transaction arity (the spectm.Map hot paths):
 //
-//	GET k            ShortRO2 (node.next, node.val); a run of up to 64
-//	                 buffered GETs is answered by one GetEach, which
-//	                 walks the run's chains together first (getRun)
+//	GET k            ShortRO2 (node.next, node.val); consecutive GETs
+//	                 of a command run share one GetEach (execRun)
 //	SET k v, update  ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	SET k v, insert  chain walk + SingleCAS (clones the key: the only
 //	                 hot command that must retain bytes beyond the call);
@@ -39,6 +38,15 @@ import (
 //	IDXCREATE ix k   cold path: registers + backfills a secondary index
 //	STATS, PING      no transaction
 //
+// Pipelined commands execute in runs (step): the command Next returns
+// and the ones already buffered behind it, up to maxRun. Before a run
+// executes, the chains of every key of its single- and two-key commands
+// (GET, SET, DEL, CAS, SWAP2, a one- or two-key MGET) are walked together
+// in one Thread.Touch, so the run's hash-chain cache misses are taken
+// overlapped rather than one command at a time; the run then executes
+// its commands one by one, in order, so every reply is the one
+// one-at-a-time execution gives.
+//
 // Keys are passed to the map as zero-copy views of the read buffer
 // (safe: those paths never retain the key), so steady-state commands
 // run the whole decode→transaction→encode path without allocating.
@@ -49,10 +57,15 @@ type conn struct {
 	wr *proto.Writer
 	th *shardmap.Thread
 
-	// reused GET-run scratch (getRun)
-	gkeys  [maxGetRun]string
-	gvals  [maxGetRun]shardmap.Value
-	gfound [maxGetRun]bool
+	// reused command-run scratch (step): the run's argument views,
+	// packed — command i is rargs[rcmd[i]:rcmd[i+1]] — the keys it
+	// touches, and one GetEach's keys and answers
+	rargs  [maxRun * maxRunArgs][]byte
+	rcmd   [maxRun + 1]int
+	tkeys  [2 * maxRun]string
+	gkeys  [maxRun]string
+	gvals  [maxRun]shardmap.Value
+	gfound [maxRun]bool
 	// reused MGET scratch
 	mkeys  []string
 	mvals  []shardmap.Value
@@ -119,61 +132,132 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// maxGetRun caps how many pipelined GETs one GetEach answers.
-const maxGetRun = 64
+const (
+	// maxRun caps how many pipelined commands one step runs together.
+	maxRun = 64
+	// maxRunArgs is the most arguments, the command name included, a
+	// command of a run may have; a wider one ends the run and executes
+	// after it.
+	maxRunArgs = 4
+)
 
-// step executes the next command, blocking until one is buffered. A
-// well-formed GET starts a run: the consecutive well-formed GETs already
-// buffered behind it, up to maxGetRun, are answered together (getRun),
-// and the command that ended the run executes after the run's replies
-// are written, so replies keep the order of the commands.
+// step executes the next command run, blocking until a command is
+// buffered: the command Next returns and every command already buffered
+// behind it, up to maxRun (collectRun). The run touches its keys' chains
+// once (touchRun), then executes its commands in order (execRun); a
+// command wider than maxRunArgs that ended the run executes after it,
+// so replies keep the order of the commands.
 func (c *conn) step() error {
 	args, err := c.rd.Next()
 	if err != nil {
 		return err
 	}
-	if isGet(args) {
-		args = c.getRun(args)
-	}
-	if len(args) > 0 { // zero: a blank inline line, or a run that ended unbuffered
+	if len(args) > maxRunArgs {
 		c.execute(args)
+		return nil
+	}
+	n, next := c.collectRun(args)
+	c.touchRun(n)
+	c.execRun(n)
+	if next != nil {
+		c.execute(next)
 	}
 	return nil
+}
+
+// collectRun packs first and the commands buffered right behind it, up
+// to maxRun, into the run scratch, and returns how many it packed and the
+// buffered command wider than maxRunArgs that ended the run, or nil.
+// The argument views alias the read buffer, which NextBuffered never
+// moves; they are copied out because the reader reuses its argument
+// vector on every call.
+//
+//spectm:noalloc
+func (c *conn) collectRun(first [][]byte) (int, [][]byte) {
+	n, end := 0, 0
+	for args := first; ; {
+		end += copy(c.rargs[end:], args)
+		n++
+		c.rcmd[n] = end
+		if n == maxRun {
+			return n, nil
+		}
+		var ok bool
+		if args, ok = c.rd.NextBuffered(); !ok {
+			return n, nil
+		}
+		if len(args) > maxRunArgs {
+			return n, args
+		}
+	}
+}
+
+// runTouchHook, when a test sets it, runs inside touchRun with the keys
+// the run is about to touch.
+var runTouchHook func(c *conn, keys []string)
+
+// runCmd returns command i of the packed run.
+func (c *conn) runCmd(i int) [][]byte { return c.rargs[c.rcmd[i]:c.rcmd[i+1]] }
+
+// touchRun walks the hash chains of every key of the run's single- and
+// two-key commands in one Thread.Touch. It reads nothing a command
+// uses, so a wrong-arity or refused command costs only its touch.
+//
+//spectm:noalloc
+func (c *conn) touchRun(n int) {
+	k := 0
+	for i := 0; i < n; i++ {
+		args := c.runCmd(i)
+		if len(args) < 2 {
+			continue
+		}
+		cmd := args[0]
+		switch {
+		case proto.CmdEq(cmd, "GET"), proto.CmdEq(cmd, "SET"), proto.CmdEq(cmd, "DEL"), proto.CmdEq(cmd, "CAS"):
+			c.tkeys[k] = bstr(args[1])
+			k++
+		case len(args) == 3 && (proto.CmdEq(cmd, "SWAP2") || proto.CmdEq(cmd, "MGET")):
+			c.tkeys[k], c.tkeys[k+1] = bstr(args[1]), bstr(args[2])
+			k += 2
+		case len(args) == 2 && proto.CmdEq(cmd, "MGET"):
+			c.tkeys[k] = bstr(args[1])
+			k++
+		}
+	}
+	if runTouchHook != nil {
+		runTouchHook(c, c.tkeys[:k])
+	}
+	c.th.Touch(c.tkeys[:k])
+}
+
+// execRun executes the n commands of the run in order. Consecutive
+// well-formed GETs are answered by one GetEach: each still reads at its
+// own linearization point, in order (see shardmap.Thread.GetEach), and
+// no other command runs between them, so the replies are the ones
+// one-at-a-time execution gives.
+func (c *conn) execRun(n int) {
+	for i := 0; i < n; {
+		args := c.runCmd(i)
+		i++
+		switch {
+		case len(args) == 0: // a blank inline line
+		case isGet(args):
+			c.gkeys[0] = bstr(args[1])
+			g := 1
+			for ; i < n && isGet(c.runCmd(i)); i++ {
+				c.gkeys[g] = bstr(c.runCmd(i)[1])
+				g++
+			}
+			c.answerGets(g)
+		default:
+			c.execute(args)
+		}
+	}
 }
 
 // isGet reports whether args is a well-formed GET.
 func isGet(args [][]byte) bool {
 	return len(args) == 2 && proto.CmdEq(args[0], "GET")
-}
-
-// getRun answers the GET in first and every well-formed GET buffered
-// right behind it, up to maxGetRun, with one GetEach. Each GET still
-// reads at its own linearization point, in order (see
-// shardmap.Thread.GetEach); no other command runs between them, so the
-// replies are the ones one-at-a-time execution gives. The keys are views
-// of the read buffer, which NextBuffered never moves. getRun returns
-// the buffered command that ended the run, for the caller to execute,
-// or nil.
-//
-//spectm:noalloc
-func (c *conn) getRun(first [][]byte) [][]byte {
-	c.gkeys[0] = bstr(first[1])
-	n := 1
-	var next [][]byte
-	for n < maxGetRun {
-		args, ok := c.rd.NextBuffered()
-		if !ok {
-			break
-		}
-		if !isGet(args) {
-			next = args
-			break
-		}
-		c.gkeys[n] = bstr(args[1])
-		n++
-	}
-	c.answerGets(n)
-	return next
 }
 
 // answerGets reads the first n keys of the run scratch with one GetEach
@@ -276,8 +360,8 @@ func (c *conn) execute(args [][]byte) {
 	}
 }
 
-// getCmd answers a GET that step did not: a wrong-arity one, or one
-// passed to execute directly, which is a run of one.
+// getCmd answers a GET that execRun did not: a wrong-arity one, or one
+// passed to execute directly.
 //
 //spectm:noalloc
 func (c *conn) getCmd(args [][]byte) {

@@ -1,5 +1,6 @@
 // The record apply path: recovery replay and replication both funnel
-// decoded WAL records through Thread.Apply. Every record is an absolute
+// decoded WAL records through Thread.Apply (replication a batch at a
+// time, through Thread.ApplyEach). Every record is an absolute
 // assignment ("key now holds val" or "key is gone"), so applying is
 // idempotent — re-delivering a suffix after a resumed replication
 // stream or a fuzzy-snapshot bootstrap converges to the same state.
@@ -52,6 +53,50 @@ func (x *Thread) Apply(r wal.Record) error {
 		return x.CreateIndex(string(r.Key), string(r.Key2))
 	default:
 		return fmt.Errorf("%w: unknown record op %d", wal.ErrCorrupt, r.Op)
+	}
+}
+
+// ApplyEach applies recs in order, each exactly as Apply would, and
+// stops at the first error, which it returns: the records before it
+// stay applied. Before it applies a window of applyWindow records it
+// walks the chains of all their keys together (touchChains), so the
+// window's cache misses are taken overlapped instead of one record after
+// another, and its lines are still cached when its records apply. The
+// records' keys must stay valid until ApplyEach returns.
+func (x *Thread) ApplyEach(recs []wal.Record) error {
+	for len(recs) > 0 {
+		w := recs[:min(len(recs), applyWindow)]
+		recs = recs[len(w):]
+		x.touchRecords(w)
+		for i := range w {
+			if err := x.Apply(w[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// applyWindow is how many records ApplyEach touches at a time.
+const applyWindow = 64
+
+// touchRecords walks the chains of every key of recs (touchChains).
+func (x *Thread) touchRecords(recs []wal.Record) {
+	x.bhash = x.bhash[:0]
+	for i := range recs {
+		r := &recs[i]
+		switch r.Op {
+		case wal.OpSwap2:
+			x.bhash = append(x.bhash, x.m.hash(borrow(r.Key2)))
+			fallthrough
+		case wal.OpPut, wal.OpCAS, wal.OpDelete:
+			x.bhash = append(x.bhash, x.m.hash(borrow(r.Key)))
+		}
+	}
+	if len(x.bhash) > 1 {
+		x.t.Epoch.Enter()
+		x.touchChains()
+		x.t.Epoch.Exit()
 	}
 }
 

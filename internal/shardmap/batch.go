@@ -108,6 +108,25 @@ func (x *Thread) getBatchFull(keys []string, vals []Value, found []bool) {
 	}
 }
 
+// Touch walks the chains of keys together (touchChains), under its own
+// epoch pin, so that the operations the caller runs next on those keys —
+// in any order, through any path — find the nodes they stop at already
+// cached: the keys' cache misses are taken overlapped, in one pass,
+// instead of one operation after another. It reads nothing on the
+// caller's behalf, so it never changes what an operation returns. With
+// fewer than two keys there is nothing to overlap, and it does nothing.
+//
+//spectm:noalloc
+func (x *Thread) Touch(keys []string) {
+	if len(keys) < 2 {
+		return
+	}
+	x.t.Epoch.Enter()
+	x.hashKeys(keys)
+	x.touchChains()
+	x.t.Epoch.Exit()
+}
+
 // hashKeys hashes every key once into x.bhash.
 func (x *Thread) hashKeys(keys []string) {
 	x.bhash = x.bhash[:0]

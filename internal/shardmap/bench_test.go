@@ -127,11 +127,14 @@ func BenchmarkMapGet16Large(b *testing.B) {
 	})
 }
 
-// BenchmarkMapGetEach16Large is one 16-key GetEach of random keys on
-// the 1 Mi-key map: every key's chain walked in rounds, then 16
-// independent lookups.
+// BenchmarkMapGetEach16Large is one Touch and one 16-key GetEach of
+// random keys on the 1 Mi-key map: every key's chain walked in rounds,
+// then 16 independent lookups.
 func BenchmarkMapGetEach16Large(b *testing.B) {
-	benchGet16Large(b, (*Thread).GetEach)
+	benchGet16Large(b, func(th *Thread, batch []string, vals []Value, found []bool) {
+		th.Touch(batch)
+		th.GetEach(batch, vals, found)
+	})
 }
 
 func benchGet16Large(b *testing.B, get func(*Thread, []string, []Value, []bool)) {

@@ -27,32 +27,49 @@
 // 2-location short transaction revalidating cnt == 1, so a concurrent
 // take aborts the removal and merely degrades the entry's height), and
 // searches lazily splice marked higher-level links out (Harris-style
-// helping via Tx_Single_CAS). The final level-0 step is one 3-location
-// short transaction over (cnt, level-0 link, predecessor link): it
-// validates cnt == 1, writes cnt = 0, marks the link and splices — all
-// atomically — and only its winner retires the node.
+// helping via Tx_Single_CAS). The final level-0 step is one short
+// transaction over (cnt, level-0 link, predecessor link, successor's
+// back link): it validates cnt == 1, writes cnt = 0, marks the link and
+// splices — all atomically — and only its winner retires the node.
+//
+// Level 0 is doubly linked. Every entry has a back link, prev, and
+//
+//	e linked at level 0  ⟹  e.prev is e's level-0 predecessor
+//
+// (Null for the head): every commit that changes a level-0 link also
+// writes the back link of the entry that link now names. So the remover
+// finds its predecessor by reading one word, not by searching, and its
+// commit validates what it read: a predecessor link that still names
+// the entry proves the predecessor linked and adjacent.
 //
 // Op → arity:
 //
 //	search step        Tx_Single_Read (+ Tx_Single_CAS helping)
 //	take reference     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
-//	insert (publish)   Tx_Single_CAS on the predecessor's level-0 link
-//	                   (the map's own insert then publishes the key's
-//	                   hash node with ShortRW2(pred link, entry.hint))
+//	insert (publish)   ShortRW2 over (pred.next₀, succ.prev); a
+//	                   Tx_Single_CAS on pred.next₀ when there is no
+//	                   successor (the map's own insert then publishes
+//	                   the key's hash node with ShortRW2(pred link,
+//	                   entry.hint))
 //	insert (raise)     ShortRW2 over (node.nextL, pred.nextL) per level
 //	drop (cnt > 1)     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
 //	drop (mark level)  ShortRW2 over (cnt, node.nextL) per level
-//	drop (unlink)      ShortRW3 over (cnt, node.next₀, pred.next₀)
+//	drop (unlink)      Tx_Single_Read(node.prev), then ShortRW3 over
+//	                   (cnt, node.next₀, pred.next₀), extended to
+//	                   ShortRW4 by succ.prev when there is a successor
 //
 // # Cost
 //
-// A mutation is one O(log n) search: raise and the level-0 unlink commit
-// against the predecessors that search left in the thread's scratch (see
-// their comments for when they search again, and for the one second
-// search that has to stay). Heights are drawn with p = ¼, and a step
-// compares the two prefix words stored in the entry, next to the tower,
-// so a descent reads the separately allocated key bytes only on a
-// 16-byte tie. DESIGN.md "What an index operation costs" has the model.
+// An insert is one O(log n) search: raise commits against the
+// predecessors that search left in the thread's scratch (see its comment
+// for when it searches again). A release that holds the entry — the
+// map's delete, an insert that lost its race — searches only for an
+// entry taller than one level, whose upper levels a descent must
+// help-splice before Retire (see remove). Heights are drawn with p = ¼,
+// and a step compares the two prefix words stored in the entry, next to
+// the tower, so a descent reads the separately allocated key bytes only
+// on a 16-byte tie. DESIGN.md "What an index operation costs" has the
+// model.
 package shardmap
 
 import (
@@ -79,19 +96,21 @@ const (
 	idxFieldShift = 5
 	idxFieldCnt   = 0               // field 0: refcount; field 1+L: next[L]
 	idxFieldHint  = 1 + idxMaxLevel // the primary index's hash-node hint
+	idxFieldPrev  = 2 + idxMaxLevel // the level-0 back link
 )
 
-// inode is one index entry. Everything but cnt, hint and next, the
-// transactional words, is immutable after publication. The prefix words
-// sit against the tower because those are what a search step reads: p0,
-// p1 and next[lv] are 24 contiguous bytes at level 0 and 32 at level 1;
-// hint, key and hash, which a scan reads with next[0], come just before
-// them. With 8-byte words an entry is 144 B; the arena keeps its
-// generation in a side array (TestInodeLayout).
+// inode is one index entry. Everything but cnt, prev, hint and next,
+// the transactional words, is immutable after publication. The prefix
+// words sit against the tower because those are what a search step
+// reads: p0, p1 and next[lv] are 24 contiguous bytes at level 0 and 32
+// at level 1; hint, key and hash, which a scan reads with next[0], come
+// just before them. With 8-byte words an entry is 152 B; the arena
+// keeps its generation in a side array (TestInodeLayout).
 type inode struct {
 	split  int32 // secondary entries: length of the index-key half of key
 	lvl    int32
 	cnt    core.Word
+	prev   core.Word // level-0 predecessor while linked there; Null for the head
 	hint   core.Word // primary index: the key's hash node, empty iff the key is not live (see ordered.go)
 	key    string
 	hash   uint64 // primary index: the key's map hash, for Scan's verification
@@ -160,9 +179,24 @@ func (ol *olist) hintVar(h arena.Handle, n *inode) core.Var {
 	return ol.m.e.WordVar(&n.hint, ol.idTag|uint64(h)<<idxFieldShift|idxFieldHint)
 }
 
+func (ol *olist) prevVar(h arena.Handle, n *inode) core.Var {
+	return ol.m.e.WordVar(&n.prev, ol.idTag|uint64(h)<<idxFieldShift|idxFieldPrev)
+}
+
+// link0Var is the level-0 link that names the entry after p, where p is
+// an encoded back link: the head's when p is Null.
+func (ol *olist) link0Var(p word.Value) core.Var {
+	if p.IsNull() {
+		return ol.headVar(0)
+	}
+	h := dec(p)
+	return ol.nextVar(h, ol.a.Get(h), 0)
+}
+
 // search descends the list for the first entry ≥ key, filling the
 // thread's ipreds/isuccs scratch with, per level, the predecessor link
-// Var and the successor value it held. It returns the entry's handle
+// Var and the successor value it held, and ipred0 with the level-0
+// predecessor (nil for the head). It returns the entry's handle
 // when an exact match heads level 0. Marked higher-level links met on
 // the way are spliced out (helping the remover that marked them); a
 // marked link read *from* a predecessor means that predecessor is being
@@ -211,6 +245,7 @@ restart:
 				break
 			}
 		}
+		x.ipred0 = predH
 		x.ops.idxSearches.Add(1)
 		x.ops.idxSteps.Add(steps)
 		if !x.isuccs[0].IsNull() {
@@ -257,13 +292,38 @@ func (ol *olist) add(x *Thread, key string, hash uint64, split int) arena.Handle
 		}
 		n := ol.a.Get(spare)
 		n.cnt.Init(word.FromUint(1))
+		n.prev.Init(enc(x.ipred0))
 		n.next[0].Init(x.isuccs[0])
-		if x.t.SingleCAS(x.ipreds[0], x.isuccs[0], enc(spare)) != x.isuccs[0] {
+		if !ol.publish(x, spare, attempt) {
 			continue // publish race; retry from a fresh search
 		}
 		ol.raise(x, spare, n)
 		return spare
 	}
+}
+
+// publish links the fresh entry h, whose level-0 links already name the
+// search's predecessor and successor, between them: one commit swings
+// the predecessor's level-0 link and the successor's back link to h,
+// validating that the predecessor still names the successor. With no
+// successor it is one CAS on the predecessor's link.
+func (ol *olist) publish(x *Thread, h arena.Handle, attempt int) bool {
+	succ := x.isuccs[0]
+	if succ.IsNull() {
+		return x.t.SingleCAS(x.ipreds[0], succ, enc(h)) == succ
+	}
+	sh := dec(succ)
+	d, pv, _ := x.t.ShortRW2(x.ipreds[0], ol.prevVar(sh, ol.a.Get(sh)))
+	if !d.Valid() {
+		x.t.Backoff(attempt)
+		return false
+	}
+	if pv != succ {
+		d.Abort()
+		return false
+	}
+	d.Commit(enc(h), enc(h))
+	return true
 }
 
 // raise links a freshly published entry into levels 1..lvl-1. Each
@@ -319,11 +379,10 @@ func (ol *olist) drop(x *Thread, key string) {
 	}
 }
 
-// release is drop after the search: h is key's entry as a search just
-// found it, and that search's predecessors are in the thread's scratch,
-// which the level-0 unlink of an entry of height one commits against
-// (see remove). It searches again only when the entry turns out to be
-// removed or resurrected under it.
+// release drops one reference on key's entry h: one the caller holds,
+// or the entry a search just found. It searches only when the entry
+// turns out to be removed or resurrected under it; remove's own search
+// of a tall entry aside, releasing a held reference needs none.
 func (ol *olist) release(x *Thread, key string, h arena.Handle) {
 	for attempt := 1; ; attempt++ {
 		n := ol.a.Get(h)
@@ -354,23 +413,31 @@ func (ol *olist) release(x *Thread, key string, h arena.Handle) {
 	}
 }
 
+// removeHook, when a test sets it, runs inside remove's level-0 unlink
+// between reading the entry's back link and the commit that trusts it.
+var removeHook func(key string)
+
 // remove retires the entry assuming the caller owns its last reference.
-// Levels lvl-1..1 are marked top-down, then one ShortRW3 validates
-// cnt == 1, writes cnt = 0, marks level 0 and splices the entry out in
-// a single commit — the only writer of cnt = 0, preserving the
-// "unmarked level-0 link implies cnt ≥ 1" invariant add relies on.
-// False means a concurrent add resurrected the entry (the caller then
-// retries its drop against the raised count).
+// Levels lvl-1..1 are marked top-down, then one commit validates
+// cnt == 1, writes cnt = 0, marks level 0 and splices the entry out —
+// the only writer of cnt = 0, preserving the "unmarked level-0 link
+// implies cnt ≥ 1" invariant add relies on. False means a concurrent
+// add resurrected the entry (the caller then retries its drop against
+// the raised count).
 //
-// An entry of height one unlinks against the level-0 predecessor the
-// releasing search found (drop's, or the map delete's), and searches
-// again only if the commit finds that link moved: as in raise, the
-// ShortRW3 validates everything it trusts (an unmarked level-0 link is a
-// linked predecessor, because level 0 is marked and spliced in one
-// commit). A taller entry must search after its upper levels are
-// marked, whatever that search found: that descent is the
-// pass that help-splices the entry out of every level it was linked at,
-// and it has to finish before Retire hands the slot to the arena.
+// The unlink reads its predecessor from the entry's back link; the
+// commit locks that predecessor's level-0 link and retries from a fresh
+// read of the back link when the link no longer names the entry (an
+// insert or a removal next to it committed in between). The read is
+// safe outside the commit: while the entry is linked its back link names
+// a linked entry, and the epoch pin keeps that slot from being
+// recycled. The commit also locks the successor's back link, named by
+// the entry's own level-0 link, and points it at the predecessor.
+//
+// A taller entry must search after its upper levels are marked: that
+// descent is the pass that help-splices the entry out of every level it
+// was linked at, and it has to finish before Retire hands the slot to
+// the arena.
 func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 	for lv := int(n.lvl) - 1; lv >= 1; lv-- {
 		for attempt := 1; ; attempt++ {
@@ -391,30 +458,43 @@ func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 			break
 		}
 	}
-	stale := n.lvl > 1
-	for attempt := 1; ; attempt++ {
-		if stale {
-			if h2, found := ol.search(x, n.key); !found || h2 != h {
-				// Gone: a resurrect + concurrent drop consumed the entry.
-				return false
-			}
-			stale = false
+	if n.lvl > 1 {
+		if h2, found := ol.search(x, n.key); !found || h2 != h {
+			// Gone: a resurrect + concurrent drop consumed the entry.
+			return false
 		}
-		d, cv, nv, pv := x.t.ShortRW3(ol.cntVar(h, n), ol.nextVar(h, n, 0), x.ipreds[0])
+	}
+	for attempt := 1; ; attempt++ {
+		p := x.t.SingleRead(ol.prevVar(h, n))
+		if removeHook != nil {
+			removeHook(n.key)
+		}
+		d, cv, nv, pv := x.t.ShortRW3(ol.cntVar(h, n), ol.nextVar(h, n, 0), ol.link0Var(p))
 		if !d.Valid() {
 			x.t.Backoff(attempt)
 			continue
 		}
-		if cv.Uint() != 1 {
+		if cv.Uint() != 1 || nv.Marked() {
+			// Resurrected. (A marked level-0 link is only ever written
+			// with cnt = 0, so a valid cnt == 1 never comes with one.)
 			d.Abort()
-			return false // resurrected
+			return false
 		}
-		if nv.Marked() || pv != enc(h) {
-			d.Abort()
-			stale = true // re-resolve the predecessor
+		if pv != enc(h) {
+			d.Abort() // a neighbour moved since the back link was read
 			continue
 		}
-		d.Commit(word.Null, nv.WithMark(), nv)
+		if nv.IsNull() {
+			d.Commit(word.Null, nv.WithMark(), nv)
+		} else {
+			sh := dec(nv)
+			d4, _ := d.Extend(ol.prevVar(sh, ol.a.Get(sh)))
+			if !d4.Valid() {
+				x.t.Backoff(attempt)
+				continue
+			}
+			d4.Commit(word.Null, nv.WithMark(), nv, p)
+		}
 		x.t.Epoch.Retire(ol.a, uint64(h))
 		return true
 	}

@@ -65,8 +65,8 @@ func FuzzPrefixOrder(f *testing.F) {
 // reads sitting next to the key and hash.
 func TestInodeLayout(t *testing.T) {
 	var n inode
-	if got := unsafe.Sizeof(n); got != 144 {
-		t.Errorf("entry is %d B, want 144", got)
+	if got := unsafe.Sizeof(n); got != 152 {
+		t.Errorf("entry is %d B, want 152", got)
 	}
 	if p, nx := unsafe.Offsetof(n.p0), unsafe.Offsetof(n.next); nx-p != 16 {
 		t.Errorf("prefix words at %d, tower at %d: want them adjacent", p, nx)
@@ -141,8 +141,9 @@ func TestOlistSearchHeight(t *testing.T) {
 
 // TestOlistSearchesPerMutation pins the search count of each mutation on
 // a quiescent thread: an insert is one search, an update none, a delete
-// one for an entry of height 1 and two for a taller one (the second is
-// the pass that splices the marked upper levels out before the retire).
+// none for an entry of height 1 (it releases the hash node's entry and
+// reads its predecessor from the back link) and one for a taller one
+// (the pass that splices the marked upper levels out before the retire).
 func TestOlistSearchesPerMutation(t *testing.T) {
 	m := New(core.New(core.Config{Layout: core.LayoutVal}), WithOrdered())
 	x := m.NewThread()
@@ -154,7 +155,7 @@ func TestOlistSearchesPerMutation(t *testing.T) {
 		op()
 		return x.OpStats().IndexSearches - before
 	}
-	for _, tc := range []struct{ lvl, del int }{{1, 1}, {2, 2}, {idxMaxLevel, 2}} {
+	for _, tc := range []struct{ lvl, del int }{{1, 0}, {2, 1}, {idxMaxLevel, 1}} {
 		m.ordered.level = func(*rng.State) int { return tc.lvl }
 		k := fmt.Sprintf("n0100-lvl%d", tc.lvl)
 		if got := searches(func() { x.Put(k, word.FromUint(2)) }); got != 1 {
@@ -170,7 +171,8 @@ func TestOlistSearchesPerMutation(t *testing.T) {
 }
 
 // olistCheck verifies a quiescent index: level 0 is strictly sorted and
-// mark-free, every upper level is mark-free and a sub-sequence of level
+// mark-free, every level-0 entry's back link names its predecessor (Null
+// for the first), every upper level is mark-free and a sub-sequence of level
 // 0 within each entry's drawn height, and the arena holds exactly the
 // linked entries — nothing retired while linked, nothing leaked.
 func olistCheck(t *testing.T, ol *olist, x *Thread) []string {
@@ -197,6 +199,13 @@ func olistCheck(t *testing.T, ol *olist, x *Thread) []string {
 		pos[h], keys[i] = i, ol.a.Get(h).key
 		if i > 0 && keys[i-1] >= keys[i] {
 			t.Fatalf("level 0 out of order: %q before %q", keys[i-1], keys[i])
+		}
+		want := word.Null
+		if i > 0 {
+			want = enc(base[i-1])
+		}
+		if got := x.t.SingleRead(ol.prevVar(h, ol.a.Get(h))); got != want {
+			t.Fatalf("level 0: entry %q has back link %#x, want %#x", keys[i], uint64(got), uint64(want))
 		}
 	}
 	for lv := 1; lv < idxMaxLevel; lv++ {
@@ -302,5 +311,81 @@ func TestOlistHammer(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("index holds %v, map holds %v", got, want)
+	}
+}
+
+// TestOlistRemoveInterleavings drives the level-0 unlink through the
+// races the back link must survive, with removeHook running the racing
+// operation on a second thread after the remover has read its entry's
+// back link and before its commit: an insert just before the entry (the
+// commit finds the predecessor link moved and retries from the new back
+// link), an insert just after it (the commit repoints the new entry's
+// back link), and the removal of either neighbour. Every case runs at
+// height one and with towers, and ends with olistCheck, which checks
+// every back link.
+func TestOlistRemoveInterleavings(t *testing.T) {
+	cases := []struct {
+		name   string
+		keys   []string
+		race   func(ol *olist, x *Thread)
+		want   []string
+		unlink int // commits the remover attempts
+	}{
+		{"insert before", []string{"b", "d", "f"},
+			func(ol *olist, x *Thread) { ol.add(x, "c", 0, 0) }, []string{"b", "c", "f"}, 2},
+		{"insert after", []string{"b", "d", "f"},
+			func(ol *olist, x *Thread) { ol.add(x, "e", 0, 0) }, []string{"b", "e", "f"}, 1},
+		{"insert first", []string{"d", "f"},
+			func(ol *olist, x *Thread) { ol.add(x, "a", 0, 0) }, []string{"a", "f"}, 2},
+		{"remove before", []string{"a", "b", "d", "f"},
+			func(ol *olist, x *Thread) { ol.drop(x, "b") }, []string{"a", "f"}, 2},
+		{"remove after", []string{"a", "b", "d", "f", "g"},
+			func(ol *olist, x *Thread) { ol.drop(x, "f") }, []string{"a", "b", "g"}, 1},
+		{"remove last after", []string{"b", "d", "f"},
+			func(ol *olist, x *Thread) { ol.drop(x, "f") }, []string{"b"}, 1},
+	}
+	for _, lvl := range []int{1, 3} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/height%d", tc.name, lvl), func(t *testing.T) {
+				m := New(core.New(core.Config{Layout: core.LayoutVal}), WithOrdered())
+				m.ordered.level = func(*rng.State) int { return lvl }
+				ol := m.ordered
+				x, x2 := m.NewThread(), m.NewThread()
+				// Filled in descending order, so every publish but the
+				// first has a successor whose back link it moves.
+				fill := append([]string(nil), tc.keys...)
+				sort.Sort(sort.Reverse(sort.StringSlice(fill)))
+				olistFill(m, x, fill)
+				olistCheck(t, ol, x)
+				unlinks, raced := 0, false
+				removeHook = func(key string) {
+					if key != "d" {
+						return
+					}
+					if unlinks++; unlinks > 100 {
+						t.Fatalf("the remover retried its unlink %d times: its back link never names its predecessor", unlinks)
+					}
+					if !raced {
+						raced = true
+						x2.t.Epoch.Enter()
+						tc.race(ol, x2)
+						x2.t.Epoch.Exit()
+					}
+				}
+				defer func() { removeHook = nil }()
+				x.t.Epoch.Enter()
+				ol.drop(x, "d")
+				x.t.Epoch.Exit()
+				removeHook = nil
+				if unlinks != tc.unlink {
+					t.Errorf("the remover attempted %d unlink commits, want %d", unlinks, tc.unlink)
+				}
+				x.t.Epoch.Flush()
+				x2.t.Epoch.Flush()
+				if got := olistCheck(t, ol, x); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Fatalf("index holds %v, want %v", got, tc.want)
+				}
+			})
+		}
 	}
 }

@@ -4,8 +4,10 @@
 // statically sized short transaction:
 //
 //	Get                ShortRO2 over (node.next, node.val)
-//	GetEach (n keys)   n independent Gets under one epoch pin, after
-//	                   walking every key's chain in rounds (touchChains)
+//	GetEach (n keys)   n independent Gets under one epoch pin
+//	Touch (n keys)     no transaction: walks every key's chain in rounds
+//	                   (touchChains), so the operations that follow on
+//	                   those keys find their nodes cached
 //	Put (update)       ShortRO1 + LockRead → ShortRO1RW1 combined commit
 //	Put (insert)       chain walk of Tx_Single_Reads + one Tx_Single_CAS
 //	                   (ShortRW2 over (pred link, entry.hint) with the
@@ -364,9 +366,11 @@ type Thread struct {
 	sink uint64
 
 	// ordered-index search scratch: per-level predecessor link and the
-	// successor value it held (olist.search)
+	// successor value it held, and the level-0 predecessor entry
+	// (olist.search)
 	ipreds [idxMaxLevel]core.Var
 	isuccs [idxMaxLevel]word.Value
+	ipred0 arena.Handle
 }
 
 // NewThread registers a worker with the map's engine.
@@ -468,9 +472,10 @@ func (x *Thread) get(key string) (Value, bool) {
 // and found[i] report key i as Get(keys[i]) would. vals and found must
 // be at least as long as keys. Each key is read with its own ShortRO2
 // at its own linearization point, in order, so the results are not one
-// snapshot; GetBatch is the atomic multi-key read. With two or more
-// keys, every key's chain is walked first (touchChains), so their cache
-// misses overlap instead of being taken one key after another.
+// snapshot; GetBatch is the atomic multi-key read. GetEach does not walk
+// the chains ahead of the lookups: a caller that wants the keys' cache
+// misses overlapped calls Touch first, with these keys and any others
+// it is about to use.
 //
 //spectm:noalloc
 func (x *Thread) GetEach(keys []string, vals []Value, found []bool) {
@@ -479,9 +484,6 @@ func (x *Thread) GetEach(keys []string, vals []Value, found []bool) {
 	}
 	x.t.Epoch.Enter()
 	x.hashKeys(keys)
-	if len(keys) > 1 {
-		x.touchChains()
-	}
 	for i, key := range keys {
 		vals[i], found[i] = x.lookup(key, x.bhash[i])
 		count(&x.ops.gets, &x.ops.getHits, found[i])
@@ -631,7 +633,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			st, old := x.writeVal(sh, cur, val, attempt)
 			if st == writeDone {
 				if !eh.IsNil() {
-					ol.drop(x, key) // insert lost; release the provisional reference
+					ol.release(x, key, eh) // insert lost; release the provisional reference
 				}
 				return false, old
 			}
@@ -693,7 +695,8 @@ func (x *Thread) Delete(key string) bool {
 // ShortRW3 that also writes the hint of the node's entry (node.ent)
 // empty, and the node's reference on that entry is released after the
 // commit: the index entry outlives the key, never the reverse. The
-// release's search is the delete's one index search.
+// release goes to the entry directly, so the delete searches the index
+// only to remove an entry taller than one level (see olist.remove).
 func (x *Thread) del(h uint64, key string) (bool, Value) {
 	sh := x.m.shardOf(h)
 	ol := x.m.ordered
@@ -743,7 +746,7 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 		}
 		x.t.Epoch.Retire(sh.a, uint64(cur))
 		if ol != nil {
-			ol.drop(x, key)
+			ol.release(x, key, n.ent)
 		}
 		return true, old
 	}
