@@ -38,14 +38,9 @@ type txnRec struct {
 
 	// wfilter has bit wbit(data) set for the data word of every write
 	// entry, so looking up a word the transaction has not written —
-	// nearly every TxRead, every first TxWrite — skips the write set.
-	// widx indexes the write set by data word once it outgrows
-	// wIndexMin entries (open addressing, slot = entry index + 1; empty
-	// below that size), so a lookup the filter passes stays O(1) in a
-	// large write set too. Both are cleared by TxStart.
+	// nearly every TxRead, every first TxWrite — skips the scan of the
+	// write set while the set is small. TxStart clears it.
 	wfilter uint64
-	widx    []int32
-	wshift  uint8 // 64 - log2(len(widx))
 }
 
 // rdEnt is one read-set entry. Versioned layouts record the observed meta
@@ -81,7 +76,6 @@ func (t *Thr) TxStart() {
 	x.reads = x.reads[:0]
 	x.writes = x.writes[:0]
 	x.wfilter = 0
-	x.widx = x.widx[:0]
 	switch t.rp {
 	case rpVerExt:
 		x.snap = t.e.global.Read()
@@ -288,92 +282,33 @@ func (t *Thr) TxWrite(v Var, val Value) {
 		x.writes[i].val = uint64(val)
 		return
 	}
-	x.addWrite(wrEnt{meta: v.meta, data: v.data, val: uint64(val)})
+	x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val)})
+	x.wfilter |= wbit(v.data)
 }
 
-// wIndexMin is the write-set size up to which a lookup the filter passes
-// scans the write set; past it the set is indexed (widx).
-const wIndexMin = 16
-
-// whash mixes a data word's address (Fibonacci hashing): the filter bit
-// and the index slot are taken from its top bits.
-func whash(data *uint64) uint64 {
-	return uint64(uintptr(unsafe.Pointer(data))) * 0x9E3779B97F4A7C15
+// wbit is data's bit in the write-set filter: the top six bits of its
+// address under Fibonacci hashing, so words a fixed stride apart spread
+// over the 64 bits.
+func wbit(data *uint64) uint64 {
+	return 1 << (uint64(uintptr(unsafe.Pointer(data))) * 0x9E3779B97F4A7C15 >> 58)
 }
 
-// wbit is data's bit in the write-set filter.
-func wbit(h uint64) uint64 { return 1 << (h >> 58) }
-
-// findWrite returns the index of data's write entry, or -1.
+// findWrite returns the index of data's write entry, or -1. A word
+// whose filter bit is clear has none; otherwise the write set is
+// scanned. The full transactions the map runs (a bucket migration)
+// write 3–35 words, so the filter passes a word not yet written about
+// one time in six and the scan stays short; a write set much past 64
+// words sets every bit and pays a linear scan per lookup.
 func (x *txnRec) findWrite(data *uint64) int {
-	h := whash(data)
-	if x.wfilter&wbit(h) == 0 {
+	if x.wfilter&wbit(data) == 0 {
 		return -1
 	}
-	if len(x.widx) == 0 {
-		for i := range x.writes {
-			if x.writes[i].data == data {
-				return i
-			}
-		}
-		return -1
-	}
-	mask := uint64(len(x.widx) - 1)
-	for s := h >> x.wshift; ; s = (s + 1) & mask {
-		j := x.widx[s]
-		if j == 0 {
-			return -1
-		}
-		if x.writes[j-1].data == data {
-			return int(j - 1)
-		}
-	}
-}
-
-// addWrite appends the entry of a data word the write set does not hold
-// yet, keeping the filter and, past wIndexMin entries, the index at no
-// more than half load.
-func (x *txnRec) addWrite(w wrEnt) {
-	x.writes = append(x.writes, w)
-	h := whash(w.data)
-	x.wfilter |= wbit(h)
-	switch n := len(x.writes); {
-	case n <= wIndexMin:
-	case 2*n > len(x.widx):
-		x.reindex()
-	default:
-		x.widxInsert(n-1, h)
-	}
-}
-
-// reindex rebuilds widx at four slots per write entry, reusing its
-// backing array when that is large enough.
-func (x *txnRec) reindex() {
-	bits := uint8(1)
-	for 1<<bits < 4*len(x.writes) {
-		bits++
-	}
-	size := 1 << bits
-	if cap(x.widx) < size {
-		x.widx = make([]int32, size)
-	} else {
-		x.widx = x.widx[:size]
-		clear(x.widx)
-	}
-	x.wshift = 64 - bits
 	for i := range x.writes {
-		x.widxInsert(i, whash(x.writes[i].data))
+		if x.writes[i].data == data {
+			return i
+		}
 	}
-}
-
-// widxInsert records write entry i, whose data word hashes to h.
-func (x *txnRec) widxInsert(i int, h uint64) {
-	mask := uint64(len(x.widx) - 1)
-	s := h >> x.wshift
-	for x.widx[s] != 0 {
-		s = (s + 1) & mask
-	}
-	x.widx[s] = int32(i + 1)
+	return -1
 }
 
 // TxCommit attempts to commit. On failure the transaction is rolled back

@@ -41,11 +41,11 @@ import (
 // Pipelined commands execute in runs (step): the command Next returns
 // and the ones already buffered behind it, up to maxRun. Before a run
 // executes, the chains of every key of its single- and two-key commands
-// (GET, SET, DEL, CAS, SWAP2, a one- or two-key MGET) are walked together
-// in one Thread.Touch, so the run's hash-chain cache misses are taken
-// overlapped rather than one command at a time; the run then executes
-// its commands one by one, in order, so every reply is the one
-// one-at-a-time execution gives.
+// (GET, SET, DEL, CAS, SWAP2, a one- or two-key MGET: keyCmds) are
+// walked together in one Thread.Touch, so the run's hash-chain cache
+// misses are taken overlapped rather than one command at a time; the
+// run then executes its commands one by one, in order, so every reply
+// is the one one-at-a-time execution gives.
 //
 // Keys are passed to the map as zero-copy views of the read buffer
 // (safe: those paths never retain the key), so steady-state commands
@@ -199,29 +199,86 @@ var runTouchHook func(c *conn, keys []string)
 // runCmd returns command i of the packed run.
 func (c *conn) runCmd(i int) [][]byte { return c.rargs[c.rcmd[i]:c.rcmd[i+1]] }
 
+// keyCmd describes a command whose keys a run touches (touchRun): its
+// name, how many arguments follow the name (0: one or more), and how
+// many of them, from the first, are keys (0: all). execute checks these
+// commands' arities against the same table, so each command's argument
+// layout is written down once.
+type keyCmd struct {
+	name     string
+	arity    int
+	keys     int
+	arityErr string
+}
+
+const (
+	cmdGET = iota
+	cmdSET
+	cmdDEL
+	cmdCAS
+	cmdSWAP2
+	cmdMGET
+)
+
+var keyCmds = [...]keyCmd{
+	cmdGET:   {"GET", 1, 1, "ERR wrong number of arguments for 'GET'"},
+	cmdSET:   {"SET", 2, 1, "ERR wrong number of arguments for 'SET'"},
+	cmdDEL:   {"DEL", 1, 1, "ERR wrong number of arguments for 'DEL'"},
+	cmdCAS:   {"CAS", 3, 1, "ERR wrong number of arguments for 'CAS'"},
+	cmdSWAP2: {"SWAP2", 2, 2, "ERR wrong number of arguments for 'SWAP2'"},
+	cmdMGET:  {"MGET", 0, 0, "ERR wrong number of arguments for 'MGET'"},
+}
+
+// keyCmdOf returns cmd's index in keyCmds, or -1.
+func keyCmdOf(cmd []byte) int {
+	for i := range keyCmds {
+		if proto.CmdEq(cmd, keyCmds[i].name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// fits reports whether args, the arguments after the name, fit the
+// command's arity.
+func (k *keyCmd) fits(args [][]byte) bool {
+	if k.arity == 0 {
+		return len(args) > 0
+	}
+	return len(args) == k.arity
+}
+
+// keyArgs returns the keys among args, which fit the command's arity.
+func (k *keyCmd) keyArgs(args [][]byte) [][]byte {
+	if k.keys == 0 {
+		return args
+	}
+	return args[:k.keys]
+}
+
 // touchRun walks the hash chains of every key of the run's single- and
 // two-key commands in one Thread.Touch. It reads nothing a command
-// uses, so a wrong-arity or refused command costs only its touch.
+// uses, so a refused command costs only its touch; a wrong-arity one
+// touches nothing, and an MGET of more than two keys touches its own
+// chains (Thread.GetBatch).
 //
 //spectm:noalloc
 func (c *conn) touchRun(n int) {
 	k := 0
 	for i := 0; i < n; i++ {
 		args := c.runCmd(i)
-		if len(args) < 2 {
+		if len(args) == 0 {
 			continue
 		}
-		cmd := args[0]
-		switch {
-		case proto.CmdEq(cmd, "GET"), proto.CmdEq(cmd, "SET"), proto.CmdEq(cmd, "DEL"), proto.CmdEq(cmd, "CAS"):
-			c.tkeys[k] = bstr(args[1])
-			k++
-		case len(args) == 3 && (proto.CmdEq(cmd, "SWAP2") || proto.CmdEq(cmd, "MGET")):
-			c.tkeys[k], c.tkeys[k+1] = bstr(args[1]), bstr(args[2])
-			k += 2
-		case len(args) == 2 && proto.CmdEq(cmd, "MGET"):
-			c.tkeys[k] = bstr(args[1])
-			k++
+		j := keyCmdOf(args[0])
+		if j < 0 || !keyCmds[j].fits(args[1:]) {
+			continue
+		}
+		if keys := keyCmds[j].keyArgs(args[1:]); len(keys) <= 2 {
+			for _, key := range keys {
+				c.tkeys[k] = bstr(key)
+				k++
+			}
 		}
 	}
 	if runTouchHook != nil {
@@ -257,7 +314,7 @@ func (c *conn) execRun(n int) {
 
 // isGet reports whether args is a well-formed GET.
 func isGet(args [][]byte) bool {
-	return len(args) == 2 && proto.CmdEq(args[0], "GET")
+	return len(args) > 0 && proto.CmdEq(args[0], keyCmds[cmdGET].name) && keyCmds[cmdGET].fits(args[1:])
 }
 
 // answerGets reads the first n keys of the run scratch with one GetEach
@@ -295,30 +352,30 @@ func (c *conn) writable() bool {
 
 func (c *conn) execute(args [][]byte) {
 	cmd, args := args[0], args[1:]
+	if j := keyCmdOf(cmd); j >= 0 {
+		if !keyCmds[j].fits(args) {
+			c.wr.Error(keyCmds[j].arityErr)
+			return
+		}
+		switch j {
+		case cmdGET:
+			c.getCmd(args)
+		case cmdSET:
+			c.setCmd(args)
+		case cmdDEL:
+			c.delCmd(args)
+		case cmdCAS:
+			c.casCmd(args)
+		case cmdSWAP2:
+			if c.writable() {
+				c.boolReply(c.th.Swap2(bstr(args[0]), bstr(args[1])))
+			}
+		case cmdMGET:
+			c.mget(args)
+		}
+		return
+	}
 	switch {
-	case proto.CmdEq(cmd, "GET"):
-		c.getCmd(args)
-	case proto.CmdEq(cmd, "SET"):
-		c.setCmd(args)
-	case proto.CmdEq(cmd, "DEL"):
-		c.delCmd(args)
-	case proto.CmdEq(cmd, "CAS"):
-		c.casCmd(args)
-	case proto.CmdEq(cmd, "SWAP2"):
-		if len(args) != 2 {
-			c.wr.Error("ERR wrong number of arguments for 'SWAP2'")
-			return
-		}
-		if !c.writable() {
-			return
-		}
-		c.boolReply(c.th.Swap2(bstr(args[0]), bstr(args[1])))
-	case proto.CmdEq(cmd, "MGET"):
-		if len(args) == 0 {
-			c.wr.Error("ERR wrong number of arguments for 'MGET'")
-			return
-		}
-		c.mget(args)
 	case proto.CmdEq(cmd, "SCAN"):
 		c.scanCmd(args)
 	case proto.CmdEq(cmd, "ISCAN"):
@@ -360,15 +417,12 @@ func (c *conn) execute(args [][]byte) {
 	}
 }
 
-// getCmd answers a GET that execRun did not: a wrong-arity one, or one
-// passed to execute directly.
+// getCmd answers a GET that execRun did not: one passed to execute
+// directly. It, setCmd, delCmd and casCmd take arguments whose arity
+// execute checked (keyCmds).
 //
 //spectm:noalloc
 func (c *conn) getCmd(args [][]byte) {
-	if len(args) != 1 {
-		c.wr.Error("ERR wrong number of arguments for 'GET'")
-		return
-	}
 	c.gkeys[0] = bstr(args[0])
 	c.answerGets(1)
 }
@@ -379,10 +433,6 @@ func (c *conn) getCmd(args [][]byte) {
 //
 //spectm:noalloc
 func (c *conn) setCmd(args [][]byte) {
-	if len(args) != 2 {
-		c.wr.Error("ERR wrong number of arguments for 'SET'")
-		return
-	}
 	if !c.writable() {
 		return
 	}
@@ -403,10 +453,6 @@ func (c *conn) setCmd(args [][]byte) {
 
 //spectm:noalloc
 func (c *conn) delCmd(args [][]byte) {
-	if len(args) != 1 {
-		c.wr.Error("ERR wrong number of arguments for 'DEL'")
-		return
-	}
 	if !c.writable() {
 		return
 	}
@@ -415,10 +461,6 @@ func (c *conn) delCmd(args [][]byte) {
 
 //spectm:noalloc
 func (c *conn) casCmd(args [][]byte) {
-	if len(args) != 3 {
-		c.wr.Error("ERR wrong number of arguments for 'CAS'")
-		return
-	}
 	if !c.writable() {
 		return
 	}

@@ -13,8 +13,9 @@ import (
 	"spectm/internal/word"
 )
 
-// TestGetEachMatchesGet checks GetEach against Get. Batches mix present,
-// absent and repeated keys. Quiescent, every answer equals a Get of the
+// TestGetEachMatchesGet checks GetEach against Get. Each batch is
+// touched first (Touch, then GetEach), as a server command run does.
+// Batches mix present, absent and repeated keys. Quiescent, every answer equals a Get of the
 // same key. Under a concurrent updater, a deleter and a grower, every
 // answer is one a Get could give: stable keys are found, never-inserted
 // keys are not, and every value found was written under the key it was
@@ -67,6 +68,7 @@ func runGetEachMatchesGet(t *testing.T, cfg core.Config) {
 	quiescent := func(r *rng.State) {
 		for round := 0; round < 200; round++ {
 			n := draw(r)
+			x.Touch(batch[:n])
 			x.GetEach(batch[:n], vals, found)
 			for j := 0; j < n; j++ {
 				v, ok := x.Get(batch[j])
@@ -113,6 +115,7 @@ func runGetEachMatchesGet(t *testing.T, cfg core.Config) {
 	deadline := time.Now().Add(4 * stressDuration())
 	for time.Now().Before(deadline) {
 		n := draw(r)
+		x.Touch(batch[:n])
 		x.GetEach(batch[:n], vals, found)
 		for j := 0; j < n; j++ {
 			i := idx[j]
