@@ -22,13 +22,13 @@ import (
 	"spectm/internal/server"
 )
 
-// parseMix parses "get,set,del,cas,swap2,mget[,scan,iscan]"
-// percentages; the two scan shares may be omitted (0).
-func parseMix(s string) ([8]int, error) {
-	var mix [8]int
+// parseMix parses "get,set,del,cas,swap2,mget[,scan]" percentages; the
+// scan share may be omitted (0).
+func parseMix(s string) ([7]int, error) {
+	var mix [7]int
 	parts := strings.Split(s, ",")
-	if len(parts) != 6 && len(parts) != 8 {
-		return mix, fmt.Errorf("mix %q: want 6 or 8 comma-separated percentages (get,set,del,cas,swap2,mget[,scan,iscan])", s)
+	if len(parts) != 6 && len(parts) != 7 {
+		return mix, fmt.Errorf("mix %q: want 6 or 7 comma-separated percentages (get,set,del,cas,swap2,mget[,scan])", s)
 	}
 	sum := 0
 	for i, p := range parts {
@@ -68,8 +68,8 @@ func main() {
 		keys      = flag.Int("keys", 16384, "distinct key population (preloaded before measuring)")
 		duration  = flag.Duration("duration", 5*time.Second, "measurement time")
 		dist      = flag.String("dist", "uniform", "key distribution: uniform or zipf")
-		mixFlag   = flag.String("mix", "70,20,3,3,2,2", "op mix percentages get,set,del,cas,swap2,mget[,scan,iscan] (sum 100)")
-		scanLim   = flag.Int("scanlimit", 32, "SCAN/ISCAN result limit")
+		mixFlag   = flag.String("mix", "70,20,3,3,2,2", "op mix percentages get,set,del,cas,swap2,mget[,scan] (sum 100)")
+		scanLim   = flag.Int("scanlimit", 32, "SCAN result limit")
 		seed      = flag.Uint64("seed", 0, "workload seed (0 = default)")
 	)
 	flag.Parse()
@@ -109,7 +109,7 @@ func main() {
 		Conns: *conns, Pipeline: *pipeline, Keys: *keys,
 		GetPct: mix[0], SetPct: mix[1], DelPct: mix[2],
 		CASPct: mix[3], SwapPct: mix[4], MGetPct: mix[5],
-		ScanPct: mix[6], IScanPct: mix[7], ScanLim: *scanLim,
+		ScanPct: mix[6], ScanLim: *scanLim,
 		Dist: *dist, Duration: *duration, Seed: *seed,
 	})
 	if err != nil {
@@ -119,13 +119,13 @@ func main() {
 
 	fmt.Printf("target            %s\n", target)
 	fmt.Printf("conns × pipeline  %d × %d\n", *conns, *pipeline)
-	fmt.Printf("mix get/set/del/cas/swap2/mget/scan/iscan  %d/%d/%d/%d/%d/%d/%d/%d  dist %s\n",
-		mix[0], mix[1], mix[2], mix[3], mix[4], mix[5], mix[6], mix[7], *dist)
+	fmt.Printf("mix get/set/del/cas/swap2/mget/scan  %d/%d/%d/%d/%d/%d/%d  dist %s\n",
+		mix[0], mix[1], mix[2], mix[3], mix[4], mix[5], mix[6], *dist)
 	fmt.Printf("ops               %d in %v\n", res.Ops, res.Elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput        %.0f ops/s\n", res.OpsPerSec)
 	fmt.Printf("client allocs/op  %.3f\n", res.AllocsPerOp)
-	fmt.Printf("per command       get %d  set %d  del %d  cas %d  swap2 %d  mget %d  scan %d  iscan %d\n",
-		res.Gets, res.Sets, res.Dels, res.CASes, res.Swaps, res.MGets, res.Scans, res.IScans)
+	fmt.Printf("per command       get %d  set %d  del %d  cas %d  swap2 %d  mget %d  scan %d\n",
+		res.Gets, res.Sets, res.Dels, res.CASes, res.Swaps, res.MGets, res.Scans)
 	fmt.Printf("errors            %d\n", res.Errors)
 	if res.Errors > 0 {
 		fmt.Fprintf(os.Stderr, "spectm-loadgen: %d errors during run\n", res.Errors)

@@ -3,12 +3,13 @@ package main
 import "testing"
 
 func TestParseMix(t *testing.T) {
-	for in, want := range map[string][8]int{
-		"70,20,3,3,2,2":           {70, 20, 3, 3, 2, 2, 0, 0},
-		"30,30,10,0,0,0,20,10":    {30, 30, 10, 0, 0, 0, 20, 10},
-		" 100, 0,0,0,0,0 ":        {100},
-		"0,0,0,0,0,0,100,0":       {6: 100},
-		"10,10,10,10,10,10,20,20": {10, 10, 10, 10, 10, 10, 20, 20},
+	for in, want := range map[string][7]int{
+		"70,20,3,3,2,2":        {70, 20, 3, 3, 2, 2, 0},
+		"70,20,3,3,2,2,0":      {70, 20, 3, 3, 2, 2, 0},
+		"30,30,10,0,0,0,30":    {30, 30, 10, 0, 0, 0, 30},
+		" 100, 0,0,0,0,0 ":     {100},
+		"0,0,0,0,0,0,100":      {6: 100},
+		"10,10,10,10,10,10,40": {10, 10, 10, 10, 10, 10, 40},
 	} {
 		if got, err := parseMix(in); err != nil || got != want {
 			t.Errorf("parseMix(%q) = %v, %v; want %v", in, got, err, want)
@@ -16,13 +17,13 @@ func TestParseMix(t *testing.T) {
 	}
 	for _, in := range []string{
 		"",
-		"70,20,3,3,2",         // 5 parts
-		"70,20,3,3,2,2,0",     // 7 parts
-		"70,20,3,3,2,2,0,0,0", // 9 parts
-		"70,20,3,3,2,1",       // sums to 99
-		"110,-10,0,0,0,0",     // negative share
-		"70,20,3,3,2,x",       // garbage
-		"70,20,3,3,2,2.0",     // not an integer
+		"70,20,3,3,2",          // 5 parts
+		"30,30,10,0,0,0,20,10", // 8 parts
+		"70,20,3,3,2,2,0,0,0",  // 9 parts
+		"70,20,3,3,2,1",        // sums to 99
+		"110,-10,0,0,0,0",      // negative share
+		"70,20,3,3,2,x",        // garbage
+		"70,20,3,3,2,2.0",      // not an integer
 	} {
 		if got, err := parseMix(in); err == nil {
 			t.Errorf("parseMix(%q) = %v, want an error", in, got)

@@ -1,6 +1,6 @@
 // Package client is the typed Go client for spectm-server's wire
 // protocol: the data commands (GET/SET/DEL/CAS/MGET and the ordered
-// SCAN/ISCAN/IDXCREATE), the replication
+// SCAN), the replication
 // introspection commands (ROLE, REPLPOS, WAITOFF, REPLSTATUS), and the
 // topology admin commands (PROMOTE, REPLICAOF). The failover
 // coordinator (failover.go), the nemesis harness and the e2e tests all
@@ -203,8 +203,7 @@ func (c *Client) MGet(keys ...string) ([]MGetResult, error) {
 	return out, nil
 }
 
-// ScanEntry is one (key, value) pair in a Scan or IScan reply, in key
-// order (IScan: index-key order, then primary-key order).
+// ScanEntry is one (key, value) pair in a Scan reply, in key order.
 type ScanEntry struct {
 	Key string
 	Val uint64
@@ -241,29 +240,6 @@ func (c *Client) Scan(start, end string, limit int) ([]ScanEntry, error) {
 		return nil, err
 	}
 	return c.readScanReply(&rep)
-}
-
-// IScan ranges over the named secondary index: live primary keys whose
-// index key ik satisfies start ≤ ik < end, ordered by (ik, primary
-// key), up to limit entries (0 = all).
-func (c *Client) IScan(index, start, end string, limit int) ([]ScanEntry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var rep proto.Reply
-	if err := c.roundTrip(&rep, "ISCAN", index, start, end, strconv.Itoa(limit)); err != nil {
-		return nil, err
-	}
-	return c.readScanReply(&rep)
-}
-
-// IdxCreate registers a secondary index (IDXCREATE). Kinds: "value",
-// "key", "prefix:N". Re-creating an existing index with the same kind
-// is a no-op.
-func (c *Client) IdxCreate(name, kind string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var rep proto.Reply
-	return c.roundTrip(&rep, "IDXCREATE", name, kind)
 }
 
 // ReplPos returns the read-your-writes position token (REPLPOS).

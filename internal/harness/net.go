@@ -24,17 +24,16 @@ type NetWorkload struct {
 	Conns    int // concurrent connections (default 4)
 	Pipeline int // commands in flight per connection (default 16)
 
-	Keys     int    // distinct key population (default 16384)
-	GetPct   int    // op mix; defaults 70/20/3/3/2/2 (sums to 100)
-	SetPct   int    //
-	DelPct   int    //
-	CASPct   int    //
-	SwapPct  int    // SWAP2
-	MGetPct  int    // alternating 2-key (short-txn) and 3-key (full-txn)
-	ScanPct  int    // SCAN from a random start key, ScanLimit keys
-	IScanPct int    // ISCAN over the "byval" index (IDXCREATEd at setup)
-	ScanLim  int    // SCAN/ISCAN limit (default 32)
-	Dist     string // "uniform" (default) or "zipf"
+	Keys    int    // distinct key population (default 16384)
+	GetPct  int    // op mix; defaults 70/20/3/3/2/2 (sums to 100)
+	SetPct  int    //
+	DelPct  int    //
+	CASPct  int    //
+	SwapPct int    // SWAP2
+	MGetPct int    // alternating 2-key (short-txn) and 3-key (full-txn)
+	ScanPct int    // SCAN from a random start key, ScanLimit keys
+	ScanLim int    // SCAN limit (default 32)
+	Dist    string // "uniform" (default) or "zipf"
 
 	Duration time.Duration
 	Seed     uint64
@@ -53,7 +52,7 @@ func (w NetWorkload) withDefaults() NetWorkload {
 		w.Keys = 16384
 	}
 	if w.GetPct == 0 && w.SetPct == 0 && w.DelPct == 0 && w.CASPct == 0 &&
-		w.SwapPct == 0 && w.MGetPct == 0 && w.ScanPct == 0 && w.IScanPct == 0 {
+		w.SwapPct == 0 && w.MGetPct == 0 && w.ScanPct == 0 {
 		w.GetPct, w.SetPct, w.DelPct, w.CASPct, w.SwapPct, w.MGetPct = 70, 20, 3, 3, 2, 2
 	}
 	if w.ScanLim == 0 {
@@ -80,7 +79,7 @@ type NetResult struct {
 	AllocsPerOp float64 // client-process mallocs per op during the run
 	Errors      uint64  // error replies + reply-shape mismatches
 
-	Gets, Sets, Dels, CASes, Swaps, MGets, Scans, IScans uint64
+	Gets, Sets, Dels, CASes, Swaps, MGets, Scans uint64
 }
 
 // netOp is one slot of a pipeline's expectation window.
@@ -95,7 +94,6 @@ const (
 	opMGet2
 	opMGet3
 	opScan
-	opIScan
 )
 
 // netConn is one load-generation connection.
@@ -176,25 +174,6 @@ func (c *netConn) preload(keys []string) error {
 	return nil
 }
 
-// idxCreate registers the secondary index the ISCAN mix ranges over.
-func (c *netConn) idxCreate(name, kind string) error {
-	c.wr.Array(3)
-	c.wr.Arg("IDXCREATE")
-	c.wr.Arg(name)
-	c.wr.Arg(kind)
-	if err := c.wr.Flush(); err != nil {
-		return err
-	}
-	var rep proto.Reply
-	if err := c.rd.ReadReply(&rep); err != nil {
-		return err
-	}
-	if rep.Kind == proto.KindError {
-		return fmt.Errorf("harness: IDXCREATE error: %s", rep.Str)
-	}
-	return nil
-}
-
 // zipfSource adapts the repository PRNG to math/rand for the Zipf
 // sampler (setup-time only; sampling itself is allocation-free).
 type zipfSource struct{ s *rng.State }
@@ -226,7 +205,7 @@ func RunNet(w NetWorkload) (NetResult, error) {
 			w.Conns, w.Pipeline, w.Keys, w.ScanLim)
 	}
 	if sum := w.GetPct + w.SetPct + w.DelPct + w.CASPct + w.SwapPct + w.MGetPct +
-		w.ScanPct + w.IScanPct; sum != 100 {
+		w.ScanPct; sum != 100 {
 		return NetResult{}, fmt.Errorf("harness: net op mix sums to %d, want 100", sum)
 	}
 	if _, err := keyPicker(w.Dist, rng.New(1), w.Keys); err != nil {
@@ -252,15 +231,9 @@ func RunNet(w NetWorkload) (NetResult, error) {
 			return NetResult{}, err
 		}
 	}
-	if w.IScanPct > 0 {
-		if err := c0.idxCreate("byval", "value"); err != nil {
-			c0.close()
-			return NetResult{}, err
-		}
-	}
 	c0.close()
 
-	var errs, gets, sets, dels, cases, swaps, mgets, scans, iscans atomic.Uint64
+	var errs, gets, sets, dels, cases, swaps, mgets, scans atomic.Uint64
 	var dialErr atomic.Pointer[error]
 	ops, _, elapsed, mallocs := runWorkers(w.Conns, w.Duration, func(id int) workerBody {
 		c, err := dialServer(w.Addr, 5*time.Second)
@@ -275,7 +248,7 @@ func RunNet(w NetWorkload) (NetResult, error) {
 		return func(stop *atomic.Bool) (uint64, core.Stats) {
 			defer c.close()
 			var ops uint64
-			var nGet, nSet, nDel, nCAS, nSwap, nMGet, nScan, nIScan uint64
+			var nGet, nSet, nDel, nCAS, nSwap, nMGet, nScan uint64
 			defer func() {
 				gets.Add(nGet)
 				sets.Add(nSet)
@@ -284,7 +257,6 @@ func RunNet(w NetWorkload) (NetResult, error) {
 				swaps.Add(nSwap)
 				mgets.Add(nMGet)
 				scans.Add(nScan)
-				iscans.Add(nIScan)
 			}()
 			for !stop.Load() {
 				// Issue one full pipeline...
@@ -341,7 +313,7 @@ func RunNet(w NetWorkload) (NetResult, error) {
 							c.wr.Arg(keys[pick()])
 							c.wr.Arg(keys[pick()])
 						}
-					case p < w.GetPct+w.SetPct+w.DelPct+w.CASPct+w.SwapPct+w.MGetPct+w.ScanPct:
+					default:
 						window[i] = opScan
 						c.wr.Array(4)
 						c.wr.Arg("SCAN")
@@ -349,15 +321,6 @@ func RunNet(w NetWorkload) (NetResult, error) {
 						c.wr.Arg("")
 						c.wr.ArgUint(uint64(w.ScanLim))
 						nScan++
-					default:
-						window[i] = opIScan
-						c.wr.Array(5)
-						c.wr.Arg("ISCAN")
-						c.wr.Arg("byval")
-						c.wr.Arg("")
-						c.wr.Arg("")
-						c.wr.ArgUint(uint64(w.ScanLim))
-						nIScan++
 					}
 				}
 				if c.wr.Flush() != nil {
@@ -391,7 +354,7 @@ func RunNet(w NetWorkload) (NetResult, error) {
 		Errors: errs.Load(),
 		Gets:   gets.Load(), Sets: sets.Load(), Dels: dels.Load(),
 		CASes: cases.Load(), Swaps: swaps.Load(), MGets: mgets.Load(),
-		Scans: scans.Load(), IScans: iscans.Load(),
+		Scans: scans.Load(),
 	}
 	res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
 	if res.Ops > 0 {
@@ -428,7 +391,7 @@ func validReply(op netOp, rep *proto.Reply, rd *proto.Reader) bool {
 			}
 		}
 		return ok
-	case opScan, opIScan:
+	case opScan:
 		// Flat array of alternating key bulks and value ints.
 		if rep.Kind != proto.KindArray || rep.Int%2 != 0 {
 			return false

@@ -77,20 +77,20 @@ func TestRunNetRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestRunNetScanMix drives SCAN and ISCAN beside the point commands
+// TestRunNetScanMix drives SCAN beside the point commands
 // (buckets grow and shrink under the set/del churn): every scan reply
 // must have the flat key/value shape.
 func TestRunNetScanMix(t *testing.T) {
 	res, err := RunNet(NetWorkload{
 		Addr: startServer(t), Conns: 2, Pipeline: 8, Keys: 2048,
-		GetPct: 30, SetPct: 30, DelPct: 10, ScanPct: 20, IScanPct: 10, ScanLim: 64,
+		GetPct: 30, SetPct: 30, DelPct: 10, ScanPct: 30, ScanLim: 64,
 		Duration: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 || res.Scans == 0 || res.IScans == 0 {
-		t.Fatalf("errors %d, scans %d, iscans %d", res.Errors, res.Scans, res.IScans)
+	if res.Errors != 0 || res.Scans == 0 {
+		t.Fatalf("errors %d, scans %d", res.Errors, res.Scans)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestValidReplyRejectsBadShapes(t *testing.T) {
 		{"scan pair", opScan, "*2\r\n$1\r\na\r\n:7\r\n", true},
 		{"scan odd", opScan, "*3\r\n$1\r\na\r\n:7\r\n$1\r\nb\r\n", false},
 		{"scan bulk value", opScan, "*2\r\n$1\r\na\r\n$1\r\nb\r\n", false},
-		{"iscan int key", opIScan, "*2\r\n:1\r\n:7\r\n", false},
-		{"iscan null key", opIScan, "*2\r\n$-1\r\n:7\r\n", false},
+		{"scan int key", opScan, "*2\r\n:1\r\n:7\r\n", false},
+		{"scan null key", opScan, "*2\r\n$-1\r\n:7\r\n", false},
 	} {
 		rd := proto.NewReader(bytes.NewBufferString(c.wire))
 		var rep proto.Reply

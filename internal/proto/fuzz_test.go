@@ -145,10 +145,10 @@ func FuzzWriterReader(f *testing.F) {
 	})
 }
 
-// FuzzScanReply round-trips SCAN/ISCAN-shaped reply frames — a flat
+// FuzzScanReply round-trips SCAN-shaped reply frames — a flat
 // array of alternating key bulks and value ints — through the writer
 // and reader, with arbitrary (including binary) keys and full-range
-// values. This is the exact encoding the server's scan commands emit
+// values. This is the exact encoding the server's SCAN command emits
 // and the client and load generator decode.
 func FuzzScanReply(f *testing.F) {
 	f.Add([]byte("k01"), uint64(1), []byte("k02"), uint64(2))

@@ -424,16 +424,13 @@ func (r *Replica) fullSync(nc net.Conn, rd *proto.Reader, m *message) error {
 
 	keep := make(map[string]struct{}, 1024)
 	sr := &snapFrameReader{nc: nc, rd: rd, msg: &r.msg, timeout: r.cfg.readTimeout}
-	// Apply every snapshot record — entries and index definitions alike.
-	// Only entry keys join the keep-sweep set: index definitions are
-	// idempotent metadata, not keys the sweep should preserve or delete.
+	// Apply every snapshot record. Entries arrive as OpPut records; a
+	// retired index definition fails Apply (shardmap.ErrIndexRecord).
 	_, err := wal.ReadSnapshotRecords(sr, func(rec wal.Record) error {
 		if err := r.th.Apply(rec); err != nil {
 			return err
 		}
-		if rec.Op == wal.OpPut {
-			keep[string(rec.Key)] = struct{}{}
-		}
+		keep[string(rec.Key)] = struct{}{}
 		return nil
 	})
 	if err != nil {

@@ -33,9 +33,6 @@ import (
 //	                 SingleReads (link, hint) per entry, the hinted nodes
 //	                 touched a page at a time, and one ShortRO3 (hint,
 //	                 node.next, node.val) per candidate
-//	ISCAN ix s e n   ordered walk over a secondary index's composite
-//	                 entries; a hash lookup (ShortRO2) per candidate
-//	IDXCREATE ix k   cold path: registers + backfills a secondary index
 //	STATS, PING      no transaction
 //
 // Pipelined commands execute in runs (step): the command Next returns
@@ -70,7 +67,7 @@ type conn struct {
 	mkeys  []string
 	mvals  []shardmap.Value
 	mfound []bool
-	// reused SCAN/ISCAN scratch
+	// reused SCAN scratch
 	skeys []string
 	svals []shardmap.Value
 	// reused STATS scratch
@@ -378,10 +375,6 @@ func (c *conn) execute(args [][]byte) {
 	switch {
 	case proto.CmdEq(cmd, "SCAN"):
 		c.scanCmd(args)
-	case proto.CmdEq(cmd, "ISCAN"):
-		c.iscanCmd(args)
-	case proto.CmdEq(cmd, "IDXCREATE"):
-		c.idxCreateCmd(args)
 	case proto.CmdEq(cmd, "BGSAVE"):
 		// Rotate + snapshot + prune, synchronously on this connection
 		// (pipelined peers on other connections keep executing; their
@@ -506,7 +499,7 @@ func (c *conn) mget(args [][]byte) {
 	}
 }
 
-// parseLimit decodes a SCAN/ISCAN limit argument (0 = unlimited).
+// parseLimit decodes a SCAN limit argument (0 = unlimited).
 func parseLimit(b []byte) (int, bool) {
 	n, err := strconv.Atoi(bstr(b))
 	if err != nil || n < 0 {
@@ -549,45 +542,6 @@ func (c *conn) scanCmd(args [][]byte) {
 	c.scanReply(keys, vals)
 }
 
-// iscanCmd answers ISCAN index start end limit: live primary keys whose
-// index key ik satisfies start ≤ ik < end, ordered by (ik, primary key).
-func (c *conn) iscanCmd(args [][]byte) {
-	if len(args) != 4 {
-		c.wr.Error("ERR wrong number of arguments for 'ISCAN'")
-		return
-	}
-	limit, ok := parseLimit(args[3])
-	if !ok {
-		c.wr.Error("ERR limit is not a non-negative integer")
-		return
-	}
-	keys, vals, err := c.th.IndexScan(bstr(args[0]), bstr(args[1]), bstr(args[2]), limit, c.skeys[:0], c.svals[:0])
-	c.skeys, c.svals = keys, vals
-	if err != nil {
-		c.wr.Error("ERR iscan: " + err.Error())
-		return
-	}
-	c.scanReply(keys, vals)
-}
-
-// idxCreateCmd answers IDXCREATE name kind. Index definitions are
-// retained (and logged), so the arguments are cloned out of the read
-// buffer. Idempotent re-creation replies OK like the first call.
-func (c *conn) idxCreateCmd(args [][]byte) {
-	if len(args) != 2 {
-		c.wr.Error("ERR wrong number of arguments for 'IDXCREATE'")
-		return
-	}
-	if !c.writable() {
-		return
-	}
-	if err := c.th.CreateIndex(string(args[0]), string(args[1])); err != nil {
-		c.wr.Error("ERR idxcreate: " + err.Error())
-		return
-	}
-	c.wr.SimpleString("OK")
-}
-
 // statsReply reports the map's live aggregate operation counters plus
 // server-level connection counts as one bulk string of "name value"
 // lines.
@@ -628,9 +582,6 @@ func (c *conn) statsReply() {
 	appendStat("scans", st.Scans)
 	appendStat("scan_keys", st.ScanKeys)
 	appendStat("scan_fallbacks", st.ScanFallbacks)
-	appendStat("iscans", st.IScans)
-	appendStat("iscan_keys", st.IScanKeys)
-	appendStat("idx_creates", st.IdxCreates)
 	appendStat("index_searches", st.IndexSearches)
 	appendStat("index_steps", st.IndexSteps)
 	appendStat("shards", uint64(s.m.Shards()))

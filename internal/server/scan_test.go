@@ -8,8 +8,9 @@ import (
 	"spectm/internal/proto"
 )
 
-// TestScanCommands drives SCAN/ISCAN/IDXCREATE over the wire with the
-// typed client, plus raw-protocol error cases.
+// TestScanCommands drives SCAN over the wire with the typed client, plus
+// raw-protocol error cases, and pins that the retired secondary-index
+// commands are unknown.
 func TestScanCommands(t *testing.T) {
 	s := startServer(t)
 	cl, err := cli.Dial(s.Addr().String())
@@ -41,32 +42,6 @@ func TestScanCommands(t *testing.T) {
 		t.Fatalf("SCAN range+limit: %v (err %v)", ents, err)
 	}
 
-	if err := cl.IdxCreate("byval", "value"); err != nil {
-		t.Fatalf("IDXCREATE: %v", err)
-	}
-	if err := cl.IdxCreate("byval", "value"); err != nil { // idempotent
-		t.Fatalf("IDXCREATE again: %v", err)
-	}
-	if err := cl.IdxCreate("byval", "key"); err == nil {
-		t.Fatal("IDXCREATE conflicting kind succeeded")
-	}
-	score := func(v uint64) string { return fmt.Sprintf("%016x", v) }
-	ents, err = cl.IScan("byval", score(3), score(4), 0)
-	if err != nil {
-		t.Fatalf("ISCAN: %v", err)
-	}
-	if len(ents) != 4 {
-		t.Fatalf("ISCAN val=3: %d entries, want 4", len(ents))
-	}
-	for _, e := range ents {
-		if e.Val != 3 {
-			t.Fatalf("ISCAN val=3 returned %+v", e)
-		}
-	}
-	if _, err := cl.IScan("missing", "", "", 0); err == nil {
-		t.Fatal("ISCAN unknown index succeeded")
-	}
-
 	// Raw-protocol arity and limit errors keep the connection usable.
 	c := dial(t, s)
 	if r := c.do(t, "SCAN", "a"); r.Kind != proto.KindError {
@@ -75,25 +50,24 @@ func TestScanCommands(t *testing.T) {
 	if r := c.do(t, "SCAN", "", "", "-1"); r.Kind != proto.KindError {
 		t.Fatalf("SCAN bad limit → %+v", r)
 	}
-	if r := c.do(t, "ISCAN", "byval", ""); r.Kind != proto.KindError {
-		t.Fatalf("ISCAN arity → %+v", r)
-	}
-	if r := c.do(t, "IDXCREATE", "x"); r.Kind != proto.KindError {
-		t.Fatalf("IDXCREATE arity → %+v", r)
+	for _, args := range [][]string{{"ISCAN", "byval", "", "", "0"}, {"IDXCREATE", "byval", "value"}} {
+		want := fmt.Sprintf("ERR unknown command '%s'", args[0])
+		if r := c.do(t, args...); r.Kind != proto.KindError || string(r.Str) != want {
+			t.Fatalf("%s → %+v, want error %q", args[0], r, want)
+		}
 	}
 	if r := c.do(t, "PING"); string(r.Str) != "PONG" {
 		t.Fatalf("connection dead after errors: %+v", r)
 	}
 
-	// STATS carries the new counters.
+	// STATS carries the scan counters.
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatalf("STATS: %v", err)
 	}
 	stats := parseStats(t, st)
-	if stats["scans"] != 2 || stats["iscans"] != 1 || stats["idx_creates"] != 1 {
-		t.Fatalf("STATS scans=%d iscans=%d idx_creates=%d, want 2,1,1",
-			stats["scans"], stats["iscans"], stats["idx_creates"])
+	if stats["scans"] != 2 {
+		t.Fatalf("STATS scans=%d, want 2", stats["scans"])
 	}
 	if stats["scan_keys"] != 23 {
 		t.Fatalf("STATS scan_keys=%d, want 23", stats["scan_keys"])

@@ -116,7 +116,7 @@ func New(opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Ordered unconditionally: SCAN/ISCAN are part of the command set, and
+	// Ordered unconditionally: SCAN is part of the command set, and
 	// the ordered structure costs nothing until keys are inserted.
 	mopts := []shardmap.Option{shardmap.WithOrdered()}
 	if cfg.shards > 0 {

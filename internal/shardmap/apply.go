@@ -11,6 +11,7 @@
 package shardmap
 
 import (
+	"errors"
 	"fmt"
 	"unsafe"
 
@@ -26,6 +27,14 @@ func borrow(b []byte) string {
 	}
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
+
+// ErrIndexRecord is returned by Apply, and so by Open and a replica's
+// stream, for a secondary-index definition (wal.OpIdxCreate) written
+// before secondary indexes were removed. Such a directory is refused by
+// name rather than replayed without its index: the error does not wrap
+// wal.ErrCorrupt, so recovery neither falls back past a snapshot nor
+// cuts the log at the record.
+var ErrIndexRecord = errors.New("shardmap: secondary-index records are no longer supported")
 
 // Apply applies one decoded WAL record to the map. Values round-trip as
 // raw words, so a record whose value has the reserved low bits set can
@@ -46,11 +55,7 @@ func (x *Thread) Apply(r wal.Record) error {
 		// a harmless no-op.
 		return nil
 	case wal.OpIdxCreate:
-		// CreateIndex is idempotent, so a definition delivered by both a
-		// fuzzy snapshot and the log tail (or a resumed stream) converges.
-		// The strings must be cloned: record keys alias decode buffers,
-		// and index definitions are retained.
-		return x.CreateIndex(string(r.Key), string(r.Key2))
+		return fmt.Errorf("%w: index %q", ErrIndexRecord, r.Key)
 	default:
 		return fmt.Errorf("%w: unknown record op %d", wal.ErrCorrupt, r.Op)
 	}
@@ -114,12 +119,10 @@ func (x *Thread) applySwap2(r wal.Record) error {
 	v1, v2 := word.Value(r.Val), word.Value(r.Val2)
 	if k1 != k2 {
 		x.t.Epoch.Enter()
-		old1, old2, ok := x.set2(x.m.hash(k1), x.m.hash(k2), k1, k2, false, v1, v2)
+		_, _, ok := x.set2(x.m.hash(k1), x.m.hash(k2), k1, k2, false, v1, v2)
 		x.t.Epoch.Exit()
 		if ok {
 			x.logSwap2(k1, v1, k2, v2)
-			x.secUpdate(k1, old1, true, v1, true)
-			x.secUpdate(k2, old2, true, v2, true)
 			count(&x.ops.swaps, &x.ops.swapHits, true)
 			return nil
 		}

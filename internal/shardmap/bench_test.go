@@ -255,8 +255,8 @@ func benchOlistMutation(b *testing.B, insert bool) {
 		b.Run(sz.name, func(b *testing.B) {
 			f := olistFixtureOf(sz.n)
 			ol, x := f.m.ordered, f.x
-			add := func(k string) { ol.add(x, k, 0, 0) }
-			drop := func(k string) { ol.drop(x, k) }
+			add := func(k string) { ol.add(x, k, 0) }
+			drop := func(k string) { olistDrop(ol, x, k) }
 			timed, undo := add, drop
 			if !insert {
 				timed, undo = drop, add

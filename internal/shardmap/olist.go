@@ -52,9 +52,9 @@
 //	                   the key's hash node with ShortRW2(pred link,
 //	                   entry.hint))
 //	insert (raise)     ShortRW2 over (node.nextL, pred.nextL) per level
-//	drop (cnt > 1)     ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
-//	drop (mark level)  ShortRW2 over (cnt, node.nextL) per level
-//	drop (unlink)      Tx_Single_Read(node.prev), then ShortRW3 over
+//	release (cnt > 1)  ShortRO1(next₀) + LockRead(cnt) → ShortRO1RW1
+//	release (mark lvl) ShortRW2 over (cnt, node.nextL) per level
+//	release (unlink)   Tx_Single_Read(node.prev), then ShortRW3 over
 //	                   (cnt, node.next₀, pred.next₀), extended to
 //	                   ShortRW4 by succ.prev when there is a successor
 //
@@ -74,7 +74,6 @@ package shardmap
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"spectm/internal/arena"
 	"spectm/internal/core"
@@ -95,8 +94,13 @@ const (
 	idIndexBit    = uint64(1) << 54
 	idxFieldShift = 5
 	idxFieldCnt   = 0               // field 0: refcount; field 1+L: next[L]
-	idxFieldHint  = 1 + idxMaxLevel // the primary index's hash-node hint
+	idxFieldHint  = 1 + idxMaxLevel // the hash-node hint
 	idxFieldPrev  = 2 + idxMaxLevel // the level-0 back link
+
+	// idxTag is the index's identity tag: the map has one olist, so it
+	// takes the first tag of the per-structure space, told apart from
+	// shard 0's by idIndexBit.
+	idxTag = 1<<idShardShift | idIndexBit
 )
 
 // inode is one index entry. Everything but cnt, prev, hint and next,
@@ -104,16 +108,16 @@ const (
 // words sit against the tower because those are what a search step
 // reads: p0, p1 and next[lv] are 24 contiguous bytes at level 0 and 32
 // at level 1; hint, key and hash, which a scan reads with next[0], come
-// just before them. With 8-byte words an entry is 152 B; the arena
-// keeps its generation in a side array (TestInodeLayout).
+// just before them. With 8-byte words an entry is 152 B, lvl padded to
+// a word; the arena keeps its generation in a side array
+// (TestInodeLayout).
 type inode struct {
-	split  int32 // secondary entries: length of the index-key half of key
 	lvl    int32
 	cnt    core.Word
 	prev   core.Word // level-0 predecessor while linked there; Null for the head
-	hint   core.Word // primary index: the key's hash node, empty iff the key is not live (see ordered.go)
+	hint   core.Word // the key's hash node, empty iff the key is not live (see ordered.go)
 	key    string
-	hash   uint64 // primary index: the key's map hash, for Scan's verification
+	hash   uint64 // the key's map hash, for Scan's verification
 	p0, p1 uint64 // prefixWords(key)
 	next   [idxMaxLevel]core.Word
 }
@@ -141,20 +145,18 @@ func (n *inode) less(p0, p1 uint64, key string) bool {
 	return n.key < key
 }
 
-// olist is one ordered index: a skip list of refcounted entries.
+// olist is the ordered index: a skip list of refcounted entries.
 type olist struct {
 	m     *Map
 	a     *arena.Arena[inode]
-	idTag uint64
 	level func(*rng.State) int // draws a fresh entry's height; tests force tall towers
 	head  [idxMaxLevel]core.Word
 }
 
-func newOlist(m *Map, seq *atomic.Uint64) *olist {
+func newOlist(m *Map) *olist {
 	ol := &olist{
 		m:     m,
 		a:     arena.New[inode](),
-		idTag: seq.Add(1)<<idShardShift | idIndexBit,
 		level: func(r *rng.State) int { return r.Level4(idxMaxLevel) },
 	}
 	for i := range ol.head {
@@ -164,23 +166,23 @@ func newOlist(m *Map, seq *atomic.Uint64) *olist {
 }
 
 func (ol *olist) headVar(lv int) core.Var {
-	return ol.m.e.WordVar(&ol.head[lv], ol.idTag|uint64(1+lv))
+	return ol.m.e.WordVar(&ol.head[lv], idxTag|uint64(1+lv))
 }
 
 func (ol *olist) nextVar(h arena.Handle, n *inode, lv int) core.Var {
-	return ol.m.e.WordVar(&n.next[lv], ol.idTag|uint64(h)<<idxFieldShift|uint64(1+lv))
+	return ol.m.e.WordVar(&n.next[lv], idxTag|uint64(h)<<idxFieldShift|uint64(1+lv))
 }
 
 func (ol *olist) cntVar(h arena.Handle, n *inode) core.Var {
-	return ol.m.e.WordVar(&n.cnt, ol.idTag|uint64(h)<<idxFieldShift|idxFieldCnt)
+	return ol.m.e.WordVar(&n.cnt, idxTag|uint64(h)<<idxFieldShift|idxFieldCnt)
 }
 
 func (ol *olist) hintVar(h arena.Handle, n *inode) core.Var {
-	return ol.m.e.WordVar(&n.hint, ol.idTag|uint64(h)<<idxFieldShift|idxFieldHint)
+	return ol.m.e.WordVar(&n.hint, idxTag|uint64(h)<<idxFieldShift|idxFieldHint)
 }
 
 func (ol *olist) prevVar(h arena.Handle, n *inode) core.Var {
-	return ol.m.e.WordVar(&n.prev, ol.idTag|uint64(h)<<idxFieldShift|idxFieldPrev)
+	return ol.m.e.WordVar(&n.prev, idxTag|uint64(h)<<idxFieldShift|idxFieldPrev)
 }
 
 // link0Var is the level-0 link that names the entry after p, where p is
@@ -260,9 +262,9 @@ restart:
 
 // add takes one reference on key's entry, inserting the entry at a
 // geometric random level when absent, and returns the entry. hash (the
-// primary index's cached map hash) and split (secondary composite keys)
-// are recorded on a fresh entry. The caller holds an epoch pin.
-func (ol *olist) add(x *Thread, key string, hash uint64, split int) arena.Handle {
+// key's map hash) is recorded on a fresh entry. The caller holds an
+// epoch pin.
+func (ol *olist) add(x *Thread, key string, hash uint64) arena.Handle {
 	var spare arena.Handle
 	for attempt := 1; ; attempt++ {
 		h, found := ol.search(x, key)
@@ -286,7 +288,7 @@ func (ol *olist) add(x *Thread, key string, hash uint64, split int) arena.Handle
 		if spare.IsNil() {
 			var n *inode
 			spare, n = ol.a.Alloc()
-			n.key, n.hash, n.split = key, hash, int32(split)
+			n.key, n.hash = key, hash
 			n.p0, n.p1 = prefixWords(key)
 			n.lvl = int32(ol.level(x.t.Rng))
 		}
@@ -369,16 +371,6 @@ func (ol *olist) raise(x *Thread, h arena.Handle, n *inode) {
 	}
 }
 
-// drop releases one reference on key's entry, removing the entry when
-// the last reference goes. A missing entry is tolerated (replay and
-// secondary maintenance can race removals). The caller holds an epoch
-// pin.
-func (ol *olist) drop(x *Thread, key string) {
-	if h, found := ol.search(x, key); found {
-		ol.release(x, key, h)
-	}
-}
-
 // release drops one reference on key's entry h: one the caller holds,
 // or the entry a search just found. It searches only when the entry
 // turns out to be removed or resurrected under it; remove's own search
@@ -422,8 +414,8 @@ var removeHook func(key string)
 // cnt == 1, writes cnt = 0, marks level 0 and splices the entry out —
 // the only writer of cnt = 0, preserving the "unmarked level-0 link
 // implies cnt ≥ 1" invariant add relies on. False means a concurrent
-// add resurrected the entry (the caller then retries its drop against
-// the raised count).
+// add resurrected the entry (the caller then retries its release
+// against the raised count).
 //
 // The unlink reads its predecessor from the entry's back link; the
 // commit locks that predecessor's level-0 link and retries from a fresh
@@ -460,7 +452,7 @@ func (ol *olist) remove(x *Thread, h arena.Handle, n *inode) bool {
 	}
 	if n.lvl > 1 {
 		if h2, found := ol.search(x, n.key); !found || h2 != h {
-			// Gone: a resurrect + concurrent drop consumed the entry.
+			// Gone: a resurrect + concurrent release consumed the entry.
 			return false
 		}
 	}

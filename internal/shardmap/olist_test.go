@@ -89,13 +89,20 @@ func olistKeys(n int, scrambled bool) []string {
 	return keys
 }
 
-// olistFill builds a primary index of keys directly (no hash map).
+// olistFill builds an index of keys directly (no hash map).
 func olistFill(m *Map, x *Thread, keys []string) {
 	x.t.Epoch.Enter()
 	for _, k := range keys {
-		m.ordered.add(x, k, 0, 0)
+		m.ordered.add(x, k, 0)
 	}
 	x.t.Epoch.Exit()
+}
+
+// olistDrop releases one reference on key's entry, if it is present.
+func olistDrop(ol *olist, x *Thread, key string) {
+	if h, found := ol.search(x, key); found {
+		ol.release(x, key, h)
+	}
 }
 
 // TestOlistSearchHeight pins the tower height: once an index holds n
@@ -332,17 +339,17 @@ func TestOlistRemoveInterleavings(t *testing.T) {
 		unlink int // commits the remover attempts
 	}{
 		{"insert before", []string{"b", "d", "f"},
-			func(ol *olist, x *Thread) { ol.add(x, "c", 0, 0) }, []string{"b", "c", "f"}, 2},
+			func(ol *olist, x *Thread) { ol.add(x, "c", 0) }, []string{"b", "c", "f"}, 2},
 		{"insert after", []string{"b", "d", "f"},
-			func(ol *olist, x *Thread) { ol.add(x, "e", 0, 0) }, []string{"b", "e", "f"}, 1},
+			func(ol *olist, x *Thread) { ol.add(x, "e", 0) }, []string{"b", "e", "f"}, 1},
 		{"insert first", []string{"d", "f"},
-			func(ol *olist, x *Thread) { ol.add(x, "a", 0, 0) }, []string{"a", "f"}, 2},
+			func(ol *olist, x *Thread) { ol.add(x, "a", 0) }, []string{"a", "f"}, 2},
 		{"remove before", []string{"a", "b", "d", "f"},
-			func(ol *olist, x *Thread) { ol.drop(x, "b") }, []string{"a", "f"}, 2},
+			func(ol *olist, x *Thread) { olistDrop(ol, x, "b") }, []string{"a", "f"}, 2},
 		{"remove after", []string{"a", "b", "d", "f", "g"},
-			func(ol *olist, x *Thread) { ol.drop(x, "f") }, []string{"a", "b", "g"}, 1},
+			func(ol *olist, x *Thread) { olistDrop(ol, x, "f") }, []string{"a", "b", "g"}, 1},
 		{"remove last after", []string{"b", "d", "f"},
-			func(ol *olist, x *Thread) { ol.drop(x, "f") }, []string{"b"}, 1},
+			func(ol *olist, x *Thread) { olistDrop(ol, x, "f") }, []string{"b"}, 1},
 	}
 	for _, lvl := range []int{1, 3} {
 		for _, tc := range cases {
@@ -374,7 +381,7 @@ func TestOlistRemoveInterleavings(t *testing.T) {
 				}
 				defer func() { removeHook = nil }()
 				x.t.Epoch.Enter()
-				ol.drop(x, "d")
+				olistDrop(ol, x, "d")
 				x.t.Epoch.Exit()
 				removeHook = nil
 				if unlinks != tc.unlink {

@@ -1,14 +1,14 @@
-// The ordered public surface: WithOrdered turns on the primary ordered
-// index (an olist mirroring the map's key set), Scan serves range
+// The ordered public surface: WithOrdered turns on the ordered index
+// (an olist mirroring the map's key set), Scan serves range
 // queries over it. Scan semantics: membership is current — every key
 // that is live for the whole call appears, keys mutated mid-scan may or
 // may not — and each value is read with its key's liveness link in one
 // consistent read, with no point shared across keys. See DESIGN.md
-// "Ordered indexes" for the staleness trade.
+// "Ordered index" for the staleness trade.
 //
 // # Hash-node hints
 //
-// Every primary entry carries a transactional hint word, and every hash
+// Every index entry carries a transactional hint word, and every hash
 // node of an ordered map the immutable handle of its key's entry
 // (node.ent). The hint is exact:
 //
@@ -46,8 +46,8 @@ import (
 var ErrNoOrdered = errors.New("shardmap: map has no ordered index")
 
 // WithOrdered maintains an ordered index of the map's keys inside the
-// same short transactions as the hash-map mutations, enabling Scan and
-// secondary indexes (CreateIndex / IndexScan). Point operations pay one
+// same short transactions as the hash-map mutations, enabling Scan.
+// Point operations pay one
 // skip-list search per insert and delete (a delete of an entry taller
 // than one level pays two; see olist.go); updates are unaffected.
 func WithOrdered() Option { return func(c *config) { c.ordered = true } }
@@ -159,7 +159,7 @@ func (x *Thread) scanStart(ol *olist, start string) word.Value {
 	return x.isuccs[0]
 }
 
-// scanRead resolves the primary entry e (handle eh) against the hash
+// scanRead resolves the index entry e (handle eh) against the hash
 // map: present right now, and if so its current value, read as
 // ShortRO1(e.hint) → Extend(node.next) → Extend(node.val). The hint is
 // exact (see the file comment), so an empty one is the key not live and

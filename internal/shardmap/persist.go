@@ -157,22 +157,12 @@ func (m *Map) Save() error {
 	}
 	th := m.persistThr
 	return m.wal.CommitSnapshot(gen, func(sw *wal.SnapshotWriter) error {
-		m.writeIndexDefs(sw)
 		th.Range(func(key string, val Value) bool {
 			sw.Entry(key, uint64(val))
 			return true
 		})
 		return nil
 	})
-}
-
-// writeIndexDefs emits the secondary-index definitions ahead of the
-// entries, so a reader recreates the indexes before the keys that
-// populate them arrive.
-func (m *Map) writeIndexDefs(sw *wal.SnapshotWriter) {
-	for _, def := range m.Indexes() {
-		sw.Index(def[0], def[1])
-	}
 }
 
 // savedErr wraps the auto-compaction outcome so saveErr always stores
@@ -225,7 +215,6 @@ func (m *Map) Snapshot(w io.Writer) error {
 		m.persistThr = m.NewThread()
 	}
 	sw := wal.NewSnapshotWriter(w, 0)
-	m.writeIndexDefs(sw)
 	m.persistThr.Range(func(key string, val Value) bool {
 		sw.Entry(key, uint64(val))
 		return true

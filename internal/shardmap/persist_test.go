@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,6 +55,44 @@ func requireEqual(t *testing.T, got, want map[string]uint64) {
 		if _, ok := want[k]; !ok {
 			t.Errorf("unexpected key %q", k)
 		}
+	}
+}
+
+// TestOldIndexDirRefused: a data directory that holds a secondary-index
+// definition, written before secondary indexes were removed, is refused
+// with ErrIndexRecord rather than opened without its index or cut at the
+// record. The fixtures under testdata/ were written by commit b1e4c3f
+// (the last one with secondary indexes) on a map opened with
+// Open(e, dir, WithPersistence(dir, wal.EveryN(1)), WithOrdered()):
+//
+//	index-in-log:      CreateIndex("byval", "value"); Put a=1, b=2, c=3; Close
+//	index-in-snapshot: CreateIndex("byval", "value"); Put a=1, b=2; Save
+//	                   (BGSAVE); Put c=3; Close
+//
+// so the first holds the definition only as a log record (op 7) and the
+// second only as a snapshot frame (tag 2).
+func TestOldIndexDirRefused(t *testing.T) {
+	for _, name := range []string{"index-in-log", "index-in-snapshot"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", name))); err != nil {
+				t.Fatal(err)
+			}
+			m, err := Open(valEngine(t), dir, WithOrdered())
+			if err == nil {
+				m.Close()
+				t.Fatal("Open succeeded on a directory with a secondary-index record")
+			}
+			if !errors.Is(err, ErrIndexRecord) || errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("Open: %v; want ErrIndexRecord, not wal.ErrCorrupt", err)
+			}
+		})
+	}
+	// A replication stream reaches the map through the same Apply.
+	x := New(valEngine(t)).NewThread()
+	err := x.Apply(wal.Record{Op: wal.OpIdxCreate, Key: []byte("byval"), Key2: []byte("value")})
+	if !errors.Is(err, ErrIndexRecord) || errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("Apply: %v; want ErrIndexRecord, not wal.ErrCorrupt", err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"spectm/internal/word"
 )
 
-// hintOf returns the hint in key's primary index entry. The index must
+// hintOf returns the hint in key's index entry. The index must
 // hold key.
 func hintOf(t *testing.T, x *Thread, key string) word.Value {
 	t.Helper()
@@ -51,13 +51,13 @@ func nodeOf(t *testing.T, x *Thread, key string) arena.Handle {
 // scans keep visiting it.
 func hold(x *Thread, key string) {
 	x.t.Epoch.Enter()
-	x.m.ordered.add(x, key, x.m.hash(key), 0)
+	x.m.ordered.add(x, key, x.m.hash(key))
 	x.t.Epoch.Exit()
 }
 
 func unhold(x *Thread, key string) {
 	x.t.Epoch.Enter()
-	x.m.ordered.drop(x, key)
+	olistDrop(x.m.ordered, x, key)
 	x.t.Epoch.Exit()
 }
 

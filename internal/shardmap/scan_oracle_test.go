@@ -1,5 +1,5 @@
 // Model-based ordered oracle: concurrent churn against the ordered map
-// while scanners assert the invariants Scan and IndexScan promise, then
+// while scanners assert the invariants Scan promises, then
 // a quiescent exact comparison against a mirrored sorted model.
 //
 // Structure per (seed, distribution):
@@ -14,11 +14,9 @@
 //     the sum is checked once the churn has joined.
 //   - Scanners run throughout: every Scan result must be strictly
 //     sorted, within bounds, within limit, and every "w" value must
-//     identify its key (values encode the key index). Every IndexScan
-//     result must be sorted by (index key, primary key) and name only
-//     live universe keys.
-//   - After the churn joins, a full Scan and a full IndexScan must
-//     exactly equal the model (membership, order and values), and the
+//     identify its key (values encode the key index).
+//   - After the churn joins, a full Scan must exactly equal the model
+//     (membership, order and values), and the
 //     pair invariant must hold in the final state.
 //
 // Seeds shrink under -short, matching the repo's oracle convention.
@@ -108,9 +106,6 @@ func runScanOracle(t *testing.T, seed int64, dist string) {
 		setup.Put(pairA[p], word.FromUint(v))
 		setup.Put(pairB[p], word.FromUint(pairSum-v))
 	}
-	if err := setup.CreateIndex("byval", "value"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
 
 	// Writer key ranges (disjoint) and their distribution samplers.
 	keys := make([][]string, scanOracleWriters)
@@ -193,11 +188,6 @@ func runScanOracle(t *testing.T, seed int64, dist string) {
 				if !checkScanInvariants(t, skeys, svals, start, end, limit) {
 					return
 				}
-				if round%4 == 0 {
-					if !checkIndexScanInvariants(t, x, r) {
-						return
-					}
-				}
 			}
 		}(s)
 	}
@@ -243,27 +233,6 @@ func runScanOracle(t *testing.T, seed int64, dist string) {
 			t.Fatalf("final Scan[%s] = %v, model %v (present %v)", k, gotV[i], want, ok)
 		}
 	}
-
-	// Final IndexScan must equal the model sorted by (value hex, key).
-	ikeys, ivals, err := check.IndexScan("byval", "", "", 0, nil, nil)
-	if err != nil {
-		t.Fatalf("final IndexScan: %v", err)
-	}
-	if len(ikeys) != len(model) {
-		t.Fatalf("final IndexScan: %d keys, model has %d", len(ikeys), len(model))
-	}
-	prev := ""
-	for i, k := range ikeys {
-		want, ok := model[k]
-		if !ok || ivals[i] != want {
-			t.Fatalf("final IndexScan[%s] = %v, model %v (present %v)", k, ivals[i], want, ok)
-		}
-		comp := fmt.Sprintf("%016x\x00%s", ivals[i].Uint(), k)
-		if comp <= prev {
-			t.Fatalf("final IndexScan out of (index key, primary key) order at %s", k)
-		}
-		prev = comp
-	}
 }
 
 // checkScanInvariants verifies one concurrent Scan result.
@@ -306,38 +275,6 @@ func checkScanInvariants(t *testing.T, keys []string, vals []Value, start, end s
 			t.Errorf("scan: key %q outside the universe", k)
 			return false
 		}
-	}
-	return true
-}
-
-// checkIndexScanInvariants verifies one concurrent IndexScan over a
-// random value range: (index key, primary key) order and universe
-// membership.
-func checkIndexScanInvariants(t *testing.T, x *Thread, r *rng.State) bool {
-	lo := r.Next() & word.MaxPayload
-	hi := lo + (r.Next() & 0xFFFFFFFF)
-	keys, vals, err := x.IndexScan("byval", fmt.Sprintf("%016x", lo), fmt.Sprintf("%016x", hi), 0, nil, nil)
-	if err != nil {
-		t.Errorf("IndexScan: %v", err)
-		return false
-	}
-	prev := ""
-	for i, k := range keys {
-		if k[0] != 'w' && k[0] != 'p' {
-			t.Errorf("IndexScan: key %q outside the universe", k)
-			return false
-		}
-		u := vals[i].Uint()
-		if u < lo || u >= hi {
-			t.Errorf("IndexScan: value %d outside [%d, %d)", u, lo, hi)
-			return false
-		}
-		comp := fmt.Sprintf("%016x\x00%s", u, k)
-		if comp <= prev {
-			t.Errorf("IndexScan out of (index key, primary key) order at %s", k)
-			return false
-		}
-		prev = comp
 	}
 	return true
 }

@@ -1,12 +1,10 @@
 package shardmap
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"spectm/internal/core"
-	"spectm/internal/wal"
 	"spectm/internal/word"
 )
 
@@ -112,79 +110,6 @@ func TestScanUnordered(t *testing.T) {
 	if _, _, err := x.Scan("", "", 0, nil, nil); err != ErrNoOrdered {
 		t.Fatalf("Scan on unordered map: err = %v, want ErrNoOrdered", err)
 	}
-	if err := x.CreateIndex("ix", "value"); err != ErrNoOrdered {
-		t.Fatalf("CreateIndex on unordered map: err = %v, want ErrNoOrdered", err)
-	}
-}
-
-func TestSecondaryIndex(t *testing.T) {
-	_, x := orderedMap(t)
-	for i := 0; i < 40; i++ {
-		x.Put(fmt.Sprintf("user:%02d", i), word.FromUint(uint64(i%4)))
-	}
-	if err := x.CreateIndex("byval", "value"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	// Idempotent re-create; conflicting kind refused.
-	if err := x.CreateIndex("byval", "value"); err != nil {
-		t.Fatalf("idempotent CreateIndex: %v", err)
-	}
-	if err := x.CreateIndex("byval", "key"); err == nil {
-		t.Fatal("CreateIndex with conflicting kind succeeded")
-	}
-	if err := x.CreateIndex("nope", "prefix:0"); err == nil {
-		t.Fatal("CreateIndex with bad kind succeeded")
-	}
-
-	score := func(v uint64) string { return fmt.Sprintf("%016x", v) }
-	keys, vals, err := x.IndexScan("byval", score(2), score(3), 0, nil, nil)
-	if err != nil {
-		t.Fatalf("IndexScan: %v", err)
-	}
-	if len(keys) != 10 {
-		t.Fatalf("IndexScan val=2: %d keys, want 10", len(keys))
-	}
-	for i, k := range keys {
-		if vals[i].Uint() != 2 {
-			t.Fatalf("IndexScan val=2 returned %s=%d", k, vals[i].Uint())
-		}
-		if i > 0 && keys[i-1] >= k {
-			t.Fatalf("IndexScan keys out of order: %q before %q", keys[i-1], k)
-		}
-	}
-
-	// Updates move entries between index keys; deletes remove them.
-	x.Put("user:02", word.FromUint(9))
-	x.Delete("user:06")
-	keys, _, err = x.IndexScan("byval", score(2), score(3), 0, nil, nil)
-	if err != nil || len(keys) != 8 {
-		t.Fatalf("IndexScan after churn: %d keys (err %v), want 8", len(keys), err)
-	}
-	keys, _, err = x.IndexScan("byval", score(9), "", 0, nil, nil)
-	if err != nil || len(keys) != 1 || keys[0] != "user:02" {
-		t.Fatalf("IndexScan val=9: %v (err %v), want [user:02]", keys, err)
-	}
-
-	if _, _, err := x.IndexScan("missing", "", "", 0, nil, nil); err == nil {
-		t.Fatal("IndexScan on unknown index succeeded")
-	}
-}
-
-func TestPrefixIndex(t *testing.T) {
-	_, x := orderedMap(t)
-	x.Put("eu:paris", word.FromUint(4))
-	x.Put("eu:rome", word.FromUint(8))
-	x.Put("us:nyc", word.FromUint(12))
-	if err := x.CreateIndex("region", "prefix:2"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	keys, _, err := x.IndexScan("region", "eu", "ev", 0, nil, nil)
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("prefix scan: %v (err %v), want 2 keys", keys, err)
-	}
-	if keys[0] != "eu:paris" || keys[1] != "eu:rome" {
-		t.Fatalf("prefix scan order: %v", keys)
-	}
 }
 
 func TestOrderedPersistenceRoundTrip(t *testing.T) {
@@ -198,12 +123,9 @@ func TestOrderedPersistenceRoundTrip(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x.Put(fmt.Sprintf("k%02d", i), word.FromUint(uint64(i)))
 	}
-	if err := x.CreateIndex("byval", "value"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
 	x.Put("k05", word.FromUint(77))
 	x.Delete("k06")
-	if err := m.Save(); err != nil { // snapshot with index defs
+	if err := m.Save(); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	x.Put("k99", word.FromUint(99)) // post-snapshot log tail
@@ -227,49 +149,8 @@ func TestOrderedPersistenceRoundTrip(t *testing.T) {
 	if _, ok := got["k06"]; ok {
 		t.Fatal("recovered scan still sees deleted k06")
 	}
-	defs := m2.Indexes()
-	if len(defs) != 1 || defs[0] != [2]string{"byval", "value"} {
-		t.Fatalf("recovered index defs = %v", defs)
-	}
-	keys, _, err := x2.IndexScan("byval", fmt.Sprintf("%016x", 77), fmt.Sprintf("%016x", 78), 0, nil, nil)
-	if err != nil || len(keys) != 1 || keys[0] != "k05" {
-		t.Fatalf("recovered IndexScan: %v (err %v), want [k05]", keys, err)
-	}
 	if err := m2.Close(); err != nil {
 		t.Fatalf("close reopened: %v", err)
-	}
-}
-
-func TestSnapshotStreamCarriesIndexDefs(t *testing.T) {
-	m, x := orderedMap(t)
-	x.Put("a", word.FromUint(4))
-	if err := x.CreateIndex("pk", "key"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := m.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	var defs, entries int
-	if _, err := wal.ReadSnapshotRecords(bytes.NewReader(buf.Bytes()), func(r wal.Record) error {
-		switch r.Op {
-		case wal.OpIdxCreate:
-			defs++
-			if entries != 0 {
-				t.Fatal("index definition after entries")
-			}
-			if string(r.Key) != "pk" || string(r.Key2) != "key" {
-				t.Fatalf("index def = %q/%q", r.Key, r.Key2)
-			}
-		case wal.OpPut:
-			entries++
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("ReadSnapshotRecords: %v", err)
-	}
-	if defs != 1 || entries != 1 {
-		t.Fatalf("snapshot stream: %d defs, %d entries; want 1, 1", defs, entries)
 	}
 }
 

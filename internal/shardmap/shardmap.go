@@ -107,7 +107,7 @@ type node struct {
 	p0, p1 uint64 // prefixWords(key)
 	val    core.Word
 	next   core.Word
-	ent    arena.Handle // the key's primary index entry (ordered maps; see ordered.go)
+	ent    arena.Handle // the key's index entry (ordered maps; see ordered.go)
 }
 
 // cmp places node n against the key (h, key), whose prefix words are
@@ -206,13 +206,9 @@ type Map struct {
 	thrMu       sync.Mutex    // guards thrCounters
 	thrCounters []*opCounters // one slot set per attached Thread
 
-	// Ordered indexing (nil without WithOrdered; see ordered.go and
-	// secindex.go). ordered is set before the map is published; indexes
-	// is copy-on-write under idxMu, loaded once per mutation.
+	// The ordered index (nil without WithOrdered; see ordered.go), set
+	// before the map is published.
 	ordered *olist
-	indexes atomic.Pointer[indexSet]
-	idxMu   sync.Mutex    // serializes CreateIndex
-	olSeq   atomic.Uint64 // olist identity-tag allocator
 
 	// Durability (nil without WithPersistence; see persist.go). wal is
 	// written once before the map is published, so hot paths read it
@@ -286,7 +282,7 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		sh.state.Store(st)
 	}
 	if cfg.ordered {
-		m.ordered = newOlist(m, &m.olSeq)
+		m.ordered = newOlist(m)
 	}
 	if cfg.dir != "" {
 		if err := m.openPersistence(cfg); err != nil {
@@ -531,7 +527,7 @@ func (x *Thread) Put(key string, val Value) bool {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	var spare arena.Handle
-	inserted, old := x.putLoop(sh, h, key, val, &spare)
+	inserted := x.putLoop(sh, h, key, val, &spare)
 	x.t.Epoch.Exit()
 	if inserted {
 		sh.size.Add(1)
@@ -540,7 +536,6 @@ func (x *Thread) Put(key string, val Value) bool {
 		sh.a.Free(spare) // lost the insert race; never published
 	}
 	x.logPut(key, val)
-	x.secUpdate(key, old, !inserted, val, true)
 	count(&x.ops.puts, &x.ops.inserts, inserted)
 	return inserted
 }
@@ -556,16 +551,15 @@ func (x *Thread) Put(key string, val Value) bool {
 //spectm:noalloc
 func (x *Thread) Update(key string, val Value) bool {
 	h := x.m.hash(key)
-	ok, old := x.update(h, key, val)
+	ok := x.update(h, key, val)
 	if ok {
 		x.logPut(key, val)
-		x.secUpdate(key, old, true, val, true)
 	}
 	count(&x.ops.updates, &x.ops.updateHits, ok)
 	return ok
 }
 
-func (x *Thread) update(h uint64, key string, val Value) (bool, Value) {
+func (x *Thread) update(h uint64, key string, val Value) bool {
 	sh := x.m.shardOf(h)
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
@@ -576,10 +570,10 @@ func (x *Thread) update(h uint64, key string, val Value) (bool, Value) {
 			continue
 		}
 		if !found {
-			return false, 0
+			return false
 		}
-		if st, old := x.writeVal(sh, cur, val, attempt); st == writeDone {
-			return true, old
+		if x.writeVal(sh, cur, val, attempt) == writeDone {
+			return true
 		}
 	}
 }
@@ -593,34 +587,31 @@ const (
 
 // writeVal runs the combined update commit on a found node: the
 // liveness link validates read-only while the value word is locked and
-// rewritten (ShortRO1 + LockRead → ShortRO1RW1.Commit). On writeDone it
-// also reports the value the commit replaced — the lock is held from
-// read to commit, so that observation is exactly the linearized
-// predecessor (secondary-index maintenance relies on it). Shared by
+// rewritten (ShortRO1 + LockRead → ShortRO1RW1.Commit). Shared by
 // Put's update half and Update.
-func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) (int, Value) {
+func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) int {
 	n := sh.a.Get(cur)
 	ro, nv := x.t.ShortRO1(x.m.nextVar(sh, cur, n))
 	if nv.Marked() {
 		ro.Discard()
-		return writeStale, 0
+		return writeStale
 	}
-	c, old := ro.LockRead(x.m.valVar(sh, cur, n))
+	c, _ := ro.LockRead(x.m.valVar(sh, cur, n))
 	if c.Commit(val) {
-		return writeDone, old
+		return writeDone
 	}
 	x.conflict(attempt)
-	return writeConflict, 0
+	return writeConflict
 }
 
-// putLoop inserts or updates key, reporting (inserted, replaced value).
+// putLoop inserts or updates key, reporting whether it inserted.
 // With the ordered index on, a reference on key's index entry is taken
 // before the node is published — so a scan can never miss a live key —
 // and released again if the insert loses to a concurrent writer and
 // degrades into an update. The node records the entry (node.ent), and
 // the publish is a ShortRW2 that writes the entry's hint in the same
 // commit as the predecessor link (see ordered.go, "Hash-node hints").
-func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *arena.Handle) (bool, Value) {
+func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *arena.Handle) bool {
 	ol := x.m.ordered
 	var eh arena.Handle // key's index entry, once a reference is held
 	for attempt := 1; ; attempt++ {
@@ -630,12 +621,11 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			continue
 		}
 		if found {
-			st, old := x.writeVal(sh, cur, val, attempt)
-			if st == writeDone {
+			if x.writeVal(sh, cur, val, attempt) == writeDone {
 				if !eh.IsNil() {
 					ol.release(x, key, eh) // insert lost; release the provisional reference
 				}
-				return false, old
+				return false
 			}
 			continue
 		}
@@ -650,12 +640,12 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 		n.next.Init(link)
 		if ol == nil {
 			if x.t.SingleCAS(prev, link, enc(*spare)) == link {
-				return true, 0
+				return true
 			}
 			continue
 		}
 		if eh.IsNil() {
-			eh = ol.add(x, key, h, 0)
+			eh = ol.add(x, key, h)
 			n.ent = eh
 		}
 		d, pv, _ := x.t.ShortRW2(prev, ol.hintVar(eh, ol.a.Get(eh)))
@@ -668,7 +658,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			continue
 		}
 		d.Commit(enc(*spare), enc(*spare))
-		return true, 0
+		return true
 	}
 }
 
@@ -681,23 +671,22 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 //spectm:noalloc
 func (x *Thread) Delete(key string) bool {
 	h := x.m.hash(key)
-	ok, old := x.del(h, key)
+	ok := x.del(h, key)
 	if ok {
 		x.logDelete(key)
-		x.secUpdate(key, old, true, 0, false)
 	}
 	count(&x.ops.deletes, &x.ops.deleteHits, ok)
 	return ok
 }
 
-// del unlinks key, reporting its final value (for secondary-index
-// maintenance). With the ordered index on, the unlink commit is a
+// del unlinks key, reporting whether it was present. With the ordered
+// index on, the unlink commit is a
 // ShortRW3 that also writes the hint of the node's entry (node.ent)
 // empty, and the node's reference on that entry is released after the
 // commit: the index entry outlives the key, never the reverse. The
 // release goes to the entry directly, so the delete searches the index
 // only to remove an entry taller than one level (see olist.remove).
-func (x *Thread) del(h uint64, key string) (bool, Value) {
+func (x *Thread) del(h uint64, key string) bool {
 	sh := x.m.shardOf(h)
 	ol := x.m.ordered
 	x.t.Epoch.Enter()
@@ -709,7 +698,7 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 			continue
 		}
 		if !found {
-			return false, 0
+			return false
 		}
 		n := sh.a.Get(cur)
 		if ol == nil {
@@ -738,17 +727,11 @@ func (x *Thread) del(h uint64, key string) (bool, Value) {
 			d.Commit(nv.WithMark(), nv, word.Null)
 		}
 		sh.size.Add(^uint64(0))
-		var old Value
-		if ol != nil {
-			// The unlinked node is unreachable to writers, so its value
-			// word is final; the epoch pin keeps it readable until Exit.
-			old = x.t.SingleRead(x.m.valVar(sh, cur, n))
-		}
 		x.t.Epoch.Retire(sh.a, uint64(cur))
 		if ol != nil {
 			ol.release(x, key, n.ent)
 		}
-		return true, old
+		return true
 	}
 }
 
@@ -764,7 +747,6 @@ func (x *Thread) CompareAndSwap(key string, old, new Value) bool {
 	ok := x.cas(h, key, old, new)
 	if ok {
 		x.logCAS(key, new)
-		x.secUpdate(key, old, true, new, true)
 	}
 	count(&x.ops.cas, &x.ops.casHits, ok)
 	return ok
@@ -827,8 +809,6 @@ func (x *Thread) swap2(k1, k2 string) bool {
 	if ok {
 		// A swap's new values are the other key's old ones.
 		x.logSwap2(k1, v2, k2, v1)
-		x.secUpdate(k1, v1, true, v2, true)
-		x.secUpdate(k2, v2, true, v1, true)
 	}
 	return ok
 }

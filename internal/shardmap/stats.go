@@ -24,15 +24,12 @@ type OpStats struct {
 	Batches    uint64 // GetBatch calls
 	BatchKeys  uint64 // keys read across all batches
 
-	// Ordered indexing (maps built with WithOrdered).
+	// The ordered index (maps built with WithOrdered).
 	Scans    uint64 // Scan calls
 	ScanKeys uint64 // keys emitted across all scans
 	// ScanFallbacks is never incremented: a hint is exact, so Scan has no
 	// fallback. tests/bench/ladder.go and the server's STATS read it.
 	ScanFallbacks uint64
-	IScans        uint64 // IndexScan calls
-	IScanKeys     uint64 // keys emitted across all index scans
-	IdxCreates    uint64 // CreateIndex calls that registered an index
 	IndexSearches uint64 // skip-list searches, by mutations and scans alike
 	IndexSteps    uint64 // entries those searches visited (steps per search = cost at this key count)
 
@@ -62,9 +59,6 @@ func (s *OpStats) Add(o OpStats) {
 	s.Scans += o.Scans
 	s.ScanKeys += o.ScanKeys
 	s.ScanFallbacks += o.ScanFallbacks
-	s.IScans += o.IScans
-	s.IScanKeys += o.IScanKeys
-	s.IdxCreates += o.IdxCreates
 	s.IndexSearches += o.IndexSearches
 	s.IndexSteps += o.IndexSteps
 	s.Conflicts += o.Conflicts
@@ -73,7 +67,7 @@ func (s *OpStats) Add(o OpStats) {
 // Ops returns the total operation count (batches count once).
 func (s OpStats) Ops() uint64 {
 	return s.Gets + s.Puts + s.Updates + s.Deletes + s.CAS + s.Swaps + s.Batches +
-		s.Scans + s.IScans
+		s.Scans
 }
 
 // opCounters is the per-thread mutable form: written only by the owning
@@ -88,8 +82,6 @@ type opCounters struct {
 	batches, batchKeys  atomic.Uint64
 
 	scans, scanKeys       atomic.Uint64
-	iscans, iscanKeys     atomic.Uint64
-	idxCreates            atomic.Uint64
 	idxSearches, idxSteps atomic.Uint64
 
 	conflicts atomic.Uint64
@@ -102,8 +94,7 @@ func (c *opCounters) reset() {
 		&c.gets, &c.getHits, &c.puts, &c.inserts, &c.updates, &c.updateHits,
 		&c.deletes, &c.deleteHits, &c.cas, &c.casHits, &c.swaps, &c.swapHits,
 		&c.batches, &c.batchKeys,
-		&c.scans, &c.scanKeys, &c.iscans, &c.iscanKeys,
-		&c.idxCreates, &c.idxSearches, &c.idxSteps,
+		&c.scans, &c.scanKeys, &c.idxSearches, &c.idxSteps,
 		&c.conflicts,
 	} {
 		a.Store(0)
@@ -121,9 +112,6 @@ func (c *opCounters) snapshot() OpStats {
 		Batches: c.batches.Load(), BatchKeys: c.batchKeys.Load(),
 		Scans:         c.scans.Load(),
 		ScanKeys:      c.scanKeys.Load(),
-		IScans:        c.iscans.Load(),
-		IScanKeys:     c.iscanKeys.Load(),
-		IdxCreates:    c.idxCreates.Load(),
 		IndexSearches: c.idxSearches.Load(),
 		IndexSteps:    c.idxSteps.Load(),
 		Conflicts:     c.conflicts.Load(),

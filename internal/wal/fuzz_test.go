@@ -94,7 +94,6 @@ func FuzzRecordRoundTrip(f *testing.F) {
 func FuzzSnapshot(f *testing.F) {
 	var good bytes.Buffer
 	sw := NewSnapshotWriter(&good, 1)
-	sw.Index("byval", "value")
 	sw.Entry("alpha", 1)
 	sw.Entry("beta", 2)
 	if err := sw.Close(); err != nil {

@@ -28,7 +28,7 @@
 //	OpDelete       klen | key
 //	OpSwap2        k1len | k1 | v1 | k2len | k2 | v2
 //	OpEpoch        klen=0 | epoch
-//	OpIdxCreate    nlen | name | 0 | klen | kind | 0
+//	OpIdxCreate    nlen | name | 0 | klen | kind | 0   (retired; decoded only)
 //
 // A decoder that hits a short frame, a CRC mismatch, an unknown op or
 // trailing garbage stops: everything before the bad frame is the
@@ -54,10 +54,11 @@ const (
 	// the new epoch, Key is empty. It is log metadata, not a mutation —
 	// recovery and replication track it but never hand it to the map.
 	OpEpoch = byte(6)
-	// OpIdxCreate records a secondary-index definition: Key holds the
-	// index name, Key2 the extractor kind. Index entries themselves are
-	// never logged — replay recreates the definition and the map's
-	// Put/Delete applies rebuild the entries incrementally.
+	// OpIdxCreate is retired: it recorded a secondary-index definition
+	// (Key the index name, Key2 the extractor kind), and nothing writes
+	// it any more. The decoder still reads it, so a directory that holds
+	// one reaches the map's Apply, which refuses it by name; an unknown
+	// op would instead read as a torn tail and silently cut the log there.
 	OpIdxCreate = byte(7)
 )
 

@@ -73,7 +73,11 @@ type ReplayStats struct {
 // are metadata: they raise the stats' Epoch and are not handed to apply.
 // A directory holding per-shard log files (wal-<gen>-s<shard>.log) is
 // refused: that layout is no longer read, and skipping its files would
-// silently drop their records.
+// silently drop their records. A retired OpIdxCreate record, from the
+// log or from a snapshot's index-definition frame, is decoded and handed
+// to apply like any other, and the map's Apply refuses it: an apply error
+// ends Replay, and only one that wraps ErrCorrupt would make it fall back
+// to an older snapshot.
 func Replay(dir string, apply func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	ents, err := os.ReadDir(dir)

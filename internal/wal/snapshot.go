@@ -6,9 +6,10 @@
 //	       or  tag 2 (1B) | nlen uvarint | name | klen uvarint | kind  (index def)
 //	trailer:   tag 0 (1B) | record count (8B LE) | crc32c (4B LE)
 //
-// Index definitions are written before the entries they govern, so a
-// reader can rebuild secondary indexes incrementally while applying the
-// entry stream.
+// Tag 2, a secondary-index definition, is retired: no writer emits it,
+// and the reader hands it on as an OpIdxCreate record so that the map
+// refuses a snapshot holding one instead of loading it without its
+// index.
 //
 // The CRC covers every byte before it. A snapshot without a valid
 // trailer is incomplete (crashed writer) or corrupt and is never
@@ -77,28 +78,6 @@ func (sw *SnapshotWriter) Entry(key string, val uint64) {
 	sw.count++
 }
 
-// Index appends one secondary-index definition (name, extractor kind).
-// Call before the entries so readers can rebuild incrementally.
-func (sw *SnapshotWriter) Index(name, kind string) {
-	sw.tmp[0] = snapIndex
-	n := 1 + binary.PutUvarint(sw.tmp[1:], uint64(len(name)))
-	sw.write(sw.tmp[:n])
-	sw.writeString(name)
-	n = binary.PutUvarint(sw.tmp[:], uint64(len(kind)))
-	sw.write(sw.tmp[:n])
-	sw.writeString(kind)
-	sw.count++
-}
-
-// writeString is write for string payloads (no []byte conversion).
-func (sw *SnapshotWriter) writeString(s string) {
-	if sw.err != nil {
-		return
-	}
-	sw.crc = crc32.Update(sw.crc, castagnoli, []byte(s))
-	_, sw.err = sw.w.WriteString(s)
-}
-
 // Close writes the trailer and flushes. The underlying file is not
 // synced or closed; callers own that.
 func (sw *SnapshotWriter) Close() error {
@@ -116,8 +95,8 @@ func (sw *SnapshotWriter) Close() error {
 }
 
 // ReadSnapshot streams a snapshot from r, calling apply for every
-// key/value entry. Index-definition records are validated but skipped —
-// use ReadSnapshotRecords to receive them. It returns the generation
+// key/value entry. Retired index-definition records are validated but
+// skipped — use ReadSnapshotRecords to receive them. It returns the generation
 // recorded in the header. The key passed to apply aliases an internal
 // buffer valid only during the call.
 func ReadSnapshot(r io.Reader, apply func(key []byte, val uint64) error) (gen uint64, err error) {
@@ -131,7 +110,8 @@ func ReadSnapshot(r io.Reader, apply func(key []byte, val uint64) error) (gen ui
 
 // ReadSnapshotRecords streams a snapshot from r, calling apply with one
 // Record per snapshot record: key/value entries arrive as OpPut records,
-// index definitions as OpIdxCreate records (Key = name, Key2 = kind).
+// retired index definitions as OpIdxCreate records (Key = name, Key2 =
+// kind).
 // It returns the generation recorded in the header. Any framing damage —
 // truncation, CRC mismatch, oversized key, wrong count — returns
 // ErrCorrupt: a snapshot is all-or-nothing, there is no trustworthy

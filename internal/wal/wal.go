@@ -307,13 +307,6 @@ func (l *Log) Swap2(k1 string, v1 uint64, k2 string, v2 uint64) {
 	l.append(OpSwap2, k1, v1, k2, v2)
 }
 
-// IdxCreate appends a secondary-index definition record (name, extractor
-// kind). Index creation is a cold control-plane operation: callers that
-// must not acknowledge it before it is durable follow with Flush.
-func (l *Log) IdxCreate(name, kind string) {
-	l.append(OpIdxCreate, name, 0, kind, 0)
-}
-
 // Epoch returns the current cluster epoch.
 func (l *Log) Epoch() uint64 { return l.epoch.Load() }
 
