@@ -87,7 +87,7 @@ type Arena[T any] struct {
 }
 
 // New returns an empty arena. Slot number 0 is permanently reserved so
-// that Handle(0) can serve as nil.
+// that Handle(0) can serve as nil; it has no storage (see chunkOf).
 func New[T any]() *Arena[T] {
 	a := &Arena[T]{chunks: make([]atomic.Pointer[chunk[T]], maxChunks)}
 	a.next.Store(1)
@@ -95,7 +95,7 @@ func New[T any]() *Arena[T] {
 }
 
 // Alloc returns a fresh handle and a pointer to its zeroed slot.
-// It panics if the arena is exhausted (2^32 live slots), which in this
+// It panics if the arena is exhausted (2^32 − 1 live slots), which in this
 // repository means a test or benchmark configuration error.
 func (a *Arena[T]) Alloc() (Handle, *T) {
 	a.allocs.Add(1)
@@ -117,7 +117,7 @@ func (a *Arena[T]) Alloc() (Handle, *T) {
 	}
 
 	slot := a.next.Add(1) - 1
-	if slot >= uint64(maxChunks)*chunkSize {
+	if slot >= 1<<32 { // slots are 32 bits; slot 2³²−1 takes the last position
 		panic("arena: exhausted")
 	}
 	c, i := a.chunkOf(slot) // installs the chunk if needed
@@ -137,11 +137,8 @@ func (a *Arena[T]) Get(h Handle) *T {
 // generation. It is for tests and debug assertions only: the answer can
 // be stale by the time the caller uses it.
 func (a *Arena[T]) Validate(h Handle) bool {
-	if h.IsNil() {
-		return false
-	}
 	slot := h.slot()
-	if slot >= a.next.Load() {
+	if slot == 0 || slot >= a.next.Load() {
 		return false
 	}
 	c, i := a.chunkOf(slot)
@@ -177,9 +174,12 @@ func (a *Arena[T]) Reclaim(h uint64) { a.Free(Handle(h)) }
 func (a *Arena[T]) Live() uint64 { return a.allocs.Load() - a.frees.Load() }
 
 // chunkOf resolves a slot number to its chunk and index there,
-// installing the chunk on first touch.
+// installing the chunk on first touch. Slot s is stored at position
+// s − 1, because slot 0 (nil) has no storage: 2¹⁶·k slots fill exactly
+// k chunks.
 func (a *Arena[T]) chunkOf(slot uint64) (*chunk[T], uint64) {
-	ci := slot >> chunkShift
+	pos := slot - 1
+	ci := pos >> chunkShift
 	p := a.chunks[ci].Load()
 	if p == nil {
 		fresh := new(chunk[T])
@@ -189,5 +189,5 @@ func (a *Arena[T]) chunkOf(slot uint64) (*chunk[T], uint64) {
 			p = a.chunks[ci].Load()
 		}
 	}
-	return p, slot & idxMask
+	return p, pos & idxMask
 }

@@ -121,6 +121,31 @@ func TestCrossChunkAllocation(t *testing.T) {
 	}
 }
 
+// TestChunkCount pins the nil slot's cost at nothing: 2¹⁶ allocations
+// fill exactly one chunk, and the next one installs the second.
+func TestChunkCount(t *testing.T) {
+	a := New[node]()
+	installed := func() int {
+		n := 0
+		for i := range a.chunks {
+			if a.chunks[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < chunkSize; i++ {
+		a.Alloc()
+	}
+	if got := installed(); got != 1 {
+		t.Fatalf("%d allocations installed %d chunks, want 1", chunkSize, got)
+	}
+	a.Alloc()
+	if got := installed(); got != 2 {
+		t.Fatalf("%d allocations installed %d chunks, want 2", chunkSize+1, got)
+	}
+}
+
 func TestConcurrentAllocFree(t *testing.T) {
 	a := New[node]()
 	const workers, per = 8, 2000

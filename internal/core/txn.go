@@ -296,9 +296,10 @@ func wbit(data *uint64) uint64 {
 // findWrite returns the index of data's write entry, or -1. A word
 // whose filter bit is clear has none; otherwise the write set is
 // scanned. The full transactions the map runs (a bucket migration)
-// write 3–35 words, so the filter passes a word not yet written about
-// one time in six and the scan stays short; a write set much past 64
-// words sets every bit and pays a linear scan per lookup.
+// write 3–21 words, 3 or 4 at the median, so the filter passes a word
+// not yet written about one time in sixteen and the scan stays short;
+// a write set much past 64 words sets every bit and pays a linear scan
+// per lookup.
 func (x *txnRec) findWrite(data *uint64) int {
 	if x.wfilter&wbit(data) == 0 {
 		return -1

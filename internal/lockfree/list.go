@@ -96,7 +96,7 @@ func (l *List) Contains(s *epoch.Slot, key uint64) bool {
 		if !marked(nextW) && n.Key >= key {
 			return n.Key == key
 		}
-		curW = nextW
+		curW = unmark(nextW) // a deleted tail's link is a marked null
 	}
 	return false
 }

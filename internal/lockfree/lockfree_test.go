@@ -49,6 +49,23 @@ func TestListBasic(t *testing.T) {
 	}
 }
 
+// TestListContainsPastDeletedTail: a remover that has marked the last
+// node but not yet unlinked it leaves a marked null as that node's
+// link. A read-only Contains must end its walk there; reading past it
+// resolved the nil handle and, for key 0, reported a phantom hit.
+func TestListContainsPastDeletedTail(t *testing.T) {
+	l := NewList()
+	s := epoch.NewDomain(1).Register()
+	l.Add(s, 5)
+	n := l.a.Get(dec(l.head))
+	atomic.StoreUint64(&n.next, mark(n.next)) // Remove's mark, before its unlink
+	for _, k := range []uint64{0, 5, 9} {
+		if l.Contains(s, k) {
+			t.Errorf("Contains(%d) on a list whose one node is deleted", k)
+		}
+	}
+}
+
 func TestListModelProperty(t *testing.T) {
 	dom := epoch.NewDomain(2)
 	s := dom.Register()

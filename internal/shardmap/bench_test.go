@@ -11,21 +11,40 @@ import (
 	"spectm/internal/word"
 )
 
-// benchMap builds a pre-populated map for the hot-path benchmarks.
+// benchMap builds a pre-populated map for the hot-path benchmarks,
+// pre-sized to load 1 (nkeys/8 buckets per shard on the default 8
+// shards).
 func benchMap(nkeys int, opts ...Option) (*Map, []string) {
 	e := core.New(core.Config{Layout: core.LayoutVal})
 	m := New(e, append([]Option{WithInitialBuckets(nkeys / 8)}, opts...)...)
+	return m, fillMap(m, nkeys)
+}
+
+// fillMap puts nkeys keys into m and returns them.
+func fillMap(m *Map, nkeys int) []string {
 	th := m.NewThread()
 	keys := make([]string, nkeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bench-%06d", i)
 		th.Put(keys[i], word.FromUint(uint64(i)))
 	}
-	return m, keys
+	return keys
 }
 
 func BenchmarkMapGet(b *testing.B) {
 	m, keys := benchMap(1 << 14)
+	benchGet(b, m, keys)
+}
+
+// BenchmarkMapGet64Ki reads 64 Ki uniform keys from a map built with no
+// bucket hint, the shape of the ledger's embed-mixed: its tables reach
+// their size by growing, as a real map's do.
+func BenchmarkMapGet64Ki(b *testing.B) {
+	m := New(core.New(core.Config{Layout: core.LayoutVal}))
+	benchGet(b, m, fillMap(m, 1<<16))
+}
+
+func benchGet(b *testing.B, m *Map, keys []string) {
 	th := m.NewThread()
 	r := rng.New(1)
 	b.ReportAllocs()

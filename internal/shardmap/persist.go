@@ -204,10 +204,10 @@ func (m *Map) LogSize() int64 {
 }
 
 // Snapshot streams the map's current contents to w in the snapshot file
-// format (readable with wal.ReadSnapshot). The snapshot is fuzzy: each
-// key's value is a committed value from some instant during the call.
-// Snapshot works on non-persistent maps too (backup of an in-memory
-// map).
+// format (readable with wal.ReadSnapshotRecords). The snapshot is
+// fuzzy: each key's value is a committed value from some instant
+// during the call. Snapshot works on non-persistent maps too (backup
+// of an in-memory map).
 func (m *Map) Snapshot(w io.Writer) error {
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()

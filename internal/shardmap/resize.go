@@ -50,11 +50,21 @@ func (x *Thread) grow(sh *shard, old *table) {
 // its copy, so a hint never names a migrated node. Operations that raced
 // the commit fail their CAS or validation against the marked links and
 // re-route.
+//
+// No operation reads or writes new bucket b or b+len(old.buckets) before
+// old bucket b's sentinel is committed (route), so until then both
+// hold the null newTable gave them. The commit therefore writes only
+// the new heads that get a chain, and an empty bucket (about a third
+// of them at maxLoad 1) migrates with one CAS of its head from null to
+// the sentinel instead of a transaction.
 func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 	t := x.t
+	oldHead := x.m.bucketVar(old, b)
+	if t.SingleCAS(oldHead, word.Null, word.Null.WithMark()) == word.Null {
+		return // an empty bucket: its two new heads are already null
+	}
 	t.Epoch.Enter()
 	defer t.Epoch.Exit()
-	oldHead := x.m.bucketVar(old, b)
 	ol := x.m.ordered
 	for attempt := 1; ; attempt++ {
 		// Drop copies built by a failed previous attempt.
@@ -117,8 +127,11 @@ func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
 				t.TxWrite(ol.hintVar(on.ent, ol.a.Get(on.ent)), enc(nh))
 			}
 		}
-		t.TxWrite(x.m.bucketVar(nt, b), heads[0])
-		t.TxWrite(x.m.bucketVar(nt, b+uint64(len(old.buckets))), heads[1])
+		for i, hd := range heads {
+			if !hd.IsNull() {
+				t.TxWrite(x.m.bucketVar(nt, b+uint64(i*len(old.buckets))), hd)
+			}
+		}
 		for i, h := range x.mchain {
 			n := sh.a.Get(h)
 			t.TxWrite(x.m.nextVar(sh, h, n), x.mnext[i].WithMark())

@@ -47,7 +47,8 @@
 // publishes {cur: new, old: current} and then migrates one old bucket at
 // a time: a single full transaction copies the chain's nodes into the two
 // split target buckets of the new table, marks every old link, and
-// replaces the old bucket head with a marked-null sentinel. Operations
+// replaces the old bucket head with a marked-null sentinel (an empty
+// bucket needs only the sentinel, one CAS). Operations
 // route each key to the old table until its bucket's sentinel appears, so
 // a key is always owned by exactly one table and duplicate inserts across
 // tables are impossible; stale operations that raced the migration fail
@@ -91,8 +92,10 @@ const (
 	fieldVal  = 1
 )
 
-// maxLoad is the average chain length that triggers a shard resize.
-const maxLoad = 4
+// maxLoad is the average chain length that triggers a shard resize. At
+// 1 a shard doubles once it holds more keys than buckets, so a chain
+// averages 0.5–1 node and a hit visits about 1.4 (TestChainLength).
+const maxLoad = 1
 
 // node is one key/value pair. val and next are transactional words;
 // everything else is immutable after publication. p0 and p1 are the
@@ -292,17 +295,14 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 	return m, nil
 }
 
-// newTable allocates a bucket array with a fresh identity range.
+// newTable allocates a bucket array with a fresh identity range. Every
+// head starts as the zero Word, which holds word.Null.
 func (m *Map) newTable(n int) *table {
-	t := &table{
+	return &table{
 		buckets: make([]core.Word, n),
 		mask:    uint64(n - 1),
 		idBase:  idBucketBase + m.idSeq.Add(uint64(n)) - uint64(n),
 	}
-	for i := range t.buckets {
-		t.buckets[i].Init(word.Null)
-	}
-	return t
 }
 
 // Engine returns the engine the map is bound to.
@@ -572,36 +572,32 @@ func (x *Thread) update(h uint64, key string, val Value) bool {
 		if !found {
 			return false
 		}
-		if x.writeVal(sh, cur, val, attempt) == writeDone {
+		if x.writeVal(sh, cur, val, attempt) {
 			return true
 		}
 	}
 }
 
-// writeVal outcomes.
-const (
-	writeDone     = iota // value committed
-	writeStale           // node unlinked after the walk; re-resolve
-	writeConflict        // commit lost a race; backoff already applied
-)
-
 // writeVal runs the combined update commit on a found node: the
 // liveness link validates read-only while the value word is locked and
 // rewritten (ShortRO1 + LockRead → ShortRO1RW1.Commit). Shared by
-// Put's update half and Update.
-func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) int {
+// Put's update half and Update. It reports whether the value committed;
+// on false the caller re-resolves the key, because either the node was
+// unlinked after the walk or the commit lost a race (backoff already
+// applied).
+func (x *Thread) writeVal(sh *shard, cur arena.Handle, val Value, attempt int) bool {
 	n := sh.a.Get(cur)
 	ro, nv := x.t.ShortRO1(x.m.nextVar(sh, cur, n))
 	if nv.Marked() {
 		ro.Discard()
-		return writeStale
+		return false
 	}
 	c, _ := ro.LockRead(x.m.valVar(sh, cur, n))
 	if c.Commit(val) {
-		return writeDone
+		return true
 	}
 	x.conflict(attempt)
-	return writeConflict
+	return false
 }
 
 // putLoop inserts or updates key, reporting whether it inserted.
@@ -621,7 +617,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 			continue
 		}
 		if found {
-			if x.writeVal(sh, cur, val, attempt) == writeDone {
+			if x.writeVal(sh, cur, val, attempt) {
 				if !eh.IsNil() {
 					ol.release(x, key, eh) // insert lost; release the provisional reference
 				}

@@ -126,6 +126,49 @@ func TestManyKeysAndGrowth(t *testing.T) {
 	}
 }
 
+// TestChainLength pins how deep a lookup walks. It fills a map at the
+// default bucket count with 64 Ki keys and then, quiescent, walks every
+// shard's table: each shard's load (keys per bucket) is at most maxLoad
+// = 1, and a hit visits at most 1.5 nodes on average, the key's own
+// node included (a chain of L nodes costs its hits L(L+1)/2 visits).
+func TestChainLength(t *testing.T) {
+	m := New(core.New(core.Config{Layout: core.LayoutVal}))
+	const n = 1 << 16
+	fillMap(m, n)
+	x := m.NewThread()
+	var total, visits int
+	for i := range m.shards {
+		sh := &m.shards[i]
+		st := sh.state.Load()
+		if st.old != nil {
+			t.Fatalf("shard %d still mid-resize after quiescence", i)
+		}
+		tb, size := st.cur, 0
+		for b := range tb.buckets {
+			pos := 0
+			for link := x.t.SingleRead(m.bucketVar(tb, uint64(b))); !link.IsNull(); pos++ {
+				h := dec(link)
+				visits += pos + 1
+				link = x.t.SingleRead(m.nextVar(sh, h, sh.a.Get(h)))
+			}
+			size += pos
+		}
+		if size > len(tb.buckets)*maxLoad {
+			t.Errorf("shard %d: %d keys in %d buckets, load %.2f > %d",
+				i, size, len(tb.buckets), float64(size)/float64(len(tb.buckets)), maxLoad)
+		}
+		total += size
+	}
+	if total != n {
+		t.Fatalf("walked %d keys, want %d", total, n)
+	}
+	if mean := float64(visits) / float64(total); mean > 1.5 {
+		t.Errorf("a hit visits %.2f nodes on average, want at most 1.5", mean)
+	} else {
+		t.Logf("a hit visits %.2f nodes on average", mean)
+	}
+}
+
 func TestCompareAndSwap(t *testing.T) {
 	e := core.New(core.Config{Layout: core.LayoutVal})
 	m := New(e)

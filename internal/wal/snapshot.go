@@ -94,20 +94,6 @@ func (sw *SnapshotWriter) Close() error {
 	return sw.w.Flush()
 }
 
-// ReadSnapshot streams a snapshot from r, calling apply for every
-// key/value entry. Retired index-definition records are validated but
-// skipped — use ReadSnapshotRecords to receive them. It returns the generation
-// recorded in the header. The key passed to apply aliases an internal
-// buffer valid only during the call.
-func ReadSnapshot(r io.Reader, apply func(key []byte, val uint64) error) (gen uint64, err error) {
-	return ReadSnapshotRecords(r, func(rec Record) error {
-		if rec.Op == OpPut {
-			return apply(rec.Key, rec.Val)
-		}
-		return nil
-	})
-}
-
 // ReadSnapshotRecords streams a snapshot from r, calling apply with one
 // Record per snapshot record: key/value entries arrive as OpPut records,
 // retired index definitions as OpIdxCreate records (Key = name, Key2 =

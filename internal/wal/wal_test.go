@@ -348,8 +348,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]uint64{}
-	gen, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), func(k []byte, v uint64) error {
-		got[string(k)] = v
+	gen, err := ReadSnapshotRecords(bytes.NewReader(buf.Bytes()), func(rec Record) error {
+		if rec.Op != OpPut {
+			return fmt.Errorf("record op %d, want %d", rec.Op, OpPut)
+		}
+		got[string(rec.Key)] = rec.Val
 		return nil
 	})
 	if err != nil {
@@ -366,7 +369,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Every truncation must be rejected.
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 97 {
-		if _, err := ReadSnapshot(bytes.NewReader(full[:cut]), func([]byte, uint64) error { return nil }); err == nil {
+		if _, err := ReadSnapshotRecords(bytes.NewReader(full[:cut]), func(Record) error { return nil }); err == nil {
 			t.Fatalf("truncated snapshot (%d/%d bytes) accepted", cut, len(full))
 		}
 	}
