@@ -293,6 +293,18 @@ type Word struct {
 // construction of not-yet-published nodes.
 func (w *Word) Init(v Value) { atomic.StoreUint64(&w.data, uint64(v)) }
 
+// NewWords returns n words, each holding v. Like Init, it is for words
+// not yet published, but it builds them with plain stores: the caller
+// must publish them through an atomic store that every reader's first
+// access follows.
+func NewWords(n int, v Value) []Word {
+	ws := make([]Word, n)
+	for i := range ws {
+		ws[i] = Word{data: uint64(v)}
+	}
+	return ws
+}
+
 // Touch loads the word with one atomic read, outside any transaction.
 // Under LayoutVal the word may be a writer's lock word (word.Locked).
 // Multi-key readers touch the words their transactions are about to

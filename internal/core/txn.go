@@ -21,7 +21,6 @@ package core
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"spectm/internal/vlock"
 	"spectm/internal/word"
@@ -35,12 +34,6 @@ type txnRec struct {
 	snap    uint64
 	reads   []rdEnt
 	writes  []wrEnt
-
-	// wfilter has bit wbit(data) set for the data word of every write
-	// entry, so looking up a word the transaction has not written —
-	// nearly every TxRead, every first TxWrite — skips the scan of the
-	// write set while the set is small. TxStart clears it.
-	wfilter uint64
 }
 
 // rdEnt is one read-set entry. Versioned layouts record the observed meta
@@ -75,7 +68,6 @@ func (t *Thr) TxStart() {
 	x.aborted = false
 	x.reads = x.reads[:0]
 	x.writes = x.writes[:0]
-	x.wfilter = 0
 	switch t.rp {
 	case rpVerExt:
 		x.snap = t.e.global.Read()
@@ -283,27 +275,11 @@ func (t *Thr) TxWrite(v Var, val Value) {
 		return
 	}
 	x.writes = append(x.writes, wrEnt{meta: v.meta, data: v.data, val: uint64(val)})
-	x.wfilter |= wbit(v.data)
 }
 
-// wbit is data's bit in the write-set filter: the top six bits of its
-// address under Fibonacci hashing, so words a fixed stride apart spread
-// over the 64 bits.
-func wbit(data *uint64) uint64 {
-	return 1 << (uint64(uintptr(unsafe.Pointer(data))) * 0x9E3779B97F4A7C15 >> 58)
-}
-
-// findWrite returns the index of data's write entry, or -1. A word
-// whose filter bit is clear has none; otherwise the write set is
-// scanned. The full transactions the map runs (a bucket migration)
-// write 3–21 words, 3 or 4 at the median, so the filter passes a word
-// not yet written about one time in sixteen and the scan stays short;
-// a write set much past 64 words sets every bit and pays a linear scan
-// per lookup.
+// findWrite returns the index of data's write entry, or -1, by a scan
+// of the write set.
 func (x *txnRec) findWrite(data *uint64) int {
-	if x.wfilter&wbit(data) == 0 {
-		return -1
-	}
 	for i := range x.writes {
 		if x.writes[i].data == data {
 			return i

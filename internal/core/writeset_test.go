@@ -2,42 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"spectm/internal/word"
 )
 
-// collidingVars returns n vars of e ordered so that the first ones all
-// share one write-set filter bit, followed by the rest.
-func collidingVars(e *Engine, n int) []Var {
-	pool := make([]Var, 8*n)
-	for i := range pool {
-		pool[i] = e.NewVar(word.FromUint(uint64(i)))
-	}
-	byBit := map[uint64][]Var{}
-	for _, v := range pool {
-		b := wbit(v.data)
-		byBit[b] = append(byBit[b], v)
-	}
-	bits := make([]uint64, 0, len(byBit))
-	for b := range byBit {
-		bits = append(bits, b)
-	}
-	sort.Slice(bits, func(i, j int) bool { return len(byBit[bits[i]]) > len(byBit[bits[j]]) })
-	out := make([]Var, 0, len(pool))
-	for _, b := range bits {
-		out = append(out, byBit[b]...)
-	}
-	return out[:n]
-}
-
-// TestTxWriteSet writes sets of 1–256 words whose first members share a
-// filter bit, writes every word a second time, and reads every word
-// back: a duplicate write keeps one entry holding the last value, a read
-// after a write returns it, and a read of an unwritten word that shares
-// the filter bit returns the committed value. The commit then publishes
-// the last values.
+// TestTxWriteSet writes sets of 1–256 words, writes every word a second
+// time, and reads every word back: a duplicate write keeps one entry
+// holding the last value, a read after a write returns it, and a read of
+// an unwritten word returns the committed value. The commit then
+// publishes the last values.
 func TestTxWriteSet(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -46,7 +20,7 @@ func TestTxWriteSet(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			e := New(c.cfg)
 			th := e.Register()
-			vars := collidingVars(e, 257)
+			vars := benchVars(e, 257)
 			init := make([]Value, len(vars))
 			for i, v := range vars {
 				init[i] = th.SingleRead(v)
@@ -90,8 +64,8 @@ func TestTxWriteSet(t *testing.T) {
 
 // BenchmarkTxWrite measures a write to a fresh word of a write set of W
 // words; a steady-state transaction allocates nothing. On the val layout
-// the transaction aborts, so the figure is TxWrite alone: the filter
-// keeps it flat while W is well under 64 and it grows with W past that.
+// the transaction aborts, so the figure is TxWrite alone, which scans
+// the write set and so grows with W.
 // The orec rows commit, which scans the write set once per entry for an
 // orec an earlier entry already locked, so their cost per write grows
 // with W.

@@ -10,7 +10,11 @@
 // instead of being taken one key at a time.
 package shardmap
 
-import "spectm/internal/word"
+import (
+	"math/bits"
+
+	"spectm/internal/word"
+)
 
 // GetBatch reads up to len(keys) keys as one atomic snapshot: vals[i] and
 // found[i] report key i as of a single linearization point. vals and
@@ -46,11 +50,11 @@ func (x *Thread) getPair(keys []string, vals []Value, found []bool) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for attempt := 1; attempt <= 8; attempt++ {
-		_, _, c1, f1, ok1 := x.search(s1, x.route(s1, h1), h1, keys[0])
+		_, _, c1, f1, ok1 := x.search(s1, h1, keys[0])
 		if !ok1 {
 			continue
 		}
-		_, _, c2, f2, ok2 := x.search(s2, x.route(s2, h2), h2, keys[1])
+		_, _, c2, f2, ok2 := x.search(s2, h2, keys[1])
 		if !ok2 {
 			continue
 		}
@@ -135,22 +139,24 @@ func (x *Thread) hashKeys(keys []string) {
 	}
 }
 
-// touchChains walks, for every hash h in x.bhash, h's chain in its
-// shard's current table up to the first node whose hash is ≥ h: the
-// node a lookup of the key stops at. The walks advance together, one
-// node each per round — first every bucket head, then every walk's next
-// node — so the loads within a round do not wait for each other and the
-// chains' cache misses overlap. They are only touches: the lookups
-// re-read everything they use, so a walk that stops early (a link
-// locked or marked under a commit) or follows the wrong table (a resize
-// in flight) costs only its loads. A walk ends, because every link
-// names a node ordered after the one holding it. The caller holds an
-// epoch pin, which keeps every node a walk reaches allocated.
+// touchChains walks, for every hash h in x.bhash, h's bucket run in its
+// shard's list up to the first entry not ordered before h's key: the
+// node a lookup of the key stops at. A walk starts at h's bucket slot,
+// or at its nearest linked ancestor's while the bucket is not linked yet
+// (start), so it never writes. The walks advance together, one entry
+// each per round — first every slot, then every walk's next entry — so
+// the loads within a round do not wait for each other and the chains'
+// cache misses overlap. They are only touches: the lookups re-read
+// everything they use, so a walk that stops early (a link locked or
+// marked under a commit) costs only its loads. A walk ends, because
+// every link names an entry ordered after the one holding it. The
+// caller holds an epoch pin, which keeps every node a walk reaches
+// allocated.
 func (x *Thread) touchChains() {
 	x.bhead = x.bhead[:0]
 	for _, h := range x.bhash {
-		tb := x.m.shardOf(h).state.Load().cur
-		x.bhead = append(x.bhead, tb.buckets[x.m.bidx(tb, h)].Touch())
+		_, w := x.m.start(x.m.shardOf(h), h)
+		x.bhead = append(x.bhead, w)
 	}
 	for more := true; more; {
 		more = false
@@ -160,43 +166,55 @@ func (x *Thread) touchChains() {
 				continue
 			}
 			h := x.bhash[i]
-			n := x.m.shardOf(h).a.Get(dec(v))
-			if n.hash >= h {
-				x.bhead[i] = uint64(word.Null)
-				continue
+			sh, so := x.m.shardOf(h), x.m.sokey(h)
+			if isRef(v) {
+				j := refIdx(v)
+				if bits.Reverse64(j) > so {
+					x.bhead[i] = uint64(word.Null)
+					continue
+				}
+				x.bhead[i] = sh.slot(j).Touch()
+			} else {
+				n := sh.a.Get(dec(v))
+				if n.hash >= so {
+					x.bhead[i] = uint64(word.Null)
+					continue
+				}
+				x.bhead[i] = n.next.Touch()
 			}
-			x.bhead[i] = n.next.Touch()
 			more = true
 		}
 	}
 }
 
 // txLookup resolves one key (whose map hash is h) inside the open full
-// transaction. ok=false means a marked (unlinked or migrated) link was
-// crossed and the whole batch must restart.
+// transaction, walking from h's bucket slot or its nearest linked
+// ancestor's (start), so the transaction stays read-only. ok=false means
+// a marked (unlinked) link was crossed and the whole batch must restart.
 func (x *Thread) txLookup(key string, h uint64) (Value, bool, bool) {
 	t := x.t
 	sh := x.m.shardOf(h)
-	st := sh.state.Load()
-	tb := st.cur
-	if st.old != nil {
-		head := t.TxRead(x.m.bucketVar(st.old, x.m.bidx(st.old, h)))
-		if !head.Marked() {
-			tb = st.old
-		}
-	}
+	so := x.m.sokey(h)
 	p0, p1 := prefixWords(key)
-	link := t.TxRead(x.m.bucketVar(tb, x.m.bidx(tb, h)))
+	j, _ := x.m.start(sh, h)
+	link := t.TxRead(x.m.slotVar(sh, j))
 	for {
-		if link.Marked() {
+		switch {
+		case link.Marked():
 			return 0, false, false
-		}
-		if link.IsNull() || !t.TxOK() {
+		case link.IsNull() || !t.TxOK():
 			return 0, false, true
+		case isRef(link):
+			j := refIdx(link)
+			if bits.Reverse64(j) > so {
+				return 0, false, true
+			}
+			link = t.TxRead(x.m.slotVar(sh, j))
+			continue
 		}
 		cur := dec(link)
 		n := sh.a.Get(cur)
-		if c := n.cmp(h, p0, p1, key); c >= 0 {
+		if c := n.cmp(so, p0, p1, key); c >= 0 {
 			if c > 0 {
 				return 0, false, true
 			}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spectm/internal/core"
 	"spectm/internal/rng"
@@ -215,6 +216,42 @@ func BenchmarkMapMixedParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMapFill1Mi times every Put of one thread that fills a
+// default map, plain and ordered, with 1 Mi keys: max-put-ns is the
+// slowest Put and slow-put-ms the time spent in Puts over 1 ms, per
+// fill. Those are where a stall that growth puts on one writer shows; a
+// mean hides it. Run with GOGC=off to keep collector pauses out of them.
+func BenchmarkMapFill1Mi(b *testing.B) {
+	keys := make([]string, 1<<20)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("fill-%08d", i)
+	}
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{{"plain", nil}, {"ordered", []Option{WithOrdered()}}} {
+		b.Run(c.name, func(b *testing.B) {
+			var worst, slow time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				th := New(core.New(core.Config{Layout: core.LayoutVal}), c.opts...).NewThread()
+				b.StartTimer()
+				for j, k := range keys {
+					t0 := time.Now()
+					th.Put(k, word.FromUint(uint64(j)))
+					d := time.Since(t0)
+					worst = max(worst, d)
+					if d > time.Millisecond {
+						slow += d
+					}
+				}
+			}
+			b.ReportMetric(float64(worst.Nanoseconds()), "max-put-ns")
+			b.ReportMetric(float64(slow.Nanoseconds())/1e6/float64(b.N), "slow-put-ms")
+		})
+	}
 }
 
 // olistFixtures caches one built index per size: the three BenchmarkOlist

@@ -104,7 +104,7 @@ func runGetEachMatchesGet(t *testing.T, cfg core.Config) {
 			}
 		}
 	}()
-	go func() { // grower: every shard doubles, every node migrates
+	go func() { // grower: every shard doubles, and new buckets link on first use
 		defer wg.Done()
 		w := m.NewThread()
 		for g := 0; g < 5 && !stop.Load(); g++ {

@@ -2,8 +2,8 @@
 // §3 skip list, grown a reference count per entry) maintained next to
 // the hash map so the same short transactions that mutate the map keep
 // an ordered view of its keys. Entries are string-keyed and own their
-// key storage — the hash map's arena nodes move during a resize, so the
-// index can never hold handles into it.
+// key storage; an entry's hint names its key's hash node while the key
+// is live (see ordered.go).
 //
 // # Protocol
 //

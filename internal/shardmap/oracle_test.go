@@ -416,7 +416,7 @@ func TestOracleWideMGET(t *testing.T) {
 			}
 
 			// Swap writers plus churn traffic that forces shard growth,
-			// so batches also run across migrating buckets.
+			// so batches also run across buckets not yet linked.
 			var wwg sync.WaitGroup
 			iters := 8000
 			if testing.Short() {

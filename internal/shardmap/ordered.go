@@ -17,11 +17,11 @@
 //
 // Every commit that changes which node of a key is linked writes the
 // hint: an insert publishes with ShortRW2(pred link, entry.hint) (see
-// putLoop), a delete unlinks with ShortRW3(node.next, prev, entry.hint)
-// (see del), and migration writes each copy into its entry's hint in
-// the full transaction that marks the originals (see migrateBucket).
-// Nothing else links or unlinks a node, and a fresh entry's hint is
-// empty, so every commit preserves the invariant.
+// putLoop), and a delete unlinks with ShortRW3(node.next, prev,
+// entry.hint) (see del). Nothing else links or unlinks a node — a grow
+// moves none (resize.go) — and a fresh entry's hint is empty, so every
+// commit preserves the invariant, and a hint is written once per insert
+// and emptied once per delete.
 //
 // Scan reads a candidate as one ShortRO3 over (entry.hint, node.next,
 // node.val), with no hash-chain walk: an empty hint is the key not live,
@@ -142,7 +142,7 @@ func (x *Thread) scanStart(ol *olist, start string) word.Value {
 		h := x.m.hash(start)
 		sh := x.m.shardOf(h)
 		for {
-			_, _, cur, found, ok := x.search(sh, x.route(sh, h), h, start)
+			_, _, cur, found, ok := x.search(sh, h, start)
 			if !ok {
 				continue
 			}

@@ -27,6 +27,7 @@ import (
 
 	"spectm/internal/core"
 	"spectm/internal/wal"
+	"spectm/internal/word"
 )
 
 // WithPersistence makes the map durable: mutations append typed records
@@ -239,40 +240,36 @@ func (m *Map) Close() error {
 // false. Each (key, value) pair is read with the same 2-location
 // consistent read Get uses, so no torn value is ever yielded; the
 // iteration as a whole is fuzzy under concurrent writes, and a bucket
-// whose chain mutates mid-walk is retried, which can yield a key again
+// run that mutates mid-walk is retried, which can yield a key again
 // with a newer committed value (later yields supersede earlier ones).
-// Range holds each shard's resize lock while walking it, so growth waits
-// for iteration — keep f fast.
 func (x *Thread) Range(f func(key string, val Value) bool) {
 	m := x.m
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock() // excludes resizers: state.old == nil while held
-		done := !x.rangeShard(sh, f)
-		sh.mu.Unlock()
-		if done {
+		if !x.rangeShard(&m.shards[i], f) {
 			return
 		}
 	}
 }
 
-// rangeShard walks one shard's buckets, buffering each bucket's chain
-// and emitting it only after a clean walk, so a restarted bucket never
-// yields stale entries twice within one attempt.
+// rangeShard walks one shard's list a bucket run at a time — from one
+// linked slot to the next — buffering each run and emitting it only
+// after a clean walk, so a restarted run never yields stale entries
+// twice within one attempt. Nodes never move and slots are never
+// unlinked, so a walk that crossed a mark restarts from its run's slot.
 func (x *Thread) rangeShard(sh *shard, f func(key string, val Value) bool) bool {
 	m := x.m
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
-	tb := sh.state.Load().cur
-	for b := range tb.buckets {
+	for j := uint64(0); ; {
+		var link word.Value
 		for attempt := 1; ; attempt++ {
 			x.rkeys = x.rkeys[:0]
 			x.rvals = x.rvals[:0]
-			link := x.t.SingleRead(m.bucketVar(tb, uint64(b)))
+			link = x.t.SingleRead(m.slotVar(sh, j))
 			clean := true
-			for !link.IsNull() {
+			for !link.IsNull() && !isRef(link) {
 				if link.Marked() {
-					clean = false // chain mutated under us; restart bucket
+					clean = false // run mutated under us; restart it
 					break
 				}
 				cur := dec(link)
@@ -286,17 +283,19 @@ func (x *Thread) rangeShard(sh *shard, f func(key string, val Value) bool) bool 
 				x.rvals = append(x.rvals, vv)
 				link = nv
 			}
-			if !clean {
-				x.t.Backoff(attempt)
-				continue
+			if clean {
+				break
 			}
-			for i, k := range x.rkeys {
-				if !f(k, x.rvals[i]) {
-					return false
-				}
-			}
-			break
+			x.t.Backoff(attempt)
 		}
+		for i, k := range x.rkeys {
+			if !f(k, x.rvals[i]) {
+				return false
+			}
+		}
+		if link.IsNull() {
+			return true
+		}
+		j = refIdx(link)
 	}
-	return true
 }

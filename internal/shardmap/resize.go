@@ -1,149 +1,134 @@
-// Per-shard incremental resize. Growth doubles one shard's bucket table
-// and migrates chains bucket-by-bucket, each bucket in one ordinary
-// transaction — the only place the map falls back to full transactions,
-// because a chain's length is not statically bounded. Concurrent short
-// operations keep running: until a bucket's migration commits they work
-// on the old table, afterwards the marked links and the sentinel head
-// push them to the new one (see the package comment's routing protocol).
+// Growth without migration. A shard is one list sorted by split-order
+// key, then by key, and bucket j is a slot in that list: a dummy entry
+// whose word is its own next link and whose key is bits.Reverse64(j)
+// (Shalev & Shavit, "Split-ordered lists: lock-free extensible hash
+// tables", JACM 2006). At 2^k buckets, bucket j's keys are exactly the
+// run between slot j and the next slot in the list, so doubling splits
+// every run in two without moving a node: a grow allocates one segment
+// of uninitialised slots and publishes the doubled count, and a new
+// bucket is linked into the list on first use (initBucket).
 package shardmap
 
-import "spectm/internal/word"
+import (
+	"math/bits"
 
-// maybeGrow triggers a resize of sh when its load factor exceeds maxLoad.
-// Callers invoke it outside any epoch critical section. Only one resizer
-// runs per shard; everyone else returns immediately.
+	"spectm/internal/core"
+	"spectm/internal/word"
+)
+
+// maybeGrow doubles sh's bucket count when its load factor exceeds
+// maxLoad. Only one grower runs per shard; everyone else returns
+// immediately.
 func (x *Thread) maybeGrow(sh *shard) {
-	st := sh.state.Load()
-	if st.old != nil || sh.size.Load() <= uint64(len(st.cur.buckets))*maxLoad {
+	if sh.size.Load() <= sh.nb.Load()*maxLoad {
 		return
 	}
 	if !sh.mu.TryLock() {
 		return
 	}
 	defer sh.mu.Unlock()
-	st = sh.state.Load()
-	if st.old != nil || sh.size.Load() <= uint64(len(st.cur.buckets))*maxLoad {
-		return
+	if sh.size.Load() > sh.nb.Load()*maxLoad {
+		sh.grow()
 	}
-	x.grow(sh, st.cur)
 }
 
-// grow doubles sh's table and migrates every bucket. The caller holds
-// sh.mu. The work (and its allocation) is amortized across the inserts
-// that raised the load factor.
+// grow doubles sh's bucket count: it allocates the directory segment of
+// the new buckets, every slot uninitialised, and then publishes the
+// count. The caller holds sh.mu.
 //
 //spectm:coldpath
-func (x *Thread) grow(sh *shard, old *table) {
-	nt := x.m.newTable(2 * len(old.buckets))
-	sh.state.Store(&tables{cur: nt, old: old})
-	for b := range old.buckets {
-		x.migrateBucket(sh, old, nt, uint64(b))
-	}
-	sh.state.Store(&tables{cur: nt})
+func (sh *shard) grow() {
+	nb := sh.nb.Load()
+	sh.segs[bits.Len64(nb)] = core.NewWords(int(nb), uninit)
+	sh.nb.Store(2 * nb)
 }
 
-// migrateBucket moves old bucket b's chain into the new table as one
-// full transaction: it snapshots the chain, builds fresh copies of every
-// node split across the two target buckets, publishes the copies, marks
-// every old link and installs the marked-null sentinel as the old head.
-// With the ordered index on, the same commit points each key's hint at
-// its copy, so a hint never names a migrated node. Operations that raced
-// the commit fail their CAS or validation against the marked links and
-// re-route.
-//
-// No operation reads or writes new bucket b or b+len(old.buckets) before
-// old bucket b's sentinel is committed (route), so until then both
-// hold the null newTable gave them. The commit therefore writes only
-// the new heads that get a chain, and an empty bucket (about a third
-// of them at maxLoad 1) migrates with one CAS of its head from null to
-// the sentinel instead of a transaction.
-func (x *Thread) migrateBucket(sh *shard, old, nt *table, b uint64) {
-	t := x.t
-	oldHead := x.m.bucketVar(old, b)
-	if t.SingleCAS(oldHead, word.Null, word.Null.WithMark()) == word.Null {
-		return // an empty bucket: its two new heads are already null
-	}
-	t.Epoch.Enter()
-	defer t.Epoch.Exit()
-	ol := x.m.ordered
-	for attempt := 1; ; attempt++ {
-		// Drop copies built by a failed previous attempt.
-		for _, h := range x.mcopy {
-			sh.a.Free(h)
-		}
-		x.mcopy = x.mcopy[:0]
-		x.mchain = x.mchain[:0]
-		x.mnext = x.mnext[:0]
-		x.mvals = x.mvals[:0]
+// parent is the bucket that held bucket j's keys before the grow that
+// added j: j with its top bit cleared. Bucket 0 has none.
+func parent(j uint64) uint64 { return j - 1<<bits.Len64(j)>>1 }
 
-		t.TxStart()
-		stale := false
-		link := t.TxRead(oldHead)
-		for !link.IsNull() && t.TxOK() {
-			if link.Marked() {
-				// A walker can only find a marked link through a stale
-				// read; the commit would fail anyway.
-				stale = true
-				break
-			}
-			h := dec(link)
-			n := sh.a.Get(h)
-			x.mchain = append(x.mchain, h)
-			x.mvals = append(x.mvals, t.TxRead(x.m.valVar(sh, h, n)))
-			link = t.TxRead(x.m.nextVar(sh, h, n))
-			x.mnext = append(x.mnext, link)
-		}
-		if stale || !t.TxOK() {
-			t.TxAbort()
-			t.Backoff(attempt)
+// initBucket links bucket j's slot into sh's list, after its parent's
+// (which it initialises first, recursively): it walks from the parent's
+// slot to the first entry whose key is not less than the slot's, and
+// commits one ShortRW2 that points the slot at that entry and the link
+// before it at the slot. The commit applies only while the slot is still
+// uninitialised and the link has not moved, so of racing initialisers
+// exactly one links the slot. Slot 0 heads the list and is never
+// uninitialised.
+func (x *Thread) initBucket(sh *shard, j uint64) {
+	p := parent(j)
+	pv := x.m.slotVar(sh, p)
+	if x.t.SingleRead(pv) == uninit {
+		x.initBucket(sh, p)
+	}
+	sv := x.m.slotVar(sh, j)
+	key := bits.Reverse64(j)
+	for attempt := 1; ; attempt++ {
+		prev, link, ok := x.seek(sh, pv, key)
+		if !ok {
 			continue
 		}
-
-		if ol != nil {
-			// The commit locks and writes every entry's hint, one after
-			// another. Touch them first, in a loop whose loads do not
-			// wait for each other, so their misses overlap.
-			for _, h := range x.mchain {
-				x.sink += ol.a.Get(sh.a.Get(h).ent).hint.Touch()
-			}
+		d, pl, sl := x.t.ShortRW2(prev, sv)
+		if !d.Valid() {
+			x.t.Backoff(attempt)
+			continue
 		}
-
-		// Build the two split chains back-to-front; the old chain is
-		// sorted by (hash, key) and splitting preserves order.
-		var heads [2]word.Value
-		for i := len(x.mchain) - 1; i >= 0; i-- {
-			on := sh.a.Get(x.mchain[i])
-			idx := 0
-			if x.m.bidx(nt, on.hash) != b {
-				idx = 1
-			}
-			nh, nn := sh.a.Alloc()
-			nn.hash, nn.key, nn.p0, nn.p1, nn.ent = on.hash, on.key, on.p0, on.p1, on.ent
-			nn.val.Init(x.mvals[i])
-			nn.next.Init(heads[idx])
-			heads[idx] = enc(nh)
-			x.mcopy = append(x.mcopy, nh)
-			if ol != nil {
-				t.TxWrite(ol.hintVar(on.ent, ol.a.Get(on.ent)), enc(nh))
-			}
-		}
-		for i, hd := range heads {
-			if !hd.IsNull() {
-				t.TxWrite(x.m.bucketVar(nt, b+uint64(i*len(old.buckets))), hd)
-			}
-		}
-		for i, h := range x.mchain {
-			n := sh.a.Get(h)
-			t.TxWrite(x.m.nextVar(sh, h, n), x.mnext[i].WithMark())
-		}
-		t.TxWrite(oldHead, word.Null.WithMark())
-		if t.TxCommit() {
-			for _, h := range x.mchain {
-				t.Epoch.Retire(sh.a, uint64(h))
-			}
-			x.mcopy = x.mcopy[:0]
+		if sl != uninit {
+			d.Abort() // another thread linked it
 			return
 		}
-		t.Backoff(attempt)
+		if pl != link {
+			d.Abort() // the list moved since the walk
+			continue
+		}
+		d.Commit(ref(j), link)
+		return
+	}
+}
+
+// seek walks from the slot word from to the first entry whose key is
+// not less than a slot's key: a node whose split-order key is at least
+// key, or a slot whose key is. It returns the link before that entry
+// and the link's value; ok=false means the walk crossed a marked link.
+func (x *Thread) seek(sh *shard, from core.Var, key uint64) (prev core.Var, link word.Value, ok bool) {
+	prev = from
+	for {
+		link = x.t.SingleRead(prev)
+		switch {
+		case link.Marked():
+			return prev, link, false
+		case link.IsNull():
+			return prev, link, true
+		case isRef(link):
+			j := refIdx(link)
+			if bits.Reverse64(j) >= key {
+				return prev, link, true
+			}
+			prev = x.m.slotVar(sh, j)
+		default:
+			h := dec(link)
+			n := sh.a.Get(h)
+			if n.hash >= key {
+				return prev, link, true
+			}
+			prev = x.m.nextVar(sh, h, n)
+		}
+	}
+}
+
+// start returns h's bucket at sh's current count or, while that bucket
+// is not linked yet, its nearest linked ancestor, with the slot word it
+// read. Every key of h's bucket sits after that slot in the list, so a
+// reader that must not write walks from there instead of initialising
+// the bucket (touchChains, txLookup). The word is loaded outside any
+// transaction: a slot locked by a commit counts as not linked yet.
+func (m *Map) start(sh *shard, h uint64) (uint64, uint64) {
+	j := m.bidx(sh.nb.Load(), h)
+	for {
+		w := sh.slot(j).Touch()
+		if j == 0 || !word.Locked(w) && word.Value(w) != uninit {
+			return j, w
+		}
+		j = parent(j)
 	}
 }

@@ -35,7 +35,7 @@ func nodeOf(t *testing.T, x *Thread, key string) arena.Handle {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for {
-		_, _, cur, found, ok := x.search(sh, x.route(sh, h), h, key)
+		_, _, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -95,8 +95,7 @@ func requireExactHints(t *testing.T, x *Thread, want map[string]uint64, when str
 
 // TestNodeLayout pins the hash node at 64 B, one cache line of its
 // page-aligned arena chunk, with the key's prefix words that a chain
-// compare reads and the entry handle that Scan's start and migration
-// read.
+// compare reads and the entry handle that Scan's start reads.
 func TestNodeLayout(t *testing.T) {
 	var n node
 	if got := unsafe.Sizeof(n); got != 64 {
@@ -113,28 +112,30 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
-// growAll doubles every shard's table, migrating every node, and hands
-// the migrated nodes' slots back to the arenas.
+// growAll doubles every shard's bucket count and hands any retired
+// node slots back to the arenas.
 func growAll(m *Map, x *Thread) {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		x.grow(sh, sh.state.Load().cur)
+		sh.grow()
 		sh.mu.Unlock()
 	}
 	x.t.Epoch.Flush()
 }
 
-// TestScanHintResize: every grow migrates every node, and the migration
-// commit moves each key's hint to the copy. After each grow, with the
-// migrated nodes' slots recycled under new keys, every hint names its
-// key's current node and a scan reads every key through it.
+// TestScanHintResize: a grow moves no node, so after every grow each
+// key's hint still names the node its insert published, that node is
+// the one the hash map finds, and a scan reads every key through it,
+// with keys inserted between the grows alongside.
 func TestScanHintResize(t *testing.T) {
 	m, x := orderedMap(t)
 	want := map[string]uint64{}
+	nodes := map[string]arena.Handle{}
 	put := func(k string, v uint64) {
 		x.Put(k, word.FromUint(v))
 		want[k] = v
+		nodes[k] = nodeOf(t, x, k)
 	}
 	for i := 0; i < 256; i++ {
 		put(fmt.Sprintf("k%03d", i), uint64(i))
@@ -142,10 +143,16 @@ func TestScanHintResize(t *testing.T) {
 	requireExactHints(t, x, want, "after the inserts")
 	for round := 0; round < 3; round++ {
 		growAll(m, x)
-		for i := 0; i < 64; i++ { // reuses migrated slots; stays below the next grow
+		for i := 0; i < 64; i++ { // stays below the next grow
 			put(fmt.Sprintf("r%d-%02d", round, i), uint64(1000*(round+1)+i))
 		}
-		requireExactHints(t, x, want, fmt.Sprintf("after grow %d", round+1))
+		when := fmt.Sprintf("after grow %d", round+1)
+		for k, h := range nodes {
+			if hint := hintOf(t, x, k); hint != enc(h) {
+				t.Fatalf("%s: %q has hint %#x, its insert published node %#x", when, k, uint64(hint), uint64(h))
+			}
+		}
+		requireExactHints(t, x, want, when)
 	}
 }
 
@@ -216,7 +223,7 @@ func TestScanHintRefreshLosesToDelete(t *testing.T) {
 	}
 	const victim = "k3"
 	requireExactHints(t, x, want, "after the inserts")
-	growAll(m, x) // the victim's hint now names a migrated copy
+	growAll(m, x) // the victim's bucket now splits, its node stays
 	requireExactHints(t, x, want, "after a grow")
 
 	other := m.NewThread()
@@ -412,7 +419,7 @@ func TestScanDuringResize(t *testing.T) {
 	}
 	grown := 0
 	for i := range m.shards {
-		if n := len(m.shards[i].state.Load().cur.buckets); n > 4 {
+		if n := m.shards[i].nb.Load(); n > 4 {
 			grown++
 		}
 	}

@@ -20,44 +20,35 @@
 //	GetBatch (n keys)  one full transaction (read-only), after walking
 //	                   every key's chain in rounds (touchChains)
 //
-// Only the per-shard incremental resize falls back to full transactions:
-// each bucket chain is migrated in one ordinary transaction, so growth
-// never stops concurrent readers or writers.
+// No operation runs a full transaction that writes: a shard grows by
+// adding bucket slots to its list, and no node ever moves (resize.go).
 //
 // # Layout
 //
 // Keys hash once (hash/maphash); the low bits pick a cache-line-padded
-// shard, the next bits pick a bucket in the shard's table. Buckets are
-// sorted chains of arena nodes ordered by (hash, key), exactly like the
-// paper's §3 hash table, with bit 1 of every link reserved as the
-// "deleted" mark. Every transactional word of the map — bucket heads,
-// node links and values, index-entry cells — is an 8-byte core.Word,
-// which binds no meta-data under LayoutVal and the shared orec table
-// under LayoutOrec; a LayoutTVar engine is rejected (ErrTVarLayout).
-// A node carries its key's first 16 bytes as two words next to the
-// hash, so a chain step orders and a hit matches inside the node (see
-// node.cmp). A marked link always means "this node has been
-// atomically unlinked (removed or migrated); restart the operation" —
-// restarting re-reads the shard's table pointer, which is how operations
-// discover an in-progress resize.
-//
-// # Resize
-//
-// A shard grows by doubling its bucket table. The resizing thread
-// publishes {cur: new, old: current} and then migrates one old bucket at
-// a time: a single full transaction copies the chain's nodes into the two
-// split target buckets of the new table, marks every old link, and
-// replaces the old bucket head with a marked-null sentinel (an empty
-// bucket needs only the sentinel, one CAS). Operations
-// route each key to the old table until its bucket's sentinel appears, so
-// a key is always owned by exactly one table and duplicate inserts across
-// tables are impossible; stale operations that raced the migration fail
-// their CAS/validation against the marked links and restart.
+// shard, and the bits above them order the shard's keys. Each shard is
+// one list of arena nodes sorted by split-order key — the bit-reversed
+// hash (sokey) — then by key, the paper's §3 hash-table chain turned
+// into Shalev & Shavit's split-ordered list, with bit 1 of every link
+// reserved as the "deleted" mark. Bucket j of a shard with 2^k buckets
+// holds the keys whose hash bits above the shard bits end in j; their
+// split-order keys share a prefix, so they are one run of the list, and
+// bucket j's slot is the entry that starts that run. Every transactional
+// word of the map — bucket slots, node links and values, index-entry
+// cells — is an 8-byte core.Word, which binds no meta-data under
+// LayoutVal and the shared orec table under LayoutOrec; a LayoutTVar
+// engine is rejected (ErrTVarLayout). A node carries its key's first 16
+// bytes as two words next to its split-order key, so a list step orders
+// and a hit matches inside the node (see node.cmp). A link names a node,
+// a bucket slot (slotRef) or nothing (word.Null, the end of the list); a
+// marked link means only "this node has been unlinked by a delete;
+// restart the operation".
 package shardmap
 
 import (
 	"errors"
 	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,11 +71,26 @@ func enc(h arena.Handle) word.Value { return word.FromUint(uint64(h)) }
 // dec extracts the handle from a link, ignoring the mark bit.
 func dec(v word.Value) arena.Handle { return arena.Handle(v.WithoutMark().Uint()) }
 
+// slotRef tags a link that names bucket slot j (ref(j)) rather than a
+// node: it sits above every arena handle's 48 bits.
+const slotRef = uint64(1) << 48
+
+// ref is the link that names bucket slot j.
+func ref(j uint64) word.Value { return word.FromUint(slotRef | j) }
+
+// isRef reports whether link v names a bucket slot; refIdx is its index.
+func isRef(v word.Value) bool    { return v.Uint()&slotRef != 0 }
+func refIdx(v word.Value) uint64 { return v.Uint() &^ slotRef }
+
+// uninit is the word of a bucket slot not yet linked into its shard's
+// list (see initBucket). Nothing else marks a slot's word.
+const uninit = word.Null | word.MarkBit
+
 // Stable identity spaces for orec hashing (see stmset for the scheme).
-// Node cells pack (shard tag, arena handle, field); bucket cells take
-// idBucketBase plus a per-table sequence number.
+// Node cells pack (shard tag, arena handle, field); bucket slot j takes
+// the shard tag, idSlotBit and j.
 const (
-	idBucketBase = uint64(1) << 52
+	idSlotBit    = uint64(1) << 52
 	idNodeShift  = 2 // handle << 2 | field
 	idShardShift = 55
 
@@ -92,13 +98,14 @@ const (
 	fieldVal  = 1
 )
 
-// maxLoad is the average chain length that triggers a shard resize. At
-// 1 a shard doubles once it holds more keys than buckets, so a chain
-// averages 0.5–1 node and a hit visits about 1.4 (TestChainLength).
+// maxLoad is the average bucket run length that triggers a shard grow.
+// At 1 a shard doubles once it holds more keys than buckets, so a run
+// averages 0.5–1 node and a hit visits about 1.35 (TestChainLength).
 const maxLoad = 1
 
 // node is one key/value pair. val and next are transactional words;
-// everything else is immutable after publication. p0 and p1 are the
+// everything else is immutable after publication. hash is the key's
+// split-order key (sokey). p0 and p1 are the
 // key's first 16 bytes (prefixWords), so a chain step compares inside
 // the node and reads the separately allocated key bytes only past byte
 // 16 or on a 64-bit hash tie (see cmp). A node is 64 B, so in its
@@ -113,8 +120,9 @@ type node struct {
 	ent    arena.Handle // the key's index entry (ordered maps; see ordered.go)
 }
 
-// cmp places node n against the key (h, key), whose prefix words are
-// p0 and p1, in chain order — by hash, then by key: negative when n
+// cmp places node n against the key (h, key), whose split-order key is
+// h and prefix words are p0 and p1, in list order — by split-order
+// key, then by key: negative when n
 // comes first, zero when n holds key, positive when n comes after. The
 // hash, the prefix words and the key's length sit in the node; the key
 // bytes are read only when the keys are longer than 16 bytes or, on a
@@ -145,30 +153,30 @@ func (n *node) cmp(h, p0, p1 uint64, key string) int {
 	return 1
 }
 
-// table is one bucket array generation of a shard.
-type table struct {
-	buckets []core.Word
-	mask    uint64
-	idBase  uint64 // orec identity base for bucket links
-}
-
-// tables is a shard's current view: old is non-nil only during a resize.
-type tables struct {
-	cur *table
-	old *table
-}
-
-// shard is one stripe of the map. The trailing pad keeps neighboring
-// shards' hot fields (state pointer, size counter, arena cursor) off each
-// other's cache lines.
+// shard is one stripe of the map: one split-ordered list and the bucket
+// slots into it. The trailing pad keeps neighboring shards' hot fields
+// (bucket count, size counter, arena cursor) off each other's cache
+// lines.
 type shard struct {
-	state atomic.Pointer[tables]
+	// nb is the bucket count, a power of two. A grow stores every slot
+	// of the new segment before it publishes the doubled count, and a
+	// segment never changes once published.
+	nb    atomic.Uint64
+	segs  [33][]core.Word // slot directory, up to 2^32 buckets; see slot
 	size  atomic.Uint64
 	a     *arena.Arena[node]
 	idTag uint64
-	mu    sync.Mutex // serializes resizers; never taken on the hot path
+	mu    sync.Mutex // serializes growers; never taken on the hot path
 
 	_ [pad.CacheLine]byte
+}
+
+// slot returns bucket j's slot word: the dummy entry that starts j's
+// run in the list, whose word is the dummy's next link. Segment k of the
+// directory holds buckets [2^k/2, 2^k), so slots never move.
+func (sh *shard) slot(j uint64) *core.Word {
+	k := bits.Len64(j)
+	return &sh.segs[k][j-(1<<k>>1)]
 }
 
 // Option configures a Map under construction.
@@ -204,7 +212,6 @@ type Map struct {
 	shards    []shard
 	shardMask uint64
 	shardBits uint
-	idSeq     atomic.Uint64 // bucket identity allocator
 
 	thrMu       sync.Mutex    // guards thrCounters
 	thrCounters []*opCounters // one slot set per attached Thread
@@ -281,8 +288,10 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		sh := &m.shards[i]
 		sh.a = arena.New[node]()
 		sh.idTag = (uint64(i) + 1) << idShardShift
-		st := &tables{cur: m.newTable(nb)}
-		sh.state.Store(st)
+		sh.segs[0] = core.NewWords(1, word.Null) // slot 0 heads the list
+		for sh.nb.Store(1); sh.nb.Load() < uint64(nb); {
+			sh.grow()
+		}
 	}
 	if cfg.ordered {
 		m.ordered = newOlist(m)
@@ -293,16 +302,6 @@ func newMap(e *core.Engine, opts ...Option) (*Map, error) {
 		}
 	}
 	return m, nil
-}
-
-// newTable allocates a bucket array with a fresh identity range. Every
-// head starts as the zero Word, which holds word.Null.
-func (m *Map) newTable(n int) *table {
-	return &table{
-		buckets: make([]core.Word, n),
-		mask:    uint64(n - 1),
-		idBase:  idBucketBase + m.idSeq.Add(uint64(n)) - uint64(n),
-	}
 }
 
 // Engine returns the engine the map is bound to.
@@ -327,9 +326,16 @@ func (m *Map) hash(key string) uint64 { return maphash.String(m.seed, key) }
 // shardOf picks the key's shard.
 func (m *Map) shardOf(h uint64) *shard { return &m.shards[h&m.shardMask] }
 
-// bidx is the key's bucket index within a table (the shard bits are
-// skipped so bucket striping stays independent of shard striping).
-func (m *Map) bidx(t *table, h uint64) uint64 { return (h >> m.shardBits) & t.mask }
+// bidx is the key's bucket index in a shard of nb buckets (the shard
+// bits are skipped so bucket striping stays independent of shard
+// striping).
+func (m *Map) bidx(nb, h uint64) uint64 { return (h >> m.shardBits) & (nb - 1) }
+
+// sokey is the key's split-order key: its hash bits above the shard
+// bits, reversed. Bucket j's keys are then exactly those whose sokey
+// starts with bits.Reverse64(j)'s top log2(nb) bits, and
+// bits.Reverse64(j), the slot's own key, is the least of them.
+func (m *Map) sokey(h uint64) uint64 { return bits.Reverse64(h >> m.shardBits) }
 
 // Thread is a per-goroutine handle on a Map. A Thread must not be shared
 // between goroutines; create one per worker with NewThread.
@@ -338,13 +344,7 @@ type Thread struct {
 	t   *core.Thr
 	ops opCounters
 
-	// migration scratch, reused across resizes
-	mchain []arena.Handle
-	mnext  []word.Value
-	mvals  []word.Value
-	mcopy  []arena.Handle
-
-	// Range scratch: one bucket's chain, buffered per attempt
+	// Range scratch: one bucket's run, buffered per attempt
 	rkeys []string
 	rvals []word.Value
 
@@ -391,9 +391,9 @@ func (x *Thread) conflict(attempt int) {
 	x.t.Backoff(attempt)
 }
 
-// bucketVar returns the Var of bucket b's head link in table tb.
-func (m *Map) bucketVar(tb *table, b uint64) core.Var {
-	return m.e.WordVar(&tb.buckets[b], tb.idBase+b)
+// slotVar returns the Var of bucket j's slot word.
+func (m *Map) slotVar(sh *shard, j uint64) core.Var {
+	return m.e.WordVar(sh.slot(j), sh.idTag|idSlotBit|j)
 }
 
 // nextVar returns the Var of a node's chain link.
@@ -406,49 +406,50 @@ func (m *Map) valVar(sh *shard, h arena.Handle, n *node) core.Var {
 	return m.e.WordVar(&n.val, sh.idTag|uint64(h)<<idNodeShift|fieldVal)
 }
 
-// route resolves which table currently owns h's bucket: the old table
-// until its bucket has been migrated (marked-null sentinel head), the
-// current one afterwards (and in the steady state).
-func (x *Thread) route(sh *shard, h uint64) *table {
-	st := sh.state.Load()
-	if st.old != nil {
-		if !x.t.SingleRead(x.m.bucketVar(st.old, x.m.bidx(st.old, h))).Marked() {
-			return st.old
-		}
-	}
-	return st.cur
-}
-
-// search walks key's chain in tb with single-location reads. It returns
-// the link Var to update for an insert/remove, that link's observed
-// value, the candidate node and whether the key was found. ok=false means
-// the walk crossed a marked link — an atomically unlinked (removed or
-// migrated) node or a migrated bucket — and the operation must restart
-// from route.
-func (x *Thread) search(sh *shard, tb *table, h uint64, key string) (prev core.Var, link word.Value, cur arena.Handle, found, ok bool) {
+// search walks key's bucket run with single-location reads, from the
+// slot of its bucket (linked first if it never was; see initBucket). It
+// returns the link Var to update for an insert/remove, that link's
+// observed value, the candidate node and whether the key was found. The
+// walk stops at the first entry not ordered before the key: a node, or a
+// slot whose key is greater than the key's. ok=false means the walk
+// crossed a marked link — a node a delete unlinked — and the operation
+// must restart.
+func (x *Thread) search(sh *shard, h uint64, key string) (prev core.Var, link word.Value, cur arena.Handle, found, ok bool) {
+	so := x.m.sokey(h)
 	p0, p1 := prefixWords(key)
-	prev = x.m.bucketVar(tb, x.m.bidx(tb, h))
-	link = x.t.SingleRead(prev)
+	j := x.m.bidx(sh.nb.Load(), h)
+	prev = x.m.slotVar(sh, j)
+	if link = x.t.SingleRead(prev); link == uninit {
+		x.initBucket(sh, j)
+		link = x.t.SingleRead(prev)
+	}
 	for {
-		if link.Marked() {
+		switch {
+		case link.Marked():
 			return prev, link, 0, false, false
-		}
-		if link.IsNull() {
+		case link.IsNull():
 			return prev, word.Null, 0, false, true
+		case isRef(link):
+			j := refIdx(link)
+			if bits.Reverse64(j) > so {
+				return prev, link, 0, false, true
+			}
+			prev = x.m.slotVar(sh, j) // a finer bucket of the key's, from a later grow
+		default:
+			cur = dec(link)
+			n := sh.a.Get(cur)
+			if c := n.cmp(so, p0, p1, key); c >= 0 {
+				return prev, link, cur, c == 0, true
+			}
+			prev = x.m.nextVar(sh, cur, n)
 		}
-		cur = dec(link)
-		n := sh.a.Get(cur)
-		if c := n.cmp(h, p0, p1, key); c >= 0 {
-			return prev, link, cur, c == 0, true
-		}
-		prev = x.m.nextVar(sh, cur, n)
 		link = x.t.SingleRead(prev)
 	}
 }
 
 // Get returns the value stored for key. The (liveness, value) pair is
 // read with one 2-location read-only short transaction, so a concurrent
-// update, removal or migration can never produce a torn observation.
+// update or removal can never produce a torn observation.
 //
 //spectm:noalloc
 func (x *Thread) Get(key string) (Value, bool) {
@@ -489,13 +490,12 @@ func (x *Thread) GetEach(keys []string, vals []Value, found []bool) {
 
 // lookup resolves key (whose map hash is h): present right now, and if
 // so its current value, read with the node's liveness link in one
-// ShortRO2, so a concurrent update, removal or migration can never
-// produce a torn observation. The caller holds an epoch pin.
+// ShortRO2, so a concurrent update or removal can never produce a torn
+// observation. The caller holds an epoch pin.
 func (x *Thread) lookup(key string, h uint64) (Value, bool) {
 	sh := x.m.shardOf(h)
 	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		_, _, cur, found, ok := x.search(sh, tb, h, key)
+		_, _, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -564,8 +564,7 @@ func (x *Thread) update(h uint64, key string, val Value) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		_, _, cur, found, ok := x.search(sh, tb, h, key)
+		_, _, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -611,8 +610,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 	ol := x.m.ordered
 	var eh arena.Handle // key's index entry, once a reference is held
 	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		prev, link, cur, found, ok := x.search(sh, tb, h, key)
+		prev, link, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -628,7 +626,7 @@ func (x *Thread) putLoop(sh *shard, h uint64, key string, val Value, spare *aren
 		if spare.IsNil() {
 			var n *node
 			*spare, n = sh.a.Alloc()
-			n.hash, n.key = h, key
+			n.hash, n.key = x.m.sokey(h), key
 			n.p0, n.p1 = prefixWords(key)
 		}
 		n := sh.a.Get(*spare)
@@ -688,8 +686,7 @@ func (x *Thread) del(h uint64, key string) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		prev, link, cur, found, ok := x.search(sh, tb, h, key)
+		prev, link, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -704,8 +701,8 @@ func (x *Thread) del(h uint64, key string) bool {
 				continue
 			}
 			if nv.Marked() || pv != link {
-				// The node was unlinked (removed or migrated) or the chain
-				// moved; either way the search result is stale.
+				// The node was unlinked or the list moved; either way
+				// the search result is stale.
 				d.Abort()
 				continue
 			}
@@ -753,8 +750,7 @@ func (x *Thread) cas(h uint64, key string, old, new Value) bool {
 	x.t.Epoch.Enter()
 	defer x.t.Epoch.Exit()
 	for attempt := 1; ; attempt++ {
-		tb := x.route(sh, h)
-		_, _, cur, found, ok := x.search(sh, tb, h, key)
+		_, _, cur, found, ok := x.search(sh, h, key)
 		if !ok {
 			continue
 		}
@@ -818,11 +814,11 @@ func (x *Thread) swap2(k1, k2 string) bool {
 func (x *Thread) set2(h1, h2 uint64, k1, k2 string, swap bool, v1, v2 Value) (Value, Value, bool) {
 	s1, s2 := x.m.shardOf(h1), x.m.shardOf(h2)
 	for attempt := 1; ; attempt++ {
-		_, _, c1, found1, ok1 := x.search(s1, x.route(s1, h1), h1, k1)
+		_, _, c1, found1, ok1 := x.search(s1, h1, k1)
 		if !ok1 {
 			continue
 		}
-		_, _, c2, found2, ok2 := x.search(s2, x.route(s2, h2), h2, k2)
+		_, _, c2, found2, ok2 := x.search(s2, h2, k2)
 		if !ok2 {
 			continue
 		}

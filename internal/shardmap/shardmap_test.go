@@ -97,12 +97,8 @@ func TestManyKeysAndGrowth(t *testing.T) {
 	}
 	// Growth must have happened well past the initial 2 buckets/shard.
 	for i := range m.shards {
-		st := m.shards[i].state.Load()
-		if st.old != nil {
-			t.Fatalf("shard %d still mid-resize after quiescence", i)
-		}
-		if len(st.cur.buckets) <= 2 {
-			t.Fatalf("shard %d never grew (%d buckets)", i, len(st.cur.buckets))
+		if nb := m.shards[i].nb.Load(); nb <= 2 {
+			t.Fatalf("shard %d never grew (%d buckets)", i, nb)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -128,9 +124,11 @@ func TestManyKeysAndGrowth(t *testing.T) {
 
 // TestChainLength pins how deep a lookup walks. It fills a map at the
 // default bucket count with 64 Ki keys and then, quiescent, walks every
-// shard's table: each shard's load (keys per bucket) is at most maxLoad
-// = 1, and a hit visits at most 1.5 nodes on average, the key's own
-// node included (a chain of L nodes costs its hits L(L+1)/2 visits).
+// shard's list a bucket run at a time, each from its slot as search
+// walks it (a bucket never used is linked first, as search links it):
+// each shard's load (keys per bucket) is at most maxLoad = 1, and a hit
+// visits at most 1.5 nodes on average, the key's own node included (a
+// run of L nodes costs its hits L(L+1)/2 visits).
 func TestChainLength(t *testing.T) {
 	m := New(core.New(core.Config{Layout: core.LayoutVal}))
 	const n = 1 << 16
@@ -139,23 +137,24 @@ func TestChainLength(t *testing.T) {
 	var total, visits int
 	for i := range m.shards {
 		sh := &m.shards[i]
-		st := sh.state.Load()
-		if st.old != nil {
-			t.Fatalf("shard %d still mid-resize after quiescence", i)
+		nb, size := sh.nb.Load(), 0
+		for j := uint64(0); j < nb; j++ {
+			if x.t.SingleRead(m.slotVar(sh, j)) == uninit {
+				x.initBucket(sh, j)
+			}
 		}
-		tb, size := st.cur, 0
-		for b := range tb.buckets {
+		for j := uint64(0); j < nb; j++ {
 			pos := 0
-			for link := x.t.SingleRead(m.bucketVar(tb, uint64(b))); !link.IsNull(); pos++ {
+			for link := x.t.SingleRead(m.slotVar(sh, j)); !link.IsNull() && !isRef(link); pos++ {
 				h := dec(link)
 				visits += pos + 1
 				link = x.t.SingleRead(m.nextVar(sh, h, sh.a.Get(h)))
 			}
 			size += pos
 		}
-		if size > len(tb.buckets)*maxLoad {
+		if size > int(nb)*maxLoad {
 			t.Errorf("shard %d: %d keys in %d buckets, load %.2f > %d",
-				i, size, len(tb.buckets), float64(size)/float64(len(tb.buckets)), maxLoad)
+				i, size, nb, float64(size)/float64(nb), maxLoad)
 		}
 		total += size
 	}
